@@ -21,6 +21,13 @@ COORD = "coordinate"
 
 def sort_sign(seq: Sequence[int]) -> Tuple[Optional[Index], int]:
     """Sort indices, returning the permutation sign; duplicates give (None, 0)."""
+    prev = -1
+    for i in seq:  # indices are >= 0; strictly increasing is the common case
+        if i <= prev:
+            break
+        prev = i
+    else:
+        return tuple(seq), 1
     lst = list(seq)
     if len(set(lst)) != len(lst):
         return None, 0

@@ -56,9 +56,11 @@ def _pmat_is_zero(a: PolyMatrix) -> bool:
 def _pmat_inverse_unimodular(a: PolyMatrix, nvars: int) -> PolyMatrix:
     """Inverse of a matrix with det 1.
 
-    Tries the Neumann series for I - a first (finite whenever a - I is
-    nilpotent, which covers every unipotent coframe and all row changes used
-    by the splitting machinery), then falls back to the adjugate.
+    Tries the Neumann series for I - a first, then falls back to the
+    adjugate.  The series is finite whenever a - I is nilpotent: every
+    builtin coframe, and every row change E that change_rows inverts (a
+    splitting shift has (E - I)^2 = 0).  A shifted coframe E @ A is not
+    such a matrix, which is why change_rows inverts E alone.
     """
     n = len(a)
     ident = _pmat_identity(n, nvars)
@@ -104,13 +106,18 @@ class StructureReport:
 
 
 class GeometryModel:
-    """Global coframe on R^n with weights and declared structure equations."""
+    """Global coframe on R^n with weights and declared structure equations.
+
+    coframe_inv, when given, must be the exact inverse of coframe; it is
+    not recomputed, and verify_structure checks it.
+    """
 
     def __init__(self, name: str, nvars: int, weights: Sequence[int],
                  coframe: PolyMatrix,
                  congruences: Sequence[Congruence] = (),
                  selectors: Optional[Dict[str, Tuple[int, ...]]] = None,
-                 extra: Optional[dict] = None):
+                 extra: Optional[dict] = None, *,
+                 coframe_inv: Optional[PolyMatrix] = None):
         self.name = name
         self.nvars = nvars
         self.weights = tuple(int(w) for w in weights)
@@ -122,7 +129,8 @@ class GeometryModel:
         det = linalg.poly_det_bareiss(coframe)
         if det != rp.const(1, nvars):
             raise ValueError("coframe determinant must be exactly 1")
-        self.coframe_inv = _pmat_inverse_unimodular(coframe, nvars)
+        self.coframe_inv = (coframe_inv if coframe_inv is not None
+                            else _pmat_inverse_unimodular(coframe, nvars))
         self.selectors: Dict[str, Tuple[int, ...]] = {
             "horizontal": tuple(i for i, w in enumerate(self.weights) if w == 1),
             "vertical": tuple(i for i, w in enumerate(self.weights) if w >= 2),
@@ -336,10 +344,6 @@ class OrbitReport:
     levi_injective: bool
 
 
-def _pfaffian4(b: linalg.Matrix) -> Fraction:
-    return (b[0][1] * b[2][3] - b[0][2] * b[1][3] + b[0][3] * b[1][2])
-
-
 def _pfaffian4_poly(b: List[List[rp.Poly]]) -> rp.Poly:
     return rp.add(rp.sub(rp.mul(b[0][1], b[2][3]),
                          rp.mul(b[0][2], b[1][3])),
@@ -405,12 +409,19 @@ def _classify_inertia(inert: Tuple[int, int, int]) -> str:
 
 def change_rows(model: GeometryModel, emat: PolyMatrix, name: str,
                 keep_congruences: bool = False) -> GeometryModel:
-    """New model with coframe E @ A; E must have det 1."""
+    """New model with coframe E @ A; E must have det 1.
+
+    The inverse is A^-1 @ E^-1: inverting E alone keeps the Neumann series
+    finite for unipotent E, where E @ A - I is in general not nilpotent.
+    The constructor's determinant check still rejects E with det != 1.
+    """
     new_a = _pmat_mul(emat, model.coframe)
+    new_inv = _pmat_mul(model.coframe_inv,
+                        _pmat_inverse_unimodular(emat, model.nvars))
     congs = list(model.congruences) if keep_congruences else []
     return GeometryModel(name, model.nvars, model.weights, new_a,
                          congruences=congs, selectors=dict(model.selectors),
-                         extra=dict(model.extra))
+                         extra=dict(model.extra), coframe_inv=new_inv)
 
 
 def splitting_shift(model: GeometryModel, shifts: Dict[Tuple[int, int], rp.Poly],

@@ -232,8 +232,6 @@ class _Retract:
             smat = [[scols[j][r] for j in range(len(scols))]
                     for r in range(dim)]
             sinv = linalg.inverse(smat)
-            if sinv is None:
-                raise AssertionError("cell splitting is degenerate")
             out = _CellRetract(src, upiv, bcols, sinv, dim)
         self._cells[key] = out
         return out
@@ -758,20 +756,6 @@ def build_rs_complex(half_dim: int) -> Resolution:
     return Resolution(name="symplectic%d" % n, variant="rs", nodes=nodes,
                       operators=ops, model=None, nvars=n,
                       coeff_weights=(1,) * n)
-
-
-def rs_pair_d(half_dim: int, degree: int, omega: Form,
-              mu: Form) -> Tuple[Form, Form]:
-    """The two-slot differential (d omega +/- J ^ mu, d mu)."""
-    data = symplectic_data(half_dim)
-    jf: Form = data["J"]
-    sign = Fraction(1) if degree % 2 == 0 else Fraction(-1)
-    top = exterior_d(omega)
-    jm = wedge(jf, mu)
-    first = top.copy()
-    for idx, p in jm.terms.items():
-        first.add_term(idx, p if sign > 0 else rp.neg(p))
-    return first, exterior_d(mu)
 
 
 # #### order measurement ###################################################

@@ -141,30 +141,6 @@ def evaluate(p: Poly, point: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def evaluate_partial(p: Poly, values: Dict[int, Fraction]) -> Poly:
-    """Substitute rational values for some variables, keeping the rest."""
-    out: Poly = {}
-    for e, c in p.items():
-        v = c
-        e2 = list(e)
-        for i, x in values.items():
-            if e[i]:
-                v = v * x ** e[i]
-            e2[i] = 0
-        if v:
-            t = tuple(e2)
-            s = out.get(t)
-            if s is None:
-                out[t] = v
-            else:
-                s = s + v
-                if s:
-                    out[t] = s
-                else:
-                    del out[t]
-    return out
-
-
 def nvars_of(p: Poly) -> Optional[int]:
     for e in p:
         return len(e)

@@ -105,15 +105,9 @@ def _sym(mat: PolyMat) -> PolyMat:
              for b in range(k)] for a in range(k)]
 
 
-def _six_obstruction(model: GeometryModel) -> ObstructionReport:
-    pairs = model.extra["omega_pairs"]
-    omega = form_zero(model.nvars, 2, model.basis_tag)
-    for a, j in pairs:
-        omega.add_term((a, j), rp.const(1, model.nvars))
-    dpart = split_by_cell_weight(model, coframe_d(model, omega)).get(4)
-    levis = _levi_forms(model)
-    pinv = linalg.inverse(_pairing_matrix(levis))
-    assert pinv is not None
+def _levi_project(model: GeometryModel, levis: List[Form],
+                  pinv: linalg.Matrix, dpart: Optional[Form]) -> PolyMat:
+    """Symmetric Levi component of a weight-4 3-form piece."""
     duals = [_dual_bivector(f) for f in levis]
     k = len(levis)
     mat: PolyMat = [[{} for _ in range(k)] for _ in range(k)]
@@ -128,8 +122,25 @@ def _six_obstruction(model: GeometryModel) -> ObstructionReport:
                     if raw[c] and pinv[c][b]:
                         acc = rp.add(acc, rp.scale(raw[c], pinv[c][b]))
                 mat[a][b] = acc
+    return _sym(mat)
+
+
+def _six_input(model: GeometryModel) -> Form:
+    """The distinguished 2-form sum of omega^a ^ omega^j over omega_pairs."""
+    omega = form_zero(model.nvars, 2, model.basis_tag)
+    for a, j in model.extra["omega_pairs"]:
+        omega.add_term((a, j), rp.const(1, model.nvars))
+    return omega
+
+
+def _six_obstruction(model: GeometryModel) -> ObstructionReport:
+    dpart = split_by_cell_weight(
+        model, coframe_d(model, _six_input(model))).get(4)
+    levis = _levi_forms(model)
+    pinv = linalg.inverse(_pairing_matrix(levis))
     return ObstructionReport(model=model.name, kind="six",
-                             matrices=[_sym(mat)])
+                             matrices=[_levi_project(model, levis, pinv,
+                                                     dpart)])
 
 
 def _seven_inputs(model: GeometryModel) -> List[Form]:
@@ -162,21 +173,8 @@ def _seven_project(model: GeometryModel, levis: List[Form],
                    pinv: linalg.Matrix, ginv: linalg.Matrix,
                    gmat: linalg.Matrix, dpart: Optional[Form]) -> PolyMat:
     """Trace-free symmetric Levi component of a weight-4 3-form piece."""
-    duals = [_dual_bivector(f) for f in levis]
     k = len(levis)
-    nmat: PolyMat = [[{} for _ in range(k)] for _ in range(k)]
-    if dpart is not None:
-        sigmas = _vertical_sigma(model, dpart)
-        for a in range(k):
-            raw = [contract(sigmas[a], duals[c]).terms.get((), {})
-                   for c in range(k)]
-            for b in range(k):
-                acc: rp.Poly = {}
-                for c in range(k):
-                    if raw[c] and pinv[c][b]:
-                        acc = rp.add(acc, rp.scale(raw[c], pinv[c][b]))
-                nmat[a][b] = acc
-    sym = _sym(nmat)
+    sym = _levi_project(model, levis, pinv, dpart)
     trace: rp.Poly = {}
     for a in range(k):
         for b in range(k):
@@ -197,16 +195,12 @@ def _seven_metric(model: GeometryModel) -> Tuple[linalg.Matrix, linalg.Matrix]:
         raise ValueError("orbit invariant is not constant")
     gmat = [[rp.constant_value(p) if p else Fraction(0) for p in row]
             for row in orb.gram]
-    ginv = linalg.inverse(gmat)
-    if ginv is None:
-        raise ValueError("orbit invariant is degenerate")
-    return gmat, ginv
+    return gmat, linalg.inverse(gmat)
 
 
 def _seven_obstruction(model: GeometryModel) -> ObstructionReport:
     levis = _levi_forms(model)
     pinv = linalg.inverse(_pairing_matrix(levis))
-    assert pinv is not None
     gmat, ginv = _seven_metric(model)
     mats = []
     for beta in _seven_inputs(model):
@@ -236,7 +230,6 @@ def obstruction_hom(model: GeometryModel):
     nhor = len(model.selectors["horizontal"])
     levis = _levi_forms(model)
     pinv = linalg.inverse(_pairing_matrix(levis))
-    assert pinv is not None
     vert = model.selectors["vertical"]
 
     def embed(sym: PolyMat) -> Form:
@@ -251,30 +244,10 @@ def obstruction_hom(model: GeometryModel):
         return out
 
     if (nvert, nhor) == (3, 3):
-        pairs = model.extra["omega_pairs"]
-        omega = form_zero(model.nvars, 2, model.basis_tag)
-        for a, j in pairs:
-            omega.add_term((a, j), rp.const(1, model.nvars))
-
         def map_fn(a: Form) -> Form:
             dpart = split_by_cell_weight(model, coframe_d(model, a)).get(4)
-            duals = [_dual_bivector(f) for f in levis]
-            k = len(levis)
-            mat: PolyMat = [[{} for _ in range(k)] for _ in range(k)]
-            if dpart is not None:
-                sigmas = _vertical_sigma(model, dpart)
-                for ai in range(k):
-                    raw = [contract(sigmas[ai], duals[c]).terms.get((), {})
-                           for c in range(k)]
-                    for b in range(k):
-                        acc: rp.Poly = {}
-                        for c in range(k):
-                            if raw[c] and pinv[c][b]:
-                                acc = rp.add(acc, rp.scale(raw[c],
-                                                           pinv[c][b]))
-                        mat[ai][b] = acc
-            return embed(_sym(mat))
-        return map_fn, [omega]
+            return embed(_levi_project(model, levis, pinv, dpart))
+        return map_fn, [_six_input(model)]
     if (nvert, nhor) == (3, 4):
         gmat, ginv = _seven_metric(model)
 
@@ -399,11 +372,8 @@ def certify_two_adapted(model: GeometryModel) -> TwoAdaptedReport:
     vertical legs.  Exact arithmetic throughout; the 1-form is solved for,
     not assumed.
     """
-    pairs = model.extra["omega_pairs"]
     horiz = model.selectors["horizontal"]
-    omega = form_zero(model.nvars, 2, model.basis_tag)
-    for a, j in pairs:
-        omega.add_term((a, j), rp.const(1, model.nvars))
+    omega = _six_input(model)
     dom = coframe_d(model, omega)
     parts = split_by_cell_weight(model, dom)
     vol = _coframe_mono(model, tuple(sorted(horiz)), 3)

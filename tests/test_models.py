@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from coframes import ratpoly as rp
+from coframes import linalg, ratpoly as rp
 from coframes.models import (builtin_model, builtin_names, change_rows,
                              coframe_d, levi_apply, levi_form,
                              model_from_json, model_to_json, orbit_invariant,
                              split_by_cell_weight, splitting_shift,
                              symplectic_data, verify_structure)
-from coframes.forms import exterior_d, form_sub, one_form
+from coframes.forms import exterior_d, form_sub, one_form, sort_sign
 
 from conftest import model, random_unipotent
 
@@ -128,6 +128,45 @@ def test_splitting_shift_validates_rows():
     shifted = splitting_shift(m, {(3, 0): rp.var(4, m.nvars)})
     rep = verify_structure(shifted)
     assert all(c["holds"] for c in rep.congruences)
+
+
+def _assert_carried_inverse(m):
+    assert m.coframe_inv == linalg.poly_adjugate(m.coframe)
+    assert verify_structure(m).inverse_ok
+
+
+@pytest.mark.parametrize("name", ["elliptic7", "dist3in6"])
+def test_row_changes_carry_exact_inverse(name):
+    m = model(name)
+    rng = random.Random(17)
+    horiz = m.selectors["horizontal"]
+    vert = m.selectors["vertical"]
+    shifts = {(horiz[0], vert[0]): rp.random_poly(rng, m.nvars, 2, terms=3),
+              (horiz[-1], vert[-1]): rp.var(horiz[1], m.nvars)}
+    _assert_carried_inverse(splitting_shift(m, shifts))
+    for t in range(2):
+        _assert_carried_inverse(
+            change_rows(m, random_unipotent(m, rng), "%s_u%d" % (name, t)))
+
+
+def _sort_sign_reference(seq):
+    if len(set(seq)) != len(seq):
+        return None, 0
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+                     if seq[i] > seq[j])
+    return tuple(sorted(seq)), (-1) ** inversions
+
+
+def test_sort_sign_matches_reference():
+    rng = random.Random(19)
+    cases = [(), (3,), (0, 1, 2), (1, 0), (2, 2), (0, 1, 1)]
+    for _ in range(300):
+        k = rng.randint(0, 5)
+        cases.append(tuple(sorted(rng.sample(range(8), k))))
+        cases.append(tuple(rng.sample(range(8), k)))
+        cases.append(tuple(rng.randrange(4) for _ in range(k)))
+    for seq in cases:
+        assert sort_sign(seq) == _sort_sign_reference(seq), seq
 
 
 def test_change_rows_requires_unimodular():
