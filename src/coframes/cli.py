@@ -164,8 +164,7 @@ def cmd_report(args) -> int:
     nodes = [{"index": i, "rank": n.rank,
               "weights": sorted(set(n.weights))}
              for i, n in enumerate(res.nodes)]
-    operators = [{"index": i, "order": h.order,
-                  "order_bound": h.order_bound}
+    operators = [{"index": i, "order": h.order}
                  for i, h in enumerate(res.operators)]
     text = ["%s complex %s" % (res.name, res.variant),
             "ranks:  " + " ".join(str(r) for r in ranks),
@@ -373,7 +372,8 @@ def cmd_apply(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             section = ops.GradedSection.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError,
+            ZeroDivisionError) as exc:
         raise UsageError("cannot read section: %s" % exc)
     handle, ctx = _named_operator(args.geometry, args.operator,
                                   args.complex or section.variant)
@@ -381,9 +381,12 @@ def cmd_apply(args) -> int:
     if len(section.coeffs) != need:
         raise UsageError("section has %d components, operator wants %d"
                          % (len(section.coeffs), need))
+    nvars = handle.source.forms[0].nvars
+    if section.nvars != nvars:
+        raise UsageError("section polynomials have %s variables, %s has %d"
+                         % (section.nvars, args.geometry, nvars))
     out = handle.apply(section.coeffs)
     node = ctx[1] + 1 if ctx else section.node + 1
-    nvars = handle.source.forms[0].nvars
     result = ops.GradedSection(
         resolution=args.geometry,
         variant=ctx[0].variant if ctx else section.variant,

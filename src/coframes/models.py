@@ -182,10 +182,13 @@ class GeometryModel:
         return "GeometryModel(%s, n=%d)" % (self.name, self.nvars)
 
 
-def frame_derivatives(model: GeometryModel, p: rp.Poly) -> List[rp.Poly]:
-    """Components of df along the frame dual to the coframe."""
+def frame_derivatives(model: GeometryModel, p: rp.Poly,
+                      partials=None) -> List[rp.Poly]:
+    """Components of df along the frame dual to the coframe; partials as
+    in forms.exterior_d."""
     binv = model.coframe_inv
-    dp = [rp.diff(p, m) for m in range(model.nvars)]
+    dp = (partials(p) if partials is not None
+          else [rp.diff(p, m) for m in range(model.nvars)])
     out = []
     for i in range(model.nvars):
         acc: rp.Poly = {}
@@ -196,13 +199,14 @@ def frame_derivatives(model: GeometryModel, p: rp.Poly) -> List[rp.Poly]:
     return out
 
 
-def coframe_d(model: GeometryModel, a: Form) -> Form:
-    """Exterior derivative of a coframe-basis form, staying in that basis."""
+def coframe_d(model: GeometryModel, a: Form, partials=None) -> Form:
+    """Exterior derivative of a coframe-basis form, staying in that basis;
+    partials as in forms.exterior_d."""
     if a.basis != model.basis_tag:
         raise ValueError("form is not in this model's coframe basis")
     out = Form(model.nvars, a.degree + 1, a.basis)
     for idx, p in a.terms.items():
-        xp = frame_derivatives(model, p)
+        xp = frame_derivatives(model, p, partials)
         for i in range(model.nvars):
             if xp[i]:
                 out.add_term((i,) + idx, xp[i])

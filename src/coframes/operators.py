@@ -3,9 +3,15 @@
 Every operator here is produced by one mechanism: lift a class to a form,
 apply d, correct the graded pieces below the target weight by solving
 constant page-0 systems, and project at the target.  The correction steps are
-recorded as a trace, the order of the resulting operator is measured
-empirically by probing with powers of coordinate shifts, and whole complexes
-are assembled node by node.
+recorded as a trace, and whole complexes are assembled node by node.
+
+Each step but d is Q-linear monomial by monomial, so the same cascade run on
+a symbolic jet u (ratpoly.Jets), with d acting as the total derivative,
+yields the operator's normal form sum_alpha c_alpha(x) d^alpha, one per
+pair of source and target slots.  OperatorHandle.normal_form compiles it
+on first use; its order is exact, the largest |alpha| with a nonzero
+coefficient.  apply on a concrete section still runs the cascade, which is
+cheaper than a compile for a single section.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg, ratpoly as rp
@@ -114,7 +121,7 @@ class SpanSolver:
 
 
 def realize(node: Node, coeffs: Sequence[rp.Poly]) -> Form:
-    """The form sum(coeffs[k] * basis form k)."""
+    """The form sum(coeffs[k] * basis form k); coeffs may be jets."""
     if len(coeffs) != node.rank:
         raise ValueError("expected %d coefficients, got %d"
                          % (node.rank, len(coeffs)))
@@ -139,7 +146,6 @@ class CorrectionStep:
     via_cell: CellKey
     killed: List[Tuple[int, ...]]
     solved: Dict[Tuple[int, ...], rp.Poly]
-    depth: int
 
 
 def _reduce_poly_rhs(solver: linalg.ColumnSpaceSolver,
@@ -245,16 +251,25 @@ def _retract_for(model: GeometryModel, page1: Page1) -> _Retract:
     return rt
 
 
+def _partials(jets: Optional[rp.Jets]):
+    return jets.partials if jets is not None else None
+
+
 class _LcpRun:
-    """One lift-correct sweep of d over ascending weights."""
+    """One lift-correct sweep of d over ascending weights.
+
+    With jets, the lift has jet coefficients and d differentiates them
+    totally.
+    """
 
     def __init__(self, model: GeometryModel, page1: Page1, lift: Form,
-                 out_degree: int):
+                 out_degree: int, jets: Optional[rp.Jets] = None):
         self.model = model
+        self.partials = _partials(jets)
         self.page1 = page1
         self.retract = _retract_for(model, page1)
         self.degree = out_degree
-        eta = coframe_d(model, lift)
+        eta = coframe_d(model, lift, self.partials)
         self.parts: Dict[int, PolyVec] = {}
         for w, piece in split_by_cell_weight(model, eta).items():
             cell = page1.page0.cells.get((out_degree, w - out_degree))
@@ -265,7 +280,6 @@ class _LcpRun:
             for idx, p in piece.terms.items():
                 vec[pos[idx]] = p
             self.parts[w] = vec
-        self.depth: Dict[int, int] = {w: 1 for w in self.parts}
         self.trace: List[CorrectionStep] = []
 
     def correct_at(self, w: int) -> None:
@@ -313,9 +327,8 @@ class _LcpRun:
         data = self.page1.data[key]
         killed = [data.cell.basis[r] for r in range(cr.dim)
                   if vec[r] and not newvec[r]]
-        d_here = self.depth.get(w, 1)
         self.parts[w] = newvec
-        dg = coframe_d(self.model, gamma)
+        dg = coframe_d(self.model, gamma, self.partials)
         for w2, piece in split_by_cell_weight(self.model, dg).items():
             if w2 == w:
                 continue
@@ -326,10 +339,9 @@ class _LcpRun:
             pos2 = {m: i for i, m in enumerate(cell2.basis)}
             for idx, p in piece.terms.items():
                 vec2[pos2[idx]] = rp.sub(vec2[pos2[idx]], p)
-            self.depth[w2] = max(self.depth.get(w2, 1), d_here + 1)
         self.trace.append(CorrectionStep(
             weight=w, cell=key, via_cell=cr.src_key, killed=killed,
-            solved=solved, depth=d_here))
+            solved=solved))
 
     def part_form(self, w: int) -> Form:
         cell = self.page1.page0.cells.get((self.degree, w - self.degree))
@@ -355,26 +367,92 @@ class _LcpRun:
 
 # #### operator handles ####################################################
 
+# (target slot t, x exponent b, numerator): the term num/den x^b d^alpha
+NormalTerm = Tuple[int, rp.Exponent, int]
+
+
+class NormalForm:
+    """A linear differential operator as sum_alpha c_alpha(x) d^alpha.
+
+    slots[s] = (den, groups) for source slot s, where den is the common
+    denominator of the slot's coefficients and groups lists (alpha, terms),
+    one entry per derivative multi-index alpha with a nonzero coefficient:
+    u in slot s goes to the sum of num/den x^b d^alpha u over the terms
+    (t, b, num), each into target slot t.  targets is the number of target
+    slots.
+    """
+
+    def __init__(self, targets: int,
+                 slots: List[Tuple[int, List[Tuple[rp.Exponent,
+                                                   List[NormalTerm]]]]]):
+        self.targets = targets
+        self.slots = slots
+
+    @property
+    def order(self) -> int:
+        """The largest |alpha| with a nonzero coefficient (0 if none)."""
+        return max((sum(alpha) for _, groups in self.slots
+                    for alpha, _ in groups), default=0)
+
+
+def _normal_slot(jets: rp.Jets, image: PolyVec, shared: Dict[tuple, tuple]):
+    """One source slot of a NormalForm from the jets image[t] in each
+    target slot t.  shared interns tuples: most terms of a compiled
+    operator repeat, and sharing them keeps it small."""
+    den = 1
+    groups: Dict[rp.Exponent, List[Tuple[int, rp.Exponent, Fraction]]] = {}
+    for t, p in enumerate(image):
+        for alpha, c_alpha in jets.split(p).items():
+            for b, c in c_alpha.items():
+                groups.setdefault(alpha, []).append((t, b, c))
+                den = lcm(den, c.denominator)
+
+    def intern(x: tuple) -> tuple:
+        return shared.setdefault(x, x)
+    return den, [(intern(alpha),
+                  [intern((t, intern(b), c.numerator * (den // c.denominator)))
+                   for t, b, c in sorted(terms)])
+                 for alpha, terms in sorted(groups.items())]
+
+
 class OperatorHandle:
-    """A derived operator with its trace and measured order."""
+    """A derived operator with its trace and its normal form."""
 
     method = "abstract"
 
     def __init__(self, source: Node, target: Node):
         self.source = source
         self.target = target
-        self.order: Optional[int] = None
-        self.order_bound: Optional[int] = None
         self.trace: List[CorrectionStep] = []
+        self._normal_form: Optional[NormalForm] = None
 
-    def apply(self, coeffs: Sequence[rp.Poly],
-              record_trace: bool = False) -> PolyVec:
+    def apply(self, coeffs: Sequence[rp.Poly], record_trace: bool = False,
+              jets: Optional[rp.Jets] = None) -> PolyVec:
+        """The image of a section; with jets, coeffs are jets in it."""
         raise NotImplementedError
+
+    def normal_form(self) -> NormalForm:
+        """Compiled on first use: apply once per source slot on a jet."""
+        if self._normal_form is None:
+            jets = rp.Jets(self.source.forms[0].nvars)
+            shared: Dict[tuple, tuple] = {}
+            slots = []
+            for slot in range(self.source.rank):
+                coeffs: PolyVec = [{} for _ in range(self.source.rank)]
+                coeffs[slot] = jets.unknown
+                slots.append(_normal_slot(jets, self.apply(coeffs, jets=jets),
+                                          shared))
+            self._normal_form = NormalForm(self.target.rank, slots)
+        return self._normal_form
+
+    @property
+    def order(self) -> int:
+        return self.normal_form().order
 
     def describe(self) -> dict:
         return {"method": self.method,
                 "source": self.source.label, "target": self.target.label,
-                "order": self.order, "order_bound": self.order_bound}
+                "order": self.order}
 
 
 class GradedOperator(OperatorHandle):
@@ -395,7 +473,8 @@ class GradedOperator(OperatorHandle):
 
     def apply(self, coeffs: Sequence[rp.Poly],
               record_trace: bool = False,
-              lift_extra: Optional[Form] = None) -> PolyVec:
+              lift_extra: Optional[Form] = None,
+              jets: Optional[rp.Jets] = None) -> PolyVec:
         lift = realize(self.source, coeffs)
         if lift_extra is not None:
             if lift_extra.degree != lift.degree \
@@ -403,7 +482,8 @@ class GradedOperator(OperatorHandle):
                 raise ValueError("lift perturbation must match the lift")
             for idx, p in lift_extra.terms.items():
                 lift.add_term(idx, p)
-        run = _LcpRun(self.model, self.page1, lift, self.source.degree + 1)
+        run = _LcpRun(self.model, self.page1, lift, self.source.degree + 1,
+                      jets)
         out: PolyVec = [{} for _ in range(self.target.rank)]
         zero = Fraction(0)
         min_w = min(self.source.weights) + 1 if self.source.weights else 1
@@ -431,9 +511,6 @@ class GradedOperator(OperatorHandle):
                                 slot[e] = s
                             else:
                                 del slot[e]
-                if w in run.depth:
-                    self.order_bound = max(self.order_bound or 0,
-                                           run.depth[w])
         if record_trace:
             self.trace = run.trace
         return out
@@ -471,10 +548,11 @@ class DeepCorrectedOperator(OperatorHandle):
         self.correct_weights = [w for w in self.correct_weights
                                 if w < self.keep_min]
 
-    def apply(self, coeffs: Sequence[rp.Poly],
-              record_trace: bool = False) -> PolyVec:
+    def apply(self, coeffs: Sequence[rp.Poly], record_trace: bool = False,
+              jets: Optional[rp.Jets] = None) -> PolyVec:
         lift = realize(self.source, coeffs)
-        run = _LcpRun(self.model, self.page1, lift, self.source.degree + 1)
+        run = _LcpRun(self.model, self.page1, lift, self.source.degree + 1,
+                      jets)
         for w in self.correct_weights:
             run.correct_at(w)
             if any(p for p in run.parts.get(w, ())):
@@ -482,9 +560,6 @@ class DeepCorrectedOperator(OperatorHandle):
         remaining = run.remaining_form(self.keep_min)
         if record_trace:
             self.trace = run.trace
-        depths = [run.depth[w] for w in run.parts
-                  if w >= self.keep_min and any(run.parts[w])]
-        self.order_bound = max(self.order_bound or 0, *(depths or (1,)))
         return self.span.express(remaining)
 
 
@@ -497,12 +572,11 @@ class SpanDOperator(OperatorHandle):
         super().__init__(source, target)
         self.model = model
         self.span = SpanSolver(target)
-        self.order_bound = 1
 
-    def apply(self, coeffs: Sequence[rp.Poly],
-              record_trace: bool = False) -> PolyVec:
+    def apply(self, coeffs: Sequence[rp.Poly], record_trace: bool = False,
+              jets: Optional[rp.Jets] = None) -> PolyVec:
         form = realize(self.source, coeffs)
-        return self.span.express(coframe_d(self.model, form))
+        return self.span.express(coframe_d(self.model, form, _partials(jets)))
 
 
 # #### symplectic replacement complex ######################################
@@ -513,10 +587,10 @@ class RsPlainD(OperatorHandle):
     def __init__(self, source: Node, target: Node):
         super().__init__(source, target)
         self.span = SpanSolver(target)
-        self.order_bound = 1
 
-    def apply(self, coeffs, record_trace=False):
-        return self.span.express(exterior_d(realize(self.source, coeffs)))
+    def apply(self, coeffs, record_trace=False, jets=None):
+        return self.span.express(exterior_d(realize(self.source, coeffs),
+                                            _partials(jets)))
 
 
 class RsProjD(OperatorHandle):
@@ -531,10 +605,9 @@ class RsProjD(OperatorHandle):
         self.jform = jform
         self.jdual = jdual
         self.half_dim = half_dim
-        self.order_bound = 1
 
-    def apply(self, coeffs, record_trace=False):
-        beta = exterior_d(realize(self.source, coeffs))
+    def apply(self, coeffs, record_trace=False, jets=None):
+        beta = exterior_d(realize(self.source, coeffs), _partials(jets))
         trace = contract(beta, self.jdual)
         c = trace.terms.get((), {})
         corr = form_pmul(self.jform, rp.scale(c, Fraction(1, self.half_dim)))
@@ -566,11 +639,10 @@ class RsMiddle(OperatorHandle):
             cols.append(v)
         self.jsolver = linalg.ColumnSpaceSolver(cols, len(self.targets3))
         self.pos3 = pos3
-        self.order_bound = 2
 
-    def apply(self, coeffs, record_trace=False):
+    def apply(self, coeffs, record_trace=False, jets=None):
         beta = realize(self.source, coeffs)
-        dbeta = exterior_d(beta)
+        dbeta = exterior_d(beta, _partials(jets))
         vec: PolyVec = [{} for _ in self.targets3]
         for idx, p in dbeta.terms.items():
             vec[self.pos3[idx]] = p
@@ -581,7 +653,8 @@ class RsMiddle(OperatorHandle):
         for i, p in enumerate(x):
             if p:
                 gamma.add_term((i,), p)
-        return self.span.express(form_scale(exterior_d(gamma), Fraction(-1)))
+        return self.span.express(form_scale(exterior_d(gamma, _partials(jets)),
+                                            Fraction(-1)))
 
 
 # #### complexes ###########################################################
@@ -600,13 +673,8 @@ class Resolution:
         return [n.rank for n in self.nodes]
 
     def orders(self, rng: Optional[random.Random] = None) -> List[int]:
-        rng = rng or random.Random(7)
-        out = []
-        for h in self.operators:
-            if h.order is None:
-                measure_order(h, rng)
-            out.append(h.order)
-        return out
+        """Exact operator orders; rng is accepted and unused."""
+        return [h.order for h in self.operators]
 
     def describe(self) -> dict:
         return {"name": self.name, "variant": self.variant,
@@ -758,70 +826,15 @@ def build_rs_complex(half_dim: int) -> Resolution:
                       coeff_weights=(1,) * n)
 
 
-# #### order measurement ###################################################
-
-def _probe_points(nvars: int, rng: random.Random) -> List[List[Fraction]]:
-    pts = [[Fraction(0)] * nvars]
-    fixed = [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), Fraction(-1, 4),
-             Fraction(3, 7), Fraction(-2, 5), Fraction(1, 6)]
-    pts.append([fixed[i % len(fixed)] for i in range(nvars)])
-    pts.append([Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-                for _ in range(nvars)])
-    return pts
-
-
-def _monomials_of_degree(nvars: int, k: int) -> List[Tuple[int, ...]]:
-    if k == 0:
-        return [(0,) * nvars]
-    out = []
-
-    def rec(prefix: List[int], left: int, pos: int) -> None:
-        if pos == nvars - 1:
-            out.append(tuple(prefix + [left]))
-            return
-        for v in range(left + 1):
-            rec(prefix + [v], left - v, pos + 1)
-    rec([], k, 0)
-    return out
-
+# #### order ##############################################################
 
 def measure_order(handle: OperatorHandle,
-                  rng: Optional[random.Random] = None,
-                  kmax: int = 5) -> int:
-    """Empirical order: the largest jet degree the output can see.
+                  rng: Optional[random.Random] = None) -> int:
+    """Exact order of the operator, read off its normal form.
 
-    Probes each source slot with (x - c)^gamma and evaluates the output at
-    c; a nonzero value witnesses order >= |gamma|.  The structural bound
-    from the correction cascade caps the search.
+    rng is accepted for compatibility and unused.
     """
-    rng = rng or random.Random(11)
-    nvars = handle.source.forms[0].nvars
-    if handle.order_bound is None:
-        generic = [rp.random_poly(rng, nvars, 2, terms=4)
-                   for _ in range(handle.source.rank)]
-        handle.apply(generic, record_trace=True)
-        if handle.order_bound is None:
-            handle.order_bound = 1
-    bound = min(handle.order_bound, kmax)
-    pts = _probe_points(nvars, rng)
-    for k in range(bound, -1, -1):
-        for gamma in _monomials_of_degree(nvars, k):
-            for c in pts:
-                probe: rp.Poly = rp.const(1, nvars)
-                for i, g in enumerate(gamma):
-                    if g:
-                        shift = rp.sub(rp.var(i, nvars),
-                                       rp.const(c[i], nvars))
-                        probe = rp.mul(probe, rp.ppow(shift, g))
-                for slot in range(handle.source.rank):
-                    coeffs: PolyVec = [{} for _ in range(handle.source.rank)]
-                    coeffs[slot] = probe
-                    out = handle.apply(coeffs)
-                    if any(rp.evaluate(p, c) for p in out if p):
-                        handle.order = k
-                        return k
-    handle.order = 0
-    return 0
+    return handle.order
 
 
 # #### sections ############################################################
@@ -832,6 +845,7 @@ class GradedSection:
     variant: str
     node: int
     coeffs: PolyVec
+    nvars: Optional[int] = None     # as declared by the JSON coefficients
 
     def to_json(self, nvars: int) -> dict:
         return {"model": self.resolution, "variant": self.variant,
@@ -840,11 +854,17 @@ class GradedSection:
 
     @staticmethod
     def from_json(obj: dict) -> "GradedSection":
+        """Parse a section; its coefficients must agree on nvars."""
         sel = obj["cell"] if "cell" in obj else obj["node"]
+        declared = {int(t["nvars"]) for t in obj["coeffs"]}
+        if len(declared) > 1:
+            raise ValueError("coefficients disagree on nvars: %s"
+                             % sorted(declared))
         return GradedSection(
             resolution=obj["model"], variant=obj.get("variant", "bgg"),
             node=int(sel),
-            coeffs=[rp.poly_from_json(t) for t in obj["coeffs"]])
+            coeffs=[rp.poly_from_json(t) for t in obj["coeffs"]],
+            nvars=declared.pop() if declared else None)
 
 
 def random_section(node: Node, rng: random.Random,

@@ -17,6 +17,7 @@ polynomials serialize to identical bytes.
 
 from __future__ import annotations
 
+import operator
 import os
 import random
 from fractions import Fraction
@@ -223,6 +224,49 @@ def poly_from_json(obj: dict) -> Poly:
             if not out[e]:
                 del out[e]
     return out
+
+
+class Jets:
+    """Symbolic jets of one unknown function u of nvars variables.
+
+    A jet is a Poly over the same nvars variables in which the exponent of
+    x_i packs two numbers, b_i + a_i * SHIFT: the term c x^(b + a SHIFT)
+    stands for c x^b d^a u, so a jet is a linear differential expression
+    in u.  Functions of x multiply jets as they are (their exponents have
+    no a part, and x exponents never reach SHIFT), and every Q-linear step
+    that works monomial by monomial works on jets unchanged.  Only
+    derivatives differ: they must be the total derivatives of partials,
+    D_m(c d^a u) = (d_m c) d^a u + c d^(a + e_m) u, since diff would read a
+    packed exponent as a power.
+    """
+
+    SHIFT = 1 << 32
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.unknown: Poly = {(0,) * nvars: Fraction(1)}
+        self._units = [(m, tuple(int(i == m) for i in range(nvars)),
+                        tuple(self.SHIFT * int(i == m) for i in range(nvars)))
+                       for m in range(nvars)]
+
+    def partials(self, p: Poly) -> List[Poly]:
+        """The total derivatives D_0 p, ..., D_{nvars-1} p."""
+        out = []
+        mask = self.SHIFT - 1
+        for m, x_m, xi_m in self._units:
+            down = {tuple(map(operator.sub, e, x_m)): c * (e[m] & mask)
+                    for e, c in p.items() if e[m] & mask}
+            up = {tuple(map(operator.add, e, xi_m)): c for e, c in p.items()}
+            out.append(add(down, up))
+        return out
+
+    def split(self, p: Poly) -> Dict[Exponent, Poly]:
+        """alpha -> c_alpha(x) with p = sum c_alpha d^alpha u."""
+        out: Dict[Exponent, Poly] = {}
+        for e, c in p.items():
+            alpha, b = zip(*(divmod(k, self.SHIFT) for k in e))
+            out.setdefault(alpha, {})[b] = c
+        return out
 
 
 def random_poly(rng: random.Random, nvars: int, max_degree: int,

@@ -7,6 +7,11 @@ weighted degree (slot weight plus coefficient weight), computes ranks of the
 incoming and outgoing maps on each slice, and verifies that image plus
 kernel dimensions account for the whole slice.
 
+A slice matrix is read off the operator's normal form (see operators.py):
+the column of x^b in source slot s is sum_alpha c_alpha * b!/(b - alpha)! *
+x^(b - alpha), taken in integers over one denominator per source slot.  No
+form is built and no cascade runs per column.
+
 Ranks come from a sparse elimination modulo a prime (linalg.rank_mod_p,
 pivoting on the shortest live row from a heap); a slice whose modular count
 leaves homology falls back to exact rational elimination.  Image inside
@@ -25,7 +30,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, perm
+from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
@@ -163,28 +169,37 @@ class _SliceCache:
         return hit
 
     def columns(self, op_idx: int, s: int) -> List[Dict[int, Fraction]]:
-        """Matrix columns of operator op_idx on the total-weight-s slice."""
+        """Matrix columns of operator op_idx on the total-weight-s slice,
+        from the closed form of its normal form (a term for each alpha <= b).
+        """
         key = (op_idx, s)
         hit = self._cols.get(key)
         if hit is not None:
             return hit
-        handle = self.res.operators[op_idx]
-        src = self.res.nodes[op_idx]
+        # per source slot: den and (alpha, its nonzero (i, alpha_i), terms)
+        slots = [(den, [(alpha, [(i, a) for i, a in enumerate(alpha) if a],
+                         terms) for alpha, terms in groups])
+                 for den, groups in self.res.operators[op_idx].normal_form().slots]
         out_pos = {bk: i for i, bk in enumerate(self.basis(op_idx + 1, s))}
         cols: List[Dict[int, Fraction]] = []
-        for slot, e in self.basis(op_idx, s):
-            coeffs: List[rp.Poly] = [{} for _ in range(src.rank)]
-            coeffs[slot] = {e: Fraction(1)}
-            out = handle.apply(coeffs)
-            col: Dict[int, Fraction] = {}
-            for sl, p in enumerate(out):
-                for e2, c in p.items():
-                    bk = (sl, e2)
-                    if bk not in out_pos:
-                        raise AssertionError(
-                            "operator %d is not weight-homogeneous" % op_idx)
-                    col[out_pos[bk]] = c
-            cols.append(col)
+        try:
+            for slot, b in self.basis(op_idx, s):
+                den, groups = slots[slot]
+                col: Dict[int, int] = {}
+                for alpha, support, terms in groups:
+                    f = 1
+                    for i, ai in support:
+                        f *= perm(b[i], ai)
+                    if not f:
+                        continue
+                    rest = tuple(map(sub, b, alpha))
+                    for t, xe, num in terms:
+                        r = out_pos[(t, tuple(map(add, rest, xe)))]
+                        col[r] = col.get(r, 0) + f * num
+                cols.append({r: Fraction(v, den) for r, v in col.items() if v})
+        except KeyError:
+            raise AssertionError(
+                "operator %d is not weight-homogeneous" % op_idx) from None
         self._cols[key] = cols
         return cols
 

@@ -159,6 +159,35 @@ def test_apply_wrong_component_count_exits_2(tmp_path, capsys):
     assert "components" in err
 
 
+@pytest.mark.parametrize("nvars,exps", [(5, [0, 0, 0, 1, 7]),
+                                         (3, [0, 1, 0])])
+def test_apply_wrong_nvars_exits_2(tmp_path, capsys, nvars, exps):
+    sec = {"model": "engel4", "cell": 0,
+           "coeffs": [{"nvars": nvars,
+                       "terms": [{"exps": exps, "num": "1", "den": "1"}]}]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(sec))
+    code, out, err = run(capsys, "apply", "engel4", "--operator", "d0",
+                         "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "variables" in err
+
+
+@pytest.mark.parametrize("blob", [
+    [],
+    {"model": "engel4", "cell": 0,
+     "coeffs": [{"nvars": 4, "terms": [{"exps": [0, 0, 1, 0],
+                                         "num": "1", "den": "0"}]}]}])
+def test_apply_malformed_section_exits_2(tmp_path, capsys, blob):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "apply", "engel4", "--operator", "d0",
+                         "--input", str(path))
+    assert code == 2
+    assert "cannot read section" in err
+
+
 def test_apply_unknown_operator_exits_2(tmp_path, capsys):
     sec = {"model": "engel4", "cell": 0,
            "coeffs": [{"nvars": 4, "terms": []}]}

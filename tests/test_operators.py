@@ -1,6 +1,9 @@
-"""Derived operators: ladders, orders, traces, named constructions."""
+"""Derived operators: ladders, orders, traces, normal forms, named
+constructions."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,21 +12,23 @@ from coframes.forms import form_zero
 from coframes.operators import (GradedSection, build_rs_complex,
                                 derive_operator, measure_order,
                                 named_complex, random_section)
+from coframes.verify import _SliceCache
 
 from conftest import model, page1
 
 _COMPLEXES = {}
 
-# Ranks and measured orders of every named complex, frozen from this
-# engine; the contact5, g2_5, and symplectic entries are also published
-# tables.
+# Ranks and exact orders of every named complex, frozen from this engine;
+# the contact5, g2_5, and symplectic entries are also published tables.
+# dl_5's operator 2 has a constant-coefficient second derivative, so its
+# order is 2.
 GOLDEN = {
     ("contact5", "bgg"): ([1, 4, 5, 5, 4, 1], [1, 1, 2, 1, 1]),
     ("engel4", "bgg"): ([1, 2, 2, 2, 1], [1, 3, 3, 1]),
     ("g2_5", "bgg"): ([1, 2, 3, 3, 2, 1], [1, 3, 2, 3, 1]),
     ("g2_5", "ambient"): ([1, 2, 7, 10, 5, 1], [1, 3, 1, 1, 1]),
     ("g2_5", "basic"): ([1, 2, 6, 9, 5, 1], [1, 3, 1, 1, 1]),
-    ("dl_5", "bgg"): ([1, 3, 6, 6, 3, 1], [1, 2, 1, 2, 1]),
+    ("dl_5", "bgg"): ([1, 3, 6, 6, 3, 1], [1, 2, 2, 2, 1]),
     ("dist3in6", "bgg"): ([1, 3, 8, 12, 8, 3, 1], [1, 2, 2, 2, 2, 1]),
     ("elliptic7", "bgg"): ([1, 4, 11, 14, 14, 11, 4, 1],
                            [1, 2, 2, 2, 2, 2, 1]),
@@ -48,7 +53,69 @@ def test_ranks_and_orders_frozen(name, variant):
     res = complex_for(name, variant)
     ranks, orders = GOLDEN[(name, variant)]
     assert res.ranks() == ranks
-    assert res.orders(random.Random(7)) == orders
+    for seed in range(10):  # exact orders: no seed can change them
+        assert res.orders(random.Random(seed)) == orders
+
+
+def _evaluate(nf, coeffs):
+    """A normal form on a section: differentiate, multiply, add up."""
+    out = [{} for _ in range(nf.targets)]
+    for u, (den, groups) in zip(coeffs, nf.slots):
+        for alpha, terms in groups:
+            du = u
+            for m, k in enumerate(alpha):
+                for _ in range(k):
+                    du = rp.diff(du, m)
+            for t, b, num in terms:
+                out[t] = rp.add(out[t], rp.mul({b: Fraction(num, den)}, du))
+    return out
+
+
+def _dense_poly(rng, nvars, degree):
+    """Every monomial of degree <= degree, with a seeded nonzero coefficient,
+    so each d^alpha with |alpha| <= degree sends it to a nonzero polynomial
+    and a wrong normal-form term cannot go unseen."""
+    return {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                        rng.randint(1, 3))
+            for e in itertools.product(range(degree + 1), repeat=nvars)
+            if sum(e) <= degree}
+
+
+@pytest.mark.parametrize("name,variant", sorted(GOLDEN))
+def test_normal_form_matches_apply(name, variant):
+    res = complex_for(name, variant)
+    rng = random.Random(41)
+    for h in res.operators:
+        sec = [_dense_poly(rng, res.nvars, 3) for _ in range(h.source.rank)]
+        assert _evaluate(h.normal_form(), sec) == h.apply(sec), (name, variant)
+
+
+def _columns_by_apply(res, op_idx, s, cache):
+    """Slice columns the slow way: the cascade on every basis monomial."""
+    src = res.nodes[op_idx]
+    pos = {bk: i for i, bk in enumerate(cache.basis(op_idx + 1, s))}
+    cols = []
+    for slot, e in cache.basis(op_idx, s):
+        coeffs = [{} for _ in range(src.rank)]
+        coeffs[slot] = {e: Fraction(1)}
+        out = res.operators[op_idx].apply(coeffs)
+        cols.append({pos[(t, e2)]: c for t, p in enumerate(out)
+                     for e2, c in p.items()})
+    return cols
+
+
+@pytest.mark.parametrize("name", ["engel4", "contact5", "dl_5"])
+def test_slice_columns_match_apply(name):
+    res = complex_for(name, "bgg")
+    cache = _SliceCache(res)
+    checked = 0
+    for k in range(len(res.operators)):
+        lo = min(res.nodes[k].weights)
+        for s in range(lo, lo + 5):
+            cols = cache.columns(k, s)
+            assert cols == _columns_by_apply(res, k, s, cache), (k, s)
+            checked += sum(1 for c in cols if c)
+    assert checked > 50
 
 
 def test_g2_basic_bundle_ranks():
@@ -162,4 +229,6 @@ def test_graded_section_json_roundtrip():
 def test_derive_operator_between_named_cells():
     m = model("engel4")
     T = derive_operator(m, (2, 2), (3, 3), page1=page1("engel4"))
-    assert measure_order(T, random.Random(7)) == 1
+    # x4^2 goes to the constant 2: T differentiates twice along x4
+    assert T.apply([{(0, 0, 0, 2): Fraction(1)}]) == [{}, {(0,) * 4: 2}]
+    assert measure_order(T, random.Random(7)) == 2
