@@ -411,7 +411,7 @@ def cmd_classify7(args) -> int:
         try:
             with open(name, "r", encoding="utf-8") as fh:
                 model = model_from_json(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise UsageError("cannot read model file: %s" % exc)
     else:
         raise UsageError("model must be elliptic7, hyperbolic7, or a "

@@ -50,28 +50,33 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form and its pivot columns."""
+    """Reduced row echelon form and its pivot columns.
+
+    Each elimination step touches only the nonzero entries of the pivot
+    row; the page-0 matrices this serves are mostly zeros.
+    """
     rows = [list(r) for r in m]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        pv = prow[c]
+        nz = [(j, prow[j] / pv if pv != 1 else prow[j])
+              for j in range(c, ncols) if prow[j]]
+        for j, x in nz:
+            prow[j] = x
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if i != r and f:
+                for j, y in nz:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -85,16 +90,17 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def nullspace(m: Matrix, ncols: Optional[int] = None) -> List[Vector]:
-    """Basis of the right kernel."""
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    if not m:
-        return [unit_vector(j, ncols) for j in range(ncols)]
-    red, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace(red: Matrix, pivots: Sequence[int],
+              ncols: int) -> List[Vector]:
+    """Basis of the right kernel, read off a matrix's rref (red, pivots).
+
+    One vector per free column, in ascending order.
+    """
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
@@ -119,7 +125,7 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> Optional[Vector]:
 
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
-    aug = [list(m[i]) + identity(n)[i] for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(m, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

@@ -582,20 +582,37 @@ def model_to_json(model: GeometryModel) -> dict:
 
 
 def model_from_json(obj: dict) -> GeometryModel:
-    n = int(obj["nvars"])
-    mat = [[rp.poly_from_json(obj["coframe"][i][j]) for j in range(n)]
-           for i in range(n)]
-    model = GeometryModel(obj["name"], n, obj["weights"], mat,
-                          selectors={k: tuple(i - 1 for i in v)
-                                     for k, v in obj.get("selectors", {}).items()},
+    """Parse a model; malformed fields or shapes raise ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("a model must be a JSON object")
+    n = rp.json_int(obj["nvars"], "nvars")
+    rows = obj["coframe"]
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(r, list) and len(r) == n for r in rows)):
+        raise ValueError("coframe must be %d rows of %d polynomials" % (n, n))
+    mat = [[rp.poly_from_json(e, n) for e in row] for row in rows]
+    for key in ("selectors", "extra"):
+        if not isinstance(obj.get(key, {}), dict):
+            raise ValueError("%s must be a JSON object" % key)
+    selectors = {k: tuple(i - 1 for i in _json_ints(v, "selector index"))
+                 for k, v in obj.get("selectors", {}).items()}
+    model = GeometryModel(obj["name"], n, _json_ints(obj["weights"], "weight"),
+                          mat, selectors=selectors,
                           extra=_extra_from_json(obj.get("extra", {})))
     for cg in obj.get("congruences", []):
         rhs = form_from_json(cg["rhs"])
         rhs.basis = model.basis_tag
         model.congruences.append(Congruence(
-            index=int(cg["index"]) - 1, rhs=rhs,
-            mod=tuple(int(i) - 1 for i in cg.get("mod", []))))
+            index=rp.json_int(cg["index"], "congruence index") - 1, rhs=rhs,
+            mod=tuple(i - 1 for i in _json_ints(cg.get("mod", []),
+                                                "congruence index"))))
     return model
+
+
+def _json_ints(v: object, what: str) -> List[int]:
+    if not isinstance(v, list):
+        raise ValueError("%s list expected, got %.40r" % (what, v))
+    return [rp.json_int(x, what) for x in v]
 
 
 def _extra_to_json(extra: dict) -> dict:

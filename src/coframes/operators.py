@@ -26,7 +26,7 @@ from . import linalg, ratpoly as rp
 from .forms import (COORD, Bivector, Form, contract, exterior_d, form_pmul,
                     form_scale, form_sub, form_zero, wedge)
 from .models import GeometryModel, coframe_d, split_by_cell_weight, symplectic_data
-from .pages import CellKey, Page1, e0_columns
+from .pages import CellKey, Page1
 
 PolyVec = List[rp.Poly]
 
@@ -166,91 +166,6 @@ def _reduce_poly_rhs(solver: linalg.ColumnSpaceSolver,
     return x, rest
 
 
-class _CellRetract:
-    """Splitting of one cell adapted to the cells on either side.
-
-    The image of the incoming page-0 map is parameterized by the source
-    cell's pivot coordinates, so a correction preimage always lies in the
-    complement of the source kernel.  That consistency between corrections
-    and class extraction is what makes the derived operators compose to
-    zero on the nose instead of up to lower-order junk.
-    """
-
-    __slots__ = ("src_key", "src_pivots", "bcols", "sinv", "rank_in", "dim")
-
-    def __init__(self, src_key: CellKey, src_pivots: List[int],
-                 bcols: List[linalg.Vector], sinv: linalg.Matrix, dim: int):
-        self.src_key = src_key
-        self.src_pivots = src_pivots
-        self.bcols = bcols
-        self.sinv = sinv
-        self.rank_in = len(bcols)
-        self.dim = dim
-
-
-class _Retract:
-    """Lazy per-cell retract data for one model's page-0 complex."""
-
-    def __init__(self, model: GeometryModel, page1: Page1):
-        self.model = model
-        self.page1 = page1
-        self._pivots: Dict[CellKey, List[int]] = {}
-        self._cols: Dict[CellKey, Tuple[Optional[CellKey],
-                                        List[linalg.Vector]]] = {}
-        self._cells: Dict[CellKey, Optional[_CellRetract]] = {}
-
-    def _columns(self, key: CellKey):
-        hit = self._cols.get(key)
-        if hit is None:
-            hit = e0_columns(self.model, self.page1.page0, key)
-            self._cols[key] = hit
-        return hit
-
-    def out_pivots(self, key: CellKey) -> List[int]:
-        piv = self._pivots.get(key)
-        if piv is None:
-            tgt, cols = self._columns(key)
-            if tgt is None or not cols or not cols[0]:
-                piv = []
-            else:
-                rows = [[cols[j][r] for j in range(len(cols))]
-                        for r in range(len(cols[0]))]
-                _, piv = linalg.rref(rows)
-            self._pivots[key] = piv
-        return piv
-
-    def cell(self, key: CellKey) -> Optional[_CellRetract]:
-        if key in self._cells:
-            return self._cells[key]
-        data = self.page1.data[key]
-        out: Optional[_CellRetract] = None
-        if data.rank_in:
-            src = data.source_cell
-            assert src is not None
-            upiv = self.out_pivots(src)
-            tgt, cols = self._columns(src)
-            assert tgt == key and len(upiv) == data.rank_in
-            bcols = [list(cols[j]) for j in upiv]
-            dim = data.cell.dim
-            own_piv = self.out_pivots(key)
-            scols = bcols + [list(r) for r in data.reps] + \
-                [linalg.unit_vector(c, dim) for c in own_piv]
-            smat = [[scols[j][r] for j in range(len(scols))]
-                    for r in range(dim)]
-            sinv = linalg.inverse(smat)
-            out = _CellRetract(src, upiv, bcols, sinv, dim)
-        self._cells[key] = out
-        return out
-
-
-def _retract_for(model: GeometryModel, page1: Page1) -> _Retract:
-    rt = getattr(page1, "_retract", None)
-    if rt is None:
-        rt = _Retract(model, page1)
-        page1._retract = rt
-    return rt
-
-
 def _partials(jets: Optional[rp.Jets]):
     return jets.partials if jets is not None else None
 
@@ -267,7 +182,6 @@ class _LcpRun:
         self.model = model
         self.partials = _partials(jets)
         self.page1 = page1
-        self.retract = _retract_for(model, page1)
         self.degree = out_degree
         eta = coframe_d(model, lift, self.partials)
         self.parts: Dict[int, PolyVec] = {}
@@ -283,30 +197,36 @@ class _LcpRun:
         self.trace: List[CorrectionStep] = []
 
     def correct_at(self, w: int) -> None:
-        """Remove the reachable part of weight w using the page-0 image."""
+        """Remove the reachable part of weight w using the page-0 image.
+
+        The image block of the cell's sinv gives the coefficients in the
+        source cell's pivot coordinates (see CellData), so the preimage
+        gamma lies in the complement of the source kernel.
+        """
         key = (self.degree, w - self.degree)
         vec = self.parts.get(w)
         if vec is None or not any(vec):
             return
-        cr = self.retract.cell(key)
-        if cr is None:
+        data = self.page1.data[key]
+        if not data.rank_in:
             return
+        dim = data.cell.dim
         zero = Fraction(0)
         monos = sorted({e for p in vec for e in p})
-        acoeffs: PolyVec = [{} for _ in range(cr.rank_in)]
+        acoeffs: PolyVec = [{} for _ in range(data.rank_in)]
         newvec: PolyVec = [dict(p) for p in vec]
         touched = False
         for e in monos:
             nz = [(r, p[e]) for r, p in enumerate(vec) if p.get(e)]
-            for i in range(cr.rank_in):
-                row = cr.sinv[i]
+            for i in range(data.rank_in):
+                row = data.sinv[i]
                 a = sum((row[r] * x for r, x in nz if row[r]), zero)
                 if not a:
                     continue
                 touched = True
                 acoeffs[i][e] = a
-                col = cr.bcols[i]
-                for r in range(cr.dim):
+                col = data.bcols[i]
+                for r in range(dim):
                     if col[r]:
                         slot = newvec[r]
                         nv = slot.get(e, zero) - a * col[r]
@@ -316,16 +236,17 @@ class _LcpRun:
                             del slot[e]
         if not touched:
             return
-        src_cell = self.page1.page0.cells[cr.src_key]
-        gamma = Form(self.model.nvars, cr.src_key[0], self.model.basis_tag)
+        src_key = data.source_cell
+        src_cell = self.page1.page0.cells[src_key]
+        src_pivots = self.page1.data[src_key].out_pivots
+        gamma = Form(self.model.nvars, src_key[0], self.model.basis_tag)
         solved: Dict[Tuple[int, ...], rp.Poly] = {}
         for i, p in enumerate(acoeffs):
             if p:
-                mono = src_cell.basis[cr.src_pivots[i]]
+                mono = src_cell.basis[src_pivots[i]]
                 gamma.add_term(mono, p)
                 solved[mono] = p
-        data = self.page1.data[key]
-        killed = [data.cell.basis[r] for r in range(cr.dim)
+        killed = [data.cell.basis[r] for r in range(dim)
                   if vec[r] and not newvec[r]]
         self.parts[w] = newvec
         dg = coframe_d(self.model, gamma, self.partials)
@@ -340,7 +261,7 @@ class _LcpRun:
             for idx, p in piece.terms.items():
                 vec2[pos2[idx]] = rp.sub(vec2[pos2[idx]], p)
         self.trace.append(CorrectionStep(
-            weight=w, cell=key, via_cell=cr.src_key, killed=killed,
+            weight=w, cell=key, via_cell=src_key, killed=killed,
             solved=solved))
 
     def part_form(self, w: int) -> Form:

@@ -2,9 +2,10 @@
 
 A cell (p, q) holds the degree-p coframe monomials of total index weight
 p + q.  The page-0 differential is the weight-preserving part of d, which on
-a weight-homogeneous model has constant coefficients; page 1 records its
-kernels, images, surviving dimensions, chosen representatives, and the exact
-projections used to read classes off arbitrary cell vectors.
+a weight-homogeneous model has constant coefficients.  Page 1 derives one
+exact decomposition per cell, R^dim = im(E0_in) + span(reps) + span(units
+at the outgoing pivots), with the inverse of its basis matrix; class
+extraction and the operator corrections both read that one decomposition.
 """
 
 from __future__ import annotations
@@ -117,79 +118,87 @@ def e0_columns(model: GeometryModel, page: Page0,
 
 @dataclass
 class CellData:
+    """One cell's page-0 maps and its page-1 decomposition.
+
+    The cell splits as R^dim = im(E0_in) + span(reps) + span(e_c for c in
+    out_pivots): the image of the incoming page-0 map, the chosen class
+    representatives, and the unit vectors at the pivot columns of the
+    outgoing map, which complement its kernel.  S = [bcols | reps | units]
+    is the basis matrix of that splitting and sinv its inverse, the one
+    inverse each cell needs.
+
+    bcols are the incoming columns at the source cell's out_pivots, so the
+    image block of sinv expresses a vector of the image in the source's
+    pivot coordinates; operator corrections take their preimages there,
+    in the complement of the source kernel.  That consistency between
+    corrections and class extraction is what makes derived operators
+    compose to zero on the nose instead of up to lower-order junk.
+
+    extract applies rows rank_in:rank_in + dim1 of sinv: the projection
+    onto span(reps) along the other two summands.  It depends only on the
+    three subspaces, so any basis of the image gives the same classes.
+    """
     cell: Cell
     rank_in: int
     rank_out: int
     dim1: int
     reps: List[linalg.Vector]           # class representatives, cell coords
-    image_solver: linalg.ColumnSpaceSolver   # incoming page-0 image
     extract: Callable[[Sequence[Fraction]], linalg.Vector]
     source_cell: Optional[CellKey]      # cell the incoming differential leaves
+    out_pivots: List[int]               # pivot columns of the outgoing map
+    bcols: List[linalg.Vector]          # incoming columns at source pivots
+    sinv: linalg.Matrix                 # inverse of [bcols | reps | units]
 
 
 class Page1:
-    """Kernels, images, survivors, and projections of the page-0 complex."""
+    """Kernels, images, survivors, and projections of the page-0 complex.
+
+    Each cell's decomposition is derived once, here: one rref of the
+    outgoing map gives its pivots and kernel, representatives are picked
+    greedily from that kernel basis, and one inverse gives both extract
+    and the operator corrections.
+    """
 
     def __init__(self, model: GeometryModel):
         self.model = model
         self.page0 = Page0(model)
         self.data: Dict[CellKey, CellData] = {}
-        outgoing: Dict[CellKey, Tuple[Optional[CellKey], List[linalg.Vector]]] = {}
-        for key in self.page0.cells:
-            outgoing[key] = e0_columns(model, self.page0, key)
+        outgoing = {key: e0_columns(model, self.page0, key)
+                    for key in self.page0.cells}
+        pivots: Dict[CellKey, List[int]] = {}
+        kernels: Dict[CellKey, List[linalg.Vector]] = {}
+        for key, cell in self.page0.cells.items():
+            tgt, cols = outgoing[key]
+            red, piv = (linalg.rref(linalg.transpose(cols))
+                        if tgt is not None and cols and cols[0] else ([], []))
+            pivots[key] = piv
+            kernels[key] = linalg.nullspace(red, piv, cell.dim)
         for key, cell in self.page0.cells.items():
             p, q = key
             dim = cell.dim
-            src = (p - 1, q + 1)
-            in_cols: List[linalg.Vector] = []
-            source_cell = None
-            if src in outgoing:
-                tgt, cols = outgoing[src]
-                if tgt == key:
-                    in_cols = cols
-                    source_cell = src
-            solver = linalg.ColumnSpaceSolver(in_cols, dim)
-            tgt, out_cols = outgoing[key]
-            out_rows = ([[out_cols[j][r] for j in range(dim)]
-                         for r in range(len(out_cols[0]))]
-                        if (tgt is not None and dim and out_cols[0]) else [])
-            if out_rows:
-                red, pivots = linalg.rref(out_rows)
-                kernel = linalg.nullspace(out_rows, dim)
+            src: Optional[CellKey] = (p - 1, q + 1)
+            if outgoing.get(src, (None,))[0] == key:
+                bcols = [list(outgoing[src][1][j]) for j in pivots[src]]
             else:
-                pivots = []
-                kernel = [linalg.unit_vector(j, dim) for j in range(dim)]
-            rank_out = len(pivots)
-            # class representatives: kernel vectors extending the image
-            ref = linalg.ColumnSpaceSolver([list(c) for c in
-                                            solver_columns(solver)], dim)
-            reps: List[linalg.Vector] = []
-            for v in kernel:
-                _, rest = ref.reduce(v)
-                if any(rest):
-                    reps.append(v)
-                    ref = _extend(ref, v, dim)
-            # decomposition basis: image + reps + non-kernel coordinates
-            cols = solver_columns(solver) + reps + \
-                [linalg.unit_vector(c, dim) for c in pivots]
-            smat = [[cols[j][r] for j in range(len(cols))]
-                    for r in range(dim)]
+                src, bcols = None, []
+            reps = _extend_greedily(bcols, kernels[key], dim)
+            cols = bcols + reps + \
+                [linalg.unit_vector(c, dim) for c in pivots[key]]
             if len(cols) != dim:
                 raise AssertionError("cell decomposition is not square")
-            sinv = linalg.inverse(smat) if dim else []
-            lo = solver.rank
-            hi = lo + len(reps)
+            sinv = linalg.inverse(linalg.transpose(cols))
+            rank_in, rank_out = len(bcols), len(pivots[key])
 
-            def make_extract(rows=sinv[lo:hi]):
+            def make_extract(rows=sinv[rank_in:rank_in + len(reps)]):
                 def extract(v: Sequence[Fraction]) -> linalg.Vector:
                     return linalg.matvec(rows, list(v))
                 return extract
 
             self.data[key] = CellData(
-                cell=cell, rank_in=solver.rank, rank_out=rank_out,
-                dim1=dim - rank_out - solver.rank, reps=reps,
-                image_solver=solver, extract=make_extract(),
-                source_cell=source_cell)
+                cell=cell, rank_in=rank_in, rank_out=rank_out,
+                dim1=dim - rank_out - rank_in, reps=reps,
+                extract=make_extract(), source_cell=src,
+                out_pivots=pivots[key], bcols=bcols, sinv=sinv)
             if self.data[key].dim1 != len(reps):
                 raise AssertionError("page-1 dimension bookkeeping is off")
 
@@ -209,14 +218,34 @@ class Page1:
         return sorted(keys, key=lambda k: k[1])
 
 
-def solver_columns(solver: linalg.ColumnSpaceSolver) -> List[linalg.Vector]:
-    """Echelon basis columns of a ColumnSpaceSolver's span."""
-    return [list(v) for v in solver._ech]
+def _extend_greedily(image: List[linalg.Vector],
+                     candidates: List[linalg.Vector],
+                     dim: int) -> List[linalg.Vector]:
+    """The candidates, in order, that leave the span of image and of the
+    candidates already taken.
 
+    One incremental echelon basis, stored sparsely as (pivot row, nonzero
+    entries), answers every membership test.
+    """
+    ech: List[Tuple[int, List[Tuple[int, Fraction]]]] = []
 
-def _extend(ref: linalg.ColumnSpaceSolver, v: linalg.Vector,
-            dim: int) -> linalg.ColumnSpaceSolver:
-    return linalg.ColumnSpaceSolver(solver_columns(ref) + [list(v)], dim)
+    def enters(v: linalg.Vector) -> bool:
+        v = list(v)
+        for pr, entries in ech:
+            f = v[pr]
+            if f:
+                for i, x in entries:
+                    v[i] -= f * x
+        pr = next((i for i in range(dim) if v[i]), None)
+        if pr is None:
+            return False
+        pv = v[pr]
+        ech.append((pr, [(i, x / pv) for i, x in enumerate(v) if x]))
+        return True
+
+    for col in image:
+        enters(col)
+    return [v for v in candidates if enters(v)]
 
 
 def check_function_linear(map_fn: Callable[[Form], Form],

@@ -211,14 +211,36 @@ def poly_to_json(p: Poly, nvars: int) -> dict:
     return {"nvars": nvars, "terms": terms}
 
 
-def poly_from_json(obj: dict) -> Poly:
-    n = int(obj["nvars"])
+def json_int(x: object, what: str) -> int:
+    """An integer from JSON: an int or a decimal string, never a float."""
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ValueError("%s must be an integer, got %.40r" % (what, x))
+
+
+def poly_from_json(obj: dict, nvars: Optional[int] = None) -> Poly:
+    """Parse a Poly, checking every field; nvars, if given, must match."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
+        raise ValueError("a polynomial must be an object with a terms list, "
+                         "got %.40r" % (obj,))
+    n = json_int(obj.get("nvars"), "nvars")
+    if nvars is not None and n != nvars:
+        raise ValueError("polynomial has %d variables, expected %d"
+                         % (n, nvars))
     out: Poly = {}
     for t in obj["terms"]:
-        e = tuple(int(k) for k in t["exps"])
-        if len(e) != n:
-            raise ValueError("exponent length does not match nvars")
-        c = Fraction(int(t["num"]), int(t["den"]))
+        if not isinstance(t, dict) or not isinstance(t.get("exps"), list):
+            raise ValueError("a term must be an object with an exps list")
+        e = tuple(json_int(k, "exponent") for k in t["exps"])
+        if len(e) != n or any(k < 0 for k in e):
+            raise ValueError("exponents %r do not fit nvars %d" % (e, n))
+        den = json_int(t.get("den"), "denominator")
+        if not den:
+            raise ValueError("zero denominator")
+        c = Fraction(json_int(t.get("num"), "numerator"), den)
         if c:
             out[e] = out.get(e, Fraction(0)) + c
             if not out[e]:

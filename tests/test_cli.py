@@ -220,6 +220,32 @@ def test_classify7_model_file(tmp_path, capsys):
     assert json.loads(out)["kind"] == "hyperbolic"
 
 
+def _break_first_entry(blob):
+    blob["coframe"][0][0] = "x"
+
+
+def _zero_denominator(blob):
+    blob["coframe"][0][0]["terms"][0]["den"] = 0
+
+
+def _drop_rows(blob):
+    del blob["coframe"][3:]
+
+
+@pytest.mark.parametrize("mutate", [_break_first_entry, _zero_denominator,
+                                    _drop_rows],
+                         ids=["string-entry", "zero-den", "three-rows"])
+def test_classify7_malformed_model_exits_2(tmp_path, capsys, mutate):
+    from coframes.models import builtin_model, model_to_json
+    blob = model_to_json(builtin_model("elliptic7"))
+    mutate(blob)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "classify7", "--model", str(path))
+    assert code == 2
+    assert "cannot read model file" in err
+
+
 def test_classify7_bad_input_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "classify7", "--model", "contact99")
     assert code == 2

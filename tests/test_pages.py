@@ -111,3 +111,109 @@ def test_surviving_cells_weights_are_distinct_per_degree(each_model):
         assert len(cells) == len(set(cells))
         for (p, q) in cells:
             assert p == deg
+
+
+def _reference_cell(pg, key):
+    """A cell's page-1 data derived the slow, independent way: an echelon
+    of the whole incoming image, greedy reps against a solver rebuilt for
+    each candidate, and the inverse of [echelon | reps | units]."""
+    from fractions import Fraction
+    from coframes import linalg
+    from coframes.pages import e0_columns
+    m, page0 = pg.model, pg.page0
+    cell = page0.cells[key]
+    dim = cell.dim
+    p, q = key
+    src = (p - 1, q + 1)
+    in_cols, source_cell = [], None
+    if src in page0.cells:
+        tgt, cols = e0_columns(m, page0, src)
+        if tgt == key:
+            in_cols, source_cell = cols, src
+    image = linalg.ColumnSpaceSolver(in_cols, dim)
+    ech = [list(v) for v in image._ech]
+    tgt, out_cols = e0_columns(m, page0, key)
+    out_rows = ([[out_cols[j][r] for j in range(dim)]
+                 for r in range(len(out_cols[0]))]
+                if tgt is not None and dim and out_cols[0] else [])
+    if out_rows:
+        red, pivots = _dense_rref(out_rows)
+        kernel = linalg.nullspace(red, pivots, dim)
+    else:
+        pivots = []
+        kernel = [linalg.unit_vector(j, dim) for j in range(dim)]
+    reps = []
+    for v in kernel:
+        if not linalg.ColumnSpaceSolver(ech + reps, dim).contains(v):
+            reps.append(v)
+    cols = ech + reps + [linalg.unit_vector(c, dim) for c in pivots]
+    sinv = linalg.inverse([[c[r] for c in cols] for r in range(dim)])
+    lo, hi = image.rank, image.rank + len(reps)
+    extract = [[sum((row[r] * u[r] for r in range(dim)), Fraction(0))
+                for row in sinv[lo:hi]]
+               for u in (linalg.unit_vector(j, dim) for j in range(dim))]
+    return dict(rank_in=image.rank, rank_out=len(pivots),
+                dim1=dim - len(pivots) - image.rank, reps=reps,
+                source_cell=source_cell, extract=extract)
+
+
+def test_page1_matches_reference(each_model):
+    from coframes import linalg
+    pg = Page1(each_model)
+    for key, data in pg.data.items():
+        dim = data.cell.dim
+        ref = _reference_cell(pg, key)
+        assert data.rank_in == ref["rank_in"], key
+        assert data.rank_out == ref["rank_out"], key
+        assert data.dim1 == ref["dim1"], key
+        assert data.reps == ref["reps"], key
+        assert data.source_cell == ref["source_cell"], key
+        assert [data.extract(linalg.unit_vector(j, dim))
+                for j in range(dim)] == ref["extract"], key
+        if data.rank_in:
+            cols = data.bcols + data.reps + \
+                [linalg.unit_vector(c, dim) for c in data.out_pivots]
+            smat = [[c[r] for c in cols] for r in range(dim)]
+            assert linalg.matmul(data.sinv, smat) == linalg.identity(dim), key
+
+
+def _dense_rref(m):
+    """Textbook Gauss-Jordan over Fraction, whole rows at a time."""
+    from fractions import Fraction
+    rows = [[Fraction(x) for x in r] for r in m]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [x - rows[i][c] * y
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def test_rref_matches_dense_reference():
+    from fractions import Fraction
+    from coframes import linalg
+    rng = random.Random(20)
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+              if rng.random() < 0.4 else Fraction(0)
+              for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 2:
+            m[rng.randrange(nrows)] = [Fraction(0)] * ncols
+            a, b = rng.sample(range(nrows), 2)
+            k = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            m[a] = [x + k * y for x, y in zip(m[a], m[b])]
+        red, pivots = linalg.rref(m)
+        assert (red, pivots) == _dense_rref(m), trial
+        for v in linalg.nullspace(red, pivots, ncols):
+            assert linalg.matvec(m, v) == [0] * nrows
+        assert len(linalg.nullspace(red, pivots, ncols)) == \
+            ncols - len(pivots)
