@@ -151,9 +151,8 @@ def cmd_page(args) -> int:
 
 def cmd_report(args) -> int:
     res = _resolution(args.geometry, args.complex)
-    rng = random.Random(args.seed)
     ranks = res.ranks()
-    orders = res.orders(rng)
+    orders = res.orders()
     checks: Dict[str, bool] = {}
     if res.variant in ("bgg", "rs"):
         checks["palindrome"] = ranks == ranks[::-1]
@@ -416,6 +415,12 @@ def cmd_classify7(args) -> int:
     else:
         raise UsageError("model must be elliptic7, hyperbolic7, or a "
                          "JSON model file")
+    shape = (len(model.selectors["depth2"]),
+             len(model.selectors["horizontal"]))
+    if shape != (3, 4):
+        raise UsageError("model %s has %d depth-2 and %d horizontal "
+                         "covectors; classify7 needs 3 and 4"
+                         % ((model.name,) + shape))
     rep = orbit_invariant(model)
     payload = {"model": model.name, "kind": rep.kind,
                "inertia": list(rep.inertia),

@@ -290,13 +290,14 @@ def poly_adjugate(m: List[List[rp.Poly]]) -> List[List[rp.Poly]]:
 def rank_mod_p(rows: List[Dict[int, int]], p: int) -> int:
     """Rank of a sparse integer matrix modulo a prime.
 
-    rows maps column index to residue.  Pivoting prefers short rows to keep
-    fill-in down: the next pivot row is the shortest live row, ties going to
-    the lowest row index.  A heap of (length, row index) entries serves that
-    choice; an entry is pushed whenever a row changes length, and entries
-    whose length no longer matches their row are skipped when popped, so
-    each choice costs a logarithmic heap operation instead of a scan of all
-    live rows.  Input rows are consumed.
+    rows map column index to an integer, reduced mod p here.  Pivoting
+    prefers short rows to keep fill-in down: the next pivot row is the
+    shortest live row, ties going to the lowest row index.  A heap of
+    (length, row index) entries serves that choice; an entry is pushed
+    whenever a row changes length, and entries whose length no longer
+    matches their row are skipped when popped, so each choice costs a
+    logarithmic heap operation instead of a scan of all live rows.  Input
+    rows are left unchanged.
     """
     live: Dict[int, Dict[int, int]] = {}
     col_index: Dict[int, set] = {}
@@ -342,20 +343,6 @@ def rank_mod_p(rows: List[Dict[int, int]], p: int) -> int:
             elif len(other) != before:
                 heapq.heappush(queue, (len(other), rj))
     return rank_count
-
-
-def fraction_rows_to_mod_p(rows: List[Dict[int, Fraction]],
-                           p: int) -> List[Dict[int, int]]:
-    """Reduce sparse Fraction rows modulo p; raises if a denominator dies."""
-    out = []
-    for row in rows:
-        r = {}
-        for c, v in row.items():
-            if v.denominator % p == 0:
-                raise ZeroDivisionError("denominator divisible by p")
-            r[c] = (v.numerator * pow(v.denominator, p - 2, p)) % p
-        out.append(r)
-    return out
 
 
 def sparse_rank_exact(rows: List[Dict[int, Fraction]]) -> int:

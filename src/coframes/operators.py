@@ -593,8 +593,8 @@ class Resolution:
     def ranks(self) -> List[int]:
         return [n.rank for n in self.nodes]
 
-    def orders(self, rng: Optional[random.Random] = None) -> List[int]:
-        """Exact operator orders; rng is accepted and unused."""
+    def orders(self) -> List[int]:
+        """Exact operator orders, read off the normal forms."""
         return [h.order for h in self.operators]
 
     def describe(self) -> dict:
@@ -749,12 +749,8 @@ def build_rs_complex(half_dim: int) -> Resolution:
 
 # #### order ##############################################################
 
-def measure_order(handle: OperatorHandle,
-                  rng: Optional[random.Random] = None) -> int:
-    """Exact order of the operator, read off its normal form.
-
-    rng is accepted for compatibility and unused.
-    """
+def measure_order(handle: OperatorHandle) -> int:
+    """Exact order of the operator, read off its normal form."""
     return handle.order
 
 

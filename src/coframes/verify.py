@@ -9,19 +9,24 @@ kernel dimensions account for the whole slice.
 
 A slice matrix is read off the operator's normal form (see operators.py):
 the column of x^b in source slot s is sum_alpha c_alpha * b!/(b - alpha)! *
-x^(b - alpha), taken in integers over one denominator per source slot.  No
-form is built and no cascade runs per column.
+x^(b - alpha), kept as integer numerators over the one denominator d_s of
+slot s.  No form is built and no cascade runs per column.
 
-Ranks come from a sparse elimination modulo a prime (linalg.rank_mod_p,
-pivoting on the shortest live row from a heap); a slice whose modular count
-leaves homology falls back to exact rational elimination.  Image inside
-kernel is always verified by an exact product of the two slice matrices,
-taken in integers after clearing the denominators of each column.  Together
-these are a certificate, not a heuristic: reduction mod p never raises a
-rank, so rank_in + rank_out over Q is at least the modular sum, and the
-zero product puts the incoming image inside the outgoing kernel, so the sum
-over Q is at most the slice dimension.  A modular sum equal to the
-dimension therefore proves the slice exact over Q.
+Each (operator, slice) is ranked once, by sparse elimination of its integer
+columns modulo one prime (linalg.rank_mod_p); a slice whose modular count
+leaves homology falls back to exact rational elimination.  Scaling a column
+by a nonzero rational is an invertible column operation, so the integer
+columns have the rank over Q of the true ones.  A minor that is nonzero mod
+p is nonzero over Q, so for every prime the modular rank of an integer
+matrix is at most its rank over Q; no denominator is reduced mod p, so no
+prime needs excluding.  Image inside kernel is verified by an exact product
+in integers: with input column i standing for a_i / e_i and output column j
+for b_j / d_j, the product column times e_i * L, for L = lcm(d_j), is
+sum_j a_ij (L / d_j) b_j, which vanishes exactly when the product does.
+Together these are a certificate, not a heuristic: rank_in + rank_out over
+Q is at least the modular sum, and the zero product caps it at the slice
+dimension, so a modular sum equal to the dimension proves the slice exact
+over Q.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .models import GeometryModel
 from .operators import Resolution, random_section
 from .pages import CellKey, Page1
 
-PRIMES = (1000003, 999983)
+PRIME = 1000003
 
 
 # #### rank formulas #######################################################
@@ -146,7 +151,8 @@ def weighted_monomials(weights: Tuple[int, ...], w: int) -> List[Tuple[int, ...]
 
 
 class _SliceCache:
-    """Slice bases and operator columns for one resolution, memoized."""
+    """Slice bases, integer operator columns and their ranks for one
+    resolution, memoized for the length of one certificate."""
 
     def __init__(self, res: Resolution):
         if not res.coeff_weights or min(res.coeff_weights) < 1:
@@ -154,7 +160,9 @@ class _SliceCache:
         self.res = res
         self.weights = tuple(res.coeff_weights)
         self._basis: Dict[Tuple[int, int], List[Tuple[int, Tuple[int, ...]]]] = {}
-        self._cols: Dict[Tuple[int, int], List[Dict[int, Fraction]]] = {}
+        self._cols: Dict[Tuple[int, int], Tuple[List[Dict[int, int]],
+                                                List[int]]] = {}
+        self._ranks: Dict[Tuple[int, int, bool], Tuple[int, str]] = {}
 
     def basis(self, node_idx: int, s: int) -> List[Tuple[int, Tuple[int, ...]]]:
         key = (node_idx, s)
@@ -168,9 +176,13 @@ class _SliceCache:
             self._basis[key] = hit
         return hit
 
-    def columns(self, op_idx: int, s: int) -> List[Dict[int, Fraction]]:
+    def columns(self, op_idx: int, s: int
+                ) -> Tuple[List[Dict[int, int]], List[int]]:
         """Matrix columns of operator op_idx on the total-weight-s slice,
         from the closed form of its normal form (a term for each alpha <= b).
+
+        Returns (cols, dens): column j is cols[j] / dens[j], with cols[j]
+        the integer numerators and dens[j] its source slot's denominator.
         """
         key = (op_idx, s)
         hit = self._cols.get(key)
@@ -181,7 +193,8 @@ class _SliceCache:
                          terms) for alpha, terms in groups])
                  for den, groups in self.res.operators[op_idx].normal_form().slots]
         out_pos = {bk: i for i, bk in enumerate(self.basis(op_idx + 1, s))}
-        cols: List[Dict[int, Fraction]] = []
+        cols: List[Dict[int, int]] = []
+        dens: List[int] = []
         try:
             for slot, b in self.basis(op_idx, s):
                 den, groups = slots[slot]
@@ -196,57 +209,51 @@ class _SliceCache:
                     for t, xe, num in terms:
                         r = out_pos[(t, tuple(map(add, rest, xe)))]
                         col[r] = col.get(r, 0) + f * num
-                cols.append({r: Fraction(v, den) for r, v in col.items() if v})
+                cols.append({r: v for r, v in col.items() if v})
+                dens.append(den)
         except KeyError:
             raise AssertionError(
                 "operator %d is not weight-homogeneous" % op_idx) from None
-        self._cols[key] = cols
-        return cols
+        self._cols[key] = hit = (cols, dens)
+        return hit
+
+    def rank(self, op_idx: int, s: int, exact: bool = False
+             ) -> Tuple[int, str]:
+        """(rank, method) of operator op_idx on slice s: mod PRIME, or over
+        Q when exact.  The integer columns serve both, since column scaling
+        is rank-neutral."""
+        key = (op_idx, s, exact)
+        hit = self._ranks.get(key)
+        if hit is None:
+            cols, _ = self.columns(op_idx, s)
+            live = [c for c in cols if c]
+            if exact:
+                hit = (linalg.sparse_rank_exact(
+                    [{r: Fraction(v) for r, v in c.items()} for c in live]),
+                    "exact")
+            elif not live:
+                hit = (0, "empty")
+            else:
+                hit = (linalg.rank_mod_p(live, PRIME), "modp")
+            self._ranks[key] = hit
+        return hit
 
 
-def _rank_certified(cols: List[Dict[int, Fraction]]) -> Tuple[int, str]:
-    """Rank of sparse Fraction columns: modular first, exact on demand."""
-    live = [c for c in cols if c]
-    if not live:
-        return 0, "empty"
-    for p in PRIMES:
-        try:
-            modrows = linalg.fraction_rows_to_mod_p(live, p)
-        except ZeroDivisionError:
-            continue
-        return linalg.rank_mod_p(modrows, p), "modp"
-    return linalg.sparse_rank_exact(live), "exact"
-
-
-def _compose_is_zero(cols_in: List[Dict[int, Fraction]],
-                     cols_out: List[Dict[int, Fraction]]) -> bool:
+def _compose_is_zero(cols_in: List[Dict[int, int]],
+                     cols_out: List[Dict[int, int]],
+                     dens_out: Sequence[int]) -> bool:
     """Exact check that every image column of the first map is killed.
 
-    The product is taken in integers.  Each output column j is scaled by
-    the lcm D_j of its denominators.  An input column's coefficient c_j on
-    it then becomes c_j / D_j, and the input column is scaled by the lcm of
-    those denominators.  The resulting integer vector is a nonzero multiple
-    of the exact product, so one vanishes exactly when the other does.
+    Output column j stands for cols_out[j] / dens_out[j] and is scaled by
+    lcm(dens_out) // dens_out[j]; input denominators play no part.
     """
-    scaled: List[Tuple[int, Dict[int, int]]] = []
-    for col in cols_out:
-        d = 1
-        for c in col.values():
-            d = lcm(d, c.denominator)
-        scaled.append((d, {r: c.numerator * (d // c.denominator)
-                           for r, c in col.items()}))
+    big = lcm(*dens_out)
+    scaled = [(big // d, col) for d, col in zip(dens_out, cols_out)]
     for col in cols_in:
-        terms = []
-        den = 1
-        for j, c in col.items():
-            d_j, vec = scaled[j]
-            if vec:
-                dd = c.denominator * d_j
-                den = lcm(den, dd)
-                terms.append((c.numerator, dd, vec))
         acc: Dict[int, int] = {}
-        for num, dd, vec in terms:
-            f = num * (den // dd)
+        for j, a in col.items():
+            f, vec = scaled[j]
+            f *= a
             for r, v in vec.items():
                 acc[r] = acc.get(r, 0) + f * v
         if any(acc.values()):
@@ -310,6 +317,9 @@ def exactness_check(res: Resolution, max_degree: int = 3, buffer: int = 1,
     polynomial coefficients of degree max_degree (plus a safety buffer)
     is checked.  A slice passes when incoming rank plus outgoing rank
     equals the slice dimension and the exact composition product is zero.
+    A nonzero product clears composition_ok; the slice's homology count
+    dim - rank_in - rank_out is then kept as computed, negative when the
+    incoming image leaves the outgoing kernel.
     """
     t0 = time.perf_counter()
     cache = _SliceCache(res)
@@ -331,34 +341,30 @@ def exactness_check(res: Resolution, max_degree: int = 3, buffer: int = 1,
             dim = len(cache.basis(k, s))
             if dim == 0:
                 continue
-            cols_in = cache.columns(k - 1, s) if k > 0 else []
-            cols_out = (cache.columns(k, s)
-                        if k < nnodes - 1 else [])
+            cols_in, _ = cache.columns(k - 1, s) if k > 0 else ([], [])
+            cols_out, dens_out = (cache.columns(k, s)
+                                  if k < nnodes - 1 else ([], []))
             load = (dim + sum(len(c) for c in cols_in)
                     + sum(len(c) for c in cols_out))
             if load > guard:
                 guard_hit = True
                 continue
-            rank_in, m_in = _rank_certified(cols_in) if cols_in else (0, "none")
-            rank_out, m_out = (_rank_certified(cols_out)
-                               if cols_out else (0, "none"))
+            rank_in, m_in = cache.rank(k - 1, s) if cols_in else (0, "none")
+            rank_out, m_out = cache.rank(k, s) if cols_out else (0, "none")
             h = dim - rank_in - rank_out
             if h != 0 and (m_in == "modp" or m_out == "modp"):
                 if cols_in:
-                    rank_in = linalg.sparse_rank_exact(
-                        [dict(c) for c in cols_in if c])
-                    m_in = "exact"
+                    rank_in, m_in = cache.rank(k - 1, s, exact=True)
                 if cols_out:
-                    rank_out = linalg.sparse_rank_exact(
-                        [dict(c) for c in cols_out if c])
-                    m_out = "exact"
+                    rank_out, m_out = cache.rank(k, s, exact=True)
                 h = dim - rank_in - rank_out
-            if h < 0:
+            if cols_in and cols_out \
+                    and not _compose_is_zero(cols_in, cols_out, dens_out):
+                composition_ok = False
+            elif h < 0:
                 raise AssertionError(
-                    "slice %d at node %d has image outside the kernel" % (s, k))
-            if cols_in and cols_out:
-                if not _compose_is_zero(cols_in, cols_out):
-                    composition_ok = False
+                    "slice %d at node %d: ranks exceed the dimension though "
+                    "the product is zero" % (s, k))
             checked.append(s)
             dim_total += dim
             if h:
@@ -435,13 +441,14 @@ def rs_h1_witness(res: Resolution) -> bool:
             alpha[slot] = rp.var(idx[0] - 1, n)
     closed = not any(p for p in res.operators[1].apply(alpha))
     cache = _SliceCache(res)
-    cols = cache.columns(0, 2)
+    ints, dens = cache.columns(0, 2)
     basis = cache.basis(1, 2)
     pos = {bk: i for i, bk in enumerate(basis)}
     vec = [Fraction(0)] * len(basis)
     for slot, p in enumerate(alpha):
         for e, c in p.items():
             vec[pos[(slot, e)]] = c
-    dense = [[col.get(i, Fraction(0)) for col in cols] for i in range(len(basis))]
+    dense = [[Fraction(col.get(i, 0), den) for col, den in zip(ints, dens)]
+             for i in range(len(basis))]
     in_image = linalg.solve(dense, vec) is not None
     return closed and not in_image

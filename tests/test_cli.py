@@ -246,6 +246,16 @@ def test_classify7_malformed_model_exits_2(tmp_path, capsys, mutate):
     assert "cannot read model file" in err
 
 
+def test_classify7_non_seven_variable_model_exits_2(tmp_path, capsys):
+    from coframes.models import builtin_model, model_to_json
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(builtin_model("contact5"))))
+    code, out, err = run(capsys, "classify7", "--model", str(path))
+    assert code == 2
+    assert "1 depth-2 and 4 horizontal" in err
+    assert "Traceback" not in err
+
+
 def test_classify7_bad_input_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "classify7", "--model", "contact99")
     assert code == 2

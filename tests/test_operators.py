@@ -53,8 +53,7 @@ def test_ranks_and_orders_frozen(name, variant):
     res = complex_for(name, variant)
     ranks, orders = GOLDEN[(name, variant)]
     assert res.ranks() == ranks
-    for seed in range(10):  # exact orders: no seed can change them
-        assert res.orders(random.Random(seed)) == orders
+    assert res.orders() == orders
 
 
 def _evaluate(nf, coeffs):
@@ -104,15 +103,20 @@ def _columns_by_apply(res, op_idx, s, cache):
     return cols
 
 
-@pytest.mark.parametrize("name", ["engel4", "contact5", "dl_5"])
+# g2_5's slot denominators are 2, 4 and 8, and symplectic4's operator 1
+# has denominator 2: a dropped denominator shows on these two
+@pytest.mark.parametrize("name", ["engel4", "contact5", "dl_5", "g2_5",
+                                  "symplectic4"])
 def test_slice_columns_match_apply(name):
-    res = complex_for(name, "bgg")
+    res = complex_for(name, "rs" if name == "symplectic4" else "bgg")
     cache = _SliceCache(res)
     checked = 0
     for k in range(len(res.operators)):
         lo = min(res.nodes[k].weights)
         for s in range(lo, lo + 5):
-            cols = cache.columns(k, s)
+            ints, dens = cache.columns(k, s)
+            cols = [{r: Fraction(v, den) for r, v in col.items()}
+                    for col, den in zip(ints, dens)]
             assert cols == _columns_by_apply(res, k, s, cache), (k, s)
             checked += sum(1 for c in cols if c)
     assert checked > 50
@@ -127,7 +131,7 @@ def test_g2_basic_bundle_ranks():
 def test_rumin_middle_operator_order_two():
     res = complex_for("contact5", "bgg")
     h = res.operators[2]
-    assert measure_order(h, random.Random(3)) == 2
+    assert measure_order(h) == 2
 
 
 def test_engel_p_order_and_trace_recipe():
@@ -142,29 +146,28 @@ def test_engel_p_order_and_trace_recipe():
     # omega1^omega2 component (0-based pairs (2,3) then (1,2))
     assert killed[0] == ((1, 1), [(2, 3)])
     assert killed[1] == ((1, 2), [(1, 2)])
-    assert measure_order(P, random.Random(5)) == 2
+    assert measure_order(P) == 2
 
 
 def test_engel_s_order_three():
     m = model("engel4")
     S = derive_operator(m, (2, 1), (3, 3), page1=page1("engel4"))
-    assert measure_order(S, random.Random(5)) == 3
+    assert measure_order(S) == 3
 
 
 def test_five_var_e_order_three():
     res = complex_for("g2_5", "bgg")
-    assert measure_order(res.operators[1], random.Random(5)) == 3
+    assert measure_order(res.operators[1]) == 3
 
 
 def test_order_equals_weight_gap_on_six_and_seven_var():
     for name in ("dist3in6", "elliptic7"):
         res = complex_for(name, "bgg")
-        rng = random.Random(11)
         for h in res.operators:
             # node weights are total coframe weights; the measured order is
             # the largest jump any component realizes
             gap = max(h.target.weights) - min(h.source.weights)
-            assert measure_order(h, rng) == gap
+            assert measure_order(h) == gap
 
 
 def test_composition_zero_quick(each_model):
@@ -231,4 +234,4 @@ def test_derive_operator_between_named_cells():
     T = derive_operator(m, (2, 2), (3, 3), page1=page1("engel4"))
     # x4^2 goes to the constant 2: T differentiates twice along x4
     assert T.apply([{(0, 0, 0, 2): Fraction(1)}]) == [{}, {(0,) * 4: 2}]
-    assert measure_order(T, random.Random(7)) == 2
+    assert measure_order(T) == 2

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -71,17 +72,36 @@ def test_cross_check_dims_reports_rows():
         assert dim == want
 
 
+def _integer_columns(cols):
+    """Fraction columns as (integer numerators, one denominator each)."""
+    dens = [lcm(*(c.denominator for c in col.values())) for col in cols]
+    ints = [{r: int(c * d) for r, c in col.items()}
+            for col, d in zip(cols, dens)]
+    return ints, dens
+
+
+def _compose(cols_in, cols_out):
+    ints_out, dens_out = _integer_columns(cols_out)
+    return _compose_is_zero(_integer_columns(cols_in)[0], ints_out, dens_out)
+
+
 def test_compose_is_zero_scales_each_column():
     # col1 is col0 / 2; the two columns clear to the same integer vector
-    # with different factors (6 and 12)
+    # with different denominators (6 and 12)
     cols_out = [{0: F(1, 2), 1: F(1, 3)}, {0: F(1, 4), 1: F(1, 6)}, {}]
-    assert _compose_is_zero([{0: F(1), 1: F(-2)}], cols_out)
-    assert _compose_is_zero([{0: F(1, 5), 1: F(-2, 5), 2: F(7)}], cols_out)
-    assert _compose_is_zero([{0: F(1, 2), 1: F(-1)}, {}], cols_out)
+    ints_out, dens_out = _integer_columns(cols_out)
+    assert ints_out == [{0: 3, 1: 2}, {0: 3, 1: 2}, {}]
+    assert dens_out == [6, 12, 1]
+    assert _compose([{0: F(1), 1: F(-2)}], cols_out)
+    assert _compose([{0: F(1, 5), 1: F(-2, 5), 2: F(7)}], cols_out)
+    assert _compose([{0: F(1, 2), 1: F(-1)}, {}], cols_out)
     # zero only if both columns were scaled by one common factor
-    assert not _compose_is_zero([{0: F(1), 1: F(-1)}], cols_out)
-    assert not _compose_is_zero([{0: F(1), 1: F(-2)},
-                                 {0: F(1, 3), 1: F(-1, 3)}], cols_out)
+    assert not _compose([{0: F(1), 1: F(-1)}], cols_out)
+    assert not _compose([{0: F(1), 1: F(-2)},
+                         {0: F(1, 3), 1: F(-1, 3)}], cols_out)
+    # the input's own denominators play no part
+    assert _compose_is_zero([{0: 1, 1: -2}], ints_out, dens_out)
+    assert not _compose_is_zero([{0: 1, 1: -1}], ints_out, dens_out)
 
 
 def test_compose_is_zero_matches_fraction_product():
@@ -103,7 +123,20 @@ def test_compose_is_zero_matches_fraction_product():
                                 for j, c in col.items()), F(0))
                            for r in range(nout))
                    for col in cols_in)
-        assert _compose_is_zero(cols_in, cols_out) == want
+        assert _compose(cols_in, cols_out) == want
+
+
+def test_bumped_normal_form_breaks_composition():
+    # one integer coefficient of operator 2 off by one: the slice products
+    # with operators 1 and 3 stop vanishing
+    res = named_complex(model("contact5"), "bgg")
+    _, groups = res.operators[2].normal_form().slots[0]
+    _, terms = groups[0]
+    t, b, num = terms[0]
+    terms[0] = (t, b, num + 1)
+    rep = exactness_check(res, max_degree=1)
+    assert not rep.composition_ok
+    assert not rep.ok
 
 
 def test_rank_mod_p_matches_exact_rank():
