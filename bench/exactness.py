@@ -79,8 +79,7 @@ def src_tree(src: Path) -> str:
 
 
 def exactness_seconds(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src / "src"),
-               COFRAMES_BACKEND="pure")
+    env = dict(os.environ, PYTHONPATH=str(src / "src"))
     proc = subprocess.run([sys.executable, "-c", _WORKER], env=env,
                           capture_output=True, text=True, check=True)
     got = json.loads(proc.stdout.splitlines()[-1])

@@ -18,6 +18,7 @@ import json
 import os
 import random
 import sys
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from . import operators as ops
@@ -32,8 +33,10 @@ from .pages import Page0, Page1, check_function_linear, e0_apply
 
 GEOMETRIES = builtin_names() + ["symplectic4"]
 
-DEFAULT_SEED = int(os.environ.get("COFRAMES_SEED", "7"))
-DEFAULT_DEGREE = int(os.environ.get("COFRAMES_DEGREE", "3"))
+# check ids of `verify`, as --skip names them (without a [variant] suffix)
+CHECK_IDS = ("structure", "e0_linear", "levi_linear", "obstruction_linear",
+             "splitting", "palindrome", "schur_dims", "orbit", "composition",
+             "exactness")
 
 
 class UsageError(Exception):
@@ -186,18 +189,21 @@ def cmd_report(args) -> int:
 
 # #### verify ##############################################################
 
+def _run_check(out: List[dict], skip: Sequence[str], cid: str, fn) -> None:
+    """Append check cid's (ok, detail) from fn to out, unless skipped."""
+    if cid.split("[")[0] in skip:
+        return
+    try:
+        okflag, detail = fn()
+    except Exception as exc:  # present, never hide
+        okflag, detail = False, "%s: %s" % (type(exc).__name__, exc)
+    out.append({"id": cid, "ok": bool(okflag), "detail": detail})
+
+
 def _check_lines(model: GeometryModel, degree: int, samples: int,
                  seed: int, skip: Sequence[str]) -> List[dict]:
     out: List[dict] = []
-
-    def add(cid: str, fn) -> None:
-        if cid.split("[")[0] in skip:
-            return
-        try:
-            okflag, detail = fn()
-        except Exception as exc:  # present, never hide
-            okflag, detail = False, "%s: %s" % (type(exc).__name__, exc)
-        out.append({"id": cid, "ok": bool(okflag), "detail": detail})
+    add = partial(_run_check, out, skip)
 
     def structure():
         rep = verify_structure(model)
@@ -280,15 +286,7 @@ def _complex_checks(geom: str, variant: str, degree: int, samples: int,
                     seed: int, skip: Sequence[str]) -> List[dict]:
     out: List[dict] = []
     res = _resolution(geom, variant)
-
-    def add(cid, fn):
-        if cid.split("[")[0] in skip:
-            return
-        try:
-            okflag, detail = fn()
-        except Exception as exc:
-            okflag, detail = False, "%s: %s" % (type(exc).__name__, exc)
-        out.append({"id": cid, "ok": bool(okflag), "detail": detail})
+    add = partial(_run_check, out, skip)
 
     def composition():
         rep = ver.composition_check(res, random.Random(seed),
@@ -311,10 +309,12 @@ def _complex_checks(geom: str, variant: str, degree: int, samples: int,
 
 def cmd_verify(args) -> int:
     skip = set(args.skip or ())
+    unknown = sorted(skip.difference(CHECK_IDS))
+    if unknown:
+        raise UsageError("unknown check id %s; known ids: %s"
+                         % (", ".join(unknown), ", ".join(CHECK_IDS)))
     checks: List[dict] = []
-    if args.geometry == "symplectic4":
-        checks = []
-    else:
+    if args.geometry != "symplectic4":
         model = _load_model(args.geometry)
         checks = _check_lines(model, args.degree, args.samples,
                               args.seed, skip)
@@ -393,8 +393,11 @@ def cmd_apply(args) -> int:
     payload = result.to_json(nvars)
     data = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(data)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise UsageError("cannot write output: %s" % exc)
     else:
         sys.stdout.write(data)
     return 0
@@ -446,7 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=int,
+                       default=os.environ.get("COFRAMES_SEED", "7"))
 
     p = sub.add_parser("list", help="models and their named complexes")
     common(p)
@@ -466,7 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verification suite for a geometry")
     p.add_argument("geometry")
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
+    p.add_argument("--degree", type=int,
+                   default=os.environ.get("COFRAMES_DEGREE", "3"))
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--skip", action="append", default=[],
                    help="check id to skip (repeatable)")

@@ -10,7 +10,7 @@ coordinate basis, and change_basis moves forms between the two.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ratpoly as rp
 

@@ -18,12 +18,8 @@ Matrix = List[List[Fraction]]
 Vector = List[Fraction]
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
 def identity(n: int) -> Matrix:
-    out = zeros(n, n)
+    out = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         out[i][i] = Fraction(1)
     return out

@@ -13,14 +13,13 @@ verify_structure checks all of them exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
 from .forms import (COORD, Bivector, Form, change_basis, exterior_d,
-                    form_from_json, form_monomial, form_to_json, form_zero,
-                    one_form, sort_sign, wedge)
+                    form_from_json, form_to_json, form_zero)
 
 PolyMatrix = List[List[rp.Poly]]
 

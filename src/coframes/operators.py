@@ -1,9 +1,19 @@
 """Derived operators between page-1 nodes and their complexes.
 
-Every operator here is produced by one mechanism: lift a class to a form,
+A graded operator is produced by one mechanism: lift a class to a form,
 apply d, correct the graded pieces below the target weight by solving
 constant page-0 systems, and project at the target.  The correction steps are
 recorded as a trace, and whole complexes are assembled node by node.
+
+The operator classes:
+
+  GradedOperator         lift, correct, project between page-1 nodes
+  DeepCorrectedOperator  correct below a span node, express the rest in it
+  SpanDOperator          d, then express in the target span (the coframe d
+                         of a model, or the flat exterior d without one)
+  RsProjD, RsMiddle      the two symplectic maps that are not plain d: d
+                         then removal of the J-trace, and the second-order
+                         middle map -d gamma with J ^ gamma = d beta
 
 Each step but d is Q-linear monomial by monomial, so the same cascade run on
 a symbolic jet u (ratpoly.Jets), with d acting as the total derivative,
@@ -19,12 +29,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg, ratpoly as rp
 from .forms import (COORD, Bivector, Form, contract, exterior_d, form_pmul,
-                    form_scale, form_sub, form_zero, wedge)
+                    form_scale, form_sub, form_zero, one_form, wedge)
 from .models import GeometryModel, coframe_d, split_by_cell_weight, symplectic_data
 from .pages import CellKey, Page1
 
@@ -45,11 +56,6 @@ class Node:
     @property
     def rank(self) -> int:
         return len(self.forms)
-
-    def describe(self) -> dict:
-        return {"label": self.label, "degree": self.degree, "rank": self.rank,
-                "weights": list(self.weights),
-                "cells": [[k[0], k[1]] for k, _, _ in self.cells]}
 
 
 def graded_node(model: GeometryModel, page1: Page1, degree: int,
@@ -75,21 +81,15 @@ def graded_node(model: GeometryModel, page1: Page1, degree: int,
                 forms=forms, weights=weights, cells=ranges)
 
 
-def span_node(model_nvars: int, degree: int, basis_forms: List[Form],
-              weights: List[int], label: str) -> Node:
-    return Node(label=label, degree=degree, forms=basis_forms,
-                weights=weights, cells=[])
-
-
 class SpanSolver:
-    """Expresses forms in the span of a node's constant basis forms."""
+    """Expresses forms in the span of independent constant forms."""
 
-    def __init__(self, node: Node):
-        self.node = node
-        monos = sorted({idx for f in node.forms for idx in f.terms})
+    def __init__(self, forms: Sequence[Form]):
+        self.rank = len(forms)
+        monos = sorted({idx for f in forms for idx in f.terms})
         self.pos = {m: i for i, m in enumerate(monos)}
         cols = []
-        for f in node.forms:
+        for f in forms:
             v = [Fraction(0)] * len(monos)
             for idx, p in f.terms.items():
                 v[self.pos[idx]] = rp.constant_value(p)
@@ -97,12 +97,11 @@ class SpanSolver:
         self.solver = linalg.ColumnSpaceSolver(cols, len(monos))
 
     def express(self, a: Form) -> PolyVec:
-        out: PolyVec = [{} for _ in self.node.forms]
+        out: PolyVec = [{} for _ in range(self.rank)]
         monos: Dict[Tuple[int, ...], None] = {}
-        cols: Dict[Tuple[int, ...], linalg.Vector] = {}
         for idx, p in a.terms.items():
             if idx not in self.pos:
-                raise ValueError("form leaves the node span at %s" % (idx,))
+                raise ValueError("form leaves the span at %s" % (idx,))
             for e in p:
                 monos[e] = None
         for e in sorted(monos):
@@ -113,7 +112,7 @@ class SpanSolver:
                     v[self.pos[idx]] = c
             x, rest = self.solver.reduce(v)
             if any(rest):
-                raise ValueError("form is not in the node span")
+                raise ValueError("form is not in the span")
             for j, c in enumerate(x):
                 if c:
                     out[j][e] = c
@@ -146,24 +145,6 @@ class CorrectionStep:
     via_cell: CellKey
     killed: List[Tuple[int, ...]]
     solved: Dict[Tuple[int, ...], rp.Poly]
-
-
-def _reduce_poly_rhs(solver: linalg.ColumnSpaceSolver,
-                     vec: PolyVec) -> Tuple[PolyVec, PolyVec]:
-    """Column-space reduction with polynomial right-hand sides."""
-    monos = sorted({e for p in vec for e in p})
-    x: PolyVec = [{} for _ in range(solver.ncols)]
-    rest: PolyVec = [{} for _ in vec]
-    for e in monos:
-        v = [p.get(e, Fraction(0)) for p in vec]
-        xe, re = solver.reduce(v)
-        for j, c in enumerate(xe):
-            if c:
-                x[j][e] = c
-        for i, c in enumerate(re):
-            if c:
-                rest[i][e] = c
-    return x, rest
 
 
 def _partials(jets: Optional[rp.Jets]):
@@ -339,8 +320,6 @@ def _normal_slot(jets: rp.Jets, image: PolyVec, shared: Dict[tuple, tuple]):
 class OperatorHandle:
     """A derived operator with its trace and its normal form."""
 
-    method = "abstract"
-
     def __init__(self, source: Node, target: Node):
         self.source = source
         self.target = target
@@ -370,16 +349,9 @@ class OperatorHandle:
     def order(self) -> int:
         return self.normal_form().order
 
-    def describe(self) -> dict:
-        return {"method": self.method,
-                "source": self.source.label, "target": self.target.label,
-                "order": self.order}
-
 
 class GradedOperator(OperatorHandle):
     """Class-to-class operator via lift, correction, and cell projection."""
-
-    method = "graded"
 
     def __init__(self, model: GeometryModel, page1: Page1,
                  source: Node, target: Node):
@@ -440,14 +412,12 @@ class GradedOperator(OperatorHandle):
 class DeepCorrectedOperator(OperatorHandle):
     """Correct everything below the target span; keep the honest form."""
 
-    method = "deep"
-
     def __init__(self, model: GeometryModel, page1: Page1,
                  source: Node, target: Node):
         super().__init__(source, target)
         self.model = model
         self.page1 = page1
-        self.span = SpanSolver(target)
+        self.span = SpanSolver(target.forms)
         support = set(self.span.pos)
         self.correct_weights: List[int] = []
         self.keep_min: Optional[int] = None
@@ -485,44 +455,33 @@ class DeepCorrectedOperator(OperatorHandle):
 
 
 class SpanDOperator(OperatorHandle):
-    """Plain d between span nodes."""
+    """Plain d between span nodes: the model's coframe d, or the exterior d
+    of the flat coordinate forms when there is no model."""
 
-    method = "span_d"
-
-    def __init__(self, model: GeometryModel, source: Node, target: Node):
+    def __init__(self, model: Optional[GeometryModel], source: Node,
+                 target: Node):
         super().__init__(source, target)
         self.model = model
-        self.span = SpanSolver(target)
+        self.span = SpanSolver(target.forms)
 
     def apply(self, coeffs: Sequence[rp.Poly], record_trace: bool = False,
               jets: Optional[rp.Jets] = None) -> PolyVec:
         form = realize(self.source, coeffs)
-        return self.span.express(coframe_d(self.model, form, _partials(jets)))
+        partials = _partials(jets)
+        if self.model is None:
+            return self.span.express(exterior_d(form, partials))
+        return self.span.express(coframe_d(self.model, form, partials))
 
 
 # #### symplectic replacement complex ######################################
 
-class RsPlainD(OperatorHandle):
-    method = "rs_d"
-
-    def __init__(self, source: Node, target: Node):
-        super().__init__(source, target)
-        self.span = SpanSolver(target)
-
-    def apply(self, coeffs, record_trace=False, jets=None):
-        return self.span.express(exterior_d(realize(self.source, coeffs),
-                                            _partials(jets)))
-
-
 class RsProjD(OperatorHandle):
     """d followed by the pointwise projection killing the J-trace."""
-
-    method = "rs_proj_d"
 
     def __init__(self, source: Node, target: Node, jform: Form,
                  jdual: Bivector, half_dim: int):
         super().__init__(source, target)
-        self.span = SpanSolver(target)
+        self.span = SpanSolver(target.forms)
         self.jform = jform
         self.jdual = jdual
         self.half_dim = half_dim
@@ -538,38 +497,16 @@ class RsProjD(OperatorHandle):
 class RsMiddle(OperatorHandle):
     """Second-order middle map: solve J ^ gamma = d beta, emit -d gamma."""
 
-    method = "rs_middle"
-
     def __init__(self, source: Node, target: Node, jform: Form, nvars: int):
         super().__init__(source, target)
-        self.span = SpanSolver(target)
-        self.jform = jform
+        self.span = SpanSolver(target.forms)
         self.nvars = nvars
-        # constant matrix of J ^ . from 1-forms to 3-forms
-        from itertools import combinations
-        self.targets3 = sorted(combinations(range(nvars), 3))
-        pos3 = {m: i for i, m in enumerate(self.targets3)}
-        cols = []
-        for i in range(nvars):
-            onef = Form(nvars, 1, COORD)
-            onef.add_term((i,), rp.const(1, nvars))
-            w = wedge(self.jform, onef)
-            v = [Fraction(0)] * len(self.targets3)
-            for idx, p in w.terms.items():
-                v[pos3[idx]] = rp.constant_value(p)
-            cols.append(v)
-        self.jsolver = linalg.ColumnSpaceSolver(cols, len(self.targets3))
-        self.pos3 = pos3
+        self.jspan = SpanSolver([wedge(jform, one_form(nvars, i))
+                                 for i in range(nvars)])
 
     def apply(self, coeffs, record_trace=False, jets=None):
         beta = realize(self.source, coeffs)
-        dbeta = exterior_d(beta, _partials(jets))
-        vec: PolyVec = [{} for _ in self.targets3]
-        for idx, p in dbeta.terms.items():
-            vec[self.pos3[idx]] = p
-        x, rest = _reduce_poly_rhs(self.jsolver, vec)
-        if any(any(r) for r in rest):
-            raise ValueError("d beta is not in the image of J ^ .")
+        x = self.jspan.express(exterior_d(beta, _partials(jets)))
         gamma = Form(self.nvars, 1, COORD)
         for i, p in enumerate(x):
             if p:
@@ -596,12 +533,6 @@ class Resolution:
     def orders(self) -> List[int]:
         """Exact operator orders, read off the normal forms."""
         return [h.order for h in self.operators]
-
-    def describe(self) -> dict:
-        return {"name": self.name, "variant": self.variant,
-                "ranks": self.ranks(),
-                "nodes": [n.describe() for n in self.nodes],
-                "operators": [h.describe() for h in self.operators]}
 
 
 def derive_operator(model: GeometryModel,
@@ -666,29 +597,28 @@ def _g2_complex(model: GeometryModel, page1: Page1,
         pairs = [(0, 3), (0, 4), (1, 3), (1, 4), (0, 2), (1, 2), (0, 1)]
         basis2 = [cform([(p, 1)], 2) for p in pairs]
         w2 = [model.weight_of(p) for p in pairs]
-        node2 = span_node(n, 2, basis2, w2, "vertical_wedge_1forms")
+        node2 = Node("vertical_wedge_1forms", 2, basis2, w2)
     else:
         combos2: List[List[Tuple[Tuple[int, ...], int]]] = [
             [((0, 3), 1)], [((0, 4), 1), ((1, 3), 1)], [((1, 4), 1)],
             [((0, 2), 1)], [((1, 2), 1)], [((0, 1), 1)]]
         basis2 = [cform(c, 2) for c in combos2]
         w2 = [model.weight_of(c[0][0]) for c in combos2]
-        node2 = span_node(n, 2, basis2, w2, "B2")
-    from itertools import combinations as _comb
+        node2 = Node("B2", 2, basis2, w2)
     if variant == "ambient":
-        triples = sorted(_comb(range(n), 3))
+        triples = sorted(combinations(range(n), 3))
         label3 = "all3forms"
     else:
-        triples = [t for t in _comb(range(n), 3) if t != (2, 3, 4)]
+        triples = [t for t in combinations(range(n), 3) if t != (2, 3, 4)]
         label3 = "B3"
     basis3 = [cform([(t, 1)], 3) for t in sorted(triples)]
-    node3 = span_node(n, 3, basis3, [model.weight_of(t) for t in
-                                     sorted(triples)], label3)
-    quads = sorted(_comb(range(n), 4))
-    node4 = span_node(n, 4, [cform([(qd, 1)], 4) for qd in quads],
-                      [model.weight_of(qd) for qd in quads], "all4forms")
-    node5 = span_node(n, 5, [cform([(tuple(range(n)), 1)], 5)],
-                      [model.weight_of(tuple(range(n)))], "volume")
+    node3 = Node(label3, 3, basis3,
+                 [model.weight_of(t) for t in sorted(triples)])
+    quads = sorted(combinations(range(n), 4))
+    node4 = Node("all4forms", 4, [cform([(qd, 1)], 4) for qd in quads],
+                 [model.weight_of(qd) for qd in quads])
+    node5 = Node("volume", 5, [cform([(tuple(range(n)), 1)], 5)],
+                 [model.weight_of(tuple(range(n)))])
     nodes = [node0, node1, node2, node3, node4, node5]
     ops: List[OperatorHandle] = [
         GradedOperator(model, page1, node0, node1),
@@ -710,48 +640,40 @@ def build_rs_complex(half_dim: int) -> Resolution:
     n = 2 * half_dim
     jform: Form = data["J"]
     jdual: Bivector = data["J_dual"]
-    from itertools import combinations as _comb
 
     def cmono(idx: Tuple[int, ...], degree: int, c: int = 1) -> Form:
         f = Form(n, degree, COORD)
         f.add_term(idx, rp.const(c, n))
         return f
 
-    node0 = span_node(n, 0, [cmono((), 0)], [0], "functions")
-    node1 = span_node(n, 1, [cmono((i,), 1) for i in range(n)],
-                      [1] * n, "one_forms")
+    node0 = Node("functions", 0, [cmono((), 0)], [0])
+    node1 = Node("one_forms", 1, [cmono((i,), 1) for i in range(n)], [1] * n)
     perp: List[Form] = []
-    for pair in sorted(_comb(range(n), 2)):
+    for pair in sorted(combinations(range(n), 2)):
         f = cmono(pair, 2)
         tr = contract(f, jdual).terms.get((), {})
         if not tr:
             perp.append(f)
     mixed = form_sub(cmono((0, 1), 2), cmono((2, 3), 2))
     perp.append(mixed)
-    node2 = span_node(n, 2, perp, [2] * len(perp), "primitive2")
+    node2 = Node("primitive2", 2, perp, [2] * len(perp))
     coef = [f.copy() for f in perp]
-    node3 = span_node(n, 2, coef, [4] * len(coef), "coeffective2")
-    node4 = span_node(n, 3, [cmono(t, 3) for t in sorted(_comb(range(n), 3))],
-                      [5] * 4, "three_forms")
-    node5 = span_node(n, 4, [cmono(tuple(range(n)), 4)], [6], "volume")
+    node3 = Node("coeffective2", 2, coef, [4] * len(coef))
+    node4 = Node("three_forms", 3,
+                 [cmono(t, 3) for t in sorted(combinations(range(n), 3))],
+                 [5] * 4)
+    node5 = Node("volume", 4, [cmono(tuple(range(n)), 4)], [6])
     nodes = [node0, node1, node2, node3, node4, node5]
     ops: List[OperatorHandle] = [
-        RsPlainD(node0, node1),
+        SpanDOperator(None, node0, node1),
         RsProjD(node1, node2, jform, jdual, half_dim),
         RsMiddle(node2, node3, jform, n),
-        RsPlainD(node3, node4),
-        RsPlainD(node4, node5),
+        SpanDOperator(None, node3, node4),
+        SpanDOperator(None, node4, node5),
     ]
     return Resolution(name="symplectic%d" % n, variant="rs", nodes=nodes,
                       operators=ops, model=None, nvars=n,
                       coeff_weights=(1,) * n)
-
-
-# #### order ##############################################################
-
-def measure_order(handle: OperatorHandle) -> int:
-    """Exact order of the operator, read off its normal form."""
-    return handle.order
 
 
 # #### sections ############################################################
@@ -789,8 +711,3 @@ def random_section(node: Node, rng: random.Random,
     nvars = node.forms[0].nvars
     return [rp.random_poly(rng, nvars, max_degree, terms=3)
             for _ in range(node.rank)]
-
-
-def apply_operator(handle: OperatorHandle,
-                   section: Sequence[rp.Poly]) -> PolyVec:
-    return handle.apply(section)

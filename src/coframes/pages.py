@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
-from .forms import Form, form_zero
+from .forms import Form
 from .models import GeometryModel, coframe_d, split_by_cell_weight
 
 CellKey = Tuple[int, int]
@@ -49,9 +49,6 @@ class Page0:
                 key = (p, w - p)
                 self.cells[key] = Cell(key=key, weight=w, basis=sorted(basis))
 
-    def cell(self, key: CellKey) -> Optional[Cell]:
-        return self.cells.get(key)
-
     def dims(self) -> Dict[CellKey, int]:
         return {k: c.dim for k, c in sorted(self.cells.items())}
 
@@ -60,15 +57,6 @@ class Page0:
         for (p, _), c in self.cells.items():
             out[p] = out.get(p, 0) + c.dim
         return out
-
-
-def filtration_degree(model: GeometryModel, a: Form) -> Optional[int]:
-    """Least total index weight among the terms; None for the zero form."""
-    if a.basis != model.basis_tag:
-        raise ValueError("filtration degree needs a coframe-basis form")
-    if not a.terms:
-        return None
-    return min(model.weight_of(idx) for idx in a.terms)
 
 
 def e0_apply(model: GeometryModel, a: Form) -> Form:

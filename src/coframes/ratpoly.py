@@ -2,9 +2,8 @@
 
 A Poly is a dict mapping exponent tuples (one slot per variable) to nonzero
 Fraction coefficients; the empty dict is zero.  All arithmetic is exact.  The
-hot kernel (add, sub, mul, scale, diff) lives in a compiled extension when one
-was built, with a pure Python twin as fallback; everything else is defined
-here on top of it.
+kernel (add, sub, mul, scale, diff) returns canonical dicts, with no zero
+coefficient ever stored; everything else is defined here on top of it.
 
 JSON form of a Poly:
 
@@ -18,36 +17,83 @@ polynomials serialize to identical bytes.
 from __future__ import annotations
 
 import operator
-import os
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-if os.environ.get("COFRAMES_BACKEND", "") == "pure":
-    from . import _kernel_py as _impl
-else:
-    try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
-
-Rational = Fraction
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
 
-BACKEND: str = _impl.BACKEND
 
-add = _impl.add
-sub = _impl.sub
-mul = _impl.mul
-scale = _impl.scale
-diff = _impl.diff
+def add(p: Poly, q: Poly) -> Poly:
+    """Sum of two polynomials."""
+    out = dict(p)
+    for e, c in q.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s = s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
-ZERO: Poly = {}
+
+def sub(p: Poly, q: Poly) -> Poly:
+    """Difference p - q."""
+    out = dict(p)
+    for e, c in q.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = -c
+        else:
+            s = s - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
 
-def zero() -> Poly:
-    return {}
+def mul(p: Poly, q: Poly) -> Poly:
+    """Product of two polynomials."""
+    if not p or not q:
+        return {}
+    out: Poly = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+            else:
+                s = s + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+def scale(p: Poly, c: Fraction) -> Poly:
+    """Product of a polynomial with a constant."""
+    if not c:
+        return {}
+    return {e: c * v for e, v in p.items()}
+
+
+def diff(p: Poly, i: int) -> Poly:
+    """Partial derivative with respect to variable i."""
+    out: Poly = {}
+    for e, c in p.items():
+        k = e[i]
+        if k:
+            e2 = e[:i] + (k - 1,) + e[i + 1:]
+            out[e2] = c * k
+    return out
 
 
 def const(c, nvars: int) -> Poly:
@@ -65,31 +111,8 @@ def var(i: int, nvars: int) -> Poly:
     return {tuple(e): Fraction(1)}
 
 
-def monomial(exps: Sequence[int], c) -> Poly:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {tuple(exps): c}
-
-
 def neg(p: Poly) -> Poly:
     return {e: -c for e, c in p.items()}
-
-
-def ppow(p: Poly, k: int) -> Poly:
-    """p raised to a nonnegative integer power."""
-    if k < 0:
-        raise ValueError("negative power")
-    out: Optional[Poly] = None
-    for _ in range(k):
-        out = p if out is None else mul(out, p)
-    if out is None:
-        raise ValueError("ppow needs nvars context for k = 0; use const")
-    return out
-
-
-def is_zero(p: Poly) -> bool:
-    return not p
 
 
 def is_constant(p: Poly) -> bool:
@@ -105,13 +128,6 @@ def constant_value(p: Poly) -> Fraction:
     return next(iter(p.values()))
 
 
-def degree(p: Poly) -> int:
-    """Total degree; -1 for the zero polynomial."""
-    if not p:
-        return -1
-    return max(sum(e) for e in p)
-
-
 def weighted_degree(p: Poly, weights: Sequence[int]) -> int:
     """Max weighted degree of the terms; -1 for zero."""
     if not p:
@@ -124,12 +140,6 @@ def is_weighted_homogeneous(p: Poly, weights: Sequence[int]) -> bool:
     return len(degs) <= 1
 
 
-def weighted_part(p: Poly, weights: Sequence[int], d: int) -> Poly:
-    """Terms whose weighted degree equals d."""
-    return {e: c for e, c in p.items()
-            if sum(w * k for w, k in zip(weights, e)) == d}
-
-
 def evaluate(p: Poly, point: Sequence[Fraction]) -> Fraction:
     """Exact value at a rational point."""
     total = Fraction(0)
@@ -140,12 +150,6 @@ def evaluate(p: Poly, point: Sequence[Fraction]) -> Fraction:
                 v = v * x ** k
         total += v
     return total
-
-
-def nvars_of(p: Poly) -> Optional[int]:
-    for e in p:
-        return len(e)
-    return None
 
 
 def pdiv_exact(p: Poly, q: Poly) -> Poly:
@@ -172,34 +176,6 @@ def pdiv_exact(p: Poly, q: Poly) -> Poly:
         quot[d] = c
         rem = sub(rem, mul({d: c}, q))
     return quot
-
-
-def pstr(p: Poly, names: Optional[Sequence[str]] = None) -> str:
-    """Readable rendering, mostly for reports and error messages."""
-    if not p:
-        return "0"
-    parts: List[str] = []
-    for e in sorted(p, reverse=True):
-        c = p[e]
-        factors = []
-        for i, k in enumerate(e):
-            if k == 0:
-                continue
-            nm = names[i] if names else "x%d" % (i + 1)
-            factors.append(nm if k == 1 else "%s^%d" % (nm, k))
-        body = "*".join(factors)
-        if not body:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append("-" + body)
-        else:
-            parts.append("%s*%s" % (c, body))
-    out = parts[0]
-    for t in parts[1:]:
-        out += t if t.startswith("-") else "+" + t
-    return out
 
 
 def poly_to_json(p: Poly, nvars: int) -> dict:

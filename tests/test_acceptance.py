@@ -18,8 +18,7 @@ import coframes.splitting as sp
 from coframes.forms import exterior_d, form_zero
 from coframes.models import (builtin_model, builtin_names, change_rows,
                              levi_apply, orbit_invariant, verify_structure)
-from coframes.operators import (build_rs_complex, derive_operator,
-                                measure_order, named_complex)
+from coframes.operators import build_rs_complex, derive_operator, named_complex
 from coframes.pages import Page1, check_function_linear, e0_apply
 from coframes.verify import (composition_check, cross_check_dims,
                              exactness_check)
@@ -92,12 +91,12 @@ def test_criterion_03_rank_order_ladders():
 
 def test_criterion_04_operator_orders():
     rumin_mid = resolution("contact5", "bgg").operators[2]
-    assert measure_order(rumin_mid) == 2
+    assert rumin_mid.order == 2
     engel_p = derive_operator(model("engel4"), (1, 0), (2, 1),
                               page1=page1("engel4"))
-    assert measure_order(engel_p) == 2
+    assert engel_p.order == 2
     five_var_e = resolution("g2_5", "bgg").operators[1]
-    assert measure_order(five_var_e) == 3
+    assert five_var_e.order == 3
 
 
 def test_criterion_05_composition_zero():

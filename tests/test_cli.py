@@ -107,6 +107,35 @@ def test_verify_skip_flag(capsys):
     assert not any(i.startswith("exactness") for i in ids)
 
 
+def test_verify_unknown_skip_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "engel4", "--skip", "bogus")
+    assert code == 2
+    assert out == ""
+    assert "unknown check id bogus" in err
+    for cid in cli.CHECK_IDS:
+        assert cid in err
+
+
+@pytest.mark.parametrize("var,flag", [("COFRAMES_SEED", "--seed"),
+                                      ("COFRAMES_DEGREE", "--degree")])
+def test_bad_environment_default_exits_2(monkeypatch, capsys, var, flag):
+    monkeypatch.setenv(var, "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "engel4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: invalid int value: 'abc'" % flag in err
+
+
+def test_environment_defaults(monkeypatch, capsys):
+    monkeypatch.delenv("COFRAMES_SEED", raising=False)
+    monkeypatch.delenv("COFRAMES_DEGREE", raising=False)
+    args = cli._build_parser().parse_args(["verify", "engel4"])
+    assert (args.seed, args.degree) == (7, 3)
+    monkeypatch.setenv("COFRAMES_SEED", "11")
+    assert cli._build_parser().parse_args(["list"]).seed == 11
+
+
 def test_verify_symplectic_rs(capsys):
     code, out, err = run(capsys, "verify", "symplectic4", "--degree", "2",
                          "--samples", "4", "--format", "json")
@@ -146,6 +175,19 @@ def test_apply_writes_output_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(dst.read_text())
     assert any(t["terms"] for t in payload["coeffs"])
+
+
+def test_apply_unwritable_output_exits_2(tmp_path, capsys):
+    sec = {"model": "engel4", "cell": 0,
+           "coeffs": [{"nvars": 4, "terms": []}]}
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(sec))
+    dst = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "apply", "engel4", "--operator", "d0",
+                         "--input", str(src), "--output", str(dst))
+    assert code == 2
+    assert err.startswith("error: cannot write output: ")
+    assert not dst.exists()
 
 
 def test_apply_wrong_component_count_exits_2(tmp_path, capsys):

@@ -10,8 +10,8 @@ import pytest
 from coframes import ratpoly as rp
 from coframes.forms import form_zero
 from coframes.operators import (GradedSection, build_rs_complex,
-                                derive_operator, measure_order,
-                                named_complex, random_section)
+                                derive_operator, named_complex,
+                                random_section)
 from coframes.verify import _SliceCache
 
 from conftest import model, page1
@@ -131,7 +131,7 @@ def test_g2_basic_bundle_ranks():
 def test_rumin_middle_operator_order_two():
     res = complex_for("contact5", "bgg")
     h = res.operators[2]
-    assert measure_order(h) == 2
+    assert h.order == 2
 
 
 def test_engel_p_order_and_trace_recipe():
@@ -146,18 +146,18 @@ def test_engel_p_order_and_trace_recipe():
     # omega1^omega2 component (0-based pairs (2,3) then (1,2))
     assert killed[0] == ((1, 1), [(2, 3)])
     assert killed[1] == ((1, 2), [(1, 2)])
-    assert measure_order(P) == 2
+    assert P.order == 2
 
 
 def test_engel_s_order_three():
     m = model("engel4")
     S = derive_operator(m, (2, 1), (3, 3), page1=page1("engel4"))
-    assert measure_order(S) == 3
+    assert S.order == 3
 
 
 def test_five_var_e_order_three():
     res = complex_for("g2_5", "bgg")
-    assert measure_order(res.operators[1]) == 3
+    assert res.operators[1].order == 3
 
 
 def test_order_equals_weight_gap_on_six_and_seven_var():
@@ -167,7 +167,7 @@ def test_order_equals_weight_gap_on_six_and_seven_var():
             # node weights are total coframe weights; the measured order is
             # the largest jump any component realizes
             gap = max(h.target.weights) - min(h.source.weights)
-            assert measure_order(h) == gap
+            assert h.order == gap
 
 
 def test_composition_zero_quick(each_model):
@@ -234,4 +234,4 @@ def test_derive_operator_between_named_cells():
     T = derive_operator(m, (2, 2), (3, 3), page1=page1("engel4"))
     # x4^2 goes to the constant 2: T differentiates twice along x4
     assert T.apply([{(0, 0, 0, 2): Fraction(1)}]) == [{}, {(0,) * 4: 2}]
-    assert measure_order(T) == 2
+    assert T.order == 2

@@ -4,16 +4,8 @@ import json
 import random
 from fractions import Fraction
 
-import pytest
-
+import coframes
 from coframes import ratpoly as rp
-from coframes import _kernel_py
-
-try:
-    from coframes import _kernel
-    KERNELS = [_kernel_py, _kernel]
-except ImportError:
-    KERNELS = [_kernel_py]
 
 
 def rand_poly(rng, nvars, terms=8, deg=4):
@@ -31,48 +23,31 @@ def rand_poly(rng, nvars, terms=8, deg=4):
     return out
 
 
-@pytest.mark.parametrize("impl", KERNELS, ids=lambda k: k.BACKEND)
-def test_kernel_ring_axioms(impl):
+def test_ring_axioms():
     rng = random.Random(2)
     for _ in range(60):
         n = rng.randint(1, 6)
         p, q, r = (rand_poly(rng, n) for _ in range(3))
-        assert impl.add(p, q) == impl.add(q, p)
-        assert impl.mul(p, q) == impl.mul(q, p)
-        assert impl.add(impl.add(p, q), r) == impl.add(p, impl.add(q, r))
-        assert impl.mul(impl.mul(p, q), r) == impl.mul(p, impl.mul(q, r))
-        left = impl.mul(p, impl.add(q, r))
-        right = impl.add(impl.mul(p, q), impl.mul(p, r))
+        assert rp.add(p, q) == rp.add(q, p)
+        assert rp.mul(p, q) == rp.mul(q, p)
+        assert rp.add(rp.add(p, q), r) == rp.add(p, rp.add(q, r))
+        assert rp.mul(rp.mul(p, q), r) == rp.mul(p, rp.mul(q, r))
+        left = rp.mul(p, rp.add(q, r))
+        right = rp.add(rp.mul(p, q), rp.mul(p, r))
         assert left == right
-        assert impl.sub(p, p) == {}
-        assert impl.add(p, impl.sub(q, q)) == p
+        assert rp.sub(p, p) == {}
+        assert rp.add(p, rp.sub(q, q)) == p
 
 
-@pytest.mark.parametrize("impl", KERNELS, ids=lambda k: k.BACKEND)
-def test_kernel_canonical_no_zeros(impl):
+def test_canonical_no_zeros():
     rng = random.Random(3)
     for _ in range(40):
         n = rng.randint(1, 5)
         p = rand_poly(rng, n)
-        q = impl.scale(p, Fraction(-1))
-        assert impl.add(p, q) == {}
-        for out in (impl.add(p, q), impl.mul(p, q), impl.sub(p, q)):
+        q = rp.scale(p, Fraction(-1))
+        assert rp.add(p, q) == {}
+        for out in (rp.add(p, q), rp.mul(p, q), rp.sub(p, q)):
             assert all(c for c in out.values())
-
-
-def test_kernels_agree():
-    if len(KERNELS) < 2:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randint(1, 7)
-        p, q = rand_poly(rng, n), rand_poly(rng, n)
-        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        i = rng.randrange(n)
-        for f in ("add", "sub", "mul"):
-            assert getattr(_kernel, f)(p, q) == getattr(_kernel_py, f)(p, q)
-        assert _kernel.scale(p, c) == _kernel_py.scale(p, c)
-        assert _kernel.diff(p, i) == _kernel_py.diff(p, i)
 
 
 def test_diff_leibniz():
@@ -89,14 +64,9 @@ def test_diff_leibniz():
 def test_degrees_and_weighted_parts():
     n = 3
     p = rp.add(rp.mul(rp.var(0, n), rp.var(1, n)), rp.const(4, n))
-    assert rp.degree(p) == 2
-    assert rp.weighted_degree(p, (2, 3, 1)) == 5
     w = (2, 3, 1)
-    parts = [rp.weighted_part(p, w, d) for d in range(6)]
-    acc = {}
-    for q in parts:
-        acc = rp.add(acc, q)
-    assert acc == p
+    assert rp.weighted_degree(p, w) == 5
+    assert rp.weighted_degree({}, w) == -1
     assert rp.is_weighted_homogeneous(rp.var(2, n), w)
     assert not rp.is_weighted_homogeneous(p, w)
 
@@ -149,3 +119,7 @@ def test_json_preserves_big_fractions():
     huge = Fraction(10 ** 40 + 1, 10 ** 39 + 7)
     p = {(1, 0): huge}
     assert rp.poly_from_json(rp.poly_to_json(p, n)) == p
+
+
+def test_public_names_resolve():
+    assert [n for n in coframes.__all__ if not hasattr(coframes, n)] == []
