@@ -1,10 +1,10 @@
 """Record exactness-certificate timings of one checkout into a BENCH file.
 
-    python3 bench/exactness.py --src PATH --label parent
-    python3 bench/exactness.py --src . --label change
+    python3 bench/exactness.py --src PATH --label parent --out BENCH_8.json
+    python3 bench/exactness.py --src . --label change --out BENCH_8.json
 
 PATH is the root of a coframes checkout.  The script records, under the
-label, in BENCH_6.json at the root of this checkout:
+label, in the JSON file OUT (created if missing, other labels kept):
 
 - the git SHA of PATH's HEAD, and the git tree hash of its src/ as it is
   on disk, which equals `git rev-parse COMMIT:src` of the commit that
@@ -12,8 +12,8 @@ label, in BENCH_6.json at the root of this checkout:
 - the seconds of exactness_check(res, max_degree=3) for every named
   complex, built and certified in a fresh process importing PATH/src;
 - the medians, over SEEDS, of the end-to-end metrics of PATH's own
-  perfbench/run.py on the certify7 and verify-small workloads (SECONDS
-  each), with every run's values beside them.
+  perfbench/run.py on the certify7, verify-small and normalize workloads
+  (SECONDS each), with every run's values beside them.
 
 Runs are one at a time, in subprocesses, so the two sides can be recorded
 on one machine by two calls of this script.
@@ -31,11 +31,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_6.json"
 SEEDS = (1, 2, 3)
 SECONDS = 5.0
-WORKLOADS = ("certify7", "verify-small")
+WORKLOADS = ("certify7", "verify-small", "normalize")
 METRICS = ("wall_s", "latency_p50_ms", "latency_p95_ms", "peak_rss_mb",
            "setup_s")
 
@@ -109,6 +107,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", required=True, type=Path)
     ap.add_argument("--label", required=True, choices=("parent", "change"))
+    ap.add_argument("--out", required=True, type=Path,
+                    help="BENCH JSON file to record into")
     args = ap.parse_args(argv)
     src = args.src.resolve()
 
@@ -116,11 +116,12 @@ def main(argv=None) -> int:
             "src_tree": src_tree(src),
             "exactness_deg3": exactness_seconds(src),
             "perfbench": {w: perfbench_medians(src, w) for w in WORKLOADS}}
-    data = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}
+    out = args.out
+    data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     data["machine"] = {"python": platform.python_version(),
                        "nproc": len(os.sched_getaffinity(0))}
     data[args.label] = side
-    OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
+    out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
                    encoding="utf-8")
     return 0
 

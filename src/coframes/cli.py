@@ -70,6 +70,16 @@ def _resolution(geom: str, variant: Optional[str]) -> ops.Resolution:
     return ops.named_complex(model, want)
 
 
+def _read_json(path: str, what: str) -> object:
+    """Parse a JSON file; an unreadable, malformed or too deeply nested
+    file is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError("cannot read %s: %s" % (what, exc))
+
+
 def _emit(args, payload: dict, text_lines: Sequence[str],
           csv_rows: Sequence[Sequence[object]]) -> None:
     if args.format == "json":
@@ -368,11 +378,10 @@ def _named_operator(geom: str, name: str,
 
 
 def cmd_apply(args) -> int:
+    blob = _read_json(args.input, "section")
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            section = ops.GradedSection.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError,
-            ZeroDivisionError) as exc:
+        section = ops.GradedSection.from_json(blob)
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise UsageError("cannot read section: %s" % exc)
     handle, ctx = _named_operator(args.geometry, args.operator,
                                   args.complex or section.variant)
@@ -410,10 +419,10 @@ def cmd_classify7(args) -> int:
     if name in ("elliptic7", "hyperbolic7"):
         model = builtin_model(name)
     elif os.path.exists(name):
+        blob = _read_json(name, "model file")
         try:
-            with open(name, "r", encoding="utf-8") as fh:
-                model = model_from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            model = model_from_json(blob)
+        except (ValueError, KeyError, TypeError) as exc:
             raise UsageError("cannot read model file: %s" % exc)
     else:
         raise UsageError("model must be elliptic7, hyperbolic7, or a "

@@ -137,7 +137,7 @@ class GeometryModel:
         }
         if selectors:
             self.selectors.update(selectors)
-        self._dcoframe: Optional[List[Form]] = None
+        self._structure_forms: Optional[List[Form]] = None
 
     @property
     def basis_tag(self) -> str:
@@ -151,15 +151,15 @@ class GeometryModel:
                 f.add_term((j,), self.coframe[i][j])
         return f
 
-    def dcoframe(self, i: int) -> Form:
-        """d(omega_i) in the coframe basis, cached."""
-        if self._dcoframe is None:
+    def structure_forms(self) -> List[Form]:
+        """d(omega_i) in the coframe basis for every i, computed once."""
+        if self._structure_forms is None:
             out = []
             for k in range(self.nvars):
                 dk = exterior_d(self.coframe_form(k))
                 out.append(change_basis(dk, self, "coframe"))
-            self._dcoframe = out
-        return self._dcoframe[i]
+            self._structure_forms = out
+        return self._structure_forms
 
     def weight_of(self, idx: Sequence[int]) -> int:
         return sum(self.weights[i] for i in idx)
@@ -204,19 +204,35 @@ def coframe_d(model: GeometryModel, a: Form, partials=None) -> Form:
     if a.basis != model.basis_tag:
         raise ValueError("form is not in this model's coframe basis")
     out = Form(model.nvars, a.degree + 1, a.basis)
+    dforms = model.structure_forms()
     for idx, p in a.terms.items():
         xp = frame_derivatives(model, p, partials)
         for i in range(model.nvars):
             if xp[i]:
                 out.add_term((i,) + idx, xp[i])
-        for k, ik in enumerate(idx):
-            dk = model.dcoframe(ik)
-            for (u, v), c in dk.terms.items():
-                coeff = rp.mul(p, c)
-                if k % 2:
-                    coeff = rp.neg(coeff)
-                out.add_term(idx[:k] + (u, v) + idx[k + 1:], coeff)
+        _add_structure_d(out, idx, p, dforms)
     return out
+
+
+def structure_d(a: Form, dforms: Sequence[Form]) -> Form:
+    """The part of d(a) that does not differentiate coefficients, taking
+    d(omega_i) = dforms[i]: all of d(a) when a has constant coefficients.
+    It is linear in dforms."""
+    out = Form(a.nvars, a.degree + 1, a.basis)
+    for idx, p in a.terms.items():
+        _add_structure_d(out, idx, p, dforms)
+    return out
+
+
+def _add_structure_d(out: Form, idx: Tuple[int, ...], p: rp.Poly,
+                     dforms: Sequence[Form]) -> None:
+    """Add p * d(omega_idx) by Leibniz, with d(omega_i) = dforms[i]."""
+    for k, ik in enumerate(idx):
+        for (u, v), c in dforms[ik].terms.items():
+            coeff = rp.mul(p, c)
+            if k % 2:
+                coeff = rp.neg(coeff)
+            out.add_term(idx[:k] + (u, v) + idx[k + 1:], coeff)
 
 
 def split_by_cell_weight(model: GeometryModel, a: Form) -> Dict[int, Form]:
@@ -244,7 +260,7 @@ def verify_structure(model: GeometryModel) -> StructureReport:
     weights_ok = all(w >= 1 for w in model.weights)
     congs = []
     for cg in model.congruences:
-        d = model.dcoframe(cg.index)
+        d = model.structure_forms()[cg.index]
         resid = d.copy()
         for idx, p in cg.rhs.terms.items():
             resid.add_term(idx, rp.neg(p))
@@ -297,7 +313,7 @@ def levi_form(model: GeometryModel) -> LeviReport:
     constant = True
     for a in vert:
         m: List[List[rp.Poly]] = [[{} for _ in horiz] for _ in horiz]
-        w2 = split_by_cell_weight(model, model.dcoframe(a)).get(2)
+        w2 = split_by_cell_weight(model, model.structure_forms()[a]).get(2)
         if w2 is not None:
             for (u, v), p in w2.terms.items():
                 if u in hpos and v in hpos:

@@ -10,6 +10,30 @@ matrix and dies completely.  For the seven-variable geometries the shift
 action has rank 8 on a 20-dimensional target, and only the image component
 can be removed; whatever survives is reported as torsion (zero on the flat
 builtin models).
+
+Three facts let the shift action be read off the model's own structure
+forms C_i = d(omega_i), with no shifted model built:
+
+- The obstruction is linear in the structure forms.  Its inputs have
+  constant coefficients, and for p omega_I with p constant, d(p omega_I) is
+  p d(omega_I): coframe_d reads only the structure forms (structure_d).
+  The weight-4 part, the Levi projection through the inverse pairing and
+  the trace removal through the metric are linear maps once the inputs,
+  the pairing and the metric are fixed.  The inputs are built from
+  covector indices, omega_pairs and the congruence right sides, and a
+  shift carries all of these over unchanged.
+- A unit shift is a constant substitution.  omega'_j = omega_j + omega_a
+  is a constant row change, so d(omega'_j) = C_j + C_a with no term from a
+  differentiated coefficient, and every other row keeps its C_k.  Written
+  in the shifted coframe through omega_j = omega'_j - omega'_a, each term
+  p omega_I with j in I gains -p omega_I', I' being I with j replaced by a.
+  The difference dC of the shifted and the original structure forms is
+  row j's C_a plus those terms, and the obstruction moves by O(dC).
+- The metric does not move.  It is built from the horizontal-horizontal
+  (weight 2) part of C_a for the depth-2 rows a.  A shift, even with a
+  polynomial coefficient t, leaves those rows alone, and rewriting their
+  C_a through omega_j = omega'_j - t omega'_a turns a horizontal-horizontal
+  term into itself plus terms with a vertical leg, of weight at least 3.
 """
 
 from __future__ import annotations
@@ -17,12 +41,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import combinations
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
-from .forms import Bivector, Form, contract, form_zero, wedge
+from .forms import (Bivector, Form, contract, form_add, form_scale,
+                    form_sub, form_zero, wedge)
 from .models import (GeometryModel, coframe_d, orbit_invariant,
-                     split_by_cell_weight, splitting_shift)
+                     split_by_cell_weight, splitting_shift, structure_d)
 
 PolyMat = List[List[rp.Poly]]
 
@@ -48,8 +74,8 @@ def _dual_bivector(a: Form) -> Bivector:
     return Bivector(a.nvars, dict(a.terms))
 
 
-def _pairing_matrix(levis: List[Form]) -> linalg.Matrix:
-    duals = [_dual_bivector(f) for f in levis]
+def _pairing_matrix(levis: List[Form],
+                    duals: List[Bivector]) -> linalg.Matrix:
     out = []
     for f in levis:
         row = []
@@ -105,26 +131,6 @@ def _sym(mat: PolyMat) -> PolyMat:
              for b in range(k)] for a in range(k)]
 
 
-def _levi_project(model: GeometryModel, levis: List[Form],
-                  pinv: linalg.Matrix, dpart: Optional[Form]) -> PolyMat:
-    """Symmetric Levi component of a weight-4 3-form piece."""
-    duals = [_dual_bivector(f) for f in levis]
-    k = len(levis)
-    mat: PolyMat = [[{} for _ in range(k)] for _ in range(k)]
-    if dpart is not None:
-        sigmas = _vertical_sigma(model, dpart)
-        for a in range(k):
-            raw = [contract(sigmas[a], duals[c]).terms.get((), {})
-                   for c in range(k)]
-            for b in range(k):
-                acc: rp.Poly = {}
-                for c in range(k):
-                    if raw[c] and pinv[c][b]:
-                        acc = rp.add(acc, rp.scale(raw[c], pinv[c][b]))
-                mat[a][b] = acc
-    return _sym(mat)
-
-
 def _six_input(model: GeometryModel) -> Form:
     """The distinguished 2-form sum of omega^a ^ omega^j over omega_pairs."""
     omega = form_zero(model.nvars, 2, model.basis_tag)
@@ -133,25 +139,13 @@ def _six_input(model: GeometryModel) -> Form:
     return omega
 
 
-def _six_obstruction(model: GeometryModel) -> ObstructionReport:
-    dpart = split_by_cell_weight(
-        model, coframe_d(model, _six_input(model))).get(4)
-    levis = _levi_forms(model)
-    pinv = linalg.inverse(_pairing_matrix(levis))
-    return ObstructionReport(model=model.name, kind="six",
-                             matrices=[_levi_project(model, levis, pinv,
-                                                     dpart)])
-
-
-def _seven_inputs(model: GeometryModel) -> List[Form]:
+def _seven_inputs(model: GeometryModel,
+                  duals: List[Bivector]) -> List[Form]:
     """Basis of the distinguished rank-4 piece inside vertical wedge
     horizontal 2-forms: contract each Levi dual into a horizontal 3-form
     and reattach the matching vertical covector."""
     horiz = model.selectors["horizontal"]
     vert = model.selectors["vertical"]
-    levis = _levi_forms(model)
-    duals = [_dual_bivector(f) for f in levis]
-    from itertools import combinations
     out = []
     for trip in combinations(horiz, 3):
         xi = _coframe_mono(model, trip, 3)
@@ -169,26 +163,6 @@ def _seven_inputs(model: GeometryModel) -> List[Form]:
     return out
 
 
-def _seven_project(model: GeometryModel, levis: List[Form],
-                   pinv: linalg.Matrix, ginv: linalg.Matrix,
-                   gmat: linalg.Matrix, dpart: Optional[Form]) -> PolyMat:
-    """Trace-free symmetric Levi component of a weight-4 3-form piece."""
-    k = len(levis)
-    sym = _levi_project(model, levis, pinv, dpart)
-    trace: rp.Poly = {}
-    for a in range(k):
-        for b in range(k):
-            if ginv[a][b] and sym[b][a]:
-                trace = rp.add(trace, rp.scale(sym[b][a], ginv[a][b]))
-    third = Fraction(1, 3)
-    for a in range(k):
-        for b in range(k):
-            if gmat[a][b] and trace:
-                sym[a][b] = rp.sub(
-                    sym[a][b], rp.scale(trace, third * gmat[a][b]))
-    return sym
-
-
 def _seven_metric(model: GeometryModel) -> Tuple[linalg.Matrix, linalg.Matrix]:
     orb = orbit_invariant(model)
     if not orb.gram_constant:
@@ -198,26 +172,76 @@ def _seven_metric(model: GeometryModel) -> Tuple[linalg.Matrix, linalg.Matrix]:
     return gmat, linalg.inverse(gmat)
 
 
-def _seven_obstruction(model: GeometryModel) -> ObstructionReport:
-    levis = _levi_forms(model)
-    pinv = linalg.inverse(_pairing_matrix(levis))
-    gmat, ginv = _seven_metric(model)
-    mats = []
-    for beta in _seven_inputs(model):
-        dpart = split_by_cell_weight(model, coframe_d(model, beta)).get(4)
-        mats.append(_seven_project(model, levis, pinv, ginv, gmat, dpart))
-    return ObstructionReport(model=model.name, kind="seven", matrices=mats)
+class _Obstruction:
+    """The obstruction of one model as a linear map of structure forms.
+
+    Holds what does not depend on them: the constant-coefficient inputs,
+    the Levi forms and duals, the inverse of their pairing and, for seven
+    variables, the metric.  report(dforms) is the obstruction with
+    d(omega_i) = dforms[i].
+    """
+
+    def __init__(self, model: GeometryModel):
+        shape = (len(model.selectors["vertical"]),
+                 len(model.selectors["horizontal"]))
+        if shape not in ((3, 3), (3, 4)):
+            raise KeyError("no splitting obstruction for model %s"
+                           % model.name)
+        self.model = model
+        self.kind = "six" if shape == (3, 3) else "seven"
+        self.levis = _levi_forms(model)
+        self.duals = [_dual_bivector(f) for f in self.levis]
+        self.pinv = linalg.inverse(_pairing_matrix(self.levis, self.duals))
+        if self.kind == "six":
+            self.inputs = [_six_input(model)]
+        else:
+            self.gmat, self.ginv = _seven_metric(model)
+            self.inputs = _seven_inputs(model, self.duals)
+
+    def project(self, d3: Form) -> PolyMat:
+        """Symmetric Levi component of the weight-4 part of a 3-form, made
+        trace-free by the metric for seven variables."""
+        k = len(self.levis)
+        mat: PolyMat = [[{} for _ in range(k)] for _ in range(k)]
+        dpart = split_by_cell_weight(self.model, d3).get(4)
+        if dpart is not None:
+            sigmas = _vertical_sigma(self.model, dpart)
+            for a in range(k):
+                raw = [contract(sigmas[a], self.duals[c]).terms.get((), {})
+                       for c in range(k)]
+                for b in range(k):
+                    acc: rp.Poly = {}
+                    for c in range(k):
+                        if raw[c] and self.pinv[c][b]:
+                            acc = rp.add(acc, rp.scale(raw[c],
+                                                       self.pinv[c][b]))
+                    mat[a][b] = acc
+        sym = _sym(mat)
+        if self.kind == "seven":
+            gmat, ginv = self.gmat, self.ginv
+            trace: rp.Poly = {}
+            for a in range(k):
+                for b in range(k):
+                    if ginv[a][b] and sym[b][a]:
+                        trace = rp.add(trace, rp.scale(sym[b][a], ginv[a][b]))
+            third = Fraction(1, 3)
+            for a in range(k):
+                for b in range(k):
+                    if gmat[a][b] and trace:
+                        sym[a][b] = rp.sub(
+                            sym[a][b], rp.scale(trace, third * gmat[a][b]))
+        return sym
+
+    def report(self, dforms: Sequence[Form]) -> ObstructionReport:
+        return ObstructionReport(
+            model=self.model.name, kind=self.kind,
+            matrices=[self.project(structure_d(beta, dforms))
+                      for beta in self.inputs])
 
 
 def obstruction(model: GeometryModel) -> ObstructionReport:
     """The splitting obstruction of a model, as symmetric matrices."""
-    nvert = len(model.selectors["vertical"])
-    nhor = len(model.selectors["horizontal"])
-    if (nvert, nhor) == (3, 3):
-        return _six_obstruction(model)
-    if (nvert, nhor) == (3, 4):
-        return _seven_obstruction(model)
-    raise KeyError("no splitting obstruction for model %s" % model.name)
+    return _Obstruction(model).report(model.structure_forms())
 
 
 def obstruction_hom(model: GeometryModel):
@@ -226,37 +250,22 @@ def obstruction_hom(model: GeometryModel):
     Returns (map_fn, inputs) suitable for function-linearity checks: the
     map embeds the symmetric matrices back into weight-4 3-forms.
     """
-    nvert = len(model.selectors["vertical"])
-    nhor = len(model.selectors["horizontal"])
-    levis = _levi_forms(model)
-    pinv = linalg.inverse(_pairing_matrix(levis))
+    ob = _Obstruction(model)
     vert = model.selectors["vertical"]
 
-    def embed(sym: PolyMat) -> Form:
+    def map_fn(a: Form) -> Form:
+        sym = ob.project(coframe_d(model, a))
         out = form_zero(model.nvars, 3, model.basis_tag)
-        for a in range(len(vert)):
+        for i in range(len(vert)):
             for b in range(len(vert)):
-                if not sym[a][b]:
+                if not sym[i][b]:
                     continue
-                piece = wedge(_coframe_mono(model, (vert[a],), 1), levis[b])
+                piece = wedge(_coframe_mono(model, (vert[i],), 1),
+                              ob.levis[b])
                 for idx, p in piece.terms.items():
-                    out.add_term(idx, rp.mul(p, sym[a][b]))
+                    out.add_term(idx, rp.mul(p, sym[i][b]))
         return out
-
-    if (nvert, nhor) == (3, 3):
-        def map_fn(a: Form) -> Form:
-            dpart = split_by_cell_weight(model, coframe_d(model, a)).get(4)
-            return embed(_levi_project(model, levis, pinv, dpart))
-        return map_fn, [_six_input(model)]
-    if (nvert, nhor) == (3, 4):
-        gmat, ginv = _seven_metric(model)
-
-        def map_fn(a: Form) -> Form:
-            dpart = split_by_cell_weight(model, coframe_d(model, a)).get(4)
-            return embed(_seven_project(model, levis, pinv, ginv, gmat,
-                                        dpart))
-        return map_fn, _seven_inputs(model)
-    raise KeyError("no splitting obstruction for model %s" % model.name)
+    return map_fn, ob.inputs
 
 
 # #### normalization #######################################################
@@ -277,31 +286,56 @@ def _shift_pairs(model: GeometryModel) -> List[Tuple[int, int]]:
             for a in model.selectors["vertical"]]
 
 
-def _action_matrix(model: GeometryModel,
-                   base: ObstructionReport) -> Tuple[linalg.Matrix, int]:
-    """Columns: change of the flattened obstruction per unit shift."""
-    base_flat = base.flatten()
-    pairs = _shift_pairs(model)
+def _unit_shift_delta(dforms: Sequence[Form], j: int, a: int) -> List[Form]:
+    """Structure forms of omega_j += omega_a minus the given ones, in the
+    shifted coframe: row j gains d(omega_a), then omega_j = omega'_j -
+    omega'_a moves each term p omega_I with j in I by -p omega_(I, j->a)."""
+    out = []
+    for k, c in enumerate(dforms):
+        if k == j:
+            new, delta = form_add(c, dforms[a]), dforms[a].copy()
+        else:
+            new, delta = c, Form(c.nvars, c.degree, c.basis)
+        for idx, p in new.terms.items():
+            if j in idx:
+                delta.add_term(tuple(a if i == j else i for i in idx),
+                               rp.neg(p))
+        out.append(delta)
+    return out
+
+
+def _action_matrix(model: GeometryModel) -> Tuple[linalg.Matrix, int]:
+    """Columns: change of the flattened obstruction per unit shift.
+
+    The column of omega_j += omega_a is O(dC), with no shifted model built
+    (the module docstring gives each argument in full):
+
+    - the obstruction O is linear in the structure forms C once its
+      constant-coefficient inputs, pairing and metric are fixed, as d of a
+      constant-coefficient form reads only C;
+    - the unit shift is a constant substitution, so the shifted model's
+      structure forms are C + dC, dC from _unit_shift_delta;
+    - the shifted model has this model's metric: the shift leaves the
+      depth-2 rows alone, and rewriting their C adds only terms with a
+      vertical leg, of weight 3 or more, so their weight-2 part stays.
+    """
+    ob = _Obstruction(model)
+    dforms = model.structure_forms()
     cols = []
-    one = rp.const(1, model.nvars)
-    for j, a in pairs:
-        shifted = splitting_shift(model, {(j, a): one})
-        flat = obstruction(shifted).flatten()
+    for j, a in _shift_pairs(model):
         col = []
-        for p, q in zip(flat, base_flat):
-            diff = rp.sub(p, q)
-            if not rp.is_constant(diff):
+        for p in ob.report(_unit_shift_delta(dforms, j, a)).flatten():
+            if not rp.is_constant(p):
                 raise AssertionError("shift action is not constant")
-            col.append(rp.constant_value(diff) if diff else Fraction(0))
+            col.append(rp.constant_value(p))
         cols.append(col)
-    rows = [[cols[c][r] for c in range(len(cols))]
-            for r in range(len(base_flat))]
-    return rows, linalg.rank([list(r) for r in rows])
+    rows = [list(r) for r in zip(*cols)]
+    return rows, linalg.rank(rows)
 
 
 def shift_action_rank(model: GeometryModel) -> int:
     """Rank of the affine shift action on the flattened obstruction."""
-    return _action_matrix(model, obstruction(model))[1]
+    return _action_matrix(model)[1]
 
 
 def normalize_splitting(model: GeometryModel,
@@ -312,6 +346,14 @@ def normalize_splitting(model: GeometryModel,
     the affine solve is iterated; each pass lowers the coefficient degree
     of what remains and the loop terminates.  An unsolvable component is
     genuine torsion and is returned rather than forced.
+
+    Each pass solves for every monomial at once: one reduced row echelon
+    form of the action matrix beside one right-hand column per monomial.
+    The action columns are reduced exactly as beside one right-hand column,
+    and a pivot changes only its own and later columns, so a pivot among
+    the right-hand columns marks an unsolvable monomial, and otherwise each
+    right-hand column holds the particular solution (free shifts zero) that
+    solving for its monomial alone gives.
     """
     base = model
     applied: List[Dict[Tuple[int, int], rp.Poly]] = []
@@ -323,20 +365,22 @@ def normalize_splitting(model: GeometryModel,
                 model=model.name, iterations=it, shifts=applied,
                 obstruction_zero=True, action_rank=rank, residual=None,
                 normalized=base)
-        amat, rank = _action_matrix(base, rep)
+        amat, rank = _action_matrix(base)
         flat = rep.flatten()
         pairs = _shift_pairs(base)
         monos = sorted({e for p in flat for e in p})
+        red, pivots = linalg.rref(
+            [row + [-p.get(e, Fraction(0)) for e in monos]
+             for row, p in zip(amat, flat)])
+        if pivots and pivots[-1] >= len(pairs):
+            return NormalizeReport(
+                model=model.name, iterations=it, shifts=applied,
+                obstruction_zero=False, action_rank=rank, residual=rep,
+                normalized=base)
         shifts: Dict[Tuple[int, int], rp.Poly] = {}
-        for e in monos:
-            vec = [-p.get(e, Fraction(0)) for p in flat]
-            sol = linalg.solve([list(r) for r in amat], vec)
-            if sol is None:
-                return NormalizeReport(
-                    model=model.name, iterations=it, shifts=applied,
-                    obstruction_zero=False, action_rank=rank, residual=rep,
-                    normalized=base)
-            for pi, c in enumerate(sol):
+        for k, e in enumerate(monos):
+            for r, pi in enumerate(pivots):
+                c = red[r][len(pairs) + k]
                 if c:
                     shifts.setdefault(pairs[pi], {})[e] = c
         if not shifts:
@@ -378,7 +422,6 @@ def certify_two_adapted(model: GeometryModel) -> TwoAdaptedReport:
     parts = split_by_cell_weight(model, dom)
     vol = _coframe_mono(model, tuple(sorted(horiz)), 3)
     w3 = parts.get(3, form_zero(model.nvars, 3, model.basis_tag))
-    from .forms import form_scale, form_sub
     weight3_ok = form_sub(w3, form_scale(vol, Fraction(3))).is_zero()
     w4 = parts.get(4, form_zero(model.nvars, 3, model.basis_tag))
     cols = []

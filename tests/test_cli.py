@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -301,3 +304,29 @@ def test_classify7_non_seven_variable_model_exits_2(tmp_path, capsys):
 def test_classify7_bad_input_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "classify7", "--model", "contact99")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,text,what", [
+    (("apply", "engel4", "--operator", "d0", "--input"), "[" * 200000,
+     "section"),
+    (("classify7", "--model"), '{"a":' * 200000, "model file")],
+    ids=["apply-array", "classify7-object"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv, text, what):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read %s: " % what)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-m", "coframes", "list"],
+                          env=env, capture_output=True, text=True)
+    code, out, err = run(capsys, "list")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out

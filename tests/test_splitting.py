@@ -1,13 +1,15 @@
 """Splitting normalization: obstructions, shift action, certificates."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from coframes import ratpoly as rp
 from coframes.models import splitting_shift, verify_structure
 from coframes.pages import check_function_linear
-from coframes.splitting import (certify_two_adapted, normalize_splitting,
+from coframes.splitting import (_action_matrix, _seven_metric, _shift_pairs,
+                                certify_two_adapted, normalize_splitting,
                                 obstruction, obstruction_hom, perturb,
                                 shift_action_rank)
 
@@ -101,3 +103,42 @@ def test_normalize_reports_iterations_bounded():
     rep = normalize_splitting(shifted, max_iter=6)
     assert rep.obstruction_zero
     assert rep.iterations <= 6
+
+
+def _with_perturbed(names, seed):
+    """Each named builtin, then one perturbed copy of each."""
+    out = [model(name) for name in names]
+    rng = random.Random(seed)
+    return out + [perturb(m, rng, max_degree=2, npairs=3)[0] for m in out]
+
+
+def _reference_action_matrix(m):
+    """The shift action the slow way: one shifted model per unit shift,
+    minus the model's own obstruction."""
+    base = obstruction(m).flatten()
+    one = rp.const(1, m.nvars)
+    cols = []
+    for pair in _shift_pairs(m):
+        flat = obstruction(splitting_shift(m, {pair: one})).flatten()
+        cols.append([rp.constant_value(rp.sub(p, q))
+                     for p, q in zip(flat, base)])
+    return [list(r) for r in zip(*cols)]
+
+
+@pytest.mark.parametrize("m", _with_perturbed(SPLIT_MODELS, 53),
+                         ids=lambda m: m.name)
+def test_action_matrix_matches_shifted_models(m):
+    amat, rank = _action_matrix(m)
+    ref = _reference_action_matrix(m)
+    assert all(isinstance(x, Fraction) for row in amat for x in row)
+    assert amat == ref
+    assert rank == ACTION_RANKS[m.name.split("_")[0]]
+
+
+@pytest.mark.parametrize("m", _with_perturbed(("elliptic7", "hyperbolic7"),
+                                              59), ids=lambda m: m.name)
+def test_seven_metric_is_shift_invariant(m):
+    metric = _seven_metric(m)
+    one = rp.const(1, m.nvars)
+    for pair in _shift_pairs(m):
+        assert _seven_metric(splitting_shift(m, {pair: one})) == metric
