@@ -1,7 +1,7 @@
 """Record exactness-certificate timings of one checkout into a BENCH file.
 
-    python3 bench/exactness.py --src PATH --label parent --out BENCH_8.json
-    python3 bench/exactness.py --src . --label change --out BENCH_8.json
+    python3 bench/exactness.py --src PATH --label parent --out BENCH_9.json
+    python3 bench/exactness.py --src . --label change --out BENCH_9.json
 
 PATH is the root of a coframes checkout.  The script records, under the
 label, in the JSON file OUT (created if missing, other labels kept):
@@ -9,11 +9,13 @@ label, in the JSON file OUT (created if missing, other labels kept):
 - the git SHA of PATH's HEAD, and the git tree hash of its src/ as it is
   on disk, which equals `git rev-parse COMMIT:src` of the commit that
   holds it (so an uncommitted change side is identified too);
-- the seconds of exactness_check(res, max_degree=3) for every named
-  complex, built and certified in a fresh process importing PATH/src;
+- the seconds of exactness_check(res, max_degree=3) and of
+  composition_check(res, random.Random(7), sections=20, max_degree=3) for
+  every named complex, each built and checked in a fresh process importing
+  PATH/src, so each figure includes the compile of the normal forms;
 - the medians, over SEEDS, of the end-to-end metrics of PATH's own
-  perfbench/run.py on the certify7, verify-small and normalize workloads
-  (SECONDS each), with every run's values beside them.
+  perfbench/run.py on the WORKLOADS (SECONDS each), with every run's
+  values beside them.
 
 Runs are one at a time, in subprocesses, so the two sides can be recorded
 on one machine by two calls of this script.
@@ -33,31 +35,35 @@ from pathlib import Path
 
 SEEDS = (1, 2, 3)
 SECONDS = 5.0
-WORKLOADS = ("certify7", "verify-small", "normalize")
+WORKLOADS = ("certify7", "verify-small", "normalize", "apply-oneshot")
 METRICS = ("wall_s", "latency_p50_ms", "latency_p95_ms", "peak_rss_mb",
            "setup_s")
 
-# Run with PYTHONPATH=PATH/src: prints {complex: [seconds, ok]} as JSON.
-_WORKER = r"""
-import json, time
-from coframes import models, operators, verify
-
-COMPLEXES = [("contact5", "bgg"), ("engel4", "bgg"), ("g2_5", "bgg"),
+COMPLEXES = (("contact5", "bgg"), ("engel4", "bgg"), ("g2_5", "bgg"),
              ("g2_5", "ambient"), ("g2_5", "basic"), ("dist3in6", "bgg"),
              ("dl_5", "bgg"), ("elliptic7", "bgg"), ("hyperbolic7", "bgg"),
-             ("symplectic4", "rs")]
-out = {}
-for geometry, variant in COMPLEXES:
-    if variant == "rs":
-        res = operators.build_rs_complex(2)
-        expected = [1, 1] + [0] * (len(res.nodes) - 2)
-    else:
-        res = operators.named_complex(models.builtin_model(geometry), variant)
-        expected = None
-    t0 = time.perf_counter()
+             ("symplectic4", "rs"))
+
+# python3 -c _WORKER GEOMETRY VARIANT CHECK, with PYTHONPATH=PATH/src:
+# prints [seconds, ok] of one check on one freshly built complex as JSON.
+_WORKER = r"""
+import json, random, sys, time
+from coframes import models, operators, verify
+
+geometry, variant, check = sys.argv[1:]
+if variant == "rs":
+    res = operators.build_rs_complex(2)
+    expected = [1, 1] + [0] * (len(res.nodes) - 2)
+else:
+    res = operators.named_complex(models.builtin_model(geometry), variant)
+    expected = None
+t0 = time.perf_counter()
+if check == "exactness":
     rep = verify.exactness_check(res, max_degree=3, expected=expected)
-    out["%s/%s" % (geometry, variant)] = [time.perf_counter() - t0, rep.ok]
-print(json.dumps(out))
+else:
+    rep = verify.composition_check(res, random.Random(7), sections=20,
+                                   max_degree=3)
+print(json.dumps([time.perf_counter() - t0, rep.ok]))
 """
 
 
@@ -76,13 +82,17 @@ def src_tree(src: Path) -> str:
         return _git(src, "write-tree", "--prefix=src/", env=env)
 
 
-def exactness_seconds(src: Path) -> dict:
+def check_seconds(src: Path, check: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
-    proc = subprocess.run([sys.executable, "-c", _WORKER], env=env,
-                          capture_output=True, text=True, check=True)
-    got = json.loads(proc.stdout.splitlines()[-1])
-    return {name: {"seconds": round(t, 3), "ok": ok}
-            for name, (t, ok) in got.items()}
+    out = {}
+    for geometry, variant in COMPLEXES:
+        proc = subprocess.run(
+            [sys.executable, "-c", _WORKER, geometry, variant, check],
+            env=env, capture_output=True, text=True, check=True)
+        t, ok = json.loads(proc.stdout.splitlines()[-1])
+        out["%s/%s" % (geometry, variant)] = {"seconds": round(t, 3),
+                                              "ok": ok}
+    return out
 
 
 def perfbench_medians(src: Path, workload: str) -> dict:
@@ -114,7 +124,8 @@ def main(argv=None) -> int:
 
     side = {"git_sha": _git(src, "rev-parse", "HEAD"),
             "src_tree": src_tree(src),
-            "exactness_deg3": exactness_seconds(src),
+            "exactness_deg3": check_seconds(src, "exactness"),
+            "composition_deg3": check_seconds(src, "composition"),
             "perfbench": {w: perfbench_medians(src, w) for w in WORKLOADS}}
     out = args.out
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}

@@ -293,10 +293,17 @@ def form_to_json(a: Form) -> dict:
 
 
 def form_from_json(obj: dict) -> Form:
-    f = Form(int(obj["nvars"]), int(obj["degree"]), obj.get("basis", COORD))
+    """Parse a form; each term has degree 1-based indices in 1..nvars and a
+    coefficient in nvars variables, or ValueError is raised."""
+    n = rp.json_int(obj["nvars"], "form nvars")
+    f = Form(n, rp.json_int(obj["degree"], "form degree"),
+             obj.get("basis", COORD))
     for t in obj["terms"]:
-        idx = tuple(int(i) - 1 for i in t["indices"])
-        f.add_term(idx, rp.poly_from_json(t["coeff"]))
+        idx = [rp.json_int(i, "form index") - 1 for i in t["indices"]]
+        if len(idx) != f.degree or not all(0 <= i < n for i in idx):
+            raise ValueError("form term indices %.40r do not fit a %d-form "
+                             "in %d variables" % (t["indices"], f.degree, n))
+        f.add_term(tuple(idx), rp.poly_from_json(t["coeff"], n))
     return f
 
 

@@ -426,9 +426,10 @@ def _classify_inertia(inert: Tuple[int, int, int]) -> str:
 
 # #### Coframe changes #####################################################
 
-def change_rows(model: GeometryModel, emat: PolyMatrix, name: str,
-                keep_congruences: bool = False) -> GeometryModel:
-    """New model with coframe E @ A; E must have det 1.
+def change_rows(model: GeometryModel, emat: PolyMatrix,
+                name: str) -> GeometryModel:
+    """New model with coframe E @ A; E must have det 1.  It declares no
+    congruences: they do not survive a general row change.
 
     The inverse is A^-1 @ E^-1: inverting E alone keeps the Neumann series
     finite for unipotent E, where E @ A - I is in general not nilpotent.
@@ -437,9 +438,8 @@ def change_rows(model: GeometryModel, emat: PolyMatrix, name: str,
     new_a = _pmat_mul(emat, model.coframe)
     new_inv = _pmat_mul(model.coframe_inv,
                         _pmat_inverse_unimodular(emat, model.nvars))
-    congs = list(model.congruences) if keep_congruences else []
     return GeometryModel(name, model.nvars, model.weights, new_a,
-                         congruences=congs, selectors=dict(model.selectors),
+                         selectors=dict(model.selectors),
                          extra=dict(model.extra), coframe_inv=new_inv)
 
 
@@ -448,10 +448,11 @@ def splitting_shift(model: GeometryModel, shifts: Dict[Tuple[int, int], rp.Poly]
     """Add vertical covectors into horizontal ones: omega_j += t * omega_a.
 
     shifts maps (j, a) with j horizontal, a vertical to the coefficient t.
-    The structure congruences survive with their right sides unchanged,
-    but only modulo the full vertical ideal: rewriting the right side in
-    the shifted coframe adds terms with a vertical leg.  The carried-over
-    congruences widen mod accordingly.
+    The structure congruences survive with their right sides unchanged
+    (copies, tagged with the shifted basis), but only modulo the full
+    vertical ideal: rewriting the right side in the shifted coframe adds
+    terms with a vertical leg.  The carried-over congruences widen mod
+    accordingly.
     """
     n = model.nvars
     emat = _pmat_identity(n, n)
@@ -461,10 +462,13 @@ def splitting_shift(model: GeometryModel, shifts: Dict[Tuple[int, int], rp.Poly]
         emat[j][a] = t
     out = change_rows(model, emat, name or (model.name + "_shifted"))
     vert = model.selectors["vertical"]
-    out.congruences = [
-        Congruence(index=cg.index, rhs=cg.rhs,
-                   mod=tuple(sorted(set(cg.mod) | set(vert))))
-        for cg in model.congruences]
+    out.congruences = []
+    for cg in model.congruences:
+        rhs = cg.rhs.copy()
+        rhs.basis = out.basis_tag
+        out.congruences.append(Congruence(
+            index=cg.index, rhs=rhs,
+            mod=tuple(sorted(set(cg.mod) | set(vert)))))
     return out
 
 
@@ -609,18 +613,24 @@ def model_from_json(obj: dict) -> GeometryModel:
     for key in ("selectors", "extra"):
         if not isinstance(obj.get(key, {}), dict):
             raise ValueError("%s must be a JSON object" % key)
-    selectors = {k: tuple(i - 1 for i in _json_ints(v, "selector index"))
+    if not isinstance(obj["name"], str):
+        raise ValueError("name must be a string, got %.40r" % (obj["name"],))
+    selectors = {k: _json_indices(v, n, "selector index")
                  for k, v in obj.get("selectors", {}).items()}
-    model = GeometryModel(obj["name"], n, _json_ints(obj["weights"], "weight"),
-                          mat, selectors=selectors,
-                          extra=_extra_from_json(obj.get("extra", {})))
+    weights = _json_ints(obj["weights"], "weight")
+    if not all(w >= 1 for w in weights):
+        raise ValueError("weights must be positive, got %.40r" % (weights,))
+    model = GeometryModel(obj["name"], n, weights, mat, selectors=selectors,
+                          extra=_extra_from_json(obj.get("extra", {}), n))
     for cg in obj.get("congruences", []):
         rhs = form_from_json(cg["rhs"])
+        if (rhs.nvars, rhs.degree) != (n, 2):
+            raise ValueError("a congruence right side must be a 2-form in "
+                             "%d variables" % n)
         rhs.basis = model.basis_tag
         model.congruences.append(Congruence(
-            index=rp.json_int(cg["index"], "congruence index") - 1, rhs=rhs,
-            mod=tuple(i - 1 for i in _json_ints(cg.get("mod", []),
-                                                "congruence index"))))
+            index=_json_index(cg["index"], n, "congruence index"), rhs=rhs,
+            mod=_json_indices(cg.get("mod", []), n, "congruence index")))
     return model
 
 
@@ -628,6 +638,18 @@ def _json_ints(v: object, what: str) -> List[int]:
     if not isinstance(v, list):
         raise ValueError("%s list expected, got %.40r" % (what, v))
     return [rp.json_int(x, what) for x in v]
+
+
+def _json_index(x: object, n: int, what: str) -> int:
+    """A 1-based covector index, which must lie in 1..n, made 0-based."""
+    i = rp.json_int(x, what)
+    if not 1 <= i <= n:
+        raise ValueError("%s %d is outside 1..%d" % (what, i, n))
+    return i - 1
+
+
+def _json_indices(v: object, n: int, what: str) -> Tuple[int, ...]:
+    return tuple(_json_index(x, n, what) for x in _json_ints(v, what))
 
 
 def _extra_to_json(extra: dict) -> dict:
@@ -640,11 +662,14 @@ def _extra_to_json(extra: dict) -> dict:
     return out
 
 
-def _extra_from_json(extra: dict) -> dict:
+def _extra_from_json(extra: dict, n: int) -> dict:
     out = {}
     for k, v in extra.items():
         if k == "omega_pairs":
-            out[k] = tuple((a - 1, b - 1) for a, b in v)
+            out[k] = tuple(_json_indices(pair, n, "omega_pairs index")
+                           for pair in v)
+            if any(len(pair) != 2 for pair in out[k]):
+                raise ValueError("omega_pairs index pairs expected")
         else:
             out[k] = v
     return out

@@ -20,8 +20,13 @@ a symbolic jet u (ratpoly.Jets), with d acting as the total derivative,
 yields the operator's normal form sum_alpha c_alpha(x) d^alpha, one per
 pair of source and target slots.  OperatorHandle.normal_form compiles it
 on first use; its order is exact, the largest |alpha| with a nonzero
-coefficient.  apply on a concrete section still runs the cascade, which is
-cheaper than a compile for a single section.
+coefficient.  NormalForm.apply evaluates it on a concrete section, and
+equals the cascade there exactly; verify's composition sample runs on it,
+so a handle compiles once and the exactness certificate reuses the form.
+OperatorHandle.apply stays on the cascade, which is cheaper than a compile
+when one section is all there is: on one random section for each of the 54
+operators of the named complexes, compiling and evaluating took about
+0.45 s against 0.1 s for the cascade (one core of a 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, perm
+from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg, ratpoly as rp
@@ -295,6 +301,34 @@ class NormalForm:
         """The largest |alpha| with a nonzero coefficient (0 if none)."""
         return max((sum(alpha) for _, groups in self.slots
                     for alpha, _ in groups), default=0)
+
+    def apply(self, coeffs: Sequence[rp.Poly]) -> PolyVec:
+        """The image of a section, equal to the cascade's: d^alpha x^e is
+        e!/(e - alpha)! x^(e - alpha), the closed form of the slice columns
+        (verify._SliceCache.columns)."""
+        if len(coeffs) != len(self.slots):
+            raise ValueError("expected %d coefficients, got %d"
+                             % (len(self.slots), len(coeffs)))
+        out: List[Dict[rp.Exponent, Fraction]] = [
+            {} for _ in range(self.targets)]
+        for u, (den, groups) in zip(coeffs, self.slots):
+            if not u:
+                continue
+            for alpha, terms in groups:
+                support = [(i, a) for i, a in enumerate(alpha) if a]
+                du = []
+                for e, c in u.items():
+                    f = 1
+                    for i, a in support:
+                        f *= perm(e[i], a)
+                    if f:
+                        du.append((tuple(map(sub, e, alpha)), c * f / den))
+                for t, b, num in terms:
+                    slot = out[t]
+                    for e, c in du:
+                        key = tuple(map(add, e, b))
+                        slot[key] = slot.get(key, 0) + c * num
+        return [{e: c for e, c in p.items() if c} for p in out]
 
 
 def _normal_slot(jets: rp.Jets, image: PolyVec, shared: Dict[tuple, tuple]):

@@ -277,9 +277,50 @@ def _drop_rows(blob):
     del blob["coframe"][3:]
 
 
+def _selector_index(i):
+    def mutate(blob):
+        blob["selectors"]["depth2"][0] = i
+    return mutate
+
+
+def _congruence_index(blob):
+    blob["congruences"][0]["index"] = 99
+
+
+def _congruence_mod(blob):
+    blob["congruences"][0]["mod"] = [99]
+
+
+def _numeric_name(blob):
+    blob["name"] = 5
+
+
+def _zero_weight(blob):
+    blob["weights"][0] = 0
+
+
+def _rhs_field(key, value):
+    def mutate(blob):
+        blob["congruences"][0]["rhs"][key] = value
+    return mutate
+
+
+def _rhs_index(blob):
+    blob["congruences"][0]["rhs"]["terms"][0]["indices"] = [4, 9]
+
+
+# every 1-based index is range-checked where the file is read: unchecked,
+# selector index 0 would become -1 and classify as degenerate
 @pytest.mark.parametrize("mutate", [_break_first_entry, _zero_denominator,
-                                    _drop_rows],
-                         ids=["string-entry", "zero-den", "three-rows"])
+                                    _drop_rows, _selector_index(99),
+                                    _selector_index(0), _congruence_index,
+                                    _congruence_mod, _numeric_name,
+                                    _zero_weight, _rhs_field("nvars", 5),
+                                    _rhs_field("degree", 3), _rhs_index],
+                         ids=["string-entry", "zero-den", "three-rows",
+                              "selector-99", "selector-0", "congruence-99",
+                              "mod-99", "numeric-name", "zero-weight",
+                              "rhs-nvars-5", "rhs-degree-3", "rhs-index-9"])
 def test_classify7_malformed_model_exits_2(tmp_path, capsys, mutate):
     from coframes.models import builtin_model, model_to_json
     blob = model_to_json(builtin_model("elliptic7"))

@@ -199,3 +199,11 @@ def test_model_json_roundtrip(each_model):
         assert c1.rhs == c2.rhs
         assert c1.mod == c2.mod
     assert verify_structure(back).ok
+
+
+@pytest.mark.parametrize("pair", [[0, 4], [1, 7], [1, 4, 5]])
+def test_model_json_rejects_bad_omega_pair(pair):
+    blob = model_to_json(builtin_model("dist3in6"))
+    blob["extra"]["omega_pairs"][0] = pair
+    with pytest.raises(ValueError, match="omega_pairs index"):
+        model_from_json(blob)

@@ -82,11 +82,15 @@ def _dense_poly(rng, nvars, degree):
 
 @pytest.mark.parametrize("name,variant", sorted(GOLDEN))
 def test_normal_form_matches_apply(name, variant):
+    # NormalForm.apply against two independent references: the cascade,
+    # and the normal form evaluated by repeated rp.diff
     res = complex_for(name, variant)
     rng = random.Random(41)
     for h in res.operators:
         sec = [_dense_poly(rng, res.nvars, 3) for _ in range(h.source.rank)]
-        assert _evaluate(h.normal_form(), sec) == h.apply(sec), (name, variant)
+        got = h.normal_form().apply(sec)
+        assert got == _evaluate(h.normal_form(), sec), (name, variant)
+        assert got == h.apply(sec), (name, variant)
 
 
 def _columns_by_apply(res, op_idx, s, cache):

@@ -86,6 +86,19 @@ def test_obstruction_hom_function_linear(name):
     assert ok, failures
 
 
+def test_obstruction_hom_function_linear_after_shift():
+    # the carried-over right sides must be re-tagged with the shifted
+    # model's basis, or the map wedges forms over two bases
+    m = model("dist3in6")
+    shifted = splitting_shift(m, {(3, 0): rp.var(4, m.nvars)})
+    fn, inputs = obstruction_hom(shifted)
+    assert any(not fn(a).is_zero() for a in inputs)
+    mults = [rp.var(0, m.nvars),
+             rp.add(rp.const(2, m.nvars), rp.var(m.nvars - 1, m.nvars))]
+    ok, failures = check_function_linear(fn, inputs, mults)
+    assert ok, failures
+
+
 def test_shifted_model_keeps_congruences_mod_vertical():
     m = model("dist3in6")
     shifted = splitting_shift(m, {(3, 0): rp.var(4, m.nvars)})

@@ -7,7 +7,8 @@ from math import lcm
 import pytest
 
 from coframes import linalg
-from coframes.operators import build_rs_complex, named_complex
+from coframes.operators import (Resolution, SpanDOperator, build_rs_complex,
+                                named_complex)
 from coframes.verify import (_compose_is_zero, composition_check,
                              cross_check_dims, exactness_check, rs_h1_witness)
 
@@ -137,6 +138,23 @@ def test_bumped_normal_form_breaks_composition():
     rep = exactness_check(res, max_degree=1)
     assert not rep.composition_ok
     assert not rep.ok
+    # the composition sample evaluates the same compiled forms; a
+    # second-order term needs more than a few sections to show
+    assert not composition_check(res, random.Random(7), sections=20).ok
+
+
+def test_composition_check_reports_a_nonzero_pair():
+    # d after the trace-free projection of d is not zero, d(da - cJ/2) =
+    # -dc ^ J/2, so the sample must fail at pair 1 and only there
+    res = build_rs_complex(2)
+    n0, n1, n2, _, n4, _ = res.nodes
+    ops = [res.operators[0], res.operators[1], SpanDOperator(None, n2, n4)]
+    bad = Resolution(name=res.name, variant="broken",
+                     nodes=[n0, n1, n2, n4], operators=ops, nvars=res.nvars,
+                     coeff_weights=res.coeff_weights)
+    rep = composition_check(bad, random.Random(3), sections=6)
+    assert not rep.ok
+    assert {k for k, _ in rep.failures} == {1}
 
 
 def test_rank_mod_p_matches_exact_rank():
