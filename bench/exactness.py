@@ -13,6 +13,9 @@ label, in the JSON file OUT (created if missing, other labels kept):
   composition_check(res, random.Random(7), sections=20, max_degree=3) for
   every named complex, each built and checked in a fresh process importing
   PATH/src, so each figure includes the compile of the normal forms;
+- the seconds of Page1(builtin_model(m)) for every builtin m: the median
+  of PAGE1_BUILDS builds, each of a freshly built model, in one fresh
+  process importing PATH/src (the page construction layer);
 - the medians, over SEEDS, of the end-to-end metrics of PATH's own
   perfbench/run.py on the WORKLOADS (SECONDS each), with every run's
   values beside them.
@@ -67,6 +70,27 @@ print(json.dumps([time.perf_counter() - t0, rep.ok]))
 """
 
 
+PAGE1_BUILDS = 15
+
+# python3 -c _PAGE1_WORKER BUILDS, with PYTHONPATH=PATH/src: prints
+# {model: median seconds of Page1(builtin_model(model))} as JSON.
+_PAGE1_WORKER = r"""
+import json, statistics, sys, time
+from coframes import models, pages
+
+out = {}
+for name in models.builtin_names():
+    times = []
+    for _ in range(int(sys.argv[1])):
+        model = models.builtin_model(name)
+        t0 = time.perf_counter()
+        pages.Page1(model)
+        times.append(time.perf_counter() - t0)
+    out[name] = statistics.median(times)
+print(json.dumps(out))
+"""
+
+
 def _git(src: Path, *args: str, env=None) -> str:
     proc = subprocess.run(["git", "-C", str(src)] + list(args), env=env,
                           capture_output=True, text=True, check=True)
@@ -93,6 +117,16 @@ def check_seconds(src: Path, check: str) -> dict:
         out["%s/%s" % (geometry, variant)] = {"seconds": round(t, 3),
                                               "ok": ok}
     return out
+
+
+def page1_seconds(src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PAGE1_WORKER, str(PAGE1_BUILDS)],
+        env=env, capture_output=True, text=True, check=True)
+    medians = json.loads(proc.stdout.splitlines()[-1])
+    return {"builds": PAGE1_BUILDS,
+            "seconds": {m: round(t, 5) for m, t in medians.items()}}
 
 
 def perfbench_medians(src: Path, workload: str) -> dict:
@@ -126,6 +160,7 @@ def main(argv=None) -> int:
             "src_tree": src_tree(src),
             "exactness_deg3": check_seconds(src, "exactness"),
             "composition_deg3": check_seconds(src, "composition"),
+            "page1": page1_seconds(src),
             "perfbench": {w: perfbench_medians(src, w) for w in WORKLOADS}}
     out = args.out
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}

@@ -383,8 +383,17 @@ def cmd_apply(args) -> int:
         section = ops.GradedSection.from_json(blob)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise UsageError("cannot read section: %s" % exc)
+    if section.resolution != args.geometry:
+        raise UsageError("section is for model %.40r, not %s"
+                         % (section.resolution, args.geometry))
     handle, ctx = _named_operator(args.geometry, args.operator,
                                   args.complex or section.variant)
+    # the source node: the resolution index of a numbered or named
+    # operator, the source degree of an alias
+    node = ctx[1] if ctx else handle.source.degree
+    if section.node != node:
+        raise UsageError("section is on cell %d, operator %s leaves cell %d"
+                         % (section.node, args.operator, node))
     need = handle.source.rank
     if len(section.coeffs) != need:
         raise UsageError("section has %d components, operator wants %d"
@@ -394,11 +403,10 @@ def cmd_apply(args) -> int:
         raise UsageError("section polynomials have %s variables, %s has %d"
                          % (section.nvars, args.geometry, nvars))
     out = handle.apply(section.coeffs)
-    node = ctx[1] + 1 if ctx else section.node + 1
     result = ops.GradedSection(
         resolution=args.geometry,
         variant=ctx[0].variant if ctx else section.variant,
-        node=node, coeffs=out)
+        node=node + 1, coeffs=out)
     payload = result.to_json(nvars)
     data = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.output:

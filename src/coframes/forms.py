@@ -294,10 +294,12 @@ def form_to_json(a: Form) -> dict:
 
 def form_from_json(obj: dict) -> Form:
     """Parse a form; each term has degree 1-based indices in 1..nvars and a
-    coefficient in nvars variables, or ValueError is raised."""
-    n = rp.json_int(obj["nvars"], "form nvars")
+    coefficient in nvars variables, nvars and the term count are capped as
+    in ratpoly, or ValueError is raised."""
+    n = rp.json_nvars(obj["nvars"])
     f = Form(n, rp.json_int(obj["degree"], "form degree"),
              obj.get("basis", COORD))
+    rp.json_term_count(obj["terms"], "form")
     for t in obj["terms"]:
         idx = [rp.json_int(i, "form index") - 1 for i in t["indices"]]
         if len(idx) != f.degree or not all(0 <= i < n for i in idx):

@@ -601,10 +601,11 @@ def model_to_json(model: GeometryModel) -> dict:
 
 
 def model_from_json(obj: dict) -> GeometryModel:
-    """Parse a model; malformed fields or shapes raise ValueError."""
+    """Parse a model; malformed fields or shapes raise ValueError, and so
+    do nvars and term counts past the caps of ratpoly."""
     if not isinstance(obj, dict):
         raise ValueError("a model must be a JSON object")
-    n = rp.json_int(obj["nvars"], "nvars")
+    n = rp.json_nvars(obj["nvars"])
     rows = obj["coframe"]
     if not (isinstance(rows, list) and len(rows) == n
             and all(isinstance(r, list) and len(r) == n for r in rows)):

@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, perm
+from math import comb, lcm, perm
 from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -712,6 +712,11 @@ def build_rs_complex(half_dim: int) -> Resolution:
 
 # #### sections ############################################################
 
+# A node has at most as many components as there are coframe monomials of
+# its degree: C(10, 5) = 252 within ratpoly.MAX_NVARS = 10 variables.
+MAX_SECTION_COMPONENTS = comb(rp.MAX_NVARS, rp.MAX_NVARS // 2)
+
+
 @dataclass
 class GradedSection:
     resolution: str
@@ -727,17 +732,28 @@ class GradedSection:
 
     @staticmethod
     def from_json(obj: dict) -> "GradedSection":
-        """Parse a section; its coefficients must agree on nvars."""
-        sel = obj["cell"] if "cell" in obj else obj["node"]
-        declared = {int(t["nvars"]) for t in obj["coeffs"]}
+        """Parse a section: string model and variant, an integer node
+        ("cell", or "node"), and at most MAX_SECTION_COMPONENTS
+        coefficients that agree on nvars; anything else is a ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("a section must be a JSON object")
+        model, variant = obj["model"], obj.get("variant", "bgg")
+        if not (isinstance(model, str) and isinstance(variant, str)):
+            raise ValueError("section model and variant must be strings")
+        node = rp.json_int(obj["cell"] if "cell" in obj else obj["node"],
+                           "cell")
+        raw = obj["coeffs"]
+        if not isinstance(raw, list) or len(raw) > MAX_SECTION_COMPONENTS:
+            raise ValueError("coeffs must be a list of at most %d "
+                             "polynomials" % MAX_SECTION_COMPONENTS)
+        coeffs = [rp.poly_from_json(t) for t in raw]
+        declared = {rp.json_nvars(t["nvars"]) for t in raw}
         if len(declared) > 1:
             raise ValueError("coefficients disagree on nvars: %s"
                              % sorted(declared))
-        return GradedSection(
-            resolution=obj["model"], variant=obj.get("variant", "bgg"),
-            node=int(sel),
-            coeffs=[rp.poly_from_json(t) for t in obj["coeffs"]],
-            nvars=declared.pop() if declared else None)
+        return GradedSection(resolution=model, variant=variant, node=node,
+                             coeffs=coeffs,
+                             nvars=declared.pop() if declared else None)
 
 
 def random_section(node: Node, rng: random.Random,

@@ -2,10 +2,25 @@
 
 A cell (p, q) holds the degree-p coframe monomials of total index weight
 p + q.  The page-0 differential is the weight-preserving part of d, which on
-a weight-homogeneous model has constant coefficients.  Page 1 derives one
-exact decomposition per cell, R^dim = im(E0_in) + span(reps) + span(units
-at the outgoing pivots), with the inverse of its basis matrix; class
-extraction and the operator corrections both read that one decomposition.
+a weight-homogeneous model has constant coefficients.  It is read once per
+model off the structure forms (e0_table): d of a unit monomial
+differentiates no coefficient, and a derivative term never keeps the index
+weight, so the weight-preserving terms omega_u ^ omega_v of each
+d(omega_i) determine every cell's columns by Leibniz (e0_columns).
+e0_apply stays on coframe_d as the independent definition.
+
+Page 1 derives one exact decomposition per cell, R^dim = im(E0_in) +
+span(reps) + span(units at the outgoing pivots P), with basis matrix
+S = [bcols | reps | units], and keeps rows 0:rank_in + dim1 of S^-1.  One
+rref of [B_N | I_N], B_N the incoming columns on the free coordinates N,
+gives the reps and those rows together:
+- the outgoing kernel basis is the identity on N, so restricting to N is
+  injective on the kernel;
+- e0 o e0 = 0 puts bcols in the kernel, so that rref picks the reps the
+  greedy choice over the whole cell picks, and its I_N block is the inverse
+  of M = S[N, :rank_in + dim1];
+- the rows of S^-1 at P are never read, and the kept ones are M^-1 on N and
+  zero on P, since the units vanish off P.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
-from .forms import Form
+from .forms import Form, sort_sign
 from .models import GeometryModel, coframe_d, split_by_cell_weight
 
 CellKey = Tuple[int, int]
@@ -71,13 +86,38 @@ def e0_apply(model: GeometryModel, a: Form) -> Form:
     return out
 
 
-def e0_columns(model: GeometryModel, page: Page0,
+E0Table = List[List[Tuple[int, int, Fraction]]]
+
+
+def e0_table(model: GeometryModel) -> E0Table:
+    """The page-0 part of each d(omega_i): its terms (u, v, c), meaning
+    c omega_u ^ omega_v, with w_u + w_v = w_i.
+
+    Each must be constant, which weight homogeneity guarantees; a
+    nonconstant one would also be an entry of omega_i's degree-1 column.
+    """
+    table: E0Table = []
+    for i, dform in enumerate(model.structure_forms()):
+        row = []
+        for (u, v), poly in dform.terms.items():
+            if model.weights[u] + model.weights[v] != model.weights[i]:
+                continue
+            if not rp.is_constant(poly):
+                raise ValueError(
+                    "page-0 differential has a nonconstant entry; "
+                    "the model is not weight homogeneous")
+            row.append((u, v, rp.constant_value(poly)))
+        table.append(row)
+    return table
+
+
+def e0_columns(page: Page0, table: E0Table,
                src: CellKey) -> Tuple[Optional[CellKey], List[linalg.Vector]]:
     """Matrix columns of the page-0 differential leaving a cell.
 
     Returns the target key and one column per source basis monomial, as
-    coordinates in the target cell basis.  Requires constant entries, which
-    weight homogeneity guarantees.
+    coordinates in the target cell basis: d of the unit monomial by
+    Leibniz, each d(omega_mono[k]) taken from the table.
     """
     cell = page.cells[src]
     p, q = src
@@ -88,18 +128,12 @@ def e0_columns(model: GeometryModel, page: Page0,
     pos = {idx: i for i, idx in enumerate(target.basis)}
     cols: List[linalg.Vector] = []
     for mono in cell.basis:
-        f = Form(model.nvars, p, model.basis_tag)
-        f.add_term(mono, rp.const(1, model.nvars))
-        d = coframe_d(model, f)
-        piece = split_by_cell_weight(model, d).get(cell.weight)
         col = [Fraction(0)] * target.dim
-        if piece is not None:
-            for idx, poly in piece.terms.items():
-                if not rp.is_constant(poly):
-                    raise ValueError(
-                        "page-0 differential has a nonconstant entry; "
-                        "the model is not weight homogeneous")
-                col[pos[idx]] = rp.constant_value(poly)
+        for k, ik in enumerate(mono):
+            for u, v, c in table[ik]:
+                idx, sign = sort_sign(mono[:k] + (u, v) + mono[k + 1:])
+                if idx is not None:
+                    col[pos[idx]] += (-1) ** k * sign * c
         cols.append(col)
     return tgt, cols
 
@@ -112,8 +146,12 @@ class CellData:
     out_pivots): the image of the incoming page-0 map, the chosen class
     representatives, and the unit vectors at the pivot columns of the
     outgoing map, which complement its kernel.  S = [bcols | reps | units]
-    is the basis matrix of that splitting and sinv its inverse, the one
-    inverse each cell needs.
+    is the basis matrix of that splitting.  sinv holds rows
+    0:rank_in + dim1 of S^-1, the coordinates along bcols and reps, and
+    they vanish on the out_pivots coordinates.  One rref on the free
+    coordinates gives them (see the module docstring): the outgoing kernel
+    basis is the identity there, e0 o e0 = 0 puts bcols in that kernel,
+    and the rows for the units are never read.
 
     bcols are the incoming columns at the source cell's out_pivots, so the
     image block of sinv expresses a vector of the image in the source's
@@ -135,60 +173,69 @@ class CellData:
     source_cell: Optional[CellKey]      # cell the incoming differential leaves
     out_pivots: List[int]               # pivot columns of the outgoing map
     bcols: List[linalg.Vector]          # incoming columns at source pivots
-    sinv: linalg.Matrix                 # inverse of [bcols | reps | units]
+    sinv: linalg.Matrix                 # rows 0:rank_in + dim1 of S^-1
 
 
 class Page1:
     """Kernels, images, survivors, and projections of the page-0 complex.
 
-    Each cell's decomposition is derived once, here: one rref of the
-    outgoing map gives its pivots and kernel, representatives are picked
-    greedily from that kernel basis, and one inverse gives both extract
-    and the operator corrections.
+    Each cell's decomposition is derived once, here, from two rrefs: one
+    of the outgoing map, for its pivots and kernel, and one of
+    [B_N | I_N], which pivots first on every B column, then on the reps in
+    kernel order, and whose I_N block, placed on the free columns N, is
+    sinv (see the module docstring).
     """
 
     def __init__(self, model: GeometryModel):
         self.model = model
         self.page0 = Page0(model)
         self.data: Dict[CellKey, CellData] = {}
-        outgoing = {key: e0_columns(model, self.page0, key)
+        table = e0_table(model)
+        outgoing = {key: e0_columns(self.page0, table, key)
                     for key in self.page0.cells}
-        pivots: Dict[CellKey, List[int]] = {}
-        kernels: Dict[CellKey, List[linalg.Vector]] = {}
-        for key, cell in self.page0.cells.items():
+        reduced: Dict[CellKey, Tuple[linalg.Matrix, List[int]]] = {}
+        for key in self.page0.cells:
             tgt, cols = outgoing[key]
-            red, piv = (linalg.rref(linalg.transpose(cols))
-                        if tgt is not None and cols and cols[0] else ([], []))
-            pivots[key] = piv
-            kernels[key] = linalg.nullspace(red, piv, cell.dim)
+            reduced[key] = (linalg.rref(linalg.transpose(cols))
+                            if tgt is not None and cols and cols[0]
+                            else ([], []))
         for key, cell in self.page0.cells.items():
             p, q = key
             dim = cell.dim
+            red, pivots = reduced[key]
             src: Optional[CellKey] = (p - 1, q + 1)
             if outgoing.get(src, (None,))[0] == key:
-                bcols = [list(outgoing[src][1][j]) for j in pivots[src]]
+                bcols = [list(outgoing[src][1][j]) for j in reduced[src][1]]
             else:
                 src, bcols = None, []
-            reps = _extend_greedily(bcols, kernels[key], dim)
-            cols = bcols + reps + \
-                [linalg.unit_vector(c, dim) for c in pivots[key]]
-            if len(cols) != dim:
-                raise AssertionError("cell decomposition is not square")
-            sinv = linalg.inverse(linalg.transpose(cols))
-            rank_in, rank_out = len(bcols), len(pivots[key])
+            rank_in = len(bcols)
+            pivot_set = set(pivots)
+            free = [c for c in range(dim) if c not in pivot_set]
+            nfree = len(free)
+            ech, chosen = linalg.rref(
+                [[b[f] for b in bcols] + linalg.unit_vector(a, nfree)
+                 for a, f in enumerate(free)])
+            if chosen[:rank_in] != list(range(rank_in)):
+                raise AssertionError("incoming image is not independent "
+                                     "on the free coordinates")
+            kernel = linalg.nullspace(red, pivots, dim)
+            reps = [kernel[j - rank_in] for j in chosen[rank_in:]]
+            sinv = []
+            for row in ech:
+                full = [Fraction(0)] * dim
+                for a, f in enumerate(free):
+                    full[f] = row[rank_in + a]
+                sinv.append(full)
 
-            def make_extract(rows=sinv[rank_in:rank_in + len(reps)]):
+            def make_extract(rows=sinv[rank_in:]):
                 def extract(v: Sequence[Fraction]) -> linalg.Vector:
                     return linalg.matvec(rows, list(v))
                 return extract
 
             self.data[key] = CellData(
-                cell=cell, rank_in=rank_in, rank_out=rank_out,
-                dim1=dim - rank_out - rank_in, reps=reps,
-                extract=make_extract(), source_cell=src,
-                out_pivots=pivots[key], bcols=bcols, sinv=sinv)
-            if self.data[key].dim1 != len(reps):
-                raise AssertionError("page-1 dimension bookkeeping is off")
+                cell=cell, rank_in=rank_in, rank_out=len(pivots),
+                dim1=len(reps), reps=reps, extract=make_extract(),
+                source_cell=src, out_pivots=pivots, bcols=bcols, sinv=sinv)
 
     def dims(self) -> Dict[CellKey, int]:
         return {k: d.dim1 for k, d in sorted(self.data.items()) if d.dim1}
@@ -204,36 +251,6 @@ class Page1:
         keys = [k for k, d in self.data.items()
                 if k[0] == degree and d.dim1 > 0]
         return sorted(keys, key=lambda k: k[1])
-
-
-def _extend_greedily(image: List[linalg.Vector],
-                     candidates: List[linalg.Vector],
-                     dim: int) -> List[linalg.Vector]:
-    """The candidates, in order, that leave the span of image and of the
-    candidates already taken.
-
-    One incremental echelon basis, stored sparsely as (pivot row, nonzero
-    entries), answers every membership test.
-    """
-    ech: List[Tuple[int, List[Tuple[int, Fraction]]]] = []
-
-    def enters(v: linalg.Vector) -> bool:
-        v = list(v)
-        for pr, entries in ech:
-            f = v[pr]
-            if f:
-                for i, x in entries:
-                    v[i] -= f * x
-        pr = next((i for i in range(dim) if v[i]), None)
-        if pr is None:
-            return False
-        pv = v[pr]
-        ech.append((pr, [(i, x / pv) for i, x in enumerate(v) if x]))
-        return True
-
-    for col in image:
-        enters(col)
-    return [v for v in candidates if enters(v)]
 
 
 def check_function_linear(map_fn: Callable[[Form], Form],

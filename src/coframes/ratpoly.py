@@ -11,7 +11,9 @@ JSON form of a Poly:
 
 Numerators and denominators are decimal strings so arbitrary precision
 survives any JSON reader.  Terms are sorted by exponent tuple, so equal
-polynomials serialize to identical bytes.
+polynomials serialize to identical bytes.  Reading JSON enforces fixed size
+caps, checked once where the file is read: MAX_NVARS variables, MAX_TERMS
+terms and total degree MAX_DEGREE per term.
 """
 
 from __future__ import annotations
@@ -187,6 +189,16 @@ def poly_to_json(p: Poly, nvars: int) -> dict:
     return {"nvars": nvars, "terms": terms}
 
 
+# Size caps on JSON input, fixed rather than configurable.  Cells have
+# 2^nvars monomials in all, so a model past MAX_NVARS could not be paged in
+# reasonable time (the builtins have at most 7 variables).  MAX_TERMS and
+# MAX_DEGREE bound the work one JSON polynomial or form can ask for; degree
+# 64 keeps exponents far below Jets.SHIFT and powers of sample points small.
+MAX_NVARS = 10
+MAX_TERMS = 1 << 16
+MAX_DEGREE = 64
+
+
 def json_int(x: object, what: str) -> int:
     """An integer from JSON: an int or a decimal string, never a float."""
     if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
@@ -197,15 +209,31 @@ def json_int(x: object, what: str) -> int:
     raise ValueError("%s must be an integer, got %.40r" % (what, x))
 
 
+def json_nvars(x: object) -> int:
+    """A variable count from JSON, in 0..MAX_NVARS."""
+    n = json_int(x, "nvars")
+    if not 0 <= n <= MAX_NVARS:
+        raise ValueError("nvars %d is outside 0..%d" % (n, MAX_NVARS))
+    return n
+
+
+def json_term_count(terms: object, what: str) -> None:
+    """Reject a terms list longer than MAX_TERMS before reading it."""
+    if isinstance(terms, list) and len(terms) > MAX_TERMS:
+        raise ValueError("a %s may have at most %d terms, got %d"
+                         % (what, MAX_TERMS, len(terms)))
+
+
 def poly_from_json(obj: dict, nvars: Optional[int] = None) -> Poly:
     """Parse a Poly, checking every field; nvars, if given, must match."""
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ValueError("a polynomial must be an object with a terms list, "
                          "got %.40r" % (obj,))
-    n = json_int(obj.get("nvars"), "nvars")
+    n = json_nvars(obj.get("nvars"))
     if nvars is not None and n != nvars:
         raise ValueError("polynomial has %d variables, expected %d"
                          % (n, nvars))
+    json_term_count(obj["terms"], "polynomial")
     out: Poly = {}
     for t in obj["terms"]:
         if not isinstance(t, dict) or not isinstance(t.get("exps"), list):
@@ -213,6 +241,9 @@ def poly_from_json(obj: dict, nvars: Optional[int] = None) -> Poly:
         e = tuple(json_int(k, "exponent") for k in t["exps"])
         if len(e) != n or any(k < 0 for k in e):
             raise ValueError("exponents %r do not fit nvars %d" % (e, n))
+        if sum(e) > MAX_DEGREE:
+            raise ValueError("a term may have degree at most %d, got %d"
+                             % (MAX_DEGREE, sum(e)))
         den = json_int(t.get("den"), "denominator")
         if not den:
             raise ValueError("zero denominator")

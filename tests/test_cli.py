@@ -1,15 +1,19 @@
 """Command line front end: subcommands, formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coframes import cli
+from coframes import ratpoly as rp
 
 
 def run(capsys, *argv):
@@ -233,6 +237,48 @@ def test_apply_malformed_section_exits_2(tmp_path, capsys, blob):
     assert "cannot read section" in err
 
 
+def _engel_section(cell, ncoeffs, model="engel4"):
+    return {"model": model, "cell": cell,
+            "coeffs": [{"nvars": 4, "terms": [{"exps": [0, 1, 1, 0],
+                                                "num": "1", "den": "1"}]}
+                       for _ in range(ncoeffs)]}
+
+
+@pytest.mark.parametrize("operator,section,what", [
+    ("d0", _engel_section(0, 1, model="contact5"), "model"),
+    ("d0", _engel_section(7, 1), "cell"),
+    ("d1", _engel_section(0, 2), "cell"),
+    ("dH", _engel_section(1, 1), "cell"),
+    ("P", _engel_section(2, 2), "cell"),
+    ("S", _engel_section(1, 1), "cell")],
+    ids=["model", "d0-cell-7", "d1-cell-0", "dH-cell-1", "P-cell-2",
+         "S-cell-1"])
+def test_apply_section_off_the_operator_source_exits_2(tmp_path, capsys,
+                                                        operator, section,
+                                                        what):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(section))
+    code, out, err = run(capsys, "apply", "engel4", "--operator", operator,
+                         "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: section is ")
+    assert what in err
+
+
+@pytest.mark.parametrize("operator,cell,ncoeffs", [("P", 1, 2), ("S", 2, 1),
+                                                   ("d1", 1, 2)])
+def test_apply_answers_on_the_next_cell(tmp_path, capsys, operator, cell,
+                                        ncoeffs):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_engel_section(cell, ncoeffs)))
+    code, out, err = run(capsys, "apply", "engel4", "--operator", operator,
+                         "--input", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["model"], payload["cell"]) == ("engel4", cell + 1)
+
+
 def test_apply_unknown_operator_exits_2(tmp_path, capsys):
     sec = {"model": "engel4", "cell": 0,
            "coeffs": [{"nvars": 4, "terms": []}]}
@@ -359,6 +405,183 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, argv, text, what):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot read %s: " % what)
+
+
+def _poly_blob(nvars, nterms=1, exps=None):
+    exps = exps if exps is not None else [0] * nvars
+    return {"nvars": nvars, "terms": [{"exps": exps, "num": "1", "den": "1"}
+                                      for _ in range(nterms)]}
+
+
+def _too_many_poly_terms(blob):
+    blob["coeffs"][0] = _poly_blob(4, rp.MAX_TERMS + 1)
+
+
+def _too_many_variables(blob):
+    blob["coeffs"][0] = _poly_blob(rp.MAX_NVARS + 1)
+
+
+def _degree_past_the_cap(blob):
+    blob["coeffs"][0] = _poly_blob(4, exps=[0, 0, rp.MAX_DEGREE, 1])
+
+
+def _too_many_components(blob):
+    from coframes.operators import MAX_SECTION_COMPONENTS
+    blob["coeffs"] = [_poly_blob(4)] * (MAX_SECTION_COMPONENTS + 1)
+
+
+@pytest.mark.parametrize("mutate", [_too_many_poly_terms,
+                                    _too_many_variables,
+                                    _degree_past_the_cap,
+                                    _too_many_components],
+                         ids=["terms", "nvars", "degree", "components"])
+def test_apply_oversized_section_exits_2(tmp_path, capsys, mutate):
+    blob = _engel_section(0, 1)
+    mutate(blob)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "apply", "engel4", "--operator", "d0",
+                         "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read section: ")
+    assert "at most" in err or "outside" in err
+
+
+def _model_nvars_past_the_cap(blob):
+    blob["nvars"] = rp.MAX_NVARS + 1
+
+
+def _model_entry_terms(blob):
+    blob["coframe"][0][1] = _poly_blob(7, rp.MAX_TERMS + 1)
+
+
+def _model_entry_degree(blob):
+    # unchecked, x_4^(10^7) here keeps det 1 and took classify7 23 s
+    blob["coframe"][0][4]["terms"][0]["exps"] = [0, 0, 0, 10 ** 7, 0, 0, 0]
+
+
+def _model_rhs_terms(blob):
+    terms = blob["congruences"][0]["rhs"]["terms"]
+    blob["congruences"][0]["rhs"]["terms"] = terms * (rp.MAX_TERMS + 1)
+
+
+@pytest.mark.parametrize("mutate", [_model_nvars_past_the_cap,
+                                    _model_entry_terms, _model_entry_degree,
+                                    _model_rhs_terms],
+                         ids=["nvars", "entry-terms", "entry-degree",
+                              "rhs-terms"])
+def test_classify7_oversized_model_exits_2(tmp_path, capsys, mutate):
+    from coframes.models import builtin_model, model_to_json
+    blob = model_to_json(builtin_model("elliptic7"))
+    mutate(blob)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "classify7", "--model", str(path))
+    assert code == 2
+    assert err.startswith("error: cannot read model file: ")
+    assert "at most" in err or "outside" in err
+
+
+# #### fuzzing the JSON boundary ############################################
+
+FUZZ = settings(max_examples=80, derandomize=True, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.text(max_size=3),
+                    st.sampled_from(["0", "1", "-1", "2", "4", "7", "bgg",
+                                     "engel4", "elliptic7"]))
+_VALUES = st.recursive(
+    _LEAVES, lambda kids: st.one_of(st.lists(kids, max_size=3),
+                                    st.dictionaries(st.text(max_size=5),
+                                                    kids, max_size=3)),
+    max_leaves=5)
+_ACTIONS = ("descend",) * 4 + ("replace", "delete", "duplicate")
+
+
+def _mutated(data, node):
+    """A copy of a JSON value with one node replaced, deleted or repeated,
+    at a place drawn by walking down from the root."""
+    if isinstance(node, dict) and node:
+        key = data.draw(st.sampled_from(sorted(node)))
+        out = dict(node)
+    elif isinstance(node, list) and node:
+        key = data.draw(st.integers(0, len(node) - 1))
+        out = list(node)
+    else:
+        return data.draw(_VALUES)
+    action = data.draw(st.sampled_from(_ACTIONS))
+    if action == "descend":
+        out[key] = _mutated(data, node[key])
+    elif action == "replace":
+        out[key] = data.draw(_VALUES)
+    elif action == "delete":
+        del out[key]
+    elif isinstance(out, list):
+        out.insert(key, node[key])
+    else:
+        out[key + "_"] = node[key]
+    return out
+
+
+def _run_on_file(argv, blob):
+    """cli.main on argv plus a file holding blob: (code, stdout, stderr).
+    An exception escapes, as a traceback would."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(blob, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv) + [path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _usage_error(code, out, err):
+    return code == 2 and out == "" and err.startswith("error: ")
+
+
+_FUZZ_SECTION = {"model": "engel4", "variant": "bgg", "cell": 1,
+                 "coeffs": [_poly_blob(4, exps=[0, 1, 2, 0]),
+                            {"nvars": 4, "terms": [
+                                {"exps": [1, 0, 0, 1], "num": "-3",
+                                 "den": "2"}]}]}
+
+
+@FUZZ
+@given(st.data())
+def test_apply_mutated_section_exits_2_or_answers(data):
+    from coframes.operators import GradedSection
+    blob = _mutated(data, _FUZZ_SECTION)
+    code, out, err = _run_on_file(
+        ("apply", "engel4", "--operator", "d1", "--input"), blob)
+    if code != 0:
+        assert _usage_error(code, out, err), (code, err)
+        return
+    section = GradedSection.from_json(blob)
+    assert (section.resolution, section.node) == ("engel4", 1)
+    handle = cli._named_operator("engel4", "d1", section.variant)[0]
+    want = GradedSection("engel4", "bgg", 2, handle.apply(section.coeffs))
+    assert json.loads(out) == want.to_json(4)
+
+
+@FUZZ
+@given(st.data())
+def test_classify7_mutated_model_exits_2_or_answers(data):
+    from coframes.models import (builtin_model, model_from_json,
+                                 model_to_json, orbit_invariant)
+    blob = _mutated(data, model_to_json(builtin_model("elliptic7")))
+    code, out, err = _run_on_file(
+        ("classify7", "--format", "json", "--model"), blob)
+    if code == 2:
+        assert _usage_error(code, out, err), err
+        return
+    rep = orbit_invariant(model_from_json(blob))
+    assert code == (0 if rep.kind in ("elliptic", "hyperbolic") else 1)
+    assert json.loads(out)["kind"] == rep.kind
+    assert json.loads(out)["inertia"] == list(rep.inertia)
 
 
 def test_python_dash_m_runs_the_cli(capsys):
