@@ -54,8 +54,10 @@ def _complex_names(geom: str) -> List[str]:
 def _load_model(geom: str) -> GeometryModel:
     if geom in builtin_names():
         return builtin_model(geom)
+    if geom == "symplectic4":
+        raise UsageError("symplectic4 has no coframe model to page")
     raise UsageError("unknown geometry %r; choose from %s"
-                     % (geom, ", ".join(GEOMETRIES)))
+                     % (geom, ", ".join(builtin_names())))
 
 
 def _resolution(geom: str, variant: Optional[str]) -> ops.Resolution:

@@ -1,16 +1,18 @@
 """Exact linear algebra helpers.
 
-Dense matrices over Fraction are lists of row lists.  Polynomial matrices
-(entries are Poly dicts) get fraction-free determinants and adjugates.  A
-sparse elimination over a prime field supports the rank certificates used by
-the exactness checker.
+Dense matrices over Fraction are lists of row lists, and rref is their one
+exact elimination: rank, nullspace and inverse read it, and so do the page
+decompositions and operators.SpanSolver.  Polynomial matrices (entries are
+Poly dicts) get fraction-free determinants and adjugates.  A sparse
+elimination over a prime field supports the rank certificates used by the
+exactness checker.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import ratpoly as rp
 
@@ -105,20 +107,6 @@ def nullspace(red: Matrix, pivots: Sequence[int],
     return basis
 
 
-def solve(m: Matrix, rhs: Sequence[Fraction]) -> Optional[Vector]:
-    """A particular solution of m x = rhs, or None if inconsistent."""
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    aug = [list(m[i]) + [Fraction(rhs[i])] for i in range(nrows)]
-    red, pivots = rref(aug) if aug else ([], [])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
-
-
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
     aug = [list(row) + unit for row, unit in zip(m, identity(n))]
@@ -132,63 +120,6 @@ def unit_vector(j: int, n: int) -> Vector:
     v = [Fraction(0)] * n
     v[j] = Fraction(1)
     return v
-
-
-class ColumnSpaceSolver:
-    """Reduction against the column space of a matrix, with preimages.
-
-    Built from a list of columns.  reduce(y) returns (x, rest) with
-    columns @ x = y - rest and rest supported away from the echelon pivot
-    rows, so rest == 0 exactly when y lies in the column span.
-    """
-
-    def __init__(self, columns: List[Vector], nrows: int):
-        self.nrows = nrows
-        self.ncols = len(columns)
-        self.pivot_rows: List[int] = []
-        self._ech: List[Vector] = []     # echelon column vectors
-        self._coef: List[Vector] = []    # expression in original columns
-        for j, col in enumerate(columns):
-            v = list(col)
-            t = unit_vector(j, self.ncols)
-            v, t = self._reduce_against(v, t)
-            pr = next((i for i in range(nrows) if v[i]), None)
-            if pr is None:
-                continue
-            pv = v[pr]
-            v = [x / pv for x in v]
-            t = [x / pv for x in t]
-            self._ech.append(v)
-            self._coef.append(t)
-            self.pivot_rows.append(pr)
-
-    def _reduce_against(self, v: Vector, t: Vector) -> Tuple[Vector, Vector]:
-        for k, pr in enumerate(self.pivot_rows):
-            f = v[pr]
-            if f:
-                ev, et = self._ech[k], self._coef[k]
-                v = [a - f * b for a, b in zip(v, ev)]
-                t = [a - f * b for a, b in zip(t, et)]
-        return v, t
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def reduce(self, y: Sequence[Fraction]) -> Tuple[Vector, Vector]:
-        v = list(y)
-        x = [Fraction(0)] * self.ncols
-        for k, pr in enumerate(self.pivot_rows):
-            f = v[pr]
-            if f:
-                ev, et = self._ech[k], self._coef[k]
-                v = [a - f * b for a, b in zip(v, ev)]
-                x = [a + f * b for a, b in zip(x, et)]
-        return x, v
-
-    def contains(self, y: Sequence[Fraction]) -> bool:
-        _, rest = self.reduce(y)
-        return not any(rest)
 
 
 def inertia(sym: Matrix) -> Tuple[int, int, int]:

@@ -74,8 +74,7 @@ def _pmat_inverse_unimodular(a: PolyMatrix, nvars: int) -> PolyMatrix:
         sign = -sign
         out = [[rp.add(o, rp.scale(p, Fraction(sign))) for o, p in
                 zip(orow, prow)] for orow, prow in zip(out, power)]
-    adj = linalg.poly_adjugate(a)
-    return adj
+    return linalg.poly_adjugate(a)
 
 
 @dataclass
@@ -321,8 +320,6 @@ def levi_form(model: GeometryModel) -> LeviReport:
                     m[hpos[v]][hpos[u]] = rp.neg(p)
                     if not rp.is_constant(p):
                         constant = False
-                else:
-                    constant = constant and True
         mats[a] = m
     if constant:
         rows = [[rp.constant_value(e) for row in mats[a] for e in row]
@@ -379,20 +376,17 @@ def orbit_invariant(model: GeometryModel) -> OrbitReport:
             "horizontal space; got %d and %d" % (len(vert), len(horiz)))
     mats = [levi.matrices[a] for a in vert]
 
-    def pf_of(combo: List[List[rp.Poly]]) -> rp.Poly:
-        return _pfaffian4_poly(combo)
-
     def madd(x, y):
         return [[rp.add(a, b) for a, b in zip(rx, ry)]
                 for rx, ry in zip(x, y)]
 
     gram: List[List[rp.Poly]] = [[{} for _ in range(3)] for _ in range(3)]
-    pf_single = [pf_of(m) for m in mats]
+    pf_single = [_pfaffian4_poly(m) for m in mats]
     for a in range(3):
         gram[a][a] = pf_single[a]
     for a in range(3):
         for b in range(a + 1, 3):
-            cross = rp.sub(rp.sub(pf_of(madd(mats[a], mats[b])),
+            cross = rp.sub(rp.sub(_pfaffian4_poly(madd(mats[a], mats[b])),
                                   pf_single[a]), pf_single[b])
             half = rp.scale(cross, Fraction(1, 2))
             gram[a][b] = half

@@ -2,8 +2,9 @@
 
 A graded operator is produced by one mechanism: lift a class to a form,
 apply d, correct the graded pieces below the target weight by solving
-constant page-0 systems, and project at the target.  The correction steps are
-recorded as a trace, and whole complexes are assembled node by node.
+constant page-0 systems, and project at the target (GradedOperator.cascade).
+Whole complexes are assembled node by node.  Every operator has the one
+entry point apply(coeffs, jets=None).
 
 The operator classes:
 
@@ -88,19 +89,25 @@ def graded_node(model: GeometryModel, page1: Page1, degree: int,
 
 
 class SpanSolver:
-    """Expresses forms in the span of independent constant forms."""
+    """Expresses forms in the span of independent constant forms.
+
+    One rref of [C | I], C holding the forms' coefficient columns, pivots
+    on every C column first, so its I block R has R C = [I; 0]: the first
+    rank entries of R v are v's coordinates in the forms, and v lies in
+    their span exactly when the other entries vanish.
+    """
 
     def __init__(self, forms: Sequence[Form]):
         self.rank = len(forms)
         monos = sorted({idx for f in forms for idx in f.terms})
         self.pos = {m: i for i, m in enumerate(monos)}
-        cols = []
-        for f in forms:
-            v = [Fraction(0)] * len(monos)
-            for idx, p in f.terms.items():
-                v[self.pos[idx]] = rp.constant_value(p)
-            cols.append(v)
-        self.solver = linalg.ColumnSpaceSolver(cols, len(monos))
+        red, pivots = linalg.rref(
+            [[rp.constant_value(f.terms[m]) if m in f.terms else Fraction(0)
+              for f in forms] + linalg.unit_vector(i, len(monos))
+             for i, m in enumerate(monos)])
+        if pivots[:self.rank] != list(range(self.rank)):
+            raise ValueError("span forms are not independent")
+        self._r = [row[self.rank:] for row in red]
 
     def express(self, a: Form) -> PolyVec:
         out: PolyVec = [{} for _ in range(self.rank)]
@@ -116,10 +123,10 @@ class SpanSolver:
                 c = p.get(e)
                 if c:
                     v[self.pos[idx]] = c
-            x, rest = self.solver.reduce(v)
-            if any(rest):
+            rv = linalg.matvec(self._r, v)
+            if any(rv[self.rank:]):
                 raise ValueError("form is not in the span")
-            for j, c in enumerate(x):
+            for j, c in enumerate(rv[:self.rank]):
                 if c:
                     out[j][e] = c
         return out
@@ -143,15 +150,6 @@ def realize(node: Node, coeffs: Sequence[rp.Poly]) -> Form:
 
 
 # #### correction machinery ################################################
-
-@dataclass
-class CorrectionStep:
-    weight: int
-    cell: CellKey
-    via_cell: CellKey
-    killed: List[Tuple[int, ...]]
-    solved: Dict[Tuple[int, ...], rp.Poly]
-
 
 def _partials(jets: Optional[rp.Jets]):
     return jets.partials if jets is not None else None
@@ -181,7 +179,6 @@ class _LcpRun:
             for idx, p in piece.terms.items():
                 vec[pos[idx]] = p
             self.parts[w] = vec
-        self.trace: List[CorrectionStep] = []
 
     def correct_at(self, w: int) -> None:
         """Remove the reachable part of weight w using the page-0 image.
@@ -227,14 +224,9 @@ class _LcpRun:
         src_cell = self.page1.page0.cells[src_key]
         src_pivots = self.page1.data[src_key].out_pivots
         gamma = Form(self.model.nvars, src_key[0], self.model.basis_tag)
-        solved: Dict[Tuple[int, ...], rp.Poly] = {}
         for i, p in enumerate(acoeffs):
             if p:
-                mono = src_cell.basis[src_pivots[i]]
-                gamma.add_term(mono, p)
-                solved[mono] = p
-        killed = [data.cell.basis[r] for r in range(dim)
-                  if vec[r] and not newvec[r]]
+                gamma.add_term(src_cell.basis[src_pivots[i]], p)
         self.parts[w] = newvec
         dg = coframe_d(self.model, gamma, self.partials)
         for w2, piece in split_by_cell_weight(self.model, dg).items():
@@ -247,9 +239,6 @@ class _LcpRun:
             pos2 = {m: i for i, m in enumerate(cell2.basis)}
             for idx, p in piece.terms.items():
                 vec2[pos2[idx]] = rp.sub(vec2[pos2[idx]], p)
-        self.trace.append(CorrectionStep(
-            weight=w, cell=key, via_cell=src_key, killed=killed,
-            solved=solved))
 
     def part_form(self, w: int) -> Form:
         cell = self.page1.page0.cells.get((self.degree, w - self.degree))
@@ -352,15 +341,14 @@ def _normal_slot(jets: rp.Jets, image: PolyVec, shared: Dict[tuple, tuple]):
 
 
 class OperatorHandle:
-    """A derived operator with its trace and its normal form."""
+    """A derived operator between two nodes, with its normal form."""
 
     def __init__(self, source: Node, target: Node):
         self.source = source
         self.target = target
-        self.trace: List[CorrectionStep] = []
         self._normal_form: Optional[NormalForm] = None
 
-    def apply(self, coeffs: Sequence[rp.Poly], record_trace: bool = False,
+    def apply(self, coeffs: Sequence[rp.Poly],
               jets: Optional[rp.Jets] = None) -> PolyVec:
         """The image of a section; with jets, coeffs are jets in it."""
         raise NotImplementedError
@@ -399,16 +387,13 @@ class GradedOperator(OperatorHandle):
                               for k in self.target_cells)
 
     def apply(self, coeffs: Sequence[rp.Poly],
-              record_trace: bool = False,
-              lift_extra: Optional[Form] = None,
               jets: Optional[rp.Jets] = None) -> PolyVec:
-        lift = realize(self.source, coeffs)
-        if lift_extra is not None:
-            if lift_extra.degree != lift.degree \
-                    or lift_extra.basis != lift.basis:
-                raise ValueError("lift perturbation must match the lift")
-            for idx, p in lift_extra.terms.items():
-                lift.add_term(idx, p)
+        return self.cascade(realize(self.source, coeffs), jets)
+
+    def cascade(self, lift: Form, jets: Optional[rp.Jets] = None) -> PolyVec:
+        """Correct d(lift) weight by weight and project it on the target
+        classes.  The lift is any form of the source degree; its components
+        in cells above the source's top weight do not reach the output."""
         run = _LcpRun(self.model, self.page1, lift, self.source.degree + 1,
                       jets)
         out: PolyVec = [{} for _ in range(self.target.rank)]
@@ -438,8 +423,6 @@ class GradedOperator(OperatorHandle):
                                 slot[e] = s
                             else:
                                 del slot[e]
-        if record_trace:
-            self.trace = run.trace
         return out
 
 
@@ -473,7 +456,7 @@ class DeepCorrectedOperator(OperatorHandle):
         self.correct_weights = [w for w in self.correct_weights
                                 if w < self.keep_min]
 
-    def apply(self, coeffs: Sequence[rp.Poly], record_trace: bool = False,
+    def apply(self, coeffs: Sequence[rp.Poly],
               jets: Optional[rp.Jets] = None) -> PolyVec:
         lift = realize(self.source, coeffs)
         run = _LcpRun(self.model, self.page1, lift, self.source.degree + 1,
@@ -482,10 +465,7 @@ class DeepCorrectedOperator(OperatorHandle):
             run.correct_at(w)
             if any(p for p in run.parts.get(w, ())):
                 raise ValueError("weight %d is not fully correctable" % w)
-        remaining = run.remaining_form(self.keep_min)
-        if record_trace:
-            self.trace = run.trace
-        return self.span.express(remaining)
+        return self.span.express(run.remaining_form(self.keep_min))
 
 
 class SpanDOperator(OperatorHandle):
@@ -498,7 +478,7 @@ class SpanDOperator(OperatorHandle):
         self.model = model
         self.span = SpanSolver(target.forms)
 
-    def apply(self, coeffs: Sequence[rp.Poly], record_trace: bool = False,
+    def apply(self, coeffs: Sequence[rp.Poly],
               jets: Optional[rp.Jets] = None) -> PolyVec:
         form = realize(self.source, coeffs)
         partials = _partials(jets)
@@ -520,7 +500,7 @@ class RsProjD(OperatorHandle):
         self.jdual = jdual
         self.half_dim = half_dim
 
-    def apply(self, coeffs, record_trace=False, jets=None):
+    def apply(self, coeffs, jets=None):
         beta = exterior_d(realize(self.source, coeffs), _partials(jets))
         trace = contract(beta, self.jdual)
         c = trace.terms.get((), {})
@@ -538,7 +518,7 @@ class RsMiddle(OperatorHandle):
         self.jspan = SpanSolver([wedge(jform, one_form(nvars, i))
                                  for i in range(nvars)])
 
-    def apply(self, coeffs, record_trace=False, jets=None):
+    def apply(self, coeffs, jets=None):
         beta = realize(self.source, coeffs)
         x = self.jspan.express(exterior_d(beta, _partials(jets)))
         gamma = Form(self.nvars, 1, COORD)

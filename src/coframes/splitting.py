@@ -49,6 +49,7 @@ from .forms import (Bivector, Form, contract, form_add, form_scale,
                     form_sub, form_zero, wedge)
 from .models import (GeometryModel, coframe_d, orbit_invariant,
                      split_by_cell_weight, splitting_shift, structure_d)
+from .operators import SpanSolver
 
 PolyMat = List[List[rp.Poly]]
 
@@ -421,44 +422,17 @@ def certify_two_adapted(model: GeometryModel) -> TwoAdaptedReport:
     dom = coframe_d(model, omega)
     parts = split_by_cell_weight(model, dom)
     vol = _coframe_mono(model, tuple(sorted(horiz)), 3)
-    w3 = parts.get(3, form_zero(model.nvars, 3, model.basis_tag))
-    weight3_ok = form_sub(w3, form_scale(vol, Fraction(3))).is_zero()
-    w4 = parts.get(4, form_zero(model.nvars, 3, model.basis_tag))
-    cols = []
-    nu_basis = []
-    for j in horiz:
-        cand = wedge(_coframe_mono(model, (j,), 1), omega)
-        piece = split_by_cell_weight(model, cand).get(4)
-        cols.append(piece if piece is not None
-                    else form_zero(model.nvars, 3, model.basis_tag))
-        nu_basis.append(j)
-    monos = sorted({idx for f in cols + [w4] for idx in f.terms})
-    pos = {m: i for i, m in enumerate(monos)}
-    colvecs = []
-    for f in cols:
-        v = [Fraction(0)] * len(monos)
-        for idx, p in f.terms.items():
-            v[pos[idx]] = rp.constant_value(p)
-        colvecs.append(v)
-    target_monos = sorted({e for f in (w4,) for p in f.terms.values()
-                           for e in p})
-    nu: List[rp.Poly] = [{} for _ in horiz]
-    resid_zero = True
-    for e in (target_monos or [()]):
-        vec = [Fraction(0)] * len(monos)
-        for idx, p in w4.terms.items():
-            c = p.get(e)
-            if c:
-                vec[pos[idx]] = c
-        dense = [[colvecs[c][r] for c in range(len(colvecs))]
-                 for r in range(len(monos))]
-        sol = linalg.solve(dense, vec)
-        if sol is None:
-            resid_zero = False
-            break
-        for ji, c in enumerate(sol):
-            if c:
-                nu[ji][e] = c
+    zero = form_zero(model.nvars, 3, model.basis_tag)
+    weight3_ok = form_sub(parts.get(3, zero),
+                          form_scale(vol, Fraction(3))).is_zero()
+    span = SpanSolver([split_by_cell_weight(
+        model, wedge(_coframe_mono(model, (j,), 1), omega)).get(4, zero)
+        for j in horiz])
+    try:
+        nu = span.express(parts.get(4, zero))
+        resid_zero = True
+    except ValueError:
+        nu, resid_zero = [{} for _ in horiz], False
     higher_ok = True
     vert = set(model.selectors["vertical"])
     for w, piece in parts.items():

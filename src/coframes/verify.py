@@ -448,14 +448,12 @@ def rs_h1_witness(res: Resolution) -> bool:
             alpha[slot] = rp.var(idx[0] - 1, n)
     closed = not any(p for p in res.operators[1].apply(alpha))
     cache = _SliceCache(res)
-    ints, dens = cache.columns(0, 2)
-    basis = cache.basis(1, 2)
-    pos = {bk: i for i, bk in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
-    for slot, p in enumerate(alpha):
-        for e, c in p.items():
-            vec[pos[(slot, e)]] = c
-    dense = [[Fraction(col.get(i, 0), den) for col, den in zip(ints, dens)]
-             for i in range(len(basis))]
-    in_image = linalg.solve(dense, vec) is not None
+    pos = {bk: i for i, bk in enumerate(cache.basis(1, 2))}
+    # a column's slot denominator does not change the rank
+    image = [{i: Fraction(v) for i, v in col.items()}
+             for col in cache.columns(0, 2)[0]]
+    witness = {pos[(slot, e)]: c for slot, p in enumerate(alpha)
+               for e, c in p.items()}
+    in_image = (linalg.sparse_rank_exact(image + [witness])
+                == linalg.sparse_rank_exact(image))
     return closed and not in_image

@@ -60,6 +60,15 @@ def test_page_unknown_geometry_exits_2(capsys):
     code, out, err = run(capsys, "page", "nope")
     assert code == 2
     assert "unknown geometry" in err
+    assert "elliptic7" in err and "symplectic4" not in err
+
+
+def test_page_symplectic4_exits_2_without_offering_it(capsys):
+    # symplectic4 has a complex but no coframe model, so no page table
+    code, out, err = run(capsys, "page", "symplectic4")
+    assert code == 2 and not out
+    assert "no coframe model" in err
+    assert "choose from" not in err
 
 
 def test_report_bgg(capsys):

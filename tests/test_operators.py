@@ -1,5 +1,5 @@
-"""Derived operators: ladders, orders, traces, normal forms, named
-constructions."""
+"""Derived operators: ladders, orders, lift independence, normal forms,
+span solvers, named constructions."""
 
 import itertools
 import random
@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 from coframes import ratpoly as rp
-from coframes.forms import form_zero
-from coframes.operators import (GradedSection, build_rs_complex,
-                                derive_operator, named_complex,
-                                random_section)
+from coframes.forms import form_zero, one_form, wedge
+from coframes.models import symplectic_data
+from coframes.operators import (GradedSection, Node, RsMiddle, SpanSolver,
+                                build_rs_complex, derive_operator,
+                                named_complex, random_section, realize)
 from coframes.verify import _SliceCache
 
 from conftest import model, page1
@@ -138,18 +139,8 @@ def test_rumin_middle_operator_order_two():
     assert h.order == 2
 
 
-def test_engel_p_order_and_trace_recipe():
-    m = model("engel4")
-    p1 = page1("engel4")
-    P = derive_operator(m, (1, 0), (2, 1), page1=p1)
-    rng = random.Random(3)
-    gen = [rp.random_poly(rng, 4, 2, terms=4) for _ in range(P.source.rank)]
-    P.apply(gen, record_trace=True)
-    killed = [(s.via_cell, s.killed) for s in P.trace]
-    # first correction removes the omega2^omega3 component, the second the
-    # omega1^omega2 component (0-based pairs (2,3) then (1,2))
-    assert killed[0] == ((1, 1), [(2, 3)])
-    assert killed[1] == ((1, 2), [(1, 2)])
+def test_engel_p_order_two():
+    P = derive_operator(model("engel4"), (1, 0), (2, 1), page1=page1("engel4"))
     assert P.order == 2
 
 
@@ -184,25 +175,26 @@ def test_composition_zero_quick(each_model):
         assert all(not p for p in out)
 
 
-def test_lift_independence():
-    res = complex_for("g2_5", "bgg")
-    h = res.operators[1]
-    m = model("g2_5")
-    page0 = h.page1.page0
-    rng = random.Random(5)
-    deeper = [key for key, c in page0.cells.items()
-              if key[0] == h.source.degree
-              and c.weight > max(h.source.weights) + h.source.degree]
-    for _ in range(10):
-        coeffs = [rp.random_poly(rng, m.nvars, 3, terms=3)
-                  for _ in range(h.source.rank)]
-        base = h.apply(coeffs)
-        key = deeper[rng.randrange(len(deeper))]
-        cell = page0.cells[key]
-        extra = form_zero(m.nvars, h.source.degree, m.basis_tag)
-        extra.add_term(cell.basis[rng.randrange(len(cell.basis))],
-                       rp.random_poly(rng, m.nvars, 2, terms=2))
-        assert h.apply(coeffs, lift_extra=extra) == base
+@pytest.mark.parametrize("name", sorted(n for n, v in GOLDEN if v == "bgg"))
+def test_lift_independence(name):
+    """A lift's components in source-degree cells above the source's top
+    weight never reach the output: the cascade of u omega_I is zero for a
+    symbolic jet u, on every operator and every such monomial omega_I."""
+    res = complex_for(name, "bgg")
+    jets = rp.Jets(res.nvars)
+    checked = 0
+    for k, h in enumerate(res.operators):
+        top = max(h.source.weights)
+        for key, cell in sorted(h.page1.page0.cells.items()):
+            if key[0] != h.source.degree or cell.weight <= top:
+                continue
+            for mono in cell.basis:
+                lift = form_zero(res.nvars, h.source.degree,
+                                 res.model.basis_tag)
+                lift.add_term(mono, jets.unknown)
+                assert not any(h.cascade(lift, jets)), (k, mono)
+                checked += 1
+    assert checked
 
 
 def test_constants_are_killed_by_first_operator(each_model):
@@ -219,6 +211,56 @@ def test_rs_complex_shape():
         sec = random_section(res.nodes[k], rng, max_degree=2)
         out = res.operators[k + 1].apply(res.operators[k].apply(sec))
         assert all(not p for p in out)
+
+
+def _span_solvers():
+    """Every span solver of the g2_5 ambient and basic complexes and of the
+    symplectic complex, with the node of the forms it spans: each target
+    span, and RsMiddle's J ^ dx_i."""
+    for name, variant in (("g2_5", "ambient"), ("g2_5", "basic"),
+                          ("symplectic4", "rs")):
+        res = complex_for(name, variant)
+        for k, h in enumerate(res.operators):
+            if hasattr(h, "span"):
+                yield (name, variant, k), h.span, h.target
+            if isinstance(h, RsMiddle):
+                jform = symplectic_data(2)["J"]
+                forms = [wedge(jform, one_form(4, i)) for i in range(4)]
+                yield ((name, variant, k, "J"), h.jspan,
+                       Node("J_wedge_1forms", 3, forms, [0] * 4))
+
+
+def test_span_solver_expresses_its_span():
+    rng = random.Random(17)
+    solvers = 0
+    for label, span, node in _span_solvers():
+        nvars = node.forms[0].nvars
+        for _ in range(3):
+            coeffs = [rp.random_poly(rng, nvars, 2, terms=3)
+                      for _ in range(node.rank)]
+            assert span.express(realize(node, coeffs)) == coeffs, label
+        solvers += 1
+    assert solvers == 14
+
+
+def test_span_solver_rejects_forms_outside_the_span():
+    res = complex_for("g2_5", "basic")
+    span, n, tag = res.operators[1].span, res.nvars, res.model.basis_tag
+    # B2 holds no (2, 3) term, and (0, 4) only together with (1, 3)
+    outside = form_zero(n, 2, tag)
+    outside.add_term((2, 3), rp.const(1, n))
+    with pytest.raises(ValueError, match="leaves the span"):
+        span.express(outside)
+    half = form_zero(n, 2, tag)
+    half.add_term((0, 4), rp.var(0, n))
+    with pytest.raises(ValueError, match="not in the span"):
+        span.express(half)
+
+
+def test_span_solver_rejects_dependent_forms():
+    forms = complex_for("g2_5", "basic").nodes[2].forms
+    with pytest.raises(ValueError, match="not independent"):
+        SpanSolver(forms + [forms[1]])
 
 
 def test_graded_section_json_roundtrip():

@@ -166,8 +166,9 @@ def test_page1_rejects_a_model_that_is_not_weight_homogeneous():
 def _reference_cell(pg, key):
     """A cell's page-1 data derived the slow, independent way: page-0
     columns from e0_apply, an echelon of the whole incoming image, greedy
-    reps against a solver rebuilt for each candidate, and the inverse of
-    [echelon | reps | units]."""
+    reps kept when a rank test puts them outside the span found so far,
+    and the inverse of [echelon | reps | units].  Every elimination is the
+    test-local _dense_rref."""
     from fractions import Fraction
     from coframes import linalg
     m, page0 = pg.model, pg.page0
@@ -180,8 +181,8 @@ def _reference_cell(pg, key):
         tgt, cols = _reference_columns(m, page0, src)
         if tgt == key:
             in_cols, source_cell = cols, src
-    image = linalg.ColumnSpaceSolver(in_cols, dim)
-    ech = [list(v) for v in image._ech]
+    red, pivots = _dense_rref(in_cols)
+    ech = red[:len(pivots)]
     tgt, out_cols = _reference_columns(m, page0, key)
     out_rows = ([[out_cols[j][r] for j in range(dim)]
                  for r in range(len(out_cols[0]))]
@@ -194,16 +195,16 @@ def _reference_cell(pg, key):
         kernel = [linalg.unit_vector(j, dim) for j in range(dim)]
     reps = []
     for v in kernel:
-        if not linalg.ColumnSpaceSolver(ech + reps, dim).contains(v):
+        if len(_dense_rref(ech + reps + [v])[1]) > len(ech) + len(reps):
             reps.append(v)
     cols = ech + reps + [linalg.unit_vector(c, dim) for c in pivots]
     sinv = linalg.inverse([[c[r] for c in cols] for r in range(dim)])
-    lo, hi = image.rank, image.rank + len(reps)
+    lo, hi = len(ech), len(ech) + len(reps)
     extract = [[sum((row[r] * u[r] for r in range(dim)), Fraction(0))
                 for row in sinv[lo:hi]]
                for u in (linalg.unit_vector(j, dim) for j in range(dim))]
-    return dict(rank_in=image.rank, rank_out=len(pivots),
-                dim1=dim - len(pivots) - image.rank, reps=reps,
+    return dict(rank_in=len(ech), rank_out=len(pivots),
+                dim1=dim - len(pivots) - len(ech), reps=reps,
                 source_cell=source_cell, extract=extract)
 
 

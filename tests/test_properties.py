@@ -15,7 +15,7 @@ import coframes.ratpoly as rp
 from coframes.forms import (change_basis, exterior_d, form_scale, form_sub,
                             form_zero, wedge)
 from coframes.models import builtin_model, change_rows
-from coframes.operators import named_complex
+from coframes.operators import named_complex, realize
 from coframes.pages import Page0
 
 from conftest import model, random_unipotent
@@ -110,10 +110,9 @@ def test_lift_independence(seed):
     rng = random.Random(seed)
     coeffs = [rp.random_poly(rng, m.nvars, 2, terms=2)
               for _ in range(h.source.rank)]
-    base = h.apply(coeffs)
     key = deeper[rng.randrange(len(deeper))]
     cell = h.page1.page0.cells[key]
-    extra = form_zero(m.nvars, h.source.degree, m.basis_tag)
-    extra.add_term(cell.basis[rng.randrange(len(cell.basis))],
-                   rp.random_poly(rng, m.nvars, 2, terms=2))
-    assert h.apply(coeffs, lift_extra=extra) == base
+    lift = realize(h.source, coeffs)
+    lift.add_term(cell.basis[rng.randrange(len(cell.basis))],
+                  rp.random_poly(rng, m.nvars, 2, terms=2))
+    assert h.cascade(lift) == h.apply(coeffs)

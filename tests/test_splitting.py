@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from coframes import ratpoly as rp
-from coframes.models import splitting_shift, verify_structure
+from coframes.forms import form_add, form_pmul, form_sub, form_zero, wedge
+from coframes.models import (coframe_d, split_by_cell_weight, splitting_shift,
+                             verify_structure)
 from coframes.pages import check_function_linear
 from coframes.splitting import (_action_matrix, _seven_metric, _shift_pairs,
-                                certify_two_adapted, normalize_splitting,
-                                obstruction, obstruction_hom, perturb,
-                                shift_action_rank)
+                                _six_input, certify_two_adapted,
+                                normalize_splitting, obstruction,
+                                obstruction_hom, perturb, shift_action_rank)
 
 from conftest import model
 
@@ -74,6 +76,26 @@ def test_two_adapted_survives_normalized_perturbation():
     assert rep.obstruction_zero
     cert = certify_two_adapted(rep.normalized)
     assert cert.ok
+
+
+def test_two_adapted_correction_solves_the_congruence():
+    """The certificate's 1-form nu solves
+    sum_j nu_j (omega_j ^ omega)|_4 == (d omega)|_4 on the weight-4 parts."""
+    shifted, _ = perturb(model("dist3in6"), random.Random(43), max_degree=1,
+                         npairs=2)
+    m = normalize_splitting(shifted).normalized
+    cert = certify_two_adapted(m)
+    nu = cert.correction_1form
+    assert cert.ok and any(nu)
+    omega = _six_input(m)
+    lhs = form_zero(m.nvars, 3, m.basis_tag)
+    for j, p in zip(m.selectors["horizontal"], nu):
+        wj = form_zero(m.nvars, 1, m.basis_tag)
+        wj.add_term((j,), rp.const(1, m.nvars))
+        piece = split_by_cell_weight(m, wedge(wj, omega)).get(4)
+        lhs = form_add(lhs, form_pmul(piece, p))
+    rhs = split_by_cell_weight(m, coframe_d(m, omega))[4]
+    assert form_sub(lhs, rhs).is_zero()
 
 
 @pytest.mark.parametrize("name", SPLIT_MODELS)
