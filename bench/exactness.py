@@ -1,7 +1,7 @@
 """Record exactness-certificate timings of one checkout into a BENCH file.
 
-    python3 bench/exactness.py --src PATH --label parent --out BENCH_9.json
-    python3 bench/exactness.py --src . --label change --out BENCH_9.json
+    python3 bench/exactness.py --src PATH --label parent --out BENCH_12.json
+    python3 bench/exactness.py --src . --label change --out BENCH_12.json
 
 PATH is the root of a coframes checkout.  The script records, under the
 label, in the JSON file OUT (created if missing, other labels kept):
@@ -13,9 +13,9 @@ label, in the JSON file OUT (created if missing, other labels kept):
   composition_check(res, random.Random(7), sections=20, max_degree=3) for
   every named complex, each built and checked in a fresh process importing
   PATH/src, so each figure includes the compile of the normal forms;
-- the seconds of Page1(builtin_model(m)) for every builtin m: the median
-  of PAGE1_BUILDS builds, each of a freshly built model, in one fresh
-  process importing PATH/src (the page construction layer);
+- the seconds of builtin_model(m) and of Page1 on that model for every
+  builtin m: the medians of LAYER_BUILDS builds each, in one fresh process
+  importing PATH/src (the model and page construction layers);
 - the medians, over SEEDS, of the end-to-end metrics of PATH's own
   perfbench/run.py on the WORKLOADS (SECONDS each), with every run's
   values beside them.
@@ -70,23 +70,27 @@ print(json.dumps([time.perf_counter() - t0, rep.ok]))
 """
 
 
-PAGE1_BUILDS = 15
+LAYER_BUILDS = 15
 
-# python3 -c _PAGE1_WORKER BUILDS, with PYTHONPATH=PATH/src: prints
-# {model: median seconds of Page1(builtin_model(model))} as JSON.
-_PAGE1_WORKER = r"""
+# python3 -c _LAYER_WORKER BUILDS, with PYTHONPATH=PATH/src: prints
+# {"model": {m: median seconds of builtin_model(m)},
+#  "page1": {m: median seconds of Page1 on that fresh model}} as JSON.
+_LAYER_WORKER = r"""
 import json, statistics, sys, time
 from coframes import models, pages
 
-out = {}
+out = {"model": {}, "page1": {}}
 for name in models.builtin_names():
-    times = []
+    times = {"model": [], "page1": []}
     for _ in range(int(sys.argv[1])):
-        model = models.builtin_model(name)
         t0 = time.perf_counter()
+        model = models.builtin_model(name)
+        t1 = time.perf_counter()
         pages.Page1(model)
-        times.append(time.perf_counter() - t0)
-    out[name] = statistics.median(times)
+        times["model"].append(t1 - t0)
+        times["page1"].append(time.perf_counter() - t1)
+    for layer, ts in times.items():
+        out[layer][name] = statistics.median(ts)
 print(json.dumps(out))
 """
 
@@ -119,14 +123,15 @@ def check_seconds(src: Path, check: str) -> dict:
     return out
 
 
-def page1_seconds(src: Path) -> dict:
+def layer_seconds(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _PAGE1_WORKER, str(PAGE1_BUILDS)],
+        [sys.executable, "-c", _LAYER_WORKER, str(LAYER_BUILDS)],
         env=env, capture_output=True, text=True, check=True)
     medians = json.loads(proc.stdout.splitlines()[-1])
-    return {"builds": PAGE1_BUILDS,
-            "seconds": {m: round(t, 5) for m, t in medians.items()}}
+    return {layer: {"builds": LAYER_BUILDS,
+                    "seconds": {m: round(t, 6) for m, t in ts.items()}}
+            for layer, ts in medians.items()}
 
 
 def perfbench_medians(src: Path, workload: str) -> dict:
@@ -160,7 +165,7 @@ def main(argv=None) -> int:
             "src_tree": src_tree(src),
             "exactness_deg3": check_seconds(src, "exactness"),
             "composition_deg3": check_seconds(src, "composition"),
-            "page1": page1_seconds(src),
+            **layer_seconds(src),
             "perfbench": {w: perfbench_medians(src, w) for w in WORKLOADS}}
     out = args.out
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}

@@ -352,16 +352,16 @@ def cmd_verify(args) -> int:
 
 # #### apply ###############################################################
 
+# engel4's named operators: the source and target cells they connect
+_ENGEL4_ALIASES = {"P": ((1, 0), (2, 1)), "S": ((2, 1), (3, 3))}
+
+
 def _named_operator(geom: str, name: str,
                     variant: Optional[str]):
     """Resolve an operator name to a handle plus its resolution context."""
-    aliases: Dict[str, object] = {}
-    if geom == "engel4":
-        model = builtin_model(geom)
-        aliases["P"] = lambda: ops.derive_operator(model, (1, 0), (2, 1))
-        aliases["S"] = lambda: ops.derive_operator(model, (2, 1), (3, 3))
-    if name in aliases:
-        return aliases[name](), None
+    if geom == "engel4" and name in _ENGEL4_ALIASES:
+        return ops.derive_operator(builtin_model(geom),
+                                   *_ENGEL4_ALIASES[name]), None
     fixed = {"dH": 0}
     if geom == "contact5":
         fixed["dperp2"] = 2

@@ -1,17 +1,19 @@
 """Exact linear algebra helpers.
 
-Dense matrices over Fraction are lists of row lists, and rref is their one
-exact elimination: rank, nullspace and inverse read it, and so do the page
-decompositions and operators.SpanSolver.  Polynomial matrices (entries are
-Poly dicts) get fraction-free determinants and adjugates.  A sparse
-elimination over a prime field supports the rank certificates used by the
-exactness checker.
+Dense matrices are lists of row lists, and rref is their one exact
+elimination: rank, nullspace and inverse read it, and so do the page
+decompositions and operators.SpanSolver.  rref takes int or Fraction
+entries, eliminates in ints while the pivots are +-1, and returns Fractions.
+Polynomial matrices (entries are Poly dicts) get fraction-free determinants
+and adjugates.  A sparse elimination over a prime field supports the rank
+certificates used by the exactness checker.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from numbers import Rational
 from typing import Dict, List, Sequence, Tuple
 
 from . import ratpoly as rp
@@ -19,12 +21,13 @@ from . import ratpoly as rp
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
 
+# Fractions are immutable, so one zero and one one serve every vector.
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
 
 def identity(n: int) -> Matrix:
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
+    return [unit_vector(i, n) for i in range(n)]
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -35,23 +38,26 @@ def transpose(m: Matrix) -> Matrix:
 
 def matvec(m: Matrix, v: Sequence[Fraction]) -> Vector:
     nz = [(j, x) for j, x in enumerate(v) if x]
-    zero = Fraction(0)
-    return [sum((r[j] * x for j, x in nz if r[j]), zero) for r in m]
+    return [sum((r[j] * x for j, x in nz if r[j]), ZERO) for r in m]
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return []
     bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col) if x and y), Fraction(0))
+    return [[sum((x * y for x, y in zip(row, col) if x and y), ZERO)
              for col in bt] for row in a]
 
 
-def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
+def rref(m: Sequence[Sequence[Rational]]) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form and its pivot columns.
 
-    Each elimination step touches only the nonzero entries of the pivot
-    row; the page-0 matrices this serves are mostly zeros.
+    Entries may be ints or Fractions.  Each elimination step touches only
+    the nonzero entries of the pivot row; the page-0 matrices this serves
+    are mostly zeros, with small integer entries and pivots +-1, so their
+    arithmetic stays in ints.  A pivot of any other value divides its row
+    into Fractions.  The reduced form is unique, so the result is the same
+    whatever the entry types; it is returned over Fraction.
     """
     rows = [list(r) for r in m]
     nrows = len(rows)
@@ -65,10 +71,16 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
         pv = prow[c]
-        nz = [(j, prow[j] / pv if pv != 1 else prow[j])
-              for j in range(c, ncols) if prow[j]]
-        for j, x in nz:
-            prow[j] = x
+        if pv == 1:
+            nz = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
+        else:
+            if pv == -1:
+                nz = [(j, -prow[j]) for j in range(c, ncols) if prow[j]]
+            else:
+                pv = Fraction(pv)
+                nz = [(j, prow[j] / pv) for j in range(c, ncols) if prow[j]]
+            for j, x in nz:
+                prow[j] = x
         for i in range(nrows):
             row = rows[i]
             f = row[c]
@@ -79,7 +91,11 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    # each distinct int becomes one Fraction; most are 0 and +-1
+    fracs: Dict[int, Fraction] = {0: ZERO, 1: ONE}
+    return [[x if type(x) is Fraction else fracs[x] if x in fracs
+             else fracs.setdefault(x, Fraction(x)) for x in row]
+            for row in rows], pivots
 
 
 def rank(m: Matrix) -> int:
@@ -99,10 +115,11 @@ def nullspace(red: Matrix, pivots: Sequence[int],
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = unit_vector(f, ncols)
         for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
+            x = red[r][f]
+            if x:
+                v[c] = -x
         basis.append(v)
     return basis
 
@@ -117,8 +134,8 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def unit_vector(j: int, n: int) -> Vector:
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
+    v = [ZERO] * n
+    v[j] = ONE
     return v
 
 

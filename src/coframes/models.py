@@ -25,7 +25,8 @@ PolyMatrix = List[List[rp.Poly]]
 
 
 def _pmat_identity(n: int, nvars: int) -> PolyMatrix:
-    return [[rp.const(1 if i == j else 0, nvars) for j in range(n)]
+    one = rp.const(1, nvars)
+    return [[dict(one) if i == j else {} for j in range(n)]
             for i in range(n)]
 
 
@@ -77,6 +78,27 @@ def _pmat_inverse_unimodular(a: PolyMatrix, nvars: int) -> PolyMatrix:
     return linalg.poly_adjugate(a)
 
 
+def _is_unit_upper_triangular(a: PolyMatrix, nvars: int) -> bool:
+    one = rp.const(1, nvars)
+    return all(row[i] == one and not any(row[:i])
+               for i, row in enumerate(a))
+
+
+def _unit_upper_inverse(a: PolyMatrix, nvars: int) -> PolyMatrix:
+    """Inverse of a unit upper triangular matrix, by back substitution:
+    row i of the inverse is e_i - sum over k > i of a[i][k] times row k."""
+    n = len(a)
+    inv = _pmat_identity(n, nvars)
+    for i in range(n - 2, -1, -1):
+        for j in range(i + 1, n):
+            acc: rp.Poly = {}
+            for k in range(i + 1, j + 1):
+                if a[i][k] and inv[k][j]:
+                    acc = rp.sub(acc, rp.mul(a[i][k], inv[k][j]))
+            inv[i][j] = acc
+    return inv
+
+
 @dataclass
 class Congruence:
     """d(omega_index) = rhs modulo the covectors listed in mod."""
@@ -106,6 +128,10 @@ class StructureReport:
 class GeometryModel:
     """Global coframe on R^n with weights and declared structure equations.
 
+    The coframe must have determinant exactly 1.  A coframe with constant
+    1 on the diagonal and nothing below it (every builtin) has it by its
+    shape, and is inverted by back substitution; any other coframe gets
+    the polynomial determinant, and the Neumann series or the adjugate.
     coframe_inv, when given, must be the exact inverse of coframe; it is
     not recomputed, and verify_structure checks it.
     """
@@ -124,11 +150,14 @@ class GeometryModel:
         self.extra = dict(extra or {})
         if len(self.weights) != nvars or len(coframe) != nvars:
             raise ValueError("weights and coframe must both have length nvars")
-        det = linalg.poly_det_bareiss(coframe)
-        if det != rp.const(1, nvars):
+        if _is_unit_upper_triangular(coframe, nvars):
+            invert = _unit_upper_inverse
+        elif linalg.poly_det_bareiss(coframe) == rp.const(1, nvars):
+            invert = _pmat_inverse_unimodular
+        else:
             raise ValueError("coframe determinant must be exactly 1")
         self.coframe_inv = (coframe_inv if coframe_inv is not None
-                            else _pmat_inverse_unimodular(coframe, nvars))
+                            else invert(coframe, nvars))
         self.selectors: Dict[str, Tuple[int, ...]] = {
             "horizontal": tuple(i for i, w in enumerate(self.weights) if w == 1),
             "vertical": tuple(i for i, w in enumerate(self.weights) if w >= 2),

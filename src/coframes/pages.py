@@ -7,7 +7,10 @@ model off the structure forms (e0_table): d of a unit monomial
 differentiates no coefficient, and a derivative term never keeps the index
 weight, so the weight-preserving terms omega_u ^ omega_v of each
 d(omega_i) determine every cell's columns by Leibniz (e0_columns).
-e0_apply stays on coframe_d as the independent definition.
+On every builtin those constants are small integers; the table and the
+columns keep them as ints, so the page-1 eliminations below run in integer
+arithmetic (see linalg.rref).  e0_apply stays on coframe_d as the
+independent definition.
 
 Page 1 derives one exact decomposition per cell, R^dim = im(E0_in) +
 span(reps) + span(units at the outgoing pivots P), with basis matrix
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from numbers import Rational
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
@@ -86,7 +90,8 @@ def e0_apply(model: GeometryModel, a: Form) -> Form:
     return out
 
 
-E0Table = List[List[Tuple[int, int, Fraction]]]
+E0Table = List[List[Tuple[int, int, Rational]]]
+Column = List[Rational]
 
 
 def e0_table(model: GeometryModel) -> E0Table:
@@ -95,6 +100,7 @@ def e0_table(model: GeometryModel) -> E0Table:
 
     Each must be constant, which weight homogeneity guarantees; a
     nonconstant one would also be an entry of omega_i's degree-1 column.
+    An integral c is kept as an int.
     """
     table: E0Table = []
     for i, dform in enumerate(model.structure_forms()):
@@ -106,18 +112,20 @@ def e0_table(model: GeometryModel) -> E0Table:
                 raise ValueError(
                     "page-0 differential has a nonconstant entry; "
                     "the model is not weight homogeneous")
-            row.append((u, v, rp.constant_value(poly)))
+            c = rp.constant_value(poly)
+            row.append((u, v, c.numerator if c.denominator == 1 else c))
         table.append(row)
     return table
 
 
 def e0_columns(page: Page0, table: E0Table,
-               src: CellKey) -> Tuple[Optional[CellKey], List[linalg.Vector]]:
+               src: CellKey) -> Tuple[Optional[CellKey], List[Column]]:
     """Matrix columns of the page-0 differential leaving a cell.
 
     Returns the target key and one column per source basis monomial, as
     coordinates in the target cell basis: d of the unit monomial by
-    Leibniz, each d(omega_mono[k]) taken from the table.
+    Leibniz, each d(omega_mono[k]) taken from the table.  The columns
+    hold ints where the table does.
     """
     cell = page.cells[src]
     p, q = src
@@ -126,14 +134,14 @@ def e0_columns(page: Page0, table: E0Table,
     if target is None:
         return None, [[] for _ in cell.basis]
     pos = {idx: i for i, idx in enumerate(target.basis)}
-    cols: List[linalg.Vector] = []
+    cols: List[Column] = []
     for mono in cell.basis:
-        col = [Fraction(0)] * target.dim
+        col = [0] * target.dim
         for k, ik in enumerate(mono):
             for u, v, c in table[ik]:
                 idx, sign = sort_sign(mono[:k] + (u, v) + mono[k + 1:])
                 if idx is not None:
-                    col[pos[idx]] += (-1) ** k * sign * c
+                    col[pos[idx]] += -sign * c if k % 2 else sign * c
         cols.append(col)
     return tgt, cols
 
@@ -172,7 +180,7 @@ class CellData:
     extract: Callable[[Sequence[Fraction]], linalg.Vector]
     source_cell: Optional[CellKey]      # cell the incoming differential leaves
     out_pivots: List[int]               # pivot columns of the outgoing map
-    bcols: List[linalg.Vector]          # incoming columns at source pivots
+    bcols: List[Column]                 # incoming columns at source pivots
     sinv: linalg.Matrix                 # rows 0:rank_in + dim1 of S^-1
 
 
@@ -212,9 +220,12 @@ class Page1:
             pivot_set = set(pivots)
             free = [c for c in range(dim) if c not in pivot_set]
             nfree = len(free)
-            ech, chosen = linalg.rref(
-                [[b[f] for b in bcols] + linalg.unit_vector(a, nfree)
-                 for a, f in enumerate(free)])
+            rows = []
+            for a, f in enumerate(free):
+                row = [b[f] for b in bcols] + [0] * nfree
+                row[rank_in + a] = 1
+                rows.append(row)
+            ech, chosen = linalg.rref(rows)
             if chosen[:rank_in] != list(range(rank_in)):
                 raise AssertionError("incoming image is not independent "
                                      "on the free coordinates")
@@ -222,7 +233,7 @@ class Page1:
             reps = [kernel[j - rank_in] for j in chosen[rank_in:]]
             sinv = []
             for row in ech:
-                full = [Fraction(0)] * dim
+                full = [linalg.ZERO] * dim
                 for a, f in enumerate(free):
                     full[f] = row[rank_in + a]
                 sinv.append(full)

@@ -16,10 +16,10 @@ from pathlib import Path
 import coframes.ratpoly as rp
 import coframes.splitting as sp
 from coframes.forms import exterior_d, form_zero
-from coframes.models import (builtin_model, builtin_names, change_rows,
-                             levi_apply, orbit_invariant, verify_structure)
+from coframes.models import (builtin_names, change_rows, levi_apply,
+                             orbit_invariant, verify_structure)
 from coframes.operators import build_rs_complex, derive_operator, named_complex
-from coframes.pages import Page1, check_function_linear, e0_apply
+from coframes.pages import check_function_linear, e0_apply
 from coframes.verify import (composition_check, cross_check_dims,
                              exactness_check)
 

@@ -4,11 +4,10 @@ import random
 from fractions import Fraction
 
 from coframes import ratpoly as rp
-from coframes.forms import (Bivector, Form, change_basis, contract,
-                            exterior_d, form_add, form_from_json,
-                            form_monomial, form_pmul, form_scale, form_sub,
-                            form_to_json, form_zero, interior, one_form,
-                            sort_sign, wedge)
+from coframes.forms import (Bivector, change_basis, contract, exterior_d,
+                            form_add, form_from_json, form_monomial,
+                            form_pmul, form_scale, form_sub, form_to_json,
+                            form_zero, interior, one_form, sort_sign, wedge)
 
 from conftest import model
 

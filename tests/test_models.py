@@ -3,13 +3,13 @@
 import json
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
-from coframes import linalg, ratpoly as rp
-from coframes.models import (builtin_model, builtin_names, change_rows,
-                             coframe_d, levi_apply, levi_form,
+from coframes import cli, linalg, ratpoly as rp
+from coframes.models import (_pmat_identity, _pmat_inverse_unimodular,
+                             _pmat_mul, builtin_model, builtin_names,
+                             change_rows, coframe_d, levi_apply, levi_form,
                              model_from_json, model_to_json, orbit_invariant,
                              split_by_cell_weight, splitting_shift,
                              symplectic_data, verify_structure)
@@ -176,6 +176,43 @@ def test_change_rows_requires_unimodular():
             for i in range(n)]
     with pytest.raises(ValueError):
         change_rows(m, emat, "bad")
+
+
+@pytest.mark.parametrize("name", builtin_names() + ["symplectic4"])
+def test_unit_triangular_inverse_matches_unimodular_inverse(name):
+    m = (symplectic_data(2)["model"] if name == "symplectic4"
+         else builtin_model(name))
+    assert m.coframe_inv == _pmat_inverse_unimodular(m.coframe, m.nvars)
+    assert verify_structure(m).ok
+
+
+def test_coframe_below_the_diagonal_with_det_one_builds():
+    # omega_4 = dx_4 + x_1 dx_2: not triangular, and det 1 by expansion
+    # along the last column
+    blob = model_to_json(builtin_model("engel4"))
+    blob["coframe"][3][1] = rp.poly_to_json(rp.var(0, 4), 4)
+    m = model_from_json(blob)
+    assert _pmat_mul(m.coframe_inv, m.coframe) == _pmat_identity(4, 4)
+    assert verify_structure(m).inverse_ok
+
+
+def _doubled_last_diagonal(name):
+    blob = model_to_json(builtin_model(name))
+    n = blob["nvars"]
+    blob["coframe"][n - 1][n - 1] = rp.poly_to_json(rp.const(2, n), n)
+    return blob
+
+
+def test_triangular_coframe_with_diagonal_two_is_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError,
+                       match="coframe determinant must be exactly 1"):
+        model_from_json(_doubled_last_diagonal("engel4"))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_doubled_last_diagonal("elliptic7")))
+    assert cli.main(["classify7", "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "coframe determinant must be exactly 1" in err
 
 
 def test_symplectic_data():

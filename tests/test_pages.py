@@ -6,8 +6,8 @@ import random
 import pytest
 
 from coframes import ratpoly as rp
-from coframes.forms import exterior_d, form_pmul, form_zero
-from coframes.models import change_rows, coframe_d
+from coframes.forms import exterior_d, form_zero
+from coframes.models import change_rows
 from coframes.pages import (Page0, Page1, check_function_linear, e0_apply,
                             e0_columns, e0_table)
 from coframes.verify import cross_check_dims, schur_dim
@@ -209,6 +209,7 @@ def _reference_cell(pg, key):
 
 
 def test_page1_matches_reference(each_model):
+    from fractions import Fraction
     from coframes import linalg
     pg = Page1(each_model)
     for key, data in pg.data.items():
@@ -218,6 +219,8 @@ def test_page1_matches_reference(each_model):
         assert data.rank_out == ref["rank_out"], key
         assert data.dim1 == ref["dim1"], key
         assert data.reps == ref["reps"], key
+        assert all(type(x) is Fraction
+                   for v in data.sinv + data.reps for x in v), key
         assert data.source_cell == ref["source_cell"], key
         assert [data.extract(linalg.unit_vector(j, dim))
                 for j in range(dim)] == ref["extract"], key
@@ -271,3 +274,31 @@ def test_rref_matches_dense_reference():
             assert linalg.matvec(m, v) == [0] * nrows
         assert len(linalg.nullspace(red, pivots, ncols)) == \
             ncols - len(pivots)
+
+
+def test_rref_of_integer_entries_matches_dense_reference():
+    """Int and mixed int/Fraction input, with non-unit pivots and dependent
+    rows, reduces to the same Fractions as the reference."""
+    from fractions import Fraction
+    from coframes import linalg
+    rng = random.Random(21)
+    for trial in range(80):
+        nrows, ncols = rng.randint(2, 7), rng.randint(2, 8)
+        m = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3)) for _ in range(ncols)]
+             for _ in range(nrows)]
+        m[0][0] = rng.choice((2, -2, 3))
+        a = rng.randrange(1, nrows)
+        b = rng.choice([i for i in range(nrows) if i != a])
+        k = rng.choice((-2, 1, 3))
+        m[a] = [k * y for y in m[b]]
+        if trial % 2:
+            c = rng.randrange(1, nrows)
+            m[c] = [Fraction(x, 2) for x in m[c]]
+            m = [[Fraction(x) if rng.random() < 0.3 else x for x in row]
+                 for row in m]
+        red, pivots = linalg.rref(m)
+        assert (red, pivots) == _dense_rref(m), trial
+        assert len(pivots) < nrows, trial
+        assert all(type(x) is Fraction for row in red for x in row), trial
+        for v in linalg.nullspace(red, pivots, ncols):
+            assert linalg.matvec(m, v) == [0] * nrows
