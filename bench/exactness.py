@@ -1,7 +1,7 @@
 """Record exactness-certificate timings of one checkout into a BENCH file.
 
-    python3 bench/exactness.py --src PATH --label parent --out BENCH_12.json
-    python3 bench/exactness.py --src . --label change --out BENCH_12.json
+    python3 bench/exactness.py --src PATH --label parent --out BENCH_13.json
+    python3 bench/exactness.py --src . --label change --out BENCH_13.json
 
 PATH is the root of a coframes checkout.  The script records, under the
 label, in the JSON file OUT (created if missing, other labels kept):
@@ -9,10 +9,12 @@ label, in the JSON file OUT (created if missing, other labels kept):
 - the git SHA of PATH's HEAD, and the git tree hash of its src/ as it is
   on disk, which equals `git rev-parse COMMIT:src` of the commit that
   holds it (so an uncommitted change side is identified too);
+- src_lines, the line count of src/coframes/*.py as `wc -l` gives it;
 - the seconds of exactness_check(res, max_degree=3) and of
   composition_check(res, random.Random(7), sections=20, max_degree=3) for
   every named complex, each built and checked in a fresh process importing
-  PATH/src, so each figure includes the compile of the normal forms;
+  PATH/src, so each figure includes the compile of the normal forms, with
+  every field of the check's report but its elapsed time;
 - the seconds of builtin_model(m) and of Page1 on that model for every
   builtin m: the medians of LAYER_BUILDS builds each, in one fresh process
   importing PATH/src (the model and page construction layers);
@@ -50,7 +52,7 @@ COMPLEXES = (("contact5", "bgg"), ("engel4", "bgg"), ("g2_5", "bgg"),
 # python3 -c _WORKER GEOMETRY VARIANT CHECK, with PYTHONPATH=PATH/src:
 # prints [seconds, ok] of one check on one freshly built complex as JSON.
 _WORKER = r"""
-import json, random, sys, time
+import dataclasses, json, random, sys, time
 from coframes import models, operators, verify
 
 geometry, variant, check = sys.argv[1:]
@@ -66,7 +68,11 @@ if check == "exactness":
 else:
     rep = verify.composition_check(res, random.Random(7), sections=20,
                                    max_degree=3)
-print(json.dumps([time.perf_counter() - t0, rep.ok]))
+seconds = time.perf_counter() - t0
+report = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
+          if f.name != "elapsed"}
+print(json.dumps([seconds, rep.ok, report],
+                 default=lambda x: dataclasses.asdict(x)))
 """
 
 
@@ -117,10 +123,15 @@ def check_seconds(src: Path, check: str) -> dict:
         proc = subprocess.run(
             [sys.executable, "-c", _WORKER, geometry, variant, check],
             env=env, capture_output=True, text=True, check=True)
-        t, ok = json.loads(proc.stdout.splitlines()[-1])
+        t, ok, report = json.loads(proc.stdout.splitlines()[-1])
         out["%s/%s" % (geometry, variant)] = {"seconds": round(t, 3),
-                                              "ok": ok}
+                                              "ok": ok, "report": report}
     return out
+
+
+def src_lines(src: Path) -> int:
+    return sum(p.read_bytes().count(b"\n")
+               for p in (src / "src" / "coframes").glob("*.py"))
 
 
 def layer_seconds(src: Path) -> dict:
@@ -163,6 +174,7 @@ def main(argv=None) -> int:
 
     side = {"git_sha": _git(src, "rev-parse", "HEAD"),
             "src_tree": src_tree(src),
+            "src_lines": src_lines(src),
             "exactness_deg3": check_seconds(src, "exactness"),
             "composition_deg3": check_seconds(src, "composition"),
             **layer_seconds(src),

@@ -212,8 +212,7 @@ def _run_check(out: List[dict], skip: Sequence[str], cid: str, fn) -> None:
     out.append({"id": cid, "ok": bool(okflag), "detail": detail})
 
 
-def _check_lines(model: GeometryModel, degree: int, samples: int,
-                 seed: int, skip: Sequence[str]) -> List[dict]:
+def _check_lines(model: GeometryModel, skip: Sequence[str]) -> List[dict]:
     out: List[dict] = []
     add = partial(_run_check, out, skip)
 
@@ -236,7 +235,7 @@ def _check_lines(model: GeometryModel, degree: int, samples: int,
         secs = [mono((i,)) for i in range(nvars)]
         secs += [mono((i, j)) for i in range(nvars)
                  for j in range(i + 1, min(nvars, i + 3))]
-        okflag, fails = check_function_linear(
+        okflag, _ = check_function_linear(
             lambda a: e0_apply(model, a), secs, mults)
         return okflag, "%d sections" % len(secs)
     add("e0_linear", e0_linear)
@@ -245,7 +244,7 @@ def _check_lines(model: GeometryModel, degree: int, samples: int,
     if vert:
         def levi_linear():
             secs = [mono((a,)) for a in vert]
-            okflag, fails = check_function_linear(
+            okflag, _ = check_function_linear(
                 lambda a: levi_apply(model, a), secs, mults)
             return okflag, "%d vertical covectors" % len(secs)
         add("levi_linear", levi_linear)
@@ -255,7 +254,7 @@ def _check_lines(model: GeometryModel, degree: int, samples: int,
     if shape in ((3, 3), (3, 4)):
         def obstruction_linear():
             fn, inputs = sp.obstruction_hom(model)
-            okflag, fails = check_function_linear(fn, inputs, mults)
+            okflag, _ = check_function_linear(fn, inputs, mults)
             return okflag, "%d inputs" % len(inputs)
         add("obstruction_linear", obstruction_linear)
 
@@ -328,8 +327,7 @@ def cmd_verify(args) -> int:
     checks: List[dict] = []
     if args.geometry != "symplectic4":
         model = _load_model(args.geometry)
-        checks = _check_lines(model, args.degree, args.samples,
-                              args.seed, skip)
+        checks = _check_lines(model, skip)
     for variant in _complex_names(args.geometry):
         checks += _complex_checks(args.geometry, variant, args.degree,
                                   args.samples, args.seed, skip)

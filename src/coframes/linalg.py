@@ -4,9 +4,11 @@ Dense matrices are lists of row lists, and rref is their one exact
 elimination: rank, nullspace and inverse read it, and so do the page
 decompositions and operators.SpanSolver.  rref takes int or Fraction
 entries, eliminates in ints while the pivots are +-1, and returns Fractions.
-Polynomial matrices (entries are Poly dicts) get fraction-free determinants
-and adjugates.  A sparse elimination over a prime field supports the rank
-certificates used by the exactness checker.
+poly_matvec applies a constant matrix to a vector of polynomials, the
+one such product of the operator layer.  Polynomial matrices (entries are
+Poly dicts) get fraction-free determinants and adjugates.  A sparse
+elimination over a prime field supports the rank certificates used by the
+exactness checker.
 """
 
 from __future__ import annotations
@@ -36,17 +38,26 @@ def transpose(m: Matrix) -> Matrix:
     return [list(col) for col in zip(*m)]
 
 
-def matvec(m: Matrix, v: Sequence[Fraction]) -> Vector:
-    nz = [(j, x) for j, x in enumerate(v) if x]
-    return [sum((r[j] * x for j, x in nz if r[j]), ZERO) for r in m]
+def poly_matvec(m: Sequence[Sequence[Rational]],
+                vec: Sequence[rp.Poly]) -> List[rp.Poly]:
+    """The product of a constant matrix and a vector of polynomials.
 
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col) if x and y), ZERO)
-             for col in bt] for row in a]
+    Entries of m may be ints or Fractions.  The product is taken one
+    x-monomial at a time, in sorted order, so each output polynomial has
+    sorted monomials; a coefficient that sums to zero is not stored.
+    """
+    out: List[rp.Poly] = [{} for _ in m]
+    for e in sorted({e for p in vec for e in p}):
+        col = [(j, p[e]) for j, p in enumerate(vec) if e in p]
+        for row, p in zip(m, out):
+            # Fraction times entry, so an int entry takes Fraction's
+            # fast path; summing from the first product saves adding 0
+            terms = [x * row[j] for j, x in col if row[j]]
+            if terms:
+                c = sum(terms[1:], terms[0])
+                if c:
+                    p[e] = c
+    return out
 
 
 def rref(m: Sequence[Sequence[Rational]]) -> Tuple[Matrix, List[int]]:
@@ -147,7 +158,6 @@ def inertia(sym: Matrix) -> Tuple[int, int, int]:
     a = [list(r) for r in sym]
     n = len(a)
     pos = neg = zero = 0
-    idx = list(range(n))
     for step in range(n):
         k = None
         for i in range(step, n):

@@ -4,7 +4,10 @@ A GeometryModel carries a global coframe on R^n: row i of the coframe matrix
 expresses the covector omega_i in coordinate covectors, with exact
 determinant one, so the inverse matrix is polynomial as well.  The builtin
 models are additionally normalized to unit diagonal; derived models (row
-changes, splitting shifts) need not be.
+changes, splitting shifts) need not be.  One function inverts every det-1
+polynomial matrix (_pmat_inverse_unimodular): by substitution when the
+matrix is unit triangular in some order of the covectors, which proves
+det 1 by its shape, and by the adjugate otherwise.
 Each covector has a positive integer weight; declared congruences record the
 structure equations d(omega_i) = rhs modulo a set of coframe covectors, and
 verify_structure checks all of them exactly.
@@ -45,55 +48,51 @@ def _pmat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return out
 
 
-def _pmat_sub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return [[rp.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _pmat_is_zero(a: PolyMatrix) -> bool:
-    return all(not e for row in a for e in row)
+def _det_one_order(a: PolyMatrix, nvars: int) -> Optional[List[int]]:
+    """Prove det a == 1, or raise ValueError.  Constant 1 on the diagonal
+    and an acyclic off-diagonal pattern (i before j wherever a[i][j] != 0)
+    make a unit upper triangular in a topological order, det 1 by shape:
+    that order is returned.  Otherwise the fraction-free determinant must
+    be 1, and None is returned."""
+    n = len(a)
+    one = rp.const(1, nvars)
+    order: List[int] = []
+    if all(a[i][i] == one for i in range(n)):
+        preds = [{k for k in range(n) if k != j and a[k][j]}
+                 for j in range(n)]
+        while len(order) < n:
+            ready = [j for j in range(n)
+                     if j not in order and preds[j].issubset(order)]
+            if not ready:
+                break
+            order.append(ready[0])
+    if len(order) == n:
+        return order
+    if linalg.poly_det_bareiss(a) != one:
+        raise ValueError("coframe determinant must be exactly 1")
+    return None
 
 
 def _pmat_inverse_unimodular(a: PolyMatrix, nvars: int) -> PolyMatrix:
-    """Inverse of a matrix with det 1.
+    """Inverse of a matrix with det 1; ValueError for any other matrix.
 
-    Tries the Neumann series for I - a first, then falls back to the
-    adjugate.  The series is finite whenever a - I is nilpotent: every
-    builtin coframe, and every row change E that change_rows inverts (a
-    splitting shift has (E - I)^2 = 0).  A shifted coframe E @ A is not
-    such a matrix, which is why change_rows inverts E alone.
+    Det 1 by shape (every matrix the program builds and inverts: builtin
+    coframes, splitting shifts) inverts by substitution, row i of the
+    inverse being e_i - sum_k a[i][k] row k over the k after i in the
+    order, so it vanishes before i; any other matrix gets its adjugate.
     """
-    n = len(a)
-    ident = _pmat_identity(n, nvars)
-    nil = _pmat_sub(a, ident)
-    out = [row[:] for row in ident]
-    power = [row[:] for row in ident]
-    sign = 1
-    for _ in range(n):
-        power = _pmat_mul(power, nil)
-        if _pmat_is_zero(power):
-            return out
-        sign = -sign
-        out = [[rp.add(o, rp.scale(p, Fraction(sign))) for o, p in
-                zip(orow, prow)] for orow, prow in zip(out, power)]
-    return linalg.poly_adjugate(a)
-
-
-def _is_unit_upper_triangular(a: PolyMatrix, nvars: int) -> bool:
-    one = rp.const(1, nvars)
-    return all(row[i] == one and not any(row[:i])
-               for i, row in enumerate(a))
-
-
-def _unit_upper_inverse(a: PolyMatrix, nvars: int) -> PolyMatrix:
-    """Inverse of a unit upper triangular matrix, by back substitution:
-    row i of the inverse is e_i - sum over k > i of a[i][k] times row k."""
+    order = _det_one_order(a, nvars)
+    if order is None:
+        return linalg.poly_adjugate(a)
     n = len(a)
     inv = _pmat_identity(n, nvars)
-    for i in range(n - 2, -1, -1):
-        for j in range(i + 1, n):
+    for pos in range(n - 1, -1, -1):
+        i = order[pos]
+        later = [k for k in order[pos + 1:] if a[i][k]]
+        for j in order[pos + 1:]:
             acc: rp.Poly = {}
-            for k in range(i + 1, j + 1):
-                if a[i][k] and inv[k][j]:
+            for k in later:
+                if inv[k][j]:
                     acc = rp.sub(acc, rp.mul(a[i][k], inv[k][j]))
             inv[i][j] = acc
     return inv
@@ -128,10 +127,8 @@ class StructureReport:
 class GeometryModel:
     """Global coframe on R^n with weights and declared structure equations.
 
-    The coframe must have determinant exactly 1.  A coframe with constant
-    1 on the diagonal and nothing below it (every builtin) has it by its
-    shape, and is inverted by back substitution; any other coframe gets
-    the polynomial determinant, and the Neumann series or the adjugate.
+    The coframe must have determinant exactly 1, proved by its shape or
+    by its polynomial determinant (see _pmat_inverse_unimodular).
     coframe_inv, when given, must be the exact inverse of coframe; it is
     not recomputed, and verify_structure checks it.
     """
@@ -150,14 +147,11 @@ class GeometryModel:
         self.extra = dict(extra or {})
         if len(self.weights) != nvars or len(coframe) != nvars:
             raise ValueError("weights and coframe must both have length nvars")
-        if _is_unit_upper_triangular(coframe, nvars):
-            invert = _unit_upper_inverse
-        elif linalg.poly_det_bareiss(coframe) == rp.const(1, nvars):
-            invert = _pmat_inverse_unimodular
+        if coframe_inv is None:
+            coframe_inv = _pmat_inverse_unimodular(coframe, nvars)
         else:
-            raise ValueError("coframe determinant must be exactly 1")
-        self.coframe_inv = (coframe_inv if coframe_inv is not None
-                            else invert(coframe, nvars))
+            _det_one_order(coframe, nvars)
+        self.coframe_inv = coframe_inv
         self.selectors: Dict[str, Tuple[int, ...]] = {
             "horizontal": tuple(i for i, w in enumerate(self.weights) if w == 1),
             "vertical": tuple(i for i, w in enumerate(self.weights) if w >= 2),
@@ -454,9 +448,9 @@ def change_rows(model: GeometryModel, emat: PolyMatrix,
     """New model with coframe E @ A; E must have det 1.  It declares no
     congruences: they do not survive a general row change.
 
-    The inverse is A^-1 @ E^-1: inverting E alone keeps the Neumann series
-    finite for unipotent E, where E @ A - I is in general not nilpotent.
-    The constructor's determinant check still rejects E with det != 1.
+    The inverse is A^-1 @ E^-1: E is triangular in some order when E @ A
+    in general is not, so E^-1 is a substitution where (E @ A)^-1 would be
+    an adjugate.  Inverting E rejects E with det != 1.
     """
     new_a = _pmat_mul(emat, model.coframe)
     new_inv = _pmat_mul(model.coframe_inv,

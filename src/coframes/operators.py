@@ -16,14 +16,20 @@ The operator classes:
                          then removal of the J-trace, and the second-order
                          middle map -d gamma with J ^ gamma = d beta
 
-Each step but d is Q-linear monomial by monomial, so the same cascade run on
-a symbolic jet u (ratpoly.Jets), with d acting as the total derivative,
+Each step but d is Q-linear monomial by monomial: a constant matrix
+applied to a vector of polynomials (linalg.poly_matvec), whether it solves
+for span coordinates, corrects with the page-0 image, or projects on the
+classes (CellData.extract, once per target cell).  So the same cascade run
+on a symbolic jet u (ratpoly.Jets), with d acting as the total derivative,
 yields the operator's normal form sum_alpha c_alpha(x) d^alpha, one per
 pair of source and target slots.  OperatorHandle.normal_form compiles it
 on first use; its order is exact, the largest |alpha| with a nonzero
-coefficient.  NormalForm.apply evaluates it on a concrete section, and
-equals the cascade there exactly; verify's composition sample runs on it,
-so a handle compiles once and the exactness certificate reuses the form.
+coefficient.  NormalForm.image is its closed form on one monomial,
+d^alpha x^e = e!/(e - alpha)! x^(e - alpha), in integer numerators.
+NormalForm.apply sums it over a concrete section, and equals the cascade
+there exactly; verify's composition sample runs on it and its slice
+columns are images of monomials, so a handle compiles once and the
+exactness certificate reuses the form.
 OperatorHandle.apply stays on the cascade, which is cheaper than a compile
 when one section is all there is: on one random section for each of the 54
 operators of the named complexes, compiling and evaluating took about
@@ -38,7 +44,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, perm
 from operator import add, sub
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
 from .forms import (COORD, Bivector, Form, contract, exterior_d, form_pmul,
@@ -110,26 +116,15 @@ class SpanSolver:
         self._r = [row[self.rank:] for row in red]
 
     def express(self, a: Form) -> PolyVec:
-        out: PolyVec = [{} for _ in range(self.rank)]
-        monos: Dict[Tuple[int, ...], None] = {}
+        vec: PolyVec = [{} for _ in self.pos]
         for idx, p in a.terms.items():
             if idx not in self.pos:
                 raise ValueError("form leaves the span at %s" % (idx,))
-            for e in p:
-                monos[e] = None
-        for e in sorted(monos):
-            v = [Fraction(0)] * len(self.pos)
-            for idx, p in a.terms.items():
-                c = p.get(e)
-                if c:
-                    v[self.pos[idx]] = c
-            rv = linalg.matvec(self._r, v)
-            if any(rv[self.rank:]):
-                raise ValueError("form is not in the span")
-            for j, c in enumerate(rv[:self.rank]):
-                if c:
-                    out[j][e] = c
-        return out
+            vec[self.pos[idx]] = p
+        out = linalg.poly_matvec(self._r, vec)
+        if any(out[self.rank:]):
+            raise ValueError("form is not in the span")
+        return out[:self.rank]
 
 
 def realize(node: Node, coeffs: Sequence[rp.Poly]) -> Form:
@@ -192,34 +187,10 @@ class _LcpRun:
         if vec is None or not any(vec):
             return
         data = self.page1.data[key]
-        if not data.rank_in:
+        acoeffs = linalg.poly_matvec(data.sinv[:data.rank_in], vec)
+        if not any(acoeffs):
             return
-        dim = data.cell.dim
-        zero = Fraction(0)
-        monos = sorted({e for p in vec for e in p})
-        acoeffs: PolyVec = [{} for _ in range(data.rank_in)]
-        newvec: PolyVec = [dict(p) for p in vec]
-        touched = False
-        for e in monos:
-            nz = [(r, p[e]) for r, p in enumerate(vec) if p.get(e)]
-            for i in range(data.rank_in):
-                row = data.sinv[i]
-                a = sum((row[r] * x for r, x in nz if row[r]), zero)
-                if not a:
-                    continue
-                touched = True
-                acoeffs[i][e] = a
-                col = data.bcols[i]
-                for r in range(dim):
-                    if col[r]:
-                        slot = newvec[r]
-                        nv = slot.get(e, zero) - a * col[r]
-                        if nv:
-                            slot[e] = nv
-                        elif e in slot:
-                            del slot[e]
-        if not touched:
-            return
+        image = linalg.poly_matvec(linalg.transpose(data.bcols), acoeffs)
         src_key = data.source_cell
         src_cell = self.page1.page0.cells[src_key]
         src_pivots = self.page1.data[src_key].out_pivots
@@ -227,7 +198,7 @@ class _LcpRun:
         for i, p in enumerate(acoeffs):
             if p:
                 gamma.add_term(src_cell.basis[src_pivots[i]], p)
-        self.parts[w] = newvec
+        self.parts[w] = [rp.sub(p, q) for p, q in zip(vec, image)]
         dg = coframe_d(self.model, gamma, self.partials)
         for w2, piece in split_by_cell_weight(self.model, dg).items():
             if w2 == w:
@@ -284,6 +255,10 @@ class NormalForm:
                                                    List[NormalTerm]]]]]):
         self.targets = targets
         self.slots = slots
+        # per slot: (alpha, its nonzero (i, alpha_i), terms)
+        self._groups = [[(alpha, [(i, a) for i, a in enumerate(alpha) if a],
+                          terms) for alpha, terms in groups]
+                        for _, groups in slots]
 
     @property
     def order(self) -> int:
@@ -291,32 +266,41 @@ class NormalForm:
         return max((sum(alpha) for _, groups in self.slots
                     for alpha, _ in groups), default=0)
 
+    def image(self, slot: int, e: rp.Exponent
+              ) -> Dict[Tuple[int, rp.Exponent], int]:
+        """The image of x^e in source slot `slot`, as integer numerators
+        over the slot's den, keyed (target slot, exponent), zeros dropped.
+
+        This is the closed form d^alpha x^e = e!/(e - alpha)! x^(e - alpha):
+        a term (t, b, num) of alpha adds num * e!/(e - alpha)! at
+        (t, e - alpha + b).
+        """
+        out: Dict[Tuple[int, rp.Exponent], int] = {}
+        for alpha, support, terms in self._groups[slot]:
+            f = 1
+            for i, a in support:
+                f *= perm(e[i], a)
+            if not f:
+                continue
+            rest = tuple(map(sub, e, alpha))
+            for t, b, num in terms:
+                key = (t, tuple(map(add, rest, b)))
+                out[key] = out.get(key, 0) + f * num
+        return {key: v for key, v in out.items() if v}
+
     def apply(self, coeffs: Sequence[rp.Poly]) -> PolyVec:
-        """The image of a section, equal to the cascade's: d^alpha x^e is
-        e!/(e - alpha)! x^(e - alpha), the closed form of the slice columns
-        (verify._SliceCache.columns)."""
+        """The image of a section, equal to the cascade's, summed from the
+        images of its monomials."""
         if len(coeffs) != len(self.slots):
             raise ValueError("expected %d coefficients, got %d"
                              % (len(self.slots), len(coeffs)))
         out: List[Dict[rp.Exponent, Fraction]] = [
             {} for _ in range(self.targets)]
-        for u, (den, groups) in zip(coeffs, self.slots):
-            if not u:
-                continue
-            for alpha, terms in groups:
-                support = [(i, a) for i, a in enumerate(alpha) if a]
-                du = []
-                for e, c in u.items():
-                    f = 1
-                    for i, a in support:
-                        f *= perm(e[i], a)
-                    if f:
-                        du.append((tuple(map(sub, e, alpha)), c * f / den))
-                for t, b, num in terms:
-                    slot = out[t]
-                    for e, c in du:
-                        key = tuple(map(add, e, b))
-                        slot[key] = slot.get(key, 0) + c * num
+        for slot, (u, (den, _)) in enumerate(zip(coeffs, self.slots)):
+            for e, c in u.items():
+                c /= den
+                for (t, x), num in self.image(slot, e).items():
+                    out[t][x] = out[t].get(x, 0) + c * num
         return [{e: c for e, c in p.items() if c} for p in out]
 
 
@@ -397,32 +381,16 @@ class GradedOperator(OperatorHandle):
         run = _LcpRun(self.model, self.page1, lift, self.source.degree + 1,
                       jets)
         out: PolyVec = [{} for _ in range(self.target.rank)]
-        zero = Fraction(0)
         min_w = min(self.source.weights) + 1 if self.source.weights else 1
         for w in range(min_w, self.max_weight + 1):
             key = (self.source.degree + 1, w - self.source.degree - 1)
             if key not in self.page1.page0.cells:
                 continue
             run.correct_at(w)
-            if key in self.target_cells:
+            vec = run.parts.get(w)
+            if key in self.target_cells and vec is not None:
                 lo, hi = self.target_cells[key]
-                data = self.page1.data[key]
-                vec = run.parts.get(w)
-                if vec is None:
-                    continue
-                monos = sorted({e for p in vec for e in p})
-                for e in monos:
-                    v = [p.get(e, zero) for p in vec]
-                    cls = data.extract(v)
-                    for j, c in enumerate(cls):
-                        if c:
-                            slot = out[lo + j]
-                            cur = slot.get(e)
-                            s = (cur + c) if cur is not None else c
-                            if s:
-                                slot[e] = s
-                            else:
-                                del slot[e]
+                out[lo:hi] = self.page1.data[key].extract(vec)
         return out
 
 
@@ -549,30 +517,14 @@ class Resolution:
         return [h.order for h in self.operators]
 
 
-def derive_operator(model: GeometryModel,
-                    source: Union[int, CellKey, Sequence[CellKey]],
-                    target: Union[None, CellKey, Sequence[CellKey]] = None,
-                    page1: Optional[Page1] = None) -> OperatorHandle:
-    """The derived operator leaving a cell (or a degree's survivors)."""
+def derive_operator(model: GeometryModel, source: CellKey, target: CellKey,
+                    page1: Optional[Page1] = None) -> GradedOperator:
+    """The derived operator from one page-1 cell to one of the next degree."""
     page1 = page1 or Page1(model)
-    if isinstance(source, int):
-        src_cells = page1.surviving_cells(source)
-        degree = source
-    elif source and isinstance(source[0], int):
-        src_cells = [source]  # type: ignore[list-item]
-        degree = source[0]
-    else:
-        src_cells = list(source)  # type: ignore[arg-type]
-        degree = src_cells[0][0]
-    if target is None:
-        tgt_cells = page1.surviving_cells(degree + 1)
-    elif target and isinstance(target[0], int):
-        tgt_cells = [target]  # type: ignore[list-item]
-    else:
-        tgt_cells = list(target)  # type: ignore[arg-type]
-    src = graded_node(model, page1, degree, src_cells)
-    tgt = graded_node(model, page1, degree + 1, tgt_cells)
-    return GradedOperator(model, page1, src, tgt)
+    degree = source[0]
+    return GradedOperator(model, page1,
+                          graded_node(model, page1, degree, [source]),
+                          graded_node(model, page1, degree + 1, [target]))
 
 
 def named_complex(model: GeometryModel, variant: str = "bgg") -> Resolution:

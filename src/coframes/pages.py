@@ -24,12 +24,13 @@ gives the reps and those rows together:
   of M = S[N, :rank_in + dim1];
 - the rows of S^-1 at P are never read, and the kept ones are M^-1 on N and
   zero on P, since the units vanish off P.
+CellData keeps only that data, its ranks being lengths; CellData.extract
+applies the class rows of S^-1 to a polynomial vector, once per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from numbers import Rational
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -173,15 +174,28 @@ class CellData:
     three subspaces, so any basis of the image gives the same classes.
     """
     cell: Cell
-    rank_in: int
-    rank_out: int
-    dim1: int
     reps: List[linalg.Vector]           # class representatives, cell coords
-    extract: Callable[[Sequence[Fraction]], linalg.Vector]
     source_cell: Optional[CellKey]      # cell the incoming differential leaves
     out_pivots: List[int]               # pivot columns of the outgoing map
     bcols: List[Column]                 # incoming columns at source pivots
     sinv: linalg.Matrix                 # rows 0:rank_in + dim1 of S^-1
+
+    @property
+    def rank_in(self) -> int:
+        return len(self.bcols)
+
+    @property
+    def rank_out(self) -> int:
+        return len(self.out_pivots)
+
+    @property
+    def dim1(self) -> int:
+        return len(self.reps)
+
+    def extract(self, vec: Sequence[rp.Poly]) -> List[rp.Poly]:
+        """The class coordinates of a vector of polynomials in cell
+        coordinates: its coefficients along the reps."""
+        return linalg.poly_matvec(self.sinv[self.rank_in:], vec)
 
 
 class Page1:
@@ -237,16 +251,9 @@ class Page1:
                 for a, f in enumerate(free):
                     full[f] = row[rank_in + a]
                 sinv.append(full)
-
-            def make_extract(rows=sinv[rank_in:]):
-                def extract(v: Sequence[Fraction]) -> linalg.Vector:
-                    return linalg.matvec(rows, list(v))
-                return extract
-
             self.data[key] = CellData(
-                cell=cell, rank_in=rank_in, rank_out=len(pivots),
-                dim1=len(reps), reps=reps, extract=make_extract(),
-                source_cell=src, out_pivots=pivots, bcols=bcols, sinv=sinv)
+                cell=cell, reps=reps, source_cell=src, out_pivots=pivots,
+                bcols=bcols, sinv=sinv)
 
     def dims(self) -> Dict[CellKey, int]:
         return {k: d.dim1 for k, d in sorted(self.data.items()) if d.dim1}

@@ -8,9 +8,10 @@ incoming and outgoing maps on each slice, and verifies that image plus
 kernel dimensions account for the whole slice.
 
 A slice matrix is read off the operator's normal form (see operators.py):
-the column of x^b in source slot s is sum_alpha c_alpha * b!/(b - alpha)! *
-x^(b - alpha), kept as integer numerators over the one denominator d_s of
-slot s.  No form is built and no cascade runs per column.
+the column of x^b in source slot s is NormalForm.image(s, b), the closed
+form sum_alpha c_alpha * b!/(b - alpha)! * x^(b - alpha) as integer
+numerators over the one denominator d_s of slot s.  No form is built and no
+cascade runs per column.
 
 Each (operator, slice) is ranked once, by sparse elimination of its integer
 columns modulo one prime (linalg.rank_mod_p); a slice whose modular count
@@ -35,8 +36,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, perm
-from operator import add, sub
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
@@ -178,8 +178,9 @@ class _SliceCache:
 
     def columns(self, op_idx: int, s: int
                 ) -> Tuple[List[Dict[int, int]], List[int]]:
-        """Matrix columns of operator op_idx on the total-weight-s slice,
-        from the closed form of its normal form (a term for each alpha <= b).
+        """Matrix columns of operator op_idx on the total-weight-s slice:
+        the images of the basis monomials under its normal form
+        (NormalForm.image).
 
         Returns (cols, dens): column j is cols[j] / dens[j], with cols[j]
         the integer numerators and dens[j] its source slot's denominator.
@@ -188,29 +189,15 @@ class _SliceCache:
         hit = self._cols.get(key)
         if hit is not None:
             return hit
-        # per source slot: den and (alpha, its nonzero (i, alpha_i), terms)
-        slots = [(den, [(alpha, [(i, a) for i, a in enumerate(alpha) if a],
-                         terms) for alpha, terms in groups])
-                 for den, groups in self.res.operators[op_idx].normal_form().slots]
+        nf = self.res.operators[op_idx].normal_form()
         out_pos = {bk: i for i, bk in enumerate(self.basis(op_idx + 1, s))}
         cols: List[Dict[int, int]] = []
         dens: List[int] = []
         try:
             for slot, b in self.basis(op_idx, s):
-                den, groups = slots[slot]
-                col: Dict[int, int] = {}
-                for alpha, support, terms in groups:
-                    f = 1
-                    for i, ai in support:
-                        f *= perm(b[i], ai)
-                    if not f:
-                        continue
-                    rest = tuple(map(sub, b, alpha))
-                    for t, xe, num in terms:
-                        r = out_pos[(t, tuple(map(add, rest, xe)))]
-                        col[r] = col.get(r, 0) + f * num
-                cols.append({r: v for r, v in col.items() if v})
-                dens.append(den)
+                cols.append({out_pos[key]: v
+                             for key, v in nf.image(slot, b).items()})
+                dens.append(nf.slots[slot][0])
         except KeyError:
             raise AssertionError(
                 "operator %d is not weight-homogeneous" % op_idx) from None

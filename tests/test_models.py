@@ -7,8 +7,9 @@ import time
 import pytest
 
 from coframes import cli, linalg, ratpoly as rp
-from coframes.models import (_pmat_identity, _pmat_inverse_unimodular,
-                             _pmat_mul, builtin_model, builtin_names,
+from coframes.models import (_det_one_order, _pmat_identity,
+                             _pmat_inverse_unimodular, _pmat_mul,
+                             builtin_model, builtin_names,
                              change_rows, coframe_d, levi_apply, levi_form,
                              model_from_json, model_to_json, orbit_invariant,
                              split_by_cell_weight, splitting_shift,
@@ -174,16 +175,47 @@ def test_change_rows_requires_unimodular():
     n = m.nvars
     emat = [[rp.const(2 if i == j else 0, n) for j in range(n)]
             for i in range(n)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="determinant must be exactly 1"):
         change_rows(m, emat, "bad")
+    with pytest.raises(ValueError, match="determinant must be exactly 1"):
+        _pmat_inverse_unimodular(emat, n)
 
 
 @pytest.mark.parametrize("name", builtin_names() + ["symplectic4"])
 def test_unit_triangular_inverse_matches_unimodular_inverse(name):
     m = (symplectic_data(2)["model"] if name == "symplectic4"
          else builtin_model(name))
-    assert m.coframe_inv == _pmat_inverse_unimodular(m.coframe, m.nvars)
+    assert m.coframe_inv == linalg.poly_adjugate(m.coframe)
     assert verify_structure(m).ok
+
+
+def test_triangular_row_changes_invert_by_substitution():
+    """A splitting shift and filtration-preserving unipotent changes are
+    det 1 by shape, off the index order, and their substitution inverse
+    is the adjugate."""
+    m = model("elliptic7")
+    n = m.nvars
+    rng = random.Random(23)
+    shift = _pmat_identity(n, n)
+    for j, a in [(3, 0), (4, 2), (6, 1), (6, 2)]:
+        shift[j][a] = rp.random_poly(rng, n, 2, terms=3)
+    for emat in [shift, random_unipotent(m, rng), random_unipotent(m, rng)]:
+        order = _det_one_order(emat, n)
+        assert order is not None and order != list(range(n))
+        assert _pmat_inverse_unimodular(emat, n) == \
+            linalg.poly_adjugate(emat)
+
+
+def test_cyclic_det_one_block_inverts_by_adjugate():
+    # [[2, 1], [1, 1]] has det 1 but no constant-1 diagonal
+    n = 4
+    emat = _pmat_identity(n, n)
+    emat[1][1], emat[1][2] = rp.const(2, n), rp.const(1, n)
+    emat[2][1] = rp.const(1, n)
+    assert _det_one_order(emat, n) is None
+    inv = _pmat_inverse_unimodular(emat, n)
+    assert _pmat_mul(inv, emat) == _pmat_identity(n, n)
+    assert _pmat_mul(emat, inv) == _pmat_identity(n, n)
 
 
 def test_coframe_below_the_diagonal_with_det_one_builds():

@@ -222,16 +222,54 @@ def test_page1_matches_reference(each_model):
         assert all(type(x) is Fraction
                    for v in data.sinv + data.reps for x in v), key
         assert data.source_cell == ref["source_cell"], key
-        assert [data.extract(linalg.unit_vector(j, dim))
-                for j in range(dim)] == ref["extract"], key
+        n = each_model.nvars
+        units = [[rp.const(int(i == j), n) for i in range(dim)]
+                 for j in range(dim)]
+        assert [data.extract(u) for u in units] == \
+            [[rp.const(c, n) for c in row] for row in ref["extract"]], key
         if data.rank_in:
             cols = data.bcols + data.reps + \
                 [linalg.unit_vector(c, dim) for c in data.out_pivots]
-            smat = [[c[r] for c in cols] for r in range(dim)]
             kept = data.rank_in + data.dim1
             assert len(data.sinv) == kept, key
-            assert linalg.matmul(data.sinv, smat) == \
+            assert [_matvec(cols, row) for row in data.sinv] == \
                 linalg.identity(dim)[:kept], key
+
+
+def _matvec(m, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in m]
+
+
+def test_poly_matvec_matches_numeric_product_per_monomial():
+    from fractions import Fraction
+    from coframes import linalg
+    rng = random.Random(22)
+    for trial in range(40):
+        nrows, ncols, nvars = rng.randint(1, 6), rng.randint(1, 6), 3
+        m = [[rng.choice((0, 0, 1, -1, 2)) if trial % 2 else
+              Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for _ in range(ncols)] for _ in range(nrows)]
+        vec = [rp.random_poly(rng, nvars, 2, terms=3) if rng.random() < 0.8
+               else {} for _ in range(ncols)]
+        # a row that cancels on a shared monomial
+        e = (1, 0, 0)
+        if ncols >= 2 and nrows >= 2:
+            m[-1] = [1, 1] + [0] * (ncols - 2)
+            vec[0] = {**vec[0], e: Fraction(3)}
+            vec[1] = {**vec[1], e: Fraction(-3)}
+        out = linalg.poly_matvec(m, vec)
+        assert len(out) == nrows, trial
+        monos = sorted({x for p in vec for x in p})
+        want = [{} for _ in range(nrows)]
+        for x in monos:
+            for i, c in enumerate(_matvec(m, [p.get(x, 0) for p in vec])):
+                if c:
+                    want[i][x] = c
+        assert out == want, trial
+        for p in out:
+            assert list(p) == sorted(p) and all(p.values()), trial
+        if ncols >= 2 and nrows >= 2:
+            assert e not in out[-1], trial
 
 
 def _dense_rref(m):
@@ -271,7 +309,7 @@ def test_rref_matches_dense_reference():
         red, pivots = linalg.rref(m)
         assert (red, pivots) == _dense_rref(m), trial
         for v in linalg.nullspace(red, pivots, ncols):
-            assert linalg.matvec(m, v) == [0] * nrows
+            assert _matvec(m, v) == [0] * nrows
         assert len(linalg.nullspace(red, pivots, ncols)) == \
             ncols - len(pivots)
 
@@ -301,4 +339,4 @@ def test_rref_of_integer_entries_matches_dense_reference():
         assert len(pivots) < nrows, trial
         assert all(type(x) is Fraction for row in red for x in row), trial
         for v in linalg.nullspace(red, pivots, ncols):
-            assert linalg.matvec(m, v) == [0] * nrows
+            assert _matvec(m, v) == [0] * nrows
