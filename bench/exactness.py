@@ -1,7 +1,7 @@
 """Record exactness-certificate timings of one checkout into a BENCH file.
 
-    python3 bench/exactness.py --src PATH --label parent --out BENCH_13.json
-    python3 bench/exactness.py --src . --label change --out BENCH_13.json
+    python3 bench/exactness.py --src PATH --label parent --out BENCH_14.json
+    python3 bench/exactness.py --src . --label change --out BENCH_14.json
 
 PATH is the root of a coframes checkout.  The script records, under the
 label, in the JSON file OUT (created if missing, other labels kept):
@@ -20,7 +20,15 @@ label, in the JSON file OUT (created if missing, other labels kept):
   importing PATH/src (the model and page construction layers);
 - the medians, over SEEDS, of the end-to-end metrics of PATH's own
   perfbench/run.py on the WORKLOADS (SECONDS each), with every run's
-  values beside them.
+  values beside them;
+- outputs, sha256 digests of what the program computes, so two sides
+  can be compared for byte identity: the stdout of the apply-oneshot
+  workload's requests for SEEDS; every NormalForm (targets, slots) of
+  every named complex; `coframes verify G --degree 1 --format json` for
+  every geometry; engel4's P and S on three random sections each; the
+  normalize workload's NormalizeReports for SEEDS, as values (Fractions
+  and ints alike), with the normalized coframe and its inverse; and the
+  degree-3 exactness and composition reports above.
 
 Runs are one at a time, in subprocesses, so the two sides can be recorded
 on one machine by two calls of this script.
@@ -29,6 +37,7 @@ on one machine by two calls of this script.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -101,6 +110,83 @@ print(json.dumps(out))
 """
 
 
+# python3 -c _OUTPUTS_WORKER, with PYTHONPATH=PATH/src:PATH/perfbench and a
+# scratch directory as cwd: prints {name: sha256} of the outputs as JSON.
+_OUTPUTS_WORKER = r"""
+import contextlib, dataclasses, hashlib, io, json, random, sys
+from fractions import Fraction
+from coframes import builtin_names, cli, models, operators, pages
+import workloads
+
+SEEDS, COMPLEXES = json.loads(sys.argv[1])
+
+
+def canon(x):
+    # values, not types: an int and an equal Fraction read the same
+    if isinstance(x, bool) or x is None or isinstance(x, str):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return "%d/%d" % (Fraction(x).numerator, Fraction(x).denominator)
+    if isinstance(x, dict):
+        return sorted([canon(k), canon(v)] for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return [canon(v) for v in x]
+    if isinstance(x, models.GeometryModel):
+        return {"name": x.name, "coframe": canon(x.coframe),
+                "coframe_inv": canon(x.coframe_inv)}
+    if dataclasses.is_dataclass(x):
+        return {f.name: canon(getattr(x, f.name))
+                for f in dataclasses.fields(x)}
+    raise TypeError(type(x))
+
+
+def sha(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def cli_out(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv)
+    return [rc, buf.getvalue()]
+
+
+out = {}
+for seed in SEEDS:
+    ops = workloads.setup_apply_oneshot(seed, ".")
+    out["apply_oneshot/%d" % seed] = sha([[op.name, *op.run()] for op in ops])
+    ops = workloads.setup_normalize(seed, ".")
+    out["normalize/%d" % seed] = sha([canon(op.run()) for op in ops])
+for geometry, variant in COMPLEXES:
+    if variant == "rs":
+        res = operators.build_rs_complex(2)
+    else:
+        res = operators.named_complex(models.builtin_model(geometry), variant)
+    out["normal_forms/%s/%s" % (geometry, variant)] = sha(
+        [canon([h.normal_form().targets, h.normal_form().slots])
+         for h in res.operators])
+for geometry in builtin_names() + ["symplectic4"]:
+    out["verify_deg1/" + geometry] = sha(
+        cli_out(["verify", geometry, "--degree", "1", "--format", "json"]))
+engel4 = models.builtin_model("engel4")
+for name, (source, _) in cli._ENGEL4_ALIASES.items():
+    node = operators.graded_node(engel4, pages.Page1(engel4), source[0],
+                                 [source])
+    runs = []
+    for seed in (1, 2, 3):
+        section = operators.GradedSection(
+            "engel4", "bgg", source[0],
+            operators.random_section(node, random.Random(seed)))
+        path = "engel4-%s-%d.json" % (name, seed)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(section.to_json(4), fh)
+        runs.append(cli_out(["apply", "engel4", "--operator", name,
+                             "--input", path]))
+    out["engel4/" + name] = sha(runs)
+print(json.dumps(out))
+"""
+
+
 def _git(src: Path, *args: str, env=None) -> str:
     proc = subprocess.run(["git", "-C", str(src)] + list(args), env=env,
                           capture_output=True, text=True, check=True)
@@ -127,6 +213,23 @@ def check_seconds(src: Path, check: str) -> dict:
         out["%s/%s" % (geometry, variant)] = {"seconds": round(t, 3),
                                               "ok": ok, "report": report}
     return out
+
+
+def output_digests(src: Path, side: dict) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src / "src"), str(src / "perfbench")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [sys.executable, "-c", _OUTPUTS_WORKER,
+             json.dumps([SEEDS, COMPLEXES])],
+            cwd=tmp, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    out = json.loads(proc.stdout.splitlines()[-1])
+    for check in ("exactness_deg3", "composition_deg3"):
+        for key, rec in side[check].items():
+            blob = json.dumps([rec["ok"], rec["report"]], sort_keys=True)
+            out["%s/%s" % (check, key)] = hashlib.sha256(
+                blob.encode()).hexdigest()
+    return dict(sorted(out.items()))
 
 
 def src_lines(src: Path) -> int:
@@ -179,6 +282,7 @@ def main(argv=None) -> int:
             "composition_deg3": check_seconds(src, "composition"),
             **layer_seconds(src),
             "perfbench": {w: perfbench_medians(src, w) for w in WORKLOADS}}
+    side["outputs"] = output_digests(src, side)
     out = args.out
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     data["machine"] = {"python": platform.python_version(),

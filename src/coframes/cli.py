@@ -25,7 +25,7 @@ from . import operators as ops
 from . import ratpoly as rp
 from . import splitting as sp
 from . import verify as ver
-from .forms import form_zero
+from .forms import form_monomial
 from .models import (GeometryModel, builtin_model, builtin_names,
                      levi_apply, model_from_json, orbit_invariant,
                      verify_structure)
@@ -226,10 +226,7 @@ def _check_lines(model: GeometryModel, skip: Sequence[str]) -> List[dict]:
              rp.add(rp.const(2, nvars), rp.var(nvars - 1, nvars)),
              rp.mul(rp.var(0, nvars), rp.var(nvars - 1, nvars))]
 
-    def mono(idx):
-        f = form_zero(nvars, len(idx), model.basis_tag)
-        f.add_term(tuple(idx), rp.const(1, nvars))
-        return f
+    mono = partial(form_monomial, nvars, coeff=1, basis=model.basis_tag)
 
     def e0_linear():
         secs = [mono((i,)) for i in range(nvars)]

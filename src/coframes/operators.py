@@ -16,9 +16,13 @@ The operator classes:
                          then removal of the J-trace, and the second-order
                          middle map -d gamma with J ^ gamma = d beta
 
+The sweep (_LcpRun) keeps one form, d(lift) minus all of d(gamma) for
+each correction gamma: the weight-w part of d(gamma) is E0 gamma, the image
+that gamma was solved for, so no separate product by page-0 columns is due.
+
 Each step but d is Q-linear monomial by monomial: a constant matrix
 applied to a vector of polynomials (linalg.poly_matvec), whether it solves
-for span coordinates, corrects with the page-0 image, or projects on the
+for span coordinates, for a correction's coefficients, or projects on the
 classes (CellData.extract, once per target cell).  So the same cascade run
 on a symbolic jet u (ratpoly.Jets), with d acting as the total derivative,
 yields the operator's normal form sum_alpha c_alpha(x) d^alpha, one per
@@ -47,9 +51,10 @@ from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
-from .forms import (COORD, Bivector, Form, contract, exterior_d, form_pmul,
-                    form_scale, form_sub, form_zero, one_form, wedge)
-from .models import GeometryModel, coframe_d, split_by_cell_weight, symplectic_data
+from .forms import (COORD, Bivector, Form, contract, exterior_d,
+                    form_monomial, form_pmul, form_scale, form_sub, one_form,
+                    wedge)
+from .models import GeometryModel, coframe_d, symplectic_data
 from .pages import CellKey, Page1
 
 PolyVec = List[rp.Poly]
@@ -108,8 +113,8 @@ class SpanSolver:
         monos = sorted({idx for f in forms for idx in f.terms})
         self.pos = {m: i for i, m in enumerate(monos)}
         red, pivots = linalg.rref(
-            [[rp.constant_value(f.terms[m]) if m in f.terms else Fraction(0)
-              for f in forms] + linalg.unit_vector(i, len(monos))
+            [[rp.constant_value(f.terms.get(m, {})) for f in forms]
+             + linalg.unit_vector(i, len(monos))
              for i, m in enumerate(monos)])
         if pivots[:self.rank] != list(range(self.rank)):
             raise ValueError("span forms are not independent")
@@ -153,6 +158,14 @@ def _partials(jets: Optional[rp.Jets]):
 class _LcpRun:
     """One lift-correct sweep of d over ascending weights.
 
+    The sweep keeps one form, eta = d(lift) - sum d(gamma) over the
+    corrections gamma made so far.  Cell (p, w - p) lists exactly the
+    degree-p monomials of weight w, so eta's weight-w part in cell
+    coordinates is read straight off its terms (vector).  Each correction
+    subtracts all of d(gamma): derivative terms raise the weight, and the
+    weight-w part is E0 gamma, the Leibniz sum over the same structure
+    forms that defines the page-0 columns (pages.e0_columns).
+
     With jets, the lift has jet coefficients and d differentiates them
     totally.
     """
@@ -163,17 +176,12 @@ class _LcpRun:
         self.partials = _partials(jets)
         self.page1 = page1
         self.degree = out_degree
-        eta = coframe_d(model, lift, self.partials)
-        self.parts: Dict[int, PolyVec] = {}
-        for w, piece in split_by_cell_weight(model, eta).items():
-            cell = page1.page0.cells.get((out_degree, w - out_degree))
-            if cell is None:
-                raise AssertionError("derivative left the cell table")
-            vec: PolyVec = [{} for _ in cell.basis]
-            pos = {m: i for i, m in enumerate(cell.basis)}
-            for idx, p in piece.terms.items():
-                vec[pos[idx]] = p
-            self.parts[w] = vec
+        self.eta = coframe_d(model, lift, self.partials)
+
+    def vector(self, w: int) -> PolyVec:
+        """The weight-w part of eta in its cell's coordinates."""
+        cell = self.page1.page0.cells[(self.degree, w - self.degree)]
+        return [self.eta.terms.get(m, {}) for m in cell.basis]
 
     def correct_at(self, w: int) -> None:
         """Remove the reachable part of weight w using the page-0 image.
@@ -182,15 +190,10 @@ class _LcpRun:
         source cell's pivot coordinates (see CellData), so the preimage
         gamma lies in the complement of the source kernel.
         """
-        key = (self.degree, w - self.degree)
-        vec = self.parts.get(w)
-        if vec is None or not any(vec):
-            return
-        data = self.page1.data[key]
-        acoeffs = linalg.poly_matvec(data.sinv[:data.rank_in], vec)
+        data = self.page1.data[(self.degree, w - self.degree)]
+        acoeffs = linalg.poly_matvec(data.sinv[:data.rank_in], self.vector(w))
         if not any(acoeffs):
             return
-        image = linalg.poly_matvec(linalg.transpose(data.bcols), acoeffs)
         src_key = data.source_cell
         src_cell = self.page1.page0.cells[src_key]
         src_pivots = self.page1.data[src_key].out_pivots
@@ -198,39 +201,11 @@ class _LcpRun:
         for i, p in enumerate(acoeffs):
             if p:
                 gamma.add_term(src_cell.basis[src_pivots[i]], p)
-        self.parts[w] = [rp.sub(p, q) for p, q in zip(vec, image)]
         dg = coframe_d(self.model, gamma, self.partials)
-        for w2, piece in split_by_cell_weight(self.model, dg).items():
-            if w2 == w:
-                continue
-            if w2 < w:
+        for idx, p in dg.terms.items():
+            if self.model.weight_of(idx) < w:
                 raise AssertionError("correction reached below its weight")
-            cell2 = self.page1.page0.cells[(self.degree, w2 - self.degree)]
-            vec2 = self.parts.setdefault(w2, [{} for _ in cell2.basis])
-            pos2 = {m: i for i, m in enumerate(cell2.basis)}
-            for idx, p in piece.terms.items():
-                vec2[pos2[idx]] = rp.sub(vec2[pos2[idx]], p)
-
-    def part_form(self, w: int) -> Form:
-        cell = self.page1.page0.cells.get((self.degree, w - self.degree))
-        out = form_zero(self.model.nvars, self.degree, self.model.basis_tag)
-        vec = self.parts.get(w)
-        if cell is not None and vec is not None:
-            for i, p in enumerate(vec):
-                if p:
-                    out.add_term(cell.basis[i], p)
-        return out
-
-    def remaining_form(self, min_w: int) -> Form:
-        out = form_zero(self.model.nvars, self.degree,
-                        self.model.basis_tag)
-        for w in sorted(self.parts):
-            if w < min_w:
-                continue
-            piece = self.part_form(w)
-            for idx, p in piece.terms.items():
-                out.add_term(idx, p)
-        return out
+            self.eta.add_term(idx, rp.neg(p))
 
 
 # #### operator handles ####################################################
@@ -387,15 +362,19 @@ class GradedOperator(OperatorHandle):
             if key not in self.page1.page0.cells:
                 continue
             run.correct_at(w)
-            vec = run.parts.get(w)
-            if key in self.target_cells and vec is not None:
+            if key in self.target_cells:
                 lo, hi = self.target_cells[key]
-                out[lo:hi] = self.page1.data[key].extract(vec)
+                out[lo:hi] = self.page1.data[key].extract(run.vector(w))
         return out
 
 
 class DeepCorrectedOperator(OperatorHandle):
-    """Correct everything below the target span; keep the honest form."""
+    """Correct everything below the target span; keep the honest form.
+
+    Each cell of the target degree below the span's lowest weight lies
+    outside the span, so it is corrected and checked to vanish, and the
+    sweep's eta is what the span then expresses.
+    """
 
     def __init__(self, model: GeometryModel, page1: Page1,
                  source: Node, target: Node):
@@ -404,25 +383,17 @@ class DeepCorrectedOperator(OperatorHandle):
         self.page1 = page1
         self.span = SpanSolver(target.forms)
         support = set(self.span.pos)
-        self.correct_weights: List[int] = []
-        self.keep_min: Optional[int] = None
-        degree = source.degree + 1
-        for key, cell in sorted(page1.page0.cells.items(),
-                                key=lambda kv: kv[1].weight):
-            if key[0] != degree:
-                continue
-            inside = [m in support for m in cell.basis]
-            if all(inside):
-                if self.keep_min is None or cell.weight < self.keep_min:
-                    self.keep_min = cell.weight
-            elif any(inside):
-                raise ValueError("target span splits a cell")
-            else:
-                self.correct_weights.append(cell.weight)
-        if self.keep_min is None:
+        inside: Dict[int, bool] = {}    # cell weight: the cell is in the span
+        for key, cell in page1.page0.cells.items():
+            if key[0] == source.degree + 1:
+                flags = {m in support for m in cell.basis}
+                if len(flags) > 1:
+                    raise ValueError("target span splits a cell")
+                inside[cell.weight] = flags.pop()
+        if not any(inside.values()):
             raise ValueError("target span has no cells")
-        self.correct_weights = [w for w in self.correct_weights
-                                if w < self.keep_min]
+        keep_min = min(w for w, flag in inside.items() if flag)
+        self.correct_weights = sorted(w for w in inside if w < keep_min)
 
     def apply(self, coeffs: Sequence[rp.Poly],
               jets: Optional[rp.Jets] = None) -> PolyVec:
@@ -431,9 +402,9 @@ class DeepCorrectedOperator(OperatorHandle):
                       jets)
         for w in self.correct_weights:
             run.correct_at(w)
-            if any(p for p in run.parts.get(w, ())):
+            if any(run.vector(w)):
                 raise ValueError("weight %d is not fully correctable" % w)
-        return self.span.express(run.remaining_form(self.keep_min))
+        return self.span.express(run.eta)
 
 
 class SpanDOperator(OperatorHandle):
@@ -520,6 +491,9 @@ class Resolution:
 def derive_operator(model: GeometryModel, source: CellKey, target: CellKey,
                     page1: Optional[Page1] = None) -> GradedOperator:
     """The derived operator from one page-1 cell to one of the next degree."""
+    if target[0] != source[0] + 1:
+        raise ValueError("target cell %s is not of degree %d"
+                         % (target, source[0] + 1))
     page1 = page1 or Page1(model)
     degree = source[0]
     return GradedOperator(model, page1,
@@ -607,28 +581,23 @@ def build_rs_complex(half_dim: int) -> Resolution:
     jform: Form = data["J"]
     jdual: Bivector = data["J_dual"]
 
-    def cmono(idx: Tuple[int, ...], degree: int, c: int = 1) -> Form:
-        f = Form(n, degree, COORD)
-        f.add_term(idx, rp.const(c, n))
-        return f
-
-    node0 = Node("functions", 0, [cmono((), 0)], [0])
-    node1 = Node("one_forms", 1, [cmono((i,), 1) for i in range(n)], [1] * n)
+    node0 = Node("functions", 0, [form_monomial(n, (), 1)], [0])
+    node1 = Node("one_forms", 1, [one_form(n, i) for i in range(n)], [1] * n)
     perp: List[Form] = []
     for pair in sorted(combinations(range(n), 2)):
-        f = cmono(pair, 2)
+        f = form_monomial(n, pair, 1)
         tr = contract(f, jdual).terms.get((), {})
         if not tr:
             perp.append(f)
-    mixed = form_sub(cmono((0, 1), 2), cmono((2, 3), 2))
+    mixed = form_sub(form_monomial(n, (0, 1), 1), form_monomial(n, (2, 3), 1))
     perp.append(mixed)
     node2 = Node("primitive2", 2, perp, [2] * len(perp))
     coef = [f.copy() for f in perp]
     node3 = Node("coeffective2", 2, coef, [4] * len(coef))
-    node4 = Node("three_forms", 3,
-                 [cmono(t, 3) for t in sorted(combinations(range(n), 3))],
+    node4 = Node("three_forms", 3, [form_monomial(n, t, 1)
+                                    for t in combinations(range(n), 3)],
                  [5] * 4)
-    node5 = Node("volume", 4, [cmono(tuple(range(n)), 4)], [6])
+    node5 = Node("volume", 4, [form_monomial(n, tuple(range(n)), 1)], [6])
     nodes = [node0, node1, node2, node3, node4, node5]
     ops: List[OperatorHandle] = [
         SpanDOperator(None, node0, node1),

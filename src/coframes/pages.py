@@ -167,7 +167,10 @@ class CellData:
     pivot coordinates; operator corrections take their preimages there,
     in the complement of the source kernel.  That consistency between
     corrections and class extraction is what makes derived operators
-    compose to zero on the nose instead of up to lower-order junk.
+    compose to zero on the nose instead of up to lower-order junk.  bcols
+    define S, so sinv, and rank_in; a correction does not read them, as it
+    subtracts all of d of its preimage, whose weight-preserving part is
+    the image it solved for (operators._LcpRun).
 
     extract applies rows rank_in:rank_in + dim1 of sinv: the projection
     onto span(reps) along the other two summands.  It depends only on the

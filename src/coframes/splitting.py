@@ -45,20 +45,13 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
-from .forms import (Bivector, Form, contract, form_add, form_scale,
-                    form_sub, form_zero, wedge)
+from .forms import (Bivector, Form, contract, form_add, form_monomial,
+                    form_scale, form_sub, form_zero, wedge)
 from .models import (GeometryModel, coframe_d, orbit_invariant,
                      split_by_cell_weight, splitting_shift, structure_d)
 from .operators import SpanSolver
 
 PolyMat = List[List[rp.Poly]]
-
-
-def _coframe_mono(model: GeometryModel, idx: Tuple[int, ...],
-                  degree: int) -> Form:
-    f = Form(model.nvars, degree, model.basis_tag)
-    f.add_term(idx, rp.const(1, model.nvars))
-    return f
 
 
 def _levi_forms(model: GeometryModel) -> List[Form]:
@@ -77,14 +70,8 @@ def _dual_bivector(a: Form) -> Bivector:
 
 def _pairing_matrix(levis: List[Form],
                     duals: List[Bivector]) -> linalg.Matrix:
-    out = []
-    for f in levis:
-        row = []
-        for b in duals:
-            c = contract(f, b).terms.get((), {})
-            row.append(rp.constant_value(c) if c else Fraction(0))
-        out.append(row)
-    return out
+    return [[rp.constant_value(contract(f, b).terms.get((), {}))
+             for b in duals] for f in levis]
 
 
 def _vertical_sigma(model: GeometryModel, part: Form) -> List[Form]:
@@ -149,13 +136,14 @@ def _seven_inputs(model: GeometryModel,
     vert = model.selectors["vertical"]
     out = []
     for trip in combinations(horiz, 3):
-        xi = _coframe_mono(model, trip, 3)
+        xi = form_monomial(model.nvars, trip, 1, model.basis_tag)
         beta = form_zero(model.nvars, 2, model.basis_tag)
         for a, b in zip(vert, duals):
             eta = contract(xi, b)
             if eta.is_zero():
                 continue
-            piece = wedge(_coframe_mono(model, (a,), 1), eta)
+            piece = wedge(form_monomial(model.nvars, (a,), 1,
+                                        model.basis_tag), eta)
             for idx, p in piece.terms.items():
                 beta.add_term(idx, p)
         if beta.is_zero():
@@ -168,8 +156,7 @@ def _seven_metric(model: GeometryModel) -> Tuple[linalg.Matrix, linalg.Matrix]:
     orb = orbit_invariant(model)
     if not orb.gram_constant:
         raise ValueError("orbit invariant is not constant")
-    gmat = [[rp.constant_value(p) if p else Fraction(0) for p in row]
-            for row in orb.gram]
+    gmat = [[rp.constant_value(p) for p in row] for row in orb.gram]
     return gmat, linalg.inverse(gmat)
 
 
@@ -177,9 +164,12 @@ class _Obstruction:
     """The obstruction of one model as a linear map of structure forms.
 
     Holds what does not depend on them: the constant-coefficient inputs,
-    the Levi forms and duals, the inverse of their pairing and, for seven
-    variables, the metric.  report(dforms) is the obstruction with
-    d(omega_i) = dforms[i].
+    the Levi forms and duals, the transposed inverse of their pairing and,
+    for seven variables, the trace removal by the metric, a constant
+    k^2 x k^2 matrix on the flattened symmetric matrix.  A splitting shift
+    carries all of these over unchanged (see the module docstring), so one
+    instance serves the model and every shift of it.  report(dforms, name)
+    is the obstruction with d(omega_i) = dforms[i].
     """
 
     def __init__(self, model: GeometryModel):
@@ -192,57 +182,48 @@ class _Obstruction:
         self.kind = "six" if shape == (3, 3) else "seven"
         self.levis = _levi_forms(model)
         self.duals = [_dual_bivector(f) for f in self.levis]
-        self.pinv = linalg.inverse(_pairing_matrix(self.levis, self.duals))
+        self.pinv_t = linalg.transpose(linalg.inverse(
+            _pairing_matrix(self.levis, self.duals)))
+        self.trace_free: Optional[linalg.Matrix] = None
         if self.kind == "six":
             self.inputs = [_six_input(model)]
         else:
-            self.gmat, self.ginv = _seven_metric(model)
             self.inputs = _seven_inputs(model, self.duals)
+            # I - (1/3) gmat (x) ginv^T: subtracts a third of the trace
+            # sum_ab ginv[a][b] sym[b][a] times gmat
+            gmat, ginv = _seven_metric(model)
+            k = len(gmat)
+            pairs = [(a, b) for a in range(k) for b in range(k)]
+            self.trace_free = [
+                [int(ab == cd) - Fraction(1, 3) * gmat[ab[0]][ab[1]]
+                 * ginv[cd[1]][cd[0]] for cd in pairs] for ab in pairs]
 
     def project(self, d3: Form) -> PolyMat:
         """Symmetric Levi component of the weight-4 part of a 3-form, made
         trace-free by the metric for seven variables."""
         k = len(self.levis)
-        mat: PolyMat = [[{} for _ in range(k)] for _ in range(k)]
-        dpart = split_by_cell_weight(self.model, d3).get(4)
-        if dpart is not None:
-            sigmas = _vertical_sigma(self.model, dpart)
-            for a in range(k):
-                raw = [contract(sigmas[a], self.duals[c]).terms.get((), {})
-                       for c in range(k)]
-                for b in range(k):
-                    acc: rp.Poly = {}
-                    for c in range(k):
-                        if raw[c] and self.pinv[c][b]:
-                            acc = rp.add(acc, rp.scale(raw[c],
-                                                       self.pinv[c][b]))
-                    mat[a][b] = acc
-        sym = _sym(mat)
-        if self.kind == "seven":
-            gmat, ginv = self.gmat, self.ginv
-            trace: rp.Poly = {}
-            for a in range(k):
-                for b in range(k):
-                    if ginv[a][b] and sym[b][a]:
-                        trace = rp.add(trace, rp.scale(sym[b][a], ginv[a][b]))
-            third = Fraction(1, 3)
-            for a in range(k):
-                for b in range(k):
-                    if gmat[a][b] and trace:
-                        sym[a][b] = rp.sub(
-                            sym[a][b], rp.scale(trace, third * gmat[a][b]))
-        return sym
+        dpart = split_by_cell_weight(self.model, d3).get(
+            4, form_zero(self.model.nvars, 3, self.model.basis_tag))
+        sym = _sym([linalg.poly_matvec(self.pinv_t,
+                                       [contract(sigma, b).terms.get((), {})
+                                        for b in self.duals])
+                    for sigma in _vertical_sigma(self.model, dpart)])
+        if self.trace_free is None:
+            return sym
+        flat = linalg.poly_matvec(self.trace_free,
+                                  [p for row in sym for p in row])
+        return [flat[a * k:(a + 1) * k] for a in range(k)]
 
-    def report(self, dforms: Sequence[Form]) -> ObstructionReport:
+    def report(self, dforms: Sequence[Form], name: str) -> ObstructionReport:
         return ObstructionReport(
-            model=self.model.name, kind=self.kind,
+            model=name, kind=self.kind,
             matrices=[self.project(structure_d(beta, dforms))
                       for beta in self.inputs])
 
 
 def obstruction(model: GeometryModel) -> ObstructionReport:
     """The splitting obstruction of a model, as symmetric matrices."""
-    return _Obstruction(model).report(model.structure_forms())
+    return _Obstruction(model).report(model.structure_forms(), model.name)
 
 
 def obstruction_hom(model: GeometryModel):
@@ -261,8 +242,8 @@ def obstruction_hom(model: GeometryModel):
             for b in range(len(vert)):
                 if not sym[i][b]:
                     continue
-                piece = wedge(_coframe_mono(model, (vert[i],), 1),
-                              ob.levis[b])
+                piece = wedge(form_monomial(model.nvars, (vert[i],), 1,
+                                            model.basis_tag), ob.levis[b])
                 for idx, p in piece.terms.items():
                     out.add_term(idx, rp.mul(p, sym[i][b]))
         return out
@@ -305,8 +286,11 @@ def _unit_shift_delta(dforms: Sequence[Form], j: int, a: int) -> List[Form]:
     return out
 
 
-def _action_matrix(model: GeometryModel) -> Tuple[linalg.Matrix, int]:
-    """Columns: change of the flattened obstruction per unit shift.
+def _action_matrix(ob: _Obstruction,
+                   model: GeometryModel) -> Tuple[linalg.Matrix, int]:
+    """Columns: change of the flattened obstruction per unit shift of
+    model, ob being the obstruction of model or of a model it is a
+    splitting shift of.
 
     The column of omega_j += omega_a is O(dC), with no shifted model built
     (the module docstring gives each argument in full):
@@ -320,12 +304,12 @@ def _action_matrix(model: GeometryModel) -> Tuple[linalg.Matrix, int]:
       depth-2 rows alone, and rewriting their C adds only terms with a
       vertical leg, of weight 3 or more, so their weight-2 part stays.
     """
-    ob = _Obstruction(model)
     dforms = model.structure_forms()
     cols = []
     for j, a in _shift_pairs(model):
         col = []
-        for p in ob.report(_unit_shift_delta(dforms, j, a)).flatten():
+        for p in ob.report(_unit_shift_delta(dforms, j, a),
+                           model.name).flatten():
             if not rp.is_constant(p):
                 raise AssertionError("shift action is not constant")
             col.append(rp.constant_value(p))
@@ -336,7 +320,7 @@ def _action_matrix(model: GeometryModel) -> Tuple[linalg.Matrix, int]:
 
 def shift_action_rank(model: GeometryModel) -> int:
     """Rank of the affine shift action on the flattened obstruction."""
-    return _action_matrix(model)[1]
+    return _action_matrix(_Obstruction(model), model)[1]
 
 
 def normalize_splitting(model: GeometryModel,
@@ -354,19 +338,22 @@ def normalize_splitting(model: GeometryModel,
     and a pivot changes only its own and later columns, so a pivot among
     the right-hand columns marks an unsolvable monomial, and otherwise each
     right-hand column holds the particular solution (free shifts zero) that
-    solving for its monomial alone gives.
+    solving for its monomial alone gives.  One _Obstruction of the given
+    model serves every pass, as a shift carries its inputs, pairing and
+    metric over unchanged.
     """
+    ob = _Obstruction(model)
     base = model
     applied: List[Dict[Tuple[int, int], rp.Poly]] = []
     rank = 0
-    rep = obstruction(base)
+    rep = ob.report(base.structure_forms(), base.name)
     for it in range(max_iter):
         if rep.is_zero:
             return NormalizeReport(
                 model=model.name, iterations=it, shifts=applied,
                 obstruction_zero=True, action_rank=rank, residual=None,
                 normalized=base)
-        amat, rank = _action_matrix(base)
+        amat, rank = _action_matrix(ob, base)
         flat = rep.flatten()
         pairs = _shift_pairs(base)
         monos = sorted({e for p in flat for e in p})
@@ -388,7 +375,7 @@ def normalize_splitting(model: GeometryModel,
             break
         base = splitting_shift(base, shifts, model.name + "_normalized")
         applied.append(shifts)
-        rep = obstruction(base)
+        rep = ob.report(base.structure_forms(), base.name)
     return NormalizeReport(
         model=model.name, iterations=max_iter, shifts=applied,
         obstruction_zero=rep.is_zero, action_rank=rank,
@@ -421,12 +408,13 @@ def certify_two_adapted(model: GeometryModel) -> TwoAdaptedReport:
     omega = _six_input(model)
     dom = coframe_d(model, omega)
     parts = split_by_cell_weight(model, dom)
-    vol = _coframe_mono(model, tuple(sorted(horiz)), 3)
+    vol = form_monomial(model.nvars, sorted(horiz), 1, model.basis_tag)
     zero = form_zero(model.nvars, 3, model.basis_tag)
     weight3_ok = form_sub(parts.get(3, zero),
                           form_scale(vol, Fraction(3))).is_zero()
     span = SpanSolver([split_by_cell_weight(
-        model, wedge(_coframe_mono(model, (j,), 1), omega)).get(4, zero)
+        model, wedge(form_monomial(model.nvars, (j,), 1, model.basis_tag),
+                     omega)).get(4, zero)
         for j in horiz])
     try:
         nu = span.express(parts.get(4, zero))

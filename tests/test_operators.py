@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from coframes import ratpoly as rp
+from coframes import linalg, ratpoly as rp
 from coframes.forms import form_zero, one_form, wedge
 from coframes.models import symplectic_data
 from coframes.operators import (GradedSection, Node, RsMiddle, SpanSolver,
-                                build_rs_complex, derive_operator,
+                                _LcpRun, build_rs_complex, derive_operator,
                                 named_complex, random_section, realize)
 from coframes.verify import _SliceCache
 
@@ -197,6 +197,34 @@ def test_lift_independence(name):
     assert checked
 
 
+@pytest.mark.parametrize("name", sorted(n for n, v in GOLDEN if v == "bgg"))
+def test_correction_leaves_no_image_component(name):
+    """After correct_at(w), the weight-w part of the sweep's form has no
+    coordinates along the page-0 image: subtracting all of d(gamma)
+    removes exactly the image gamma was solved for.  A symbolic jet in
+    each source slot of every operator, as the normal-form compile runs."""
+    res = complex_for(name, "bgg")
+    jets = rp.Jets(res.nvars)
+    checked = 0
+    for k, h in enumerate(res.operators):
+        degree = h.source.degree + 1
+        for slot in range(h.source.rank):
+            coeffs = [{} for _ in range(h.source.rank)]
+            coeffs[slot] = jets.unknown
+            run = _LcpRun(h.model, h.page1, realize(h.source, coeffs),
+                          degree, jets)
+            for w in range(min(h.source.weights) + 1, h.max_weight + 1):
+                data = h.page1.data.get((degree, w - degree))
+                if data is None:
+                    continue
+                run.correct_at(w)
+                image = linalg.poly_matvec(data.sinv[:data.rank_in],
+                                           run.vector(w))
+                assert not any(image), (k, slot, w)
+                checked += 1
+    assert checked
+
+
 def test_constants_are_killed_by_first_operator(each_model):
     res = complex_for(each_model.name, "bgg")
     out = res.operators[0].apply([rp.const(5, each_model.nvars)])
@@ -281,3 +309,9 @@ def test_derive_operator_between_named_cells():
     # x4^2 goes to the constant 2: T differentiates twice along x4
     assert T.apply([{(0, 0, 0, 2): Fraction(1)}]) == [{}, {(0,) * 4: 2}]
     assert T.order == 2
+
+
+def test_derive_operator_rejects_a_target_of_another_degree():
+    with pytest.raises(ValueError, match="is not of degree 2"):
+        derive_operator(model("engel4"), (1, 0), (3, 3),
+                        page1=page1("engel4"))

@@ -10,8 +10,8 @@ from coframes.forms import form_add, form_pmul, form_sub, form_zero, wedge
 from coframes.models import (coframe_d, split_by_cell_weight, splitting_shift,
                              verify_structure)
 from coframes.pages import check_function_linear
-from coframes.splitting import (_action_matrix, _seven_metric, _shift_pairs,
-                                _six_input, certify_two_adapted,
+from coframes.splitting import (_action_matrix, _Obstruction, _seven_metric,
+                                _shift_pairs, _six_input, certify_two_adapted,
                                 normalize_splitting, obstruction,
                                 obstruction_hom, perturb, shift_action_rank)
 
@@ -163,7 +163,8 @@ def _reference_action_matrix(m):
 @pytest.mark.parametrize("m", _with_perturbed(SPLIT_MODELS, 53),
                          ids=lambda m: m.name)
 def test_action_matrix_matches_shifted_models(m):
-    amat, rank = _action_matrix(m)
+    # the builtin's obstruction, as normalize_splitting uses it on shifts
+    amat, rank = _action_matrix(_Obstruction(model(m.name.split("_")[0])), m)
     ref = _reference_action_matrix(m)
     assert all(isinstance(x, Fraction) for row in amat for x in row)
     assert amat == ref
@@ -177,3 +178,22 @@ def test_seven_metric_is_shift_invariant(m):
     one = rp.const(1, m.nvars)
     for pair in _shift_pairs(m):
         assert _seven_metric(splitting_shift(m, {pair: one})) == metric
+
+
+def _obstruction_constants(ob):
+    return ([f.terms for f in ob.inputs], [f.terms for f in ob.levis],
+            ob.pinv_t, ob.trace_free)
+
+
+@pytest.mark.parametrize("m", _with_perturbed(SPLIT_MODELS, 59),
+                         ids=lambda m: m.name)
+def test_obstruction_constants_are_shift_invariant(m):
+    """What _Obstruction holds is the same for a builtin and for its
+    perturbed copy and their unit shifts, so normalize_splitting builds
+    one for all its passes."""
+    base = _obstruction_constants(_Obstruction(model(m.name.split("_")[0])))
+    assert _obstruction_constants(_Obstruction(m)) == base
+    one = rp.const(1, m.nvars)
+    for pair in _shift_pairs(m):
+        shifted = _Obstruction(splitting_shift(m, {pair: one}))
+        assert _obstruction_constants(shifted) == base
