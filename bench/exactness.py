@@ -1,10 +1,15 @@
 """Record exactness-certificate timings of one checkout into a BENCH file.
 
-    python3 bench/exactness.py --src PATH --label parent --out BENCH_14.json
-    python3 bench/exactness.py --src . --label change --out BENCH_14.json
+    python3 bench/exactness.py --src PATH --label parent --out BENCH_15.json
+    python3 bench/exactness.py --src . --label change --out BENCH_15.json
+    python3 bench/exactness.py --pairs PATH . --out BENCH_15.json
 
-PATH is the root of a coframes checkout.  The script records, under the
-label, in the JSON file OUT (created if missing, other labels kept):
+PATH is the root of a coframes checkout.  Every subprocess runs with
+PYTHONDONTWRITEBYTECODE=1, and a checkout holding src/coframes/__pycache__
+is refused: stale compiled bytecode lowers a side's import and set-up times
+(setup_s, peak_rss_mb) against a side that compiles its sources.  The
+script records, under the label, in the JSON file OUT (created if missing,
+other labels kept):
 
 - the git SHA of PATH's HEAD, and the git tree hash of its src/ as it is
   on disk, which equals `git rev-parse COMMIT:src` of the commit that
@@ -25,13 +30,20 @@ label, in the JSON file OUT (created if missing, other labels kept):
   can be compared for byte identity: the stdout of the apply-oneshot
   workload's requests for SEEDS; every NormalForm (targets, slots) of
   every named complex; `coframes verify G --degree 1 --format json` for
-  every geometry; engel4's P and S on three random sections each; the
-  normalize workload's NormalizeReports for SEEDS, as values (Fractions
-  and ints alike), with the normalized coframe and its inverse; and the
-  degree-3 exactness and composition reports above.
+  every geometry; `list` and `report G` for every geometry in each
+  format; engel4's P and S on three random sections each; the normalize
+  workload's NormalizeReports for SEEDS, as values (Fractions and ints
+  alike), with the normalized coframe and its inverse; shift_action_rank
+  of the split models; and the degree-3 exactness and composition reports
+  above.
+
+With --pairs PARENT CHANGE the script instead records, under "pairs_15s",
+alternating runs of each checkout's own perfbench/run.py at the benchmark's
+run length: PAIRS[W] pairs per workload W, the side that runs first
+switching each pair, seed 101 upward.
 
 Runs are one at a time, in subprocesses, so the two sides can be recorded
-on one machine by two calls of this script.
+on one machine by calls of this script.
 """
 
 from __future__ import annotations
@@ -49,6 +61,9 @@ from pathlib import Path
 
 SEEDS = (1, 2, 3)
 SECONDS = 5.0
+PAIR_SECONDS = 15.0
+PAIRS = {"apply-oneshot": 10, "verify-small": 10, "certify7": 5,
+         "normalize": 5}
 WORKLOADS = ("certify7", "verify-small", "normalize", "apply-oneshot")
 METRICS = ("wall_s", "latency_p50_ms", "latency_p95_ms", "peak_rss_mb",
            "setup_s")
@@ -60,20 +75,24 @@ COMPLEXES = (("contact5", "bgg"), ("engel4", "bgg"), ("g2_5", "bgg"),
 
 # python3 -c _WORKER GEOMETRY VARIANT CHECK, with PYTHONPATH=PATH/src:
 # prints [seconds, ok] of one check on one freshly built complex as JSON.
+# A checkout whose exactness_check still takes the expected homology is
+# given the symplectic complex's, as `coframes verify` passes it there.
 _WORKER = r"""
-import dataclasses, json, random, sys, time
+import dataclasses, inspect, json, random, sys, time
 from coframes import models, operators, verify
 
 geometry, variant, check = sys.argv[1:]
 if variant == "rs":
     res = operators.build_rs_complex(2)
-    expected = [1, 1] + [0] * (len(res.nodes) - 2)
 else:
     res = operators.named_complex(models.builtin_model(geometry), variant)
-    expected = None
+kwargs = {}
+if "expected" in inspect.signature(verify.exactness_check).parameters \
+        and variant == "rs":
+    kwargs["expected"] = [1, 1] + [0] * (len(res.nodes) - 2)
 t0 = time.perf_counter()
 if check == "exactness":
-    rep = verify.exactness_check(res, max_degree=3, expected=expected)
+    rep = verify.exactness_check(res, max_degree=3, **kwargs)
 else:
     rep = verify.composition_check(res, random.Random(7), sections=20,
                                    max_degree=3)
@@ -115,7 +134,7 @@ print(json.dumps(out))
 _OUTPUTS_WORKER = r"""
 import contextlib, dataclasses, hashlib, io, json, random, sys
 from fractions import Fraction
-from coframes import builtin_names, cli, models, operators, pages
+from coframes import builtin_names, cli, models, operators, pages, splitting
 import workloads
 
 SEEDS, COMPLEXES = json.loads(sys.argv[1])
@@ -168,6 +187,14 @@ for geometry, variant in COMPLEXES:
 for geometry in builtin_names() + ["symplectic4"]:
     out["verify_deg1/" + geometry] = sha(
         cli_out(["verify", geometry, "--degree", "1", "--format", "json"]))
+for fmt in ("text", "json", "csv"):
+    out["list/" + fmt] = sha(cli_out(["list", "--format", fmt]))
+    for geometry, variant in COMPLEXES:
+        out["report/%s/%s/%s" % (geometry, variant, fmt)] = sha(cli_out(
+            ["report", geometry, "--complex", variant, "--format", fmt]))
+for name in ("dist3in6", "elliptic7", "hyperbolic7"):
+    out["shift_action_rank/" + name] = sha(
+        splitting.shift_action_rank(models.builtin_model(name)))
 engel4 = models.builtin_model("engel4")
 for name, (source, _) in cli._ENGEL4_ALIASES.items():
     node = operators.graded_node(engel4, pages.Page1(engel4), source[0],
@@ -202,8 +229,24 @@ def src_tree(src: Path) -> str:
         return _git(src, "write-tree", "--prefix=src/", env=env)
 
 
+def _env(src: Path, *paths: str) -> dict:
+    """Environment of a subprocess importing src's PATHS, writing no
+    compiled bytecode."""
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=os.pathsep.join(str(src / p) for p in paths))
+
+
+def _no_bytecode(src: Path) -> Path:
+    """src resolved, refused if it holds compiled bytecode of the package."""
+    src = src.resolve()
+    if (src / "src" / "coframes" / "__pycache__").exists():
+        raise SystemExit("bench: %s holds src/coframes/__pycache__; remove "
+                         "it so both sides compile their sources" % src)
+    return src
+
+
 def check_seconds(src: Path, check: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    env = _env(src, "src")
     out = {}
     for geometry, variant in COMPLEXES:
         proc = subprocess.run(
@@ -216,8 +259,7 @@ def check_seconds(src: Path, check: str) -> dict:
 
 
 def output_digests(src: Path, side: dict) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src / "src"), str(src / "perfbench")]))
+    env = _env(src, "src", "perfbench")
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run(
             [sys.executable, "-c", _OUTPUTS_WORKER,
@@ -238,7 +280,7 @@ def src_lines(src: Path) -> int:
 
 
 def layer_seconds(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    env = _env(src, "src")
     proc = subprocess.run(
         [sys.executable, "-c", _LAYER_WORKER, str(LAYER_BUILDS)],
         env=env, capture_output=True, text=True, check=True)
@@ -248,33 +290,32 @@ def layer_seconds(src: Path) -> dict:
             for layer, ts in medians.items()}
 
 
+def perfbench_run(src: Path, workload: str, seed: int,
+                  seconds: float) -> dict:
+    """The end-to-end metrics of one run of src's perfbench/run.py."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=str(src), env=_env(src), capture_output=True, text=True,
+        check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit("bench: %s seed %d failed its gate in %s"
+                         % (workload, seed, src))
+    return {"attempted": result["attempted"], "failed": result["failed"],
+            **{m: result["metrics"][m]["value"] for m in METRICS}}
+
+
 def perfbench_medians(src: Path, workload: str) -> dict:
-    runs = []
-    for seed in SEEDS:
-        proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", workload,
-             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-            cwd=str(src), capture_output=True, text=True, check=True)
-        result = json.loads(proc.stdout.splitlines()[-1])
-        if not result["correct"]:
-            raise SystemExit("bench: %s seed %d failed its gate"
-                             % (workload, seed))
-        runs.append({m: result["metrics"][m]["value"] for m in METRICS})
+    runs = [perfbench_run(src, workload, seed, SECONDS) for seed in SEEDS]
     return {"seeds": list(SEEDS), "seconds": SECONDS,
             "median": {m: statistics.median(r[m] for r in runs)
                        for m in METRICS},
             "runs": runs}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--src", required=True, type=Path)
-    ap.add_argument("--label", required=True, choices=("parent", "change"))
-    ap.add_argument("--out", required=True, type=Path,
-                    help="BENCH JSON file to record into")
-    args = ap.parse_args(argv)
-    src = args.src.resolve()
-
+def record_side(src: Path) -> dict:
+    """Everything the module docstring lists, for one checkout."""
     side = {"git_sha": _git(src, "rev-parse", "HEAD"),
             "src_tree": src_tree(src),
             "src_lines": src_lines(src),
@@ -283,11 +324,48 @@ def main(argv=None) -> int:
             **layer_seconds(src),
             "perfbench": {w: perfbench_medians(src, w) for w in WORKLOADS}}
     side["outputs"] = output_digests(src, side)
+    return side
+
+
+def perfbench_pairs(parent: Path, change: Path) -> dict:
+    """PAIRS[w] alternating parent/change runs of each workload w."""
+    runs = []
+    sides = [("parent", parent), ("change", change)]
+    for workload, npairs in PAIRS.items():
+        for seed in range(101, 101 + npairs):
+            for label, src in sides[::-1] if seed % 2 == 0 else sides:
+                runs.append({"workload": workload, "seed": seed,
+                             "side": label,
+                             **perfbench_run(src, workload, seed,
+                                             PAIR_SECONDS)})
+    return {"how": "python3 perfbench/run.py --workload W --seed S "
+                   "--seconds %g --trace 0 in each checkout, one run at a "
+                   "time, parent first at odd seeds; PYTHONDONTWRITEBYTECODE"
+                   "=1 and no src/coframes/__pycache__ on either side"
+                   % PAIR_SECONDS,
+            "parent_sha": _git(parent, "rev-parse", "HEAD"),
+            "change_src_tree": src_tree(change), "runs": runs}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", type=Path)
+    ap.add_argument("--label", choices=("parent", "change"))
+    ap.add_argument("--pairs", nargs=2, type=Path,
+                    metavar=("PARENT", "CHANGE"))
+    ap.add_argument("--out", required=True, type=Path,
+                    help="BENCH JSON file to record into")
+    args = ap.parse_args(argv)
+    if args.pairs is None and (args.src is None or args.label is None):
+        ap.error("give --src and --label, or --pairs")
     out = args.out
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     data["machine"] = {"python": platform.python_version(),
                        "nproc": len(os.sched_getaffinity(0))}
-    data[args.label] = side
+    if args.pairs is not None:
+        data["pairs_15s"] = perfbench_pairs(*map(_no_bytecode, args.pairs))
+    else:
+        data[args.label] = record_side(_no_bytecode(args.src))
     out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
                    encoding="utf-8")
     return 0

@@ -4,7 +4,9 @@ Subcommands cover model listing, page tables, complex reports, verification
 suites, operator application, and 7-variable orbit classification.  Output
 is text by default; --format json emits canonical JSON (sorted keys, no
 timings) so identical seed and config give byte-identical bytes, and
---format csv emits flat rows for spreadsheets.
+--format csv emits flat rows for spreadsheets.  apply always writes a JSON
+section, and only verify, whose composition check samples random sections,
+takes --seed.
 
 Exit codes: 0 all checks pass, 1 at least one verification failure,
 2 usage or data error.
@@ -28,7 +30,7 @@ from . import verify as ver
 from .forms import form_monomial
 from .models import (GeometryModel, builtin_model, builtin_names,
                      levi_apply, model_from_json, orbit_invariant,
-                     verify_structure)
+                     symplectic_data, verify_structure)
 from .pages import Page0, Page1, check_function_linear, e0_apply
 
 GEOMETRIES = builtin_names() + ["symplectic4"]
@@ -61,15 +63,12 @@ def _load_model(geom: str) -> GeometryModel:
 
 
 def _resolution(geom: str, variant: Optional[str]) -> ops.Resolution:
-    if geom == "symplectic4":
-        if variant not in (None, "rs"):
-            raise UsageError("symplectic4 has only the rs complex")
-        return ops.build_rs_complex(2)
-    model = _load_model(geom)
-    want = variant or "bgg"
+    model = None if geom == "symplectic4" else _load_model(geom)
+    want = variant or _complex_names(geom)[0]
     if want not in _complex_names(geom):
         raise UsageError("geometry %s has no complex named %r" % (geom, want))
-    return ops.named_complex(model, want)
+    return (ops.build_rs_complex(2) if model is None
+            else ops.named_complex(model, want))
 
 
 def _read_json(path: str, what: str) -> object:
@@ -101,13 +100,10 @@ def _emit(args, payload: dict, text_lines: Sequence[str],
 def cmd_list(args) -> int:
     rows = []
     for g in GEOMETRIES:
-        if g == "symplectic4":
-            nvars, weights = 4, (1, 1, 1, 1)
-        else:
-            m = builtin_model(g)
-            nvars, weights = m.nvars, m.weights
-        rows.append({"geometry": g, "nvars": nvars,
-                     "weights": list(weights),
+        m = (symplectic_data(2)["model"] if g == "symplectic4"
+             else builtin_model(g))
+        rows.append({"geometry": g, "nvars": m.nvars,
+                     "weights": list(m.weights),
                      "complexes": _complex_names(g)})
     text = ["%-12s %2s  %-14s %s" % ("geometry", "n", "weights", "complexes")]
     for r in rows:
@@ -172,7 +168,7 @@ def cmd_report(args) -> int:
     if res.variant in ("bgg", "rs"):
         checks["palindrome"] = ranks == ranks[::-1]
     if res.model is not None and res.model.name in ver.SCHUR_LABELS \
-            and (args.complex or "bgg") == "bgg":
+            and res.variant == "bgg":
         checks["schur_dims"] = ver.cross_check_dims(res.model).ok
     ok = all(checks.values())
     nodes = [{"index": i, "rank": n.rank,
@@ -304,11 +300,7 @@ def _complex_checks(geom: str, variant: str, degree: int, samples: int,
     add("composition[%s]" % variant, composition)
 
     def exactness():
-        expected = None
-        if variant == "rs":
-            expected = [1, 1] + [0] * (len(res.nodes) - 2)
-        rep = ver.exactness_check(res, max_degree=degree,
-                                  expected=expected)
+        rep = ver.exactness_check(res, max_degree=degree)
         return rep.ok, "homology " + " ".join(
             str(t) for t in rep.totals)
     add("exactness[%s]" % variant, exactness)
@@ -351,12 +343,12 @@ def cmd_verify(args) -> int:
 _ENGEL4_ALIASES = {"P": ((1, 0), (2, 1)), "S": ((2, 1), (3, 3))}
 
 
-def _named_operator(geom: str, name: str,
-                    variant: Optional[str]):
-    """Resolve an operator name to a handle plus its resolution context."""
+def _named_operator(geom: str, name: str, variant: Optional[str]):
+    """Resolve an operator name to (handle, source node, complex name)."""
+    res = _resolution(geom, variant)
     if geom == "engel4" and name in _ENGEL4_ALIASES:
-        return ops.derive_operator(builtin_model(geom),
-                                   *_ENGEL4_ALIASES[name]), None
+        handle = ops.derive_operator(res.model, *_ENGEL4_ALIASES[name])
+        return handle, handle.source.degree, res.variant
     fixed = {"dH": 0}
     if geom == "contact5":
         fixed["dperp2"] = 2
@@ -367,11 +359,10 @@ def _named_operator(geom: str, name: str,
         idx = int(name[1:])
     if idx is None:
         raise UsageError("unknown operator %r for %s" % (name, geom))
-    res = _resolution(geom, variant)
     if not 0 <= idx < len(res.operators):
         raise UsageError("operator index %d out of range for %s %s"
                          % (idx, geom, res.variant))
-    return res.operators[idx], (res, idx)
+    return res.operators[idx], idx, res.variant
 
 
 def cmd_apply(args) -> int:
@@ -383,11 +374,8 @@ def cmd_apply(args) -> int:
     if section.resolution != args.geometry:
         raise UsageError("section is for model %.40r, not %s"
                          % (section.resolution, args.geometry))
-    handle, ctx = _named_operator(args.geometry, args.operator,
-                                  args.complex or section.variant)
-    # the source node: the resolution index of a numbered or named
-    # operator, the source degree of an alias
-    node = ctx[1] if ctx else handle.source.degree
+    handle, node, variant = _named_operator(args.geometry, args.operator,
+                                            args.complex or section.variant)
     if section.node != node:
         raise UsageError("section is on cell %d, operator %s leaves cell %d"
                          % (section.node, args.operator, node))
@@ -400,10 +388,8 @@ def cmd_apply(args) -> int:
         raise UsageError("section polynomials have %s variables, %s has %d"
                          % (section.nvars, args.geometry, nvars))
     out = handle.apply(section.coeffs)
-    result = ops.GradedSection(
-        resolution=args.geometry,
-        variant=ctx[0].variant if ctx else section.variant,
-        node=node + 1, coeffs=out)
+    result = ops.GradedSection(resolution=args.geometry, variant=variant,
+                               node=node + 1, coeffs=out)
     payload = result.to_json(nvars)
     data = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.output:
@@ -460,26 +446,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "operators, verified resolutions.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
-        p.add_argument("--seed", type=int,
-                       default=os.environ.get("COFRAMES_SEED", "7"))
-
     p = sub.add_parser("list", help="models and their named complexes")
-    common(p)
     p.set_defaults(fn=cmd_list)
 
     p = sub.add_parser("page", help="graded page tables")
     p.add_argument("geometry")
     p.add_argument("--level", type=int, choices=(0, 1), default=1)
-    common(p)
     p.set_defaults(fn=cmd_page)
 
     p = sub.add_parser("report", help="rank and order table of a complex")
     p.add_argument("geometry")
     p.add_argument("--complex", dest="complex", default=None)
-    common(p)
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("verify", help="verification suite for a geometry")
@@ -489,7 +466,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--skip", action="append", default=[],
                    help="check id to skip (repeatable)")
-    common(p)
+    p.add_argument("--seed", type=int,
+                   default=os.environ.get("COFRAMES_SEED", "7"))
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("apply", help="apply a derived operator to a section")
@@ -498,13 +476,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     p.add_argument("--complex", dest="complex", default=None)
-    common(p)
     p.set_defaults(fn=cmd_apply)
 
     p = sub.add_parser("classify7", help="orbit class of a 7-variable model")
     p.add_argument("--model", required=True)
-    common(p)
     p.set_defaults(fn=cmd_classify7)
+
+    # every command but apply, which always writes a JSON section
+    for name, p in sub.choices.items():
+        if name != "apply":
+            p.add_argument("--format", choices=("text", "json", "csv"),
+                           default="text")
     return ap
 
 

@@ -487,6 +487,15 @@ class Resolution:
         """Exact operator orders, read off the normal forms."""
         return [h.order for h in self.operators]
 
+    def homology(self) -> List[int]:
+        """Ranks of the cohomology the complex resolves: the constants,
+        and for the symplectic complex also the Liouville class in degree
+        1 (verify.rs_h1_witness)."""
+        out = [1] + [0] * (len(self.nodes) - 1)
+        if self.variant == "rs":
+            out[1] = 1
+        return out
+
 
 def derive_operator(model: GeometryModel, source: CellKey, target: CellKey,
                     page1: Optional[Page1] = None) -> GradedOperator:

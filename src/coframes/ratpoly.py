@@ -299,7 +299,7 @@ class Jets:
 
 
 def random_poly(rng: random.Random, nvars: int, max_degree: int,
-                terms: int = 4, coeff_bound: int = 5) -> Poly:
+                terms: int = 4) -> Poly:
     """Seeded random polynomial with small rational coefficients."""
     out: Poly = {}
     for _ in range(terms):
@@ -307,7 +307,7 @@ def random_poly(rng: random.Random, nvars: int, max_degree: int,
         e = [0] * nvars
         for _ in range(d):
             e[rng.randrange(nvars)] += 1
-        num = rng.randint(-coeff_bound, coeff_bound)
+        num = rng.randint(-5, 5)
         den = rng.randint(1, 3)
         c = Fraction(num, den)
         if not c:

@@ -286,8 +286,7 @@ def _unit_shift_delta(dforms: Sequence[Form], j: int, a: int) -> List[Form]:
     return out
 
 
-def _action_matrix(ob: _Obstruction,
-                   model: GeometryModel) -> Tuple[linalg.Matrix, int]:
+def _action_matrix(ob: _Obstruction, model: GeometryModel) -> linalg.Matrix:
     """Columns: change of the flattened obstruction per unit shift of
     model, ob being the obstruction of model or of a model it is a
     splitting shift of.
@@ -314,13 +313,12 @@ def _action_matrix(ob: _Obstruction,
                 raise AssertionError("shift action is not constant")
             col.append(rp.constant_value(p))
         cols.append(col)
-    rows = [list(r) for r in zip(*cols)]
-    return rows, linalg.rank(rows)
+    return linalg.transpose(cols)
 
 
 def shift_action_rank(model: GeometryModel) -> int:
     """Rank of the affine shift action on the flattened obstruction."""
-    return _action_matrix(_Obstruction(model), model)[1]
+    return linalg.rank(_action_matrix(_Obstruction(model), model))
 
 
 def normalize_splitting(model: GeometryModel,
@@ -353,13 +351,14 @@ def normalize_splitting(model: GeometryModel,
                 model=model.name, iterations=it, shifts=applied,
                 obstruction_zero=True, action_rank=rank, residual=None,
                 normalized=base)
-        amat, rank = _action_matrix(ob, base)
         flat = rep.flatten()
         pairs = _shift_pairs(base)
         monos = sorted({e for p in flat for e in p})
         red, pivots = linalg.rref(
             [row + [-p.get(e, Fraction(0)) for e in monos]
-             for row, p in zip(amat, flat)])
+             for row, p in zip(_action_matrix(ob, base), flat)])
+        # pivots among the action columns: the action matrix's rank
+        rank = sum(1 for pi in pivots if pi < len(pairs))
         if pivots and pivots[-1] >= len(pairs):
             return NormalizeReport(
                 model=model.name, iterations=it, shifts=applied,

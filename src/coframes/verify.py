@@ -28,6 +28,10 @@ Together these are a certificate, not a heuristic: rank_in + rank_out over
 Q is at least the modular sum, and the zero product caps it at the slice
 dimension, so a modular sum equal to the dimension proves the slice exact
 over Q.
+
+A slice whose matrices hold more than GUARD entries in all is skipped and
+sets guard_hit, which fails the certificate.  The homology a complex must
+show comes from the complex itself (Resolution.homology).
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from .operators import Resolution, random_section
 from .pages import CellKey, Page1
 
 PRIME = 1000003
+# most basis monomials plus column entries one slice may hold
+GUARD = 10 ** 6
 
 
 # #### rank formulas #######################################################
@@ -98,10 +104,9 @@ def palindromic_check(seq: Sequence[int]) -> bool:
     return list(seq) == list(reversed(seq))
 
 
-def cross_check_dims(model: GeometryModel,
-                     page1: Optional[Page1] = None) -> DimReport:
+def cross_check_dims(model: GeometryModel) -> DimReport:
     """Compare computed cell dimensions with the label product formulas."""
-    page1 = page1 or Page1(model)
+    page1 = Page1(model)
     table = SCHUR_LABELS.get(model.name)
     if table is None:
         raise KeyError("no label table for model %s" % model.name)
@@ -295,9 +300,8 @@ class ExactnessReport:
         return "\n".join(lines)
 
 
-def exactness_check(res: Resolution, max_degree: int = 3, buffer: int = 1,
-                    expected: Optional[Sequence[int]] = None,
-                    guard: int = 10 ** 6) -> ExactnessReport:
+def exactness_check(res: Resolution, max_degree: int = 3,
+                    buffer: int = 1) -> ExactnessReport:
     """Certify slicewise exactness for coefficients up to max_degree.
 
     Every slice whose total weight can be reached by a section with
@@ -306,14 +310,13 @@ def exactness_check(res: Resolution, max_degree: int = 3, buffer: int = 1,
     equals the slice dimension and the exact composition product is zero.
     A nonzero product clears composition_ok; the slice's homology count
     dim - rank_in - rank_out is then kept as computed, negative when the
-    incoming image leaves the outgoing kernel.
+    incoming image leaves the outgoing kernel.  The totals must equal
+    res.homology(); a slice over GUARD entries is skipped and fails it.
     """
     t0 = time.perf_counter()
     cache = _SliceCache(res)
     maxw = max(cache.weights)
     nnodes = len(res.nodes)
-    if expected is None:
-        expected = [1] + [0] * (nnodes - 1)
     nodes: List[NodeExactness] = []
     composition_ok = True
     guard_hit = False
@@ -333,7 +336,7 @@ def exactness_check(res: Resolution, max_degree: int = 3, buffer: int = 1,
                                   if k < nnodes - 1 else ([], []))
             load = (dim + sum(len(c) for c in cols_in)
                     + sum(len(c) for c in cols_out))
-            if load > guard:
+            if load > GUARD:
                 guard_hit = True
                 continue
             rank_in, m_in = cache.rank(k - 1, s) if cols_in else (0, "none")
@@ -364,7 +367,7 @@ def exactness_check(res: Resolution, max_degree: int = 3, buffer: int = 1,
             methods=methods))
     return ExactnessReport(
         name=res.name, variant=res.variant, max_degree=max_degree,
-        nodes=nodes, expected=list(expected),
+        nodes=nodes, expected=res.homology(),
         composition_ok=composition_ok, guard_hit=guard_hit,
         elapsed=time.perf_counter() - t0)
 

@@ -149,7 +149,19 @@ def test_environment_defaults(monkeypatch, capsys):
     args = cli._build_parser().parse_args(["verify", "engel4"])
     assert (args.seed, args.degree) == (7, 3)
     monkeypatch.setenv("COFRAMES_SEED", "11")
-    assert cli._build_parser().parse_args(["list"]).seed == 11
+    assert cli._build_parser().parse_args(["verify", "engel4"]).seed == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ("list", "--seed", "3"),
+    ("apply", "engel4", "--operator", "d0", "--input", "s.json",
+     "--format", "csv")], ids=["list-seed", "apply-format"])
+def test_option_no_command_reads_exits_2(capsys, argv):
+    # only verify samples random sections; apply always writes JSON
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % argv[-2] in capsys.readouterr().err
 
 
 def test_verify_symplectic_rs(capsys):
@@ -286,6 +298,25 @@ def test_apply_answers_on_the_next_cell(tmp_path, capsys, operator, cell,
     assert code == 0
     payload = json.loads(out)
     assert (payload["model"], payload["cell"]) == ("engel4", cell + 1)
+
+
+@pytest.mark.parametrize("operator,cell,ncoeffs", [("P", 1, 2), ("S", 2, 1),
+                                                   ("d1", 1, 2)])
+@pytest.mark.parametrize("where", ["flag", "section"])
+def test_apply_unknown_complex_exits_2(tmp_path, capsys, operator, cell,
+                                       ncoeffs, where):
+    section = _engel_section(cell, ncoeffs)
+    argv = ["apply", "engel4", "--operator", operator]
+    if where == "flag":
+        argv += ["--complex", "bogus"]
+    else:
+        section["variant"] = "bogus"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(section))
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: geometry engel4 has no complex named 'bogus'\n"
 
 
 def test_apply_unknown_operator_exits_2(tmp_path, capsys):

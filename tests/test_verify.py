@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from coframes import linalg
+from coframes import linalg, verify
 from coframes.operators import (Resolution, SpanDOperator, build_rs_complex,
                                 named_complex)
 from coframes.verify import (_compose_is_zero, composition_check,
@@ -45,12 +45,39 @@ def test_exactness_detects_failure_on_truncated_complex():
 
 def test_rs_cohomology_dims():
     res = build_rs_complex(2)
-    rep = exactness_check(res, max_degree=3,
-                          expected=[1, 1, 0, 0, 0, 0])
+    rep = exactness_check(res, max_degree=3)
     assert rep.ok, rep.summary()
     assert rep.totals == [1, 1, 0, 0, 0, 0]
     node1 = rep.nodes[1]
     assert node1.homology_slices == {2: 1}
+
+
+@pytest.mark.parametrize("name", ["contact5", "engel4"])
+def test_small_prime_falls_back_to_exact_ranks(monkeypatch, name):
+    # mod 2 many slices come up short; the exact fallback must restore the
+    # certificate the real prime gives
+    res = named_complex(model(name), "bgg")
+    want = exactness_check(res, max_degree=2)
+    monkeypatch.setattr(verify, "PRIME", 2)
+    rep = exactness_check(named_complex(model(name), "bgg"), max_degree=2)
+    assert rep.ok, rep.summary()
+    assert rep.totals == want.totals
+    assert sum(n.methods.get("exact", 0) for n in rep.nodes) > 0
+
+
+def test_guard_skips_large_slices_and_fails(monkeypatch):
+    monkeypatch.setattr(verify, "GUARD", 40)
+    rep = exactness_check(named_complex(model("engel4"), "bgg"),
+                          max_degree=2)
+    assert rep.guard_hit
+    assert not rep.ok
+
+
+def test_homology_comes_from_the_resolution():
+    assert build_rs_complex(2).homology() == [1, 1, 0, 0, 0, 0]
+    res = named_complex(model("engel4"), "bgg")
+    assert res.homology() == [1] + [0] * (len(res.nodes) - 1)
+    assert exactness_check(res, max_degree=1).expected == res.homology()
 
 
 def test_rs_h1_witness_is_the_tautological_class():
