@@ -20,9 +20,11 @@ other labels kept):
   every named complex, each built and checked in a fresh process importing
   PATH/src, so each figure includes the compile of the normal forms, with
   every field of the check's report but its elapsed time;
-- the seconds of builtin_model(m) and of Page1 on that model for every
-  builtin m: the medians of LAYER_BUILDS builds each, in one fresh process
-  importing PATH/src (the model and page construction layers);
+- the seconds of builtin_model(m) and of Page1(model).ladder() on that
+  model for every builtin m, which derives every cell whether a checkout
+  derives cells in Page1 or on first read: the medians of LAYER_BUILDS
+  builds each, in one fresh process importing PATH/src (the model and page
+  construction layers);
 - the medians, over SEEDS, of the end-to-end metrics of PATH's own
   perfbench/run.py on the WORKLOADS (SECONDS each), with every run's
   values beside them;
@@ -108,7 +110,8 @@ LAYER_BUILDS = 15
 
 # python3 -c _LAYER_WORKER BUILDS, with PYTHONPATH=PATH/src: prints
 # {"model": {m: median seconds of builtin_model(m)},
-#  "page1": {m: median seconds of Page1 on that fresh model}} as JSON.
+#  "page1": {m: median seconds of Page1(model).ladder() on that fresh
+#  model}} as JSON.
 _LAYER_WORKER = r"""
 import json, statistics, sys, time
 from coframes import models, pages
@@ -120,7 +123,7 @@ for name in models.builtin_names():
         t0 = time.perf_counter()
         model = models.builtin_model(name)
         t1 = time.perf_counter()
-        pages.Page1(model)
+        pages.Page1(model).ladder()
         times["model"].append(t1 - t0)
         times["page1"].append(time.perf_counter() - t1)
     for layer, ts in times.items():

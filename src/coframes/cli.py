@@ -8,6 +8,10 @@ timings) so identical seed and config give byte-identical bytes, and
 section, and only verify, whose composition check samples random sections,
 takes --seed.
 
+A call builds the argument parser of the command it names and no other,
+and a one-shot apply derives only the page-1 cells and complex members
+its operator reads (operators.OnDemand).
+
 Exit codes: 0 all checks pass, 1 at least one verification failure,
 2 usage or data error.
 """
@@ -347,7 +351,8 @@ def _named_operator(geom: str, name: str, variant: Optional[str]):
     """Resolve an operator name to (handle, source node, complex name)."""
     res = _resolution(geom, variant)
     if geom == "engel4" and name in _ENGEL4_ALIASES:
-        handle = ops.derive_operator(res.model, *_ENGEL4_ALIASES[name])
+        handle = ops.derive_operator(res.model, *_ENGEL4_ALIASES[name],
+                                     page1=res.page1)
         return handle, handle.source.degree, res.variant
     fixed = {"dH": 0}
     if geom == "contact5":
@@ -439,27 +444,17 @@ def cmd_classify7(args) -> int:
 
 # #### entry point #########################################################
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="coframes",
-        description="Exact calculus of filtered coframes: pages, derived "
-                    "operators, verified resolutions.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("list", help="models and their named complexes")
-    p.set_defaults(fn=cmd_list)
-
-    p = sub.add_parser("page", help="graded page tables")
+def _page_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("geometry")
     p.add_argument("--level", type=int, choices=(0, 1), default=1)
-    p.set_defaults(fn=cmd_page)
 
-    p = sub.add_parser("report", help="rank and order table of a complex")
+
+def _report_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("geometry")
     p.add_argument("--complex", dest="complex", default=None)
-    p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("verify", help="verification suite for a geometry")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("geometry")
     p.add_argument("--degree", type=int,
                    default=os.environ.get("COFRAMES_DEGREE", "3"))
@@ -468,30 +463,69 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="check id to skip (repeatable)")
     p.add_argument("--seed", type=int,
                    default=os.environ.get("COFRAMES_SEED", "7"))
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("apply", help="apply a derived operator to a section")
+
+def _apply_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("geometry")
     p.add_argument("--operator", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     p.add_argument("--complex", dest="complex", default=None)
-    p.set_defaults(fn=cmd_apply)
 
-    p = sub.add_parser("classify7", help="orbit class of a 7-variable model")
+
+def _classify7_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
-    p.set_defaults(fn=cmd_classify7)
 
-    # every command but apply, which always writes a JSON section
-    for name, p in sub.choices.items():
+
+# name: (help, handler, arguments); every command but apply, which always
+# writes a JSON section, also takes --format
+COMMANDS = {
+    "list": ("models and their named complexes", cmd_list, None),
+    "page": ("graded page tables", cmd_page, _page_args),
+    "report": ("rank and order table of a complex", cmd_report,
+               _report_args),
+    "verify": ("verification suite for a geometry", cmd_verify,
+               _verify_args),
+    "apply": ("apply a derived operator to a section", cmd_apply,
+              _apply_args),
+    "classify7": ("orbit class of a 7-variable model", cmd_classify7,
+                  _classify7_args),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with command's sub-parser alone, or with all of them
+    when command names none.  The metavar keeps a lone sub-parser's usage
+    line that of all six; it is not passed with all six built, since the
+    errors that name the positional ("argument command: invalid choice")
+    would name the metavar instead.  Built on every call, as verify's
+    defaults read the environment."""
+    ap = argparse.ArgumentParser(
+        prog="coframes",
+        description="Exact calculus of filtered coframes: pages, derived "
+                    "operators, verified resolutions.")
+    if command in COMMANDS:
+        names = [command]
+        sub = ap.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(COMMANDS))
+    else:
+        names = list(COMMANDS)
+        sub = ap.add_subparsers(dest="command", required=True)
+    for name in names:
+        helptext, fn, add_args = COMMANDS[name]
+        p = sub.add_parser(name, help=helptext)
+        if add_args is not None:
+            add_args(p)
         if name != "apply":
             p.add_argument("--format", choices=("text", "json", "csv"),
                            default="text")
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = _build_parser(argv[0] if argv else None)
     args = ap.parse_args(argv)
     if getattr(args, "degree", 1) < 1:
         ap.error("--degree must be at least 1")

@@ -3,8 +3,9 @@
 A graded operator is produced by one mechanism: lift a class to a form,
 apply d, correct the graded pieces below the target weight by solving
 constant page-0 systems, and project at the target (GradedOperator.cascade).
-Whole complexes are assembled node by node.  Every operator has the one
-entry point apply(coeffs, jets=None).
+A whole complex derives each of its nodes and operators on first read
+(OnDemand).  Every operator has the one entry point apply(coeffs,
+jets=None).
 
 The operator classes:
 
@@ -45,10 +46,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb, lcm, perm
 from operator import add, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
 from .forms import (COORD, Bivector, Form, contract, exterior_d,
@@ -85,7 +87,7 @@ def graded_node(model: GeometryModel, page1: Page1, degree: int,
     weights: List[int] = []
     ranges: List[Tuple[CellKey, int, int]] = []
     for key in keys:
-        data = page1.data[key]
+        data = page1.cell_data(key)
         lo = len(forms)
         for rep in data.reps:
             f = Form(model.nvars, degree, model.basis_tag)
@@ -190,13 +192,13 @@ class _LcpRun:
         source cell's pivot coordinates (see CellData), so the preimage
         gamma lies in the complement of the source kernel.
         """
-        data = self.page1.data[(self.degree, w - self.degree)]
+        data = self.page1.cell_data((self.degree, w - self.degree))
         acoeffs = linalg.poly_matvec(data.sinv[:data.rank_in], self.vector(w))
         if not any(acoeffs):
             return
         src_key = data.source_cell
         src_cell = self.page1.page0.cells[src_key]
-        src_pivots = self.page1.data[src_key].out_pivots
+        src_pivots = self.page1.cell_data(src_key).out_pivots
         gamma = Form(self.model.nvars, src_key[0], self.model.basis_tag)
         for i, p in enumerate(acoeffs):
             if p:
@@ -364,7 +366,8 @@ class GradedOperator(OperatorHandle):
             run.correct_at(w)
             if key in self.target_cells:
                 lo, hi = self.target_cells[key]
-                out[lo:hi] = self.page1.data[key].extract(run.vector(w))
+                out[lo:hi] = self.page1.cell_data(key).extract(
+                    run.vector(w))
         return out
 
 
@@ -470,15 +473,37 @@ class RsMiddle(OperatorHandle):
 
 # #### complexes ###########################################################
 
+class OnDemand(Sequence):
+    """A complex's nodes or operators, each derived by its thunk on first
+    read and kept.  It reads as a list does: len, indexing, slicing (which
+    gives a plain list) and iteration."""
+
+    def __init__(self, thunks: Sequence[Callable[[], object]]):
+        self._thunks = list(thunks)
+        self._items: Dict[int, object] = {}
+
+    def __len__(self) -> int:
+        return len(self._thunks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]     # from the end if negative; IndexError
+        if i not in self._items:
+            self._items[i] = self._thunks[i]()
+        return self._items[i]
+
+
 @dataclass
 class Resolution:
     name: str
     variant: str
-    nodes: List[Node]
-    operators: List[OperatorHandle]
+    nodes: Sequence[Node]
+    operators: Sequence[OperatorHandle]
     model: Optional[GeometryModel] = None
     nvars: int = 0
     coeff_weights: Tuple[int, ...] = ()
+    page1: Optional[Page1] = None   # what the graded members read
 
     def ranks(self) -> List[int]:
         return [n.rank for n in self.nodes]
@@ -511,17 +536,22 @@ def derive_operator(model: GeometryModel, source: CellKey, target: CellKey,
 
 
 def named_complex(model: GeometryModel, variant: str = "bgg") -> Resolution:
-    """Assemble a named resolution for a builtin model."""
+    """Assemble a named resolution for a builtin model; its nodes and
+    operators, and the page-1 cells they read, are derived on first read."""
     page1 = Page1(model)
     if variant == "bgg":
-        top = max(p for (p, _) in page1.dims())
-        nodes = [graded_node(model, page1, p) for p in range(top + 1)]
-        ops: List[OperatorHandle] = [
-            GradedOperator(model, page1, nodes[p], nodes[p + 1])
-            for p in range(top)]
+        # the highest degree with a survivor, found from the top down so
+        # that only its cells are derived
+        top = next(p for p in range(model.nvars, -1, -1)
+                   if page1.surviving_cells(p))
+        nodes = OnDemand([partial(graded_node, model, page1, p)
+                          for p in range(top + 1)])
+        ops = OnDemand([
+            lambda p=p: GradedOperator(model, page1, nodes[p], nodes[p + 1])
+            for p in range(top)])
         return Resolution(name=model.name, variant=variant, nodes=nodes,
                           operators=ops, model=model, nvars=model.nvars,
-                          coeff_weights=model.weights)
+                          coeff_weights=model.weights, page1=page1)
     if model.name == "g2_5" and variant in ("ambient", "basic"):
         return _g2_complex(model, page1, variant)
     raise KeyError("unknown complex variant %r for model %s"
@@ -540,49 +570,47 @@ def _g2_complex(model: GeometryModel, page1: Page1,
             f.add_term(idx, rp.const(c, n))
         return f
 
-    node0 = graded_node(model, page1, 0, label="functions")
-    node1 = graded_node(model, page1, 1, label="horizontal1")
-    if variant == "ambient":
-        pairs = [(0, 3), (0, 4), (1, 3), (1, 4), (0, 2), (1, 2), (0, 1)]
-        basis2 = [cform([(p, 1)], 2) for p in pairs]
-        w2 = [model.weight_of(p) for p in pairs]
-        node2 = Node("vertical_wedge_1forms", 2, basis2, w2)
-    else:
+    def monomials(label: str, degree: int,
+                  idxs: Sequence[Tuple[int, ...]]) -> Node:
+        return Node(label, degree, [cform([(t, 1)], degree) for t in idxs],
+                    [model.weight_of(t) for t in idxs])
+
+    def node2() -> Node:
+        if variant == "ambient":
+            return monomials("vertical_wedge_1forms", 2,
+                             [(0, 3), (0, 4), (1, 3), (1, 4), (0, 2),
+                              (1, 2), (0, 1)])
         combos2: List[List[Tuple[Tuple[int, ...], int]]] = [
             [((0, 3), 1)], [((0, 4), 1), ((1, 3), 1)], [((1, 4), 1)],
             [((0, 2), 1)], [((1, 2), 1)], [((0, 1), 1)]]
-        basis2 = [cform(c, 2) for c in combos2]
-        w2 = [model.weight_of(c[0][0]) for c in combos2]
-        node2 = Node("B2", 2, basis2, w2)
-    if variant == "ambient":
-        triples = sorted(combinations(range(n), 3))
-        label3 = "all3forms"
-    else:
-        triples = [t for t in combinations(range(n), 3) if t != (2, 3, 4)]
-        label3 = "B3"
-    basis3 = [cform([(t, 1)], 3) for t in sorted(triples)]
-    node3 = Node(label3, 3, basis3,
-                 [model.weight_of(t) for t in sorted(triples)])
-    quads = sorted(combinations(range(n), 4))
-    node4 = Node("all4forms", 4, [cform([(qd, 1)], 4) for qd in quads],
-                 [model.weight_of(qd) for qd in quads])
-    node5 = Node("volume", 5, [cform([(tuple(range(n)), 1)], 5)],
-                 [model.weight_of(tuple(range(n)))])
-    nodes = [node0, node1, node2, node3, node4, node5]
-    ops: List[OperatorHandle] = [
-        GradedOperator(model, page1, node0, node1),
-        DeepCorrectedOperator(model, page1, node1, node2),
-        SpanDOperator(model, node2, node3),
-        SpanDOperator(model, node3, node4),
-        SpanDOperator(model, node4, node5),
-    ]
+        return Node("B2", 2, [cform(c, 2) for c in combos2],
+                    [model.weight_of(c[0][0]) for c in combos2])
+
+    def node3() -> Node:
+        triples = list(combinations(range(n), 3))
+        if variant == "ambient":
+            return monomials("all3forms", 3, triples)
+        return monomials("B3", 3, [t for t in triples if t != (2, 3, 4)])
+
+    nodes = OnDemand([
+        lambda: graded_node(model, page1, 0, label="functions"),
+        lambda: graded_node(model, page1, 1, label="horizontal1"),
+        node2, node3,
+        lambda: monomials("all4forms", 4, list(combinations(range(n), 4))),
+        lambda: monomials("volume", 5, [tuple(range(n))])])
+    ops = OnDemand([
+        lambda: GradedOperator(model, page1, nodes[0], nodes[1]),
+        lambda: DeepCorrectedOperator(model, page1, nodes[1], nodes[2])]
+        + [lambda k=k: SpanDOperator(model, nodes[k], nodes[k + 1])
+           for k in (2, 3, 4)])
     return Resolution(name=model.name, variant=variant, nodes=nodes,
                       operators=ops, model=model, nvars=n,
-                      coeff_weights=model.weights)
+                      coeff_weights=model.weights, page1=page1)
 
 
 def build_rs_complex(half_dim: int) -> Resolution:
-    """The symplectic replacement complex on R^{2 half_dim}."""
+    """The symplectic replacement complex on R^{2 half_dim}; its nodes and
+    operators are derived on first read."""
     if half_dim != 2:
         raise ValueError("only the 4-dimensional case is built in")
     data = symplectic_data(half_dim)
@@ -590,31 +618,35 @@ def build_rs_complex(half_dim: int) -> Resolution:
     jform: Form = data["J"]
     jdual: Bivector = data["J_dual"]
 
-    node0 = Node("functions", 0, [form_monomial(n, (), 1)], [0])
-    node1 = Node("one_forms", 1, [one_form(n, i) for i in range(n)], [1] * n)
-    perp: List[Form] = []
-    for pair in sorted(combinations(range(n), 2)):
-        f = form_monomial(n, pair, 1)
-        tr = contract(f, jdual).terms.get((), {})
-        if not tr:
-            perp.append(f)
-    mixed = form_sub(form_monomial(n, (0, 1), 1), form_monomial(n, (2, 3), 1))
-    perp.append(mixed)
-    node2 = Node("primitive2", 2, perp, [2] * len(perp))
-    coef = [f.copy() for f in perp]
-    node3 = Node("coeffective2", 2, coef, [4] * len(coef))
-    node4 = Node("three_forms", 3, [form_monomial(n, t, 1)
-                                    for t in combinations(range(n), 3)],
-                 [5] * 4)
-    node5 = Node("volume", 4, [form_monomial(n, tuple(range(n)), 1)], [6])
-    nodes = [node0, node1, node2, node3, node4, node5]
-    ops: List[OperatorHandle] = [
-        SpanDOperator(None, node0, node1),
-        RsProjD(node1, node2, jform, jdual, half_dim),
-        RsMiddle(node2, node3, jform, n),
-        SpanDOperator(None, node3, node4),
-        SpanDOperator(None, node4, node5),
-    ]
+    def primitive2() -> List[Form]:
+        perp: List[Form] = []
+        for pair in sorted(combinations(range(n), 2)):
+            f = form_monomial(n, pair, 1)
+            tr = contract(f, jdual).terms.get((), {})
+            if not tr:
+                perp.append(f)
+        perp.append(form_sub(form_monomial(n, (0, 1), 1),
+                             form_monomial(n, (2, 3), 1)))
+        return perp
+
+    def node(label: str, degree: int, forms: List[Form], weight: int):
+        return Node(label, degree, forms, [weight] * len(forms))
+
+    nodes = OnDemand([
+        lambda: node("functions", 0, [form_monomial(n, (), 1)], 0),
+        lambda: node("one_forms", 1, [one_form(n, i) for i in range(n)], 1),
+        lambda: node("primitive2", 2, primitive2(), 2),
+        lambda: node("coeffective2", 2, primitive2(), 4),
+        lambda: node("three_forms", 3, [form_monomial(n, t, 1) for t in
+                                        combinations(range(n), 3)], 5),
+        lambda: node("volume", 4, [form_monomial(n, tuple(range(n)), 1)],
+                     6)])
+    ops = OnDemand([
+        lambda: SpanDOperator(None, nodes[0], nodes[1]),
+        lambda: RsProjD(nodes[1], nodes[2], jform, jdual, half_dim),
+        lambda: RsMiddle(nodes[2], nodes[3], jform, n),
+        lambda: SpanDOperator(None, nodes[3], nodes[4]),
+        lambda: SpanDOperator(None, nodes[4], nodes[5])])
     return Resolution(name="symplectic%d" % n, variant="rs", nodes=nodes,
                       operators=ops, model=None, nvars=n,
                       coeff_weights=(1,) * n)

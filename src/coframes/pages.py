@@ -12,9 +12,10 @@ columns keep them as ints, so the page-1 eliminations below run in integer
 arithmetic (see linalg.rref).  e0_apply stays on coframe_d as the
 independent definition.
 
-Page 1 derives one exact decomposition per cell, R^dim = im(E0_in) +
-span(reps) + span(units at the outgoing pivots P), with basis matrix
-S = [bcols | reps | units], and keeps rows 0:rank_in + dim1 of S^-1.  One
+Page 1 derives one exact decomposition per cell on the cell's first read
+(Page1.cell_data), R^dim = im(E0_in) + span(reps) + span(units at the
+outgoing pivots P), with basis matrix S = [bcols | reps | units], and
+keeps rows 0:rank_in + dim1 of S^-1.  One
 rref of [B_N | I_N], B_N the incoming columns on the free coordinates N,
 gives the reps and those rows together:
 - the outgoing kernel basis is the identity on N, so restricting to N is
@@ -162,15 +163,15 @@ class CellData:
     basis is the identity there, e0 o e0 = 0 puts bcols in that kernel,
     and the rows for the units are never read.
 
-    bcols are the incoming columns at the source cell's out_pivots, so the
-    image block of sinv expresses a vector of the image in the source's
-    pivot coordinates; operator corrections take their preimages there,
-    in the complement of the source kernel.  That consistency between
-    corrections and class extraction is what makes derived operators
-    compose to zero on the nose instead of up to lower-order junk.  bcols
-    define S, so sinv, and rank_in; a correction does not read them, as it
-    subtracts all of d of its preimage, whose weight-preserving part is
-    the image it solved for (operators._LcpRun).
+    bcols are the incoming columns at the source cell's out_pivots (the
+    source's out_cols), so the image block of sinv expresses a vector of
+    the image in the source's pivot coordinates; operator corrections take
+    their preimages there, in the complement of the source kernel.  That
+    consistency between corrections and class extraction is what makes
+    derived operators compose to zero on the nose instead of up to
+    lower-order junk.  bcols define S, so sinv, and rank_in; a correction
+    does not read them, as it subtracts all of d of its preimage, whose
+    weight-preserving part is the image it solved for (operators._LcpRun).
 
     extract applies rows rank_in:rank_in + dim1 of sinv: the projection
     onto span(reps) along the other two summands.  It depends only on the
@@ -180,6 +181,7 @@ class CellData:
     reps: List[linalg.Vector]           # class representatives, cell coords
     source_cell: Optional[CellKey]      # cell the incoming differential leaves
     out_pivots: List[int]               # pivot columns of the outgoing map
+    out_cols: List[Column]              # outgoing columns at out_pivots
     bcols: List[Column]                 # incoming columns at source pivots
     sinv: linalg.Matrix                 # rows 0:rank_in + dim1 of S^-1
 
@@ -204,73 +206,83 @@ class CellData:
 class Page1:
     """Kernels, images, survivors, and projections of the page-0 complex.
 
-    Each cell's decomposition is derived once, here, from two rrefs: one
-    of the outgoing map, for its pivots and kernel, and one of
-    [B_N | I_N], which pivots first on every B column, then on the reps in
-    kernel order, and whose I_N block, placed on the free columns N, is
-    sinv (see the module docstring).
+    Each cell's decomposition is derived on first read (cell_data) and kept
+    on the instance, so a request derives only the cells it reads.  It
+    comes from two rrefs: one of the outgoing map, for its pivots and
+    kernel, and one of [B_N | I_N], which pivots first on every B column,
+    then on the reps in kernel order, and whose I_N block, placed on the
+    free columns N, is sinv (see the module docstring).  B is the source
+    cell's out_cols; when the source is not derived yet, its columns and
+    one rref for their pivots give B, so no cell derives another.
     """
 
     def __init__(self, model: GeometryModel):
         self.model = model
         self.page0 = Page0(model)
+        self.table = e0_table(model)
         self.data: Dict[CellKey, CellData] = {}
-        table = e0_table(model)
-        outgoing = {key: e0_columns(self.page0, table, key)
-                    for key in self.page0.cells}
-        reduced: Dict[CellKey, Tuple[linalg.Matrix, List[int]]] = {}
-        for key in self.page0.cells:
-            tgt, cols = outgoing[key]
-            reduced[key] = (linalg.rref(linalg.transpose(cols))
-                            if tgt is not None and cols and cols[0]
-                            else ([], []))
-        for key, cell in self.page0.cells.items():
-            p, q = key
-            dim = cell.dim
-            red, pivots = reduced[key]
-            src: Optional[CellKey] = (p - 1, q + 1)
-            if outgoing.get(src, (None,))[0] == key:
-                bcols = [list(outgoing[src][1][j]) for j in reduced[src][1]]
-            else:
-                src, bcols = None, []
-            rank_in = len(bcols)
-            pivot_set = set(pivots)
-            free = [c for c in range(dim) if c not in pivot_set]
-            nfree = len(free)
-            rows = []
+
+    def cell_data(self, key: CellKey) -> CellData:
+        """The decomposition of one cell, derived on first read."""
+        data = self.data.get(key)
+        if data is None:
+            data = self.data[key] = self._derive(key)
+        return data
+
+    def _derive(self, key: CellKey) -> CellData:
+        cell = self.page0.cells[key]
+        p, q = key
+        dim = cell.dim
+        tgt, cols = e0_columns(self.page0, self.table, key)
+        red, pivots = (linalg.rref(linalg.transpose(cols))
+                       if tgt is not None else ([], []))
+        src: Optional[CellKey] = (p - 1, q + 1)
+        if src in self.data:
+            bcols = self.data[src].out_cols
+        elif src in self.page0.cells:
+            scols = e0_columns(self.page0, self.table, src)[1]
+            bcols = [scols[j] for j in linalg.rref(linalg.transpose(scols))[1]]
+        else:
+            src, bcols = None, []
+        rank_in = len(bcols)
+        pivot_set = set(pivots)
+        free = [c for c in range(dim) if c not in pivot_set]
+        nfree = len(free)
+        rows = []
+        for a, f in enumerate(free):
+            row = [b[f] for b in bcols] + [0] * nfree
+            row[rank_in + a] = 1
+            rows.append(row)
+        ech, chosen = linalg.rref(rows)
+        if chosen[:rank_in] != list(range(rank_in)):
+            raise AssertionError("incoming image is not independent "
+                                 "on the free coordinates")
+        kernel = linalg.nullspace(red, pivots, dim)
+        reps = [kernel[j - rank_in] for j in chosen[rank_in:]]
+        sinv = []
+        for row in ech:
+            full = [linalg.ZERO] * dim
             for a, f in enumerate(free):
-                row = [b[f] for b in bcols] + [0] * nfree
-                row[rank_in + a] = 1
-                rows.append(row)
-            ech, chosen = linalg.rref(rows)
-            if chosen[:rank_in] != list(range(rank_in)):
-                raise AssertionError("incoming image is not independent "
-                                     "on the free coordinates")
-            kernel = linalg.nullspace(red, pivots, dim)
-            reps = [kernel[j - rank_in] for j in chosen[rank_in:]]
-            sinv = []
-            for row in ech:
-                full = [linalg.ZERO] * dim
-                for a, f in enumerate(free):
-                    full[f] = row[rank_in + a]
-                sinv.append(full)
-            self.data[key] = CellData(
-                cell=cell, reps=reps, source_cell=src, out_pivots=pivots,
-                bcols=bcols, sinv=sinv)
+                full[f] = row[rank_in + a]
+            sinv.append(full)
+        return CellData(cell=cell, reps=reps, source_cell=src,
+                        out_pivots=pivots, out_cols=[cols[j] for j in pivots],
+                        bcols=bcols, sinv=sinv)
 
     def dims(self) -> Dict[CellKey, int]:
-        return {k: d.dim1 for k, d in sorted(self.data.items()) if d.dim1}
+        out = {k: self.cell_data(k).dim1 for k in sorted(self.page0.cells)}
+        return {k: d for k, d in out.items() if d}
 
     def ladder(self) -> List[int]:
         out: Dict[int, int] = {}
-        for (p, _), d in self.data.items():
-            out[p] = out.get(p, 0) + d.dim1
+        for key in self.page0.cells:
+            out[key[0]] = out.get(key[0], 0) + self.cell_data(key).dim1
         top = max(out) if out else 0
         return [out.get(p, 0) for p in range(top + 1)]
 
     def surviving_cells(self, degree: int) -> List[CellKey]:
-        keys = [k for k, d in self.data.items()
-                if k[0] == degree and d.dim1 > 0]
+        keys = [k for k in self.page0.cells
+                if k[0] == degree and self.cell_data(k).dim1 > 0]
         return sorted(keys, key=lambda k: k[1])
 
 

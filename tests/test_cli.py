@@ -161,7 +161,78 @@ def test_option_no_command_reads_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
-    assert "unrecognized arguments: %s" % argv[-2] in capsys.readouterr().err
+    assert capsys.readouterr().err == USAGE + \
+        "coframes: error: unrecognized arguments: %s %s\n" % argv[-2:]
+
+
+USAGE = "usage: coframes [-h] {list,page,report,verify,apply,classify7} ...\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((), "the following arguments are required: command"),
+    (("bogus",), "argument command: invalid choice: 'bogus' (choose from "
+                 "'list', 'page', 'report', 'verify', 'apply', 'classify7')"),
+    (("verify", "engel4", "--degree", "0"), "--degree must be at least 1"),
+    (("verify", "engel4", "--samples", "0"), "--samples must be at least 1"),
+], ids=["no-command", "unknown-command", "degree-0", "samples-0"])
+def test_usage_errors_exit_2_with_the_top_usage(monkeypatch, capsys, argv,
+                                                 message):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", USAGE + "coframes: error: %s\n" % message)
+
+
+def test_top_help_lists_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == USAGE + """
+Exact calculus of filtered coframes: pages, derived operators, verified
+resolutions.
+
+positional arguments:
+  {list,page,report,verify,apply,classify7}
+    list                models and their named complexes
+    page                graded page tables
+    report              rank and order table of a complex
+    verify              verification suite for a geometry
+    apply               apply a derived operator to a section
+    classify7           orbit class of a 7-variable model
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_command_help(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["apply", "-h"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == """\
+usage: coframes apply [-h] --operator OPERATOR --input INPUT [--output OUTPUT]
+                      [--complex COMPLEX]
+                      geometry
+
+positional arguments:
+  geometry
+
+options:
+  -h, --help           show this help message and exit
+  --operator OPERATOR
+  --input INPUT
+  --output OUTPUT
+  --complex COMPLEX
+"""
 
 
 def test_verify_symplectic_rs(capsys):
@@ -327,6 +398,49 @@ def test_apply_unknown_operator_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "apply", "engel4", "--operator", "Q",
                          "--input", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("operator,degrees", [("d0", {0, 1, 7}),
+                                              ("d3", {3, 4, 7})])
+def test_one_request_derives_its_two_degrees_and_the_top(operator, degrees):
+    """An operator from degree p reads the cells of degrees p and p + 1;
+    finding the top node of the complex reads degree nvars."""
+    import random
+    from coframes.operators import random_section
+    handle, _, _ = cli._named_operator("elliptic7", operator, None)
+    handle.apply(random_section(handle.source, random.Random(1), 2))
+    page1 = handle.page1
+    assert set(page1.data) == {k for k in page1.page0.cells
+                               if k[0] in degrees}
+
+
+@pytest.mark.parametrize("geometry,variant", [("symplectic4", None),
+                                              ("g2_5", "ambient")])
+def test_one_request_builds_one_span_solver(monkeypatch, geometry, variant):
+    from coframes import operators
+    built = []
+    init = operators.SpanSolver.__init__
+
+    def counted(self, forms):
+        built.append(forms)
+        init(self, forms)
+    monkeypatch.setattr(operators.SpanSolver, "__init__", counted)
+    handle, _, _ = cli._named_operator(geometry, "d3", variant)
+    assert built == [handle.target.forms]
+
+
+@pytest.mark.parametrize("name", ["P", "S"])
+def test_engel4_alias_builds_one_page(monkeypatch, name):
+    from coframes import pages
+    built = []
+    init = pages.Page1.__init__
+
+    def counted(self, model):
+        built.append(model.name)
+        init(self, model)
+    monkeypatch.setattr(pages.Page1, "__init__", counted)
+    cli._named_operator("engel4", name, "bgg")
+    assert built == ["engel4"]
 
 
 def test_classify7_builtins(capsys):

@@ -214,9 +214,10 @@ def test_correction_leaves_no_image_component(name):
             run = _LcpRun(h.model, h.page1, realize(h.source, coeffs),
                           degree, jets)
             for w in range(min(h.source.weights) + 1, h.max_weight + 1):
-                data = h.page1.data.get((degree, w - degree))
-                if data is None:
+                key = (degree, w - degree)
+                if key not in h.page1.page0.cells:
                     continue
+                data = h.page1.cell_data(key)
                 run.correct_at(w)
                 image = linalg.poly_matvec(data.sinv[:data.rank_in],
                                            run.vector(w))

@@ -212,7 +212,9 @@ def test_page1_matches_reference(each_model):
     from fractions import Fraction
     from coframes import linalg
     pg = Page1(each_model)
-    for key, data in pg.data.items():
+    checked = 0
+    for key in pg.page0.cells:
+        data = pg.cell_data(key)
         dim = data.cell.dim
         ref = _reference_cell(pg, key)
         assert data.rank_in == ref["rank_in"], key
@@ -234,6 +236,8 @@ def test_page1_matches_reference(each_model):
             assert len(data.sinv) == kept, key
             assert [_matvec(cols, row) for row in data.sinv] == \
                 linalg.identity(dim)[:kept], key
+        checked += 1
+    assert checked == len(pg.page0.cells)
 
 
 def _matvec(m, v):
