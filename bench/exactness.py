@@ -25,6 +25,11 @@ other labels kept):
   derives cells in Page1 or on first read: the medians of LAYER_BUILDS
   builds each, in one fresh process importing PATH/src (the model and page
   construction layers);
+- traffic: for `coframes verify G --degree 1 --format json` and
+  `report G --format json` on every geometry, each in a fresh process,
+  the builtin_model calls, GeometryModel and Page1 constructions, and
+  the Page1._derive calls of the request, with the distinct cells
+  derived;
 - the medians, over SEEDS, of the end-to-end metrics of PATH's own
   perfbench/run.py on the WORKLOADS (SECONDS each), with every run's
   values beside them;
@@ -74,6 +79,7 @@ COMPLEXES = (("contact5", "bgg"), ("engel4", "bgg"), ("g2_5", "bgg"),
              ("g2_5", "ambient"), ("g2_5", "basic"), ("dist3in6", "bgg"),
              ("dl_5", "bgg"), ("elliptic7", "bgg"), ("hyperbolic7", "bgg"),
              ("symplectic4", "rs"))
+GEOMETRIES = tuple(dict.fromkeys(g for g, _ in COMPLEXES))
 
 # python3 -c _WORKER GEOMETRY VARIANT CHECK, with PYTHONPATH=PATH/src:
 # prints [seconds, ok] of one check on one freshly built complex as JSON.
@@ -132,12 +138,43 @@ print(json.dumps(out))
 """
 
 
+# python3 -c _TRAFFIC_WORKER ARGV..., with PYTHONPATH=PATH/src: runs
+# `coframes ARGV...` and prints, as JSON, what one request built and derived.
+_TRAFFIC_WORKER = r"""
+import contextlib, io, json, sys
+from coframes import cli, models, pages
+
+calls = {"builtin_model": [], "GeometryModel": [], "Page1": [], "derived": []}
+
+
+def counted(owner, attr, key):
+    fn = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls[key].append(args[1:2])    # for _derive, the cell key
+        return fn(*args, **kwargs)
+    setattr(owner, attr, wrapper)
+
+
+counted(cli, "builtin_model", "builtin_model")
+counted(models.GeometryModel, "__init__", "GeometryModel")
+counted(pages.Page1, "__init__", "Page1")
+counted(pages.Page1, "_derive", "derived")
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+out = {key: len(v) for key, v in calls.items()}
+out["cells"] = len(set(calls["derived"]))
+out["exit"] = rc
+print(json.dumps(out))
+"""
+
+
 # python3 -c _OUTPUTS_WORKER, with PYTHONPATH=PATH/src:PATH/perfbench and a
 # scratch directory as cwd: prints {name: sha256} of the outputs as JSON.
 _OUTPUTS_WORKER = r"""
 import contextlib, dataclasses, hashlib, io, json, random, sys
 from fractions import Fraction
-from coframes import builtin_names, cli, models, operators, pages, splitting
+from coframes import builtin_names, cli, models, operators, splitting
 import workloads
 
 SEEDS, COMPLEXES = json.loads(sys.argv[1])
@@ -199,13 +236,12 @@ for name in ("dist3in6", "elliptic7", "hyperbolic7"):
     out["shift_action_rank/" + name] = sha(
         splitting.shift_action_rank(models.builtin_model(name)))
 engel4 = models.builtin_model("engel4")
-for name, (source, _) in cli._ENGEL4_ALIASES.items():
-    node = operators.graded_node(engel4, pages.Page1(engel4), source[0],
-                                 [source])
+for name, cells in cli._ENGEL4_ALIASES.items():
+    node = operators.derive_operator(engel4, *cells).source
     runs = []
     for seed in (1, 2, 3):
         section = operators.GradedSection(
-            "engel4", "bgg", source[0],
+            "engel4", "bgg", node.degree,
             operators.random_section(node, random.Random(seed)))
         path = "engel4-%s-%d.json" % (name, seed)
         with open(path, "w", encoding="utf-8") as fh:
@@ -258,6 +294,20 @@ def check_seconds(src: Path, check: str) -> dict:
         t, ok, report = json.loads(proc.stdout.splitlines()[-1])
         out["%s/%s" % (geometry, variant)] = {"seconds": round(t, 3),
                                               "ok": ok, "report": report}
+    return out
+
+
+def request_traffic(src: Path) -> dict:
+    env = _env(src, "src")
+    out = {}
+    for geometry in GEOMETRIES:
+        for argv in (["verify", geometry, "--degree", "1"],
+                     ["report", geometry]):
+            proc = subprocess.run(
+                [sys.executable, "-c", _TRAFFIC_WORKER, *argv, "--format",
+                 "json"], env=env, capture_output=True, text=True,
+                check=True)
+            out[" ".join(argv)] = json.loads(proc.stdout.splitlines()[-1])
     return out
 
 
@@ -325,6 +375,7 @@ def record_side(src: Path) -> dict:
             "exactness_deg3": check_seconds(src, "exactness"),
             "composition_deg3": check_seconds(src, "composition"),
             **layer_seconds(src),
+            "traffic": request_traffic(src),
             "perfbench": {w: perfbench_medians(src, w) for w in WORKLOADS}}
     side["outputs"] = output_digests(src, side)
     return side

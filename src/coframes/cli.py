@@ -8,9 +8,10 @@ timings) so identical seed and config give byte-identical bytes, and
 section, and only verify, whose composition check samples random sections,
 takes --seed.
 
-A call builds the argument parser of the command it names and no other,
-and a one-shot apply derives only the page-1 cells and complex members
-its operator reads (operators.OnDemand).
+A call builds the argument parser of the command it names and no other.
+A request loads one model, whose one page (GeometryModel.page1) all its
+checks and complexes read; a one-shot apply derives only the page-1 cells
+and complex members its operator reads (operators.OnDemand).
 
 Exit codes: 0 all checks pass, 1 at least one verification failure,
 2 usage or data error.
@@ -35,7 +36,7 @@ from .forms import form_monomial
 from .models import (GeometryModel, builtin_model, builtin_names,
                      levi_apply, model_from_json, orbit_invariant,
                      symplectic_data, verify_structure)
-from .pages import Page0, Page1, check_function_linear, e0_apply
+from .pages import Page0, check_function_linear, e0_apply
 
 GEOMETRIES = builtin_names() + ["symplectic4"]
 
@@ -57,17 +58,18 @@ def _complex_names(geom: str) -> List[str]:
     return ["bgg"]
 
 
-def _load_model(geom: str) -> GeometryModel:
+def _load_model(geom: str) -> Optional[GeometryModel]:
+    """The geometry's model (None for symplectic4), once per request."""
     if geom in builtin_names():
         return builtin_model(geom)
     if geom == "symplectic4":
-        raise UsageError("symplectic4 has no coframe model to page")
+        return None
     raise UsageError("unknown geometry %r; choose from %s"
                      % (geom, ", ".join(builtin_names())))
 
 
-def _resolution(geom: str, variant: Optional[str]) -> ops.Resolution:
-    model = None if geom == "symplectic4" else _load_model(geom)
+def _resolution(model: Optional[GeometryModel], geom: str,
+                variant: Optional[str]) -> ops.Resolution:
     want = variant or _complex_names(geom)[0]
     if want not in _complex_names(geom):
         raise UsageError("geometry %s has no complex named %r" % (geom, want))
@@ -128,10 +130,9 @@ def cmd_list(args) -> int:
 
 def cmd_page(args) -> int:
     model = _load_model(args.geometry)
-    if args.level == 0:
-        dims = Page0(model).dims()
-    else:
-        dims = Page1(model).dims()
+    if model is None:
+        raise UsageError("symplectic4 has no coframe model to page")
+    dims = Page0(model).dims() if args.level == 0 else model.page1().dims()
     labels = ver.SCHUR_LABELS.get(model.name, {}) if args.level == 1 else {}
     cells = [{"p": p, "q": q, "dim": d,
               "label": ",".join(str(c) for c in labels[(p, q)])
@@ -165,14 +166,14 @@ def cmd_page(args) -> int:
 # #### report ##############################################################
 
 def cmd_report(args) -> int:
-    res = _resolution(args.geometry, args.complex)
+    res = _resolution(_load_model(args.geometry), args.geometry,
+                      args.complex)
     ranks = res.ranks()
     orders = res.orders()
     checks: Dict[str, bool] = {}
     if res.variant in ("bgg", "rs"):
         checks["palindrome"] = ranks == ranks[::-1]
-    if res.model is not None and res.model.name in ver.SCHUR_LABELS \
-            and res.variant == "bgg":
+    if res.name in ver.SCHUR_LABELS and res.variant == "bgg":
         checks["schur_dims"] = ver.cross_check_dims(res.model).ok
     ok = all(checks.values())
     nodes = [{"index": i, "rank": n.rank,
@@ -267,7 +268,7 @@ def _check_lines(model: GeometryModel, skip: Sequence[str]) -> List[dict]:
         add("splitting", splitting_flat)
 
     def palindrome():
-        ladder = Page1(model).ladder()
+        ladder = model.page1().ladder()
         return ladder == ladder[::-1], " ".join(str(d) for d in ladder)
     add("palindrome", palindrome)
 
@@ -290,10 +291,9 @@ def _check_lines(model: GeometryModel, skip: Sequence[str]) -> List[dict]:
     return out
 
 
-def _complex_checks(geom: str, variant: str, degree: int, samples: int,
+def _complex_checks(res: ops.Resolution, degree: int, samples: int,
                     seed: int, skip: Sequence[str]) -> List[dict]:
     out: List[dict] = []
-    res = _resolution(geom, variant)
     add = partial(_run_check, out, skip)
 
     def composition():
@@ -301,13 +301,13 @@ def _complex_checks(geom: str, variant: str, degree: int, samples: int,
                                     sections=samples,
                                     max_degree=min(degree, 3))
         return rep.ok, "%d sections per pair" % samples
-    add("composition[%s]" % variant, composition)
+    add("composition[%s]" % res.variant, composition)
 
     def exactness():
         rep = ver.exactness_check(res, max_degree=degree)
         return rep.ok, "homology " + " ".join(
             str(t) for t in rep.totals)
-    add("exactness[%s]" % variant, exactness)
+    add("exactness[%s]" % res.variant, exactness)
     return out
 
 
@@ -317,13 +317,11 @@ def cmd_verify(args) -> int:
     if unknown:
         raise UsageError("unknown check id %s; known ids: %s"
                          % (", ".join(unknown), ", ".join(CHECK_IDS)))
-    checks: List[dict] = []
-    if args.geometry != "symplectic4":
-        model = _load_model(args.geometry)
-        checks = _check_lines(model, skip)
+    model = _load_model(args.geometry)
+    checks = [] if model is None else _check_lines(model, skip)
     for variant in _complex_names(args.geometry):
-        checks += _complex_checks(args.geometry, variant, args.degree,
-                                  args.samples, args.seed, skip)
+        checks += _complex_checks(_resolution(model, args.geometry, variant),
+                                  args.degree, args.samples, args.seed, skip)
     ok = all(c["ok"] for c in checks)
     text = []
     for c in checks:
@@ -349,10 +347,9 @@ _ENGEL4_ALIASES = {"P": ((1, 0), (2, 1)), "S": ((2, 1), (3, 3))}
 
 def _named_operator(geom: str, name: str, variant: Optional[str]):
     """Resolve an operator name to (handle, source node, complex name)."""
-    res = _resolution(geom, variant)
+    res = _resolution(_load_model(geom), geom, variant)
     if geom == "engel4" and name in _ENGEL4_ALIASES:
-        handle = ops.derive_operator(res.model, *_ENGEL4_ALIASES[name],
-                                     page1=res.page1)
+        handle = ops.derive_operator(res.model, *_ENGEL4_ALIASES[name])
         return handle, handle.source.degree, res.variant
     fixed = {"dH": 0}
     if geom == "contact5":

@@ -18,11 +18,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
 from .forms import (COORD, Bivector, Form, change_basis, exterior_d,
                     form_from_json, form_to_json, form_zero)
+
+if TYPE_CHECKING:
+    from .pages import Page1
 
 PolyMatrix = List[List[rp.Poly]]
 
@@ -160,6 +163,7 @@ class GeometryModel:
         if selectors:
             self.selectors.update(selectors)
         self._structure_forms: Optional[List[Form]] = None
+        self._page1: Optional[Page1] = None
 
     @property
     def basis_tag(self) -> str:
@@ -182,6 +186,14 @@ class GeometryModel:
                 out.append(change_basis(dk, self, "coframe"))
             self._structure_forms = out
         return self._structure_forms
+
+    def page1(self) -> Page1:
+        """The model's one graded first page, built on first call.  It keeps
+        no reference back, so no cycle outlives the model."""
+        if self._page1 is None:
+            from .pages import Page1
+            self._page1 = Page1(self)
+        return self._page1
 
     def weight_of(self, idx: Sequence[int]) -> int:
         return sum(self.weights[i] for i in idx)

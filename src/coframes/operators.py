@@ -4,8 +4,8 @@ A graded operator is produced by one mechanism: lift a class to a form,
 apply d, correct the graded pieces below the target weight by solving
 constant page-0 systems, and project at the target (GradedOperator.cascade).
 A whole complex derives each of its nodes and operators on first read
-(OnDemand).  Every operator has the one entry point apply(coeffs,
-jets=None).
+(OnDemand) off its model's one page (GeometryModel.page1).  Every
+operator has the one entry point apply(coeffs, jets=None).
 
 The operator classes:
 
@@ -57,7 +57,7 @@ from .forms import (COORD, Bivector, Form, contract, exterior_d,
                     form_monomial, form_pmul, form_scale, form_sub, one_form,
                     wedge)
 from .models import GeometryModel, coframe_d, symplectic_data
-from .pages import CellKey, Page1
+from .pages import CellKey
 
 PolyVec = List[rp.Poly]
 
@@ -78,10 +78,11 @@ class Node:
         return len(self.forms)
 
 
-def graded_node(model: GeometryModel, page1: Page1, degree: int,
+def graded_node(model: GeometryModel, degree: int,
                 cells: Optional[Sequence[CellKey]] = None,
                 label: Optional[str] = None) -> Node:
     """Node made of the page-1 survivors of one degree (or chosen cells)."""
+    page1 = model.page1()
     keys = list(cells) if cells is not None else page1.surviving_cells(degree)
     forms: List[Form] = []
     weights: List[int] = []
@@ -172,11 +173,11 @@ class _LcpRun:
     totally.
     """
 
-    def __init__(self, model: GeometryModel, page1: Page1, lift: Form,
-                 out_degree: int, jets: Optional[rp.Jets] = None):
+    def __init__(self, model: GeometryModel, lift: Form, out_degree: int,
+                 jets: Optional[rp.Jets] = None):
         self.model = model
         self.partials = _partials(jets)
-        self.page1 = page1
+        self.page1 = model.page1()
         self.degree = out_degree
         self.eta = coframe_d(model, lift, self.partials)
 
@@ -336,11 +337,10 @@ class OperatorHandle:
 class GradedOperator(OperatorHandle):
     """Class-to-class operator via lift, correction, and cell projection."""
 
-    def __init__(self, model: GeometryModel, page1: Page1,
-                 source: Node, target: Node):
+    def __init__(self, model: GeometryModel, source: Node, target: Node):
         super().__init__(source, target)
         self.model = model
-        self.page1 = page1
+        self.page1 = model.page1()
         if not target.cells:
             raise ValueError("graded operator needs a graded target node")
         self.target_cells = {key: (lo, hi) for key, lo, hi in target.cells}
@@ -355,8 +355,7 @@ class GradedOperator(OperatorHandle):
         """Correct d(lift) weight by weight and project it on the target
         classes.  The lift is any form of the source degree; its components
         in cells above the source's top weight do not reach the output."""
-        run = _LcpRun(self.model, self.page1, lift, self.source.degree + 1,
-                      jets)
+        run = _LcpRun(self.model, lift, self.source.degree + 1, jets)
         out: PolyVec = [{} for _ in range(self.target.rank)]
         min_w = min(self.source.weights) + 1 if self.source.weights else 1
         for w in range(min_w, self.max_weight + 1):
@@ -379,15 +378,14 @@ class DeepCorrectedOperator(OperatorHandle):
     sweep's eta is what the span then expresses.
     """
 
-    def __init__(self, model: GeometryModel, page1: Page1,
-                 source: Node, target: Node):
+    def __init__(self, model: GeometryModel, source: Node, target: Node):
         super().__init__(source, target)
         self.model = model
-        self.page1 = page1
+        self.page1 = model.page1()
         self.span = SpanSolver(target.forms)
         support = set(self.span.pos)
         inside: Dict[int, bool] = {}    # cell weight: the cell is in the span
-        for key, cell in page1.page0.cells.items():
+        for key, cell in self.page1.page0.cells.items():
             if key[0] == source.degree + 1:
                 flags = {m in support for m in cell.basis}
                 if len(flags) > 1:
@@ -401,8 +399,7 @@ class DeepCorrectedOperator(OperatorHandle):
     def apply(self, coeffs: Sequence[rp.Poly],
               jets: Optional[rp.Jets] = None) -> PolyVec:
         lift = realize(self.source, coeffs)
-        run = _LcpRun(self.model, self.page1, lift, self.source.degree + 1,
-                      jets)
+        run = _LcpRun(self.model, lift, self.source.degree + 1, jets)
         for w in self.correct_weights:
             run.correct_at(w)
             if any(run.vector(w)):
@@ -503,7 +500,6 @@ class Resolution:
     model: Optional[GeometryModel] = None
     nvars: int = 0
     coeff_weights: Tuple[int, ...] = ()
-    page1: Optional[Page1] = None   # what the graded members read
 
     def ranks(self) -> List[int]:
         return [n.rank for n in self.nodes]
@@ -522,44 +518,40 @@ class Resolution:
         return out
 
 
-def derive_operator(model: GeometryModel, source: CellKey, target: CellKey,
-                    page1: Optional[Page1] = None) -> GradedOperator:
+def derive_operator(model: GeometryModel, source: CellKey,
+                    target: CellKey) -> GradedOperator:
     """The derived operator from one page-1 cell to one of the next degree."""
     if target[0] != source[0] + 1:
         raise ValueError("target cell %s is not of degree %d"
                          % (target, source[0] + 1))
-    page1 = page1 or Page1(model)
     degree = source[0]
-    return GradedOperator(model, page1,
-                          graded_node(model, page1, degree, [source]),
-                          graded_node(model, page1, degree + 1, [target]))
+    return GradedOperator(model, graded_node(model, degree, [source]),
+                          graded_node(model, degree + 1, [target]))
 
 
 def named_complex(model: GeometryModel, variant: str = "bgg") -> Resolution:
     """Assemble a named resolution for a builtin model; its nodes and
     operators, and the page-1 cells they read, are derived on first read."""
-    page1 = Page1(model)
     if variant == "bgg":
         # the highest degree with a survivor, found from the top down so
         # that only its cells are derived
         top = next(p for p in range(model.nvars, -1, -1)
-                   if page1.surviving_cells(p))
-        nodes = OnDemand([partial(graded_node, model, page1, p)
+                   if model.page1().surviving_cells(p))
+        nodes = OnDemand([partial(graded_node, model, p)
                           for p in range(top + 1)])
         ops = OnDemand([
-            lambda p=p: GradedOperator(model, page1, nodes[p], nodes[p + 1])
+            lambda p=p: GradedOperator(model, nodes[p], nodes[p + 1])
             for p in range(top)])
         return Resolution(name=model.name, variant=variant, nodes=nodes,
                           operators=ops, model=model, nvars=model.nvars,
-                          coeff_weights=model.weights, page1=page1)
+                          coeff_weights=model.weights)
     if model.name == "g2_5" and variant in ("ambient", "basic"):
-        return _g2_complex(model, page1, variant)
+        return _g2_complex(model, variant)
     raise KeyError("unknown complex variant %r for model %s"
                    % (variant, model.name))
 
 
-def _g2_complex(model: GeometryModel, page1: Page1,
-                variant: str) -> Resolution:
+def _g2_complex(model: GeometryModel, variant: str) -> Resolution:
     n = model.nvars
     tag = model.basis_tag
 
@@ -593,19 +585,19 @@ def _g2_complex(model: GeometryModel, page1: Page1,
         return monomials("B3", 3, [t for t in triples if t != (2, 3, 4)])
 
     nodes = OnDemand([
-        lambda: graded_node(model, page1, 0, label="functions"),
-        lambda: graded_node(model, page1, 1, label="horizontal1"),
+        lambda: graded_node(model, 0, label="functions"),
+        lambda: graded_node(model, 1, label="horizontal1"),
         node2, node3,
         lambda: monomials("all4forms", 4, list(combinations(range(n), 4))),
         lambda: monomials("volume", 5, [tuple(range(n))])])
     ops = OnDemand([
-        lambda: GradedOperator(model, page1, nodes[0], nodes[1]),
-        lambda: DeepCorrectedOperator(model, page1, nodes[1], nodes[2])]
+        lambda: GradedOperator(model, nodes[0], nodes[1]),
+        lambda: DeepCorrectedOperator(model, nodes[1], nodes[2])]
         + [lambda k=k: SpanDOperator(model, nodes[k], nodes[k + 1])
            for k in (2, 3, 4)])
     return Resolution(name=model.name, variant=variant, nodes=nodes,
                       operators=ops, model=model, nvars=n,
-                      coeff_weights=model.weights, page1=page1)
+                      coeff_weights=model.weights)
 
 
 def build_rs_complex(half_dim: int) -> Resolution:

@@ -58,7 +58,6 @@ class Page0:
     """All cells of a model, keyed by (degree, weight - degree)."""
 
     def __init__(self, model: GeometryModel):
-        self.model = model
         self.cells: Dict[CellKey, Cell] = {}
         n = model.nvars
         for p in range(n + 1):
@@ -206,8 +205,9 @@ class CellData:
 class Page1:
     """Kernels, images, survivors, and projections of the page-0 complex.
 
-    Each cell's decomposition is derived on first read (cell_data) and kept
-    on the instance, so a request derives only the cells it reads.  It
+    Each cell's decomposition is derived on the cell's first read
+    (cell_data) and kept, so a request, reading its model's one page
+    (GeometryModel.page1), derives each cell it reads once.  It
     comes from two rrefs: one of the outgoing map, for its pivots and
     kernel, and one of [B_N | I_N], which pivots first on every B column,
     then on the reps in kernel order, and whose I_N block, placed on the
@@ -217,7 +217,6 @@ class Page1:
     """
 
     def __init__(self, model: GeometryModel):
-        self.model = model
         self.page0 = Page0(model)
         self.table = e0_table(model)
         self.data: Dict[CellKey, CellData] = {}

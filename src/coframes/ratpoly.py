@@ -299,7 +299,7 @@ class Jets:
 
 
 def random_poly(rng: random.Random, nvars: int, max_degree: int,
-                terms: int = 4) -> Poly:
+                terms: int) -> Poly:
     """Seeded random polynomial with small rational coefficients."""
     out: Poly = {}
     for _ in range(terms):

@@ -321,8 +321,11 @@ def shift_action_rank(model: GeometryModel) -> int:
     return linalg.rank(_action_matrix(_Obstruction(model), model))
 
 
-def normalize_splitting(model: GeometryModel,
-                        max_iter: int = 8) -> NormalizeReport:
+# passes of normalize_splitting before it stops with what remains
+MAX_ITER = 8
+
+
+def normalize_splitting(model: GeometryModel) -> NormalizeReport:
     """Shift the splitting until the movable obstruction part is gone.
 
     Polynomial shift coefficients feed back through their derivatives, so
@@ -345,7 +348,7 @@ def normalize_splitting(model: GeometryModel,
     applied: List[Dict[Tuple[int, int], rp.Poly]] = []
     rank = 0
     rep = ob.report(base.structure_forms(), base.name)
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         if rep.is_zero:
             return NormalizeReport(
                 model=model.name, iterations=it, shifts=applied,
@@ -376,7 +379,7 @@ def normalize_splitting(model: GeometryModel,
         applied.append(shifts)
         rep = ob.report(base.structure_forms(), base.name)
     return NormalizeReport(
-        model=model.name, iterations=max_iter, shifts=applied,
+        model=model.name, iterations=MAX_ITER, shifts=applied,
         obstruction_zero=rep.is_zero, action_rank=rank,
         residual=None if rep.is_zero else rep, normalized=base)
 

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg, ratpoly as rp
 from .models import GeometryModel
 from .operators import Resolution, random_section
-from .pages import CellKey, Page1
+from .pages import CellKey
 
 PRIME = 1000003
 # most basis monomials plus column entries one slice may hold
@@ -100,17 +100,12 @@ class DimReport:
         return "\n".join(lines)
 
 
-def palindromic_check(seq: Sequence[int]) -> bool:
-    return list(seq) == list(reversed(seq))
-
-
 def cross_check_dims(model: GeometryModel) -> DimReport:
     """Compare computed cell dimensions with the label product formulas."""
-    page1 = Page1(model)
     table = SCHUR_LABELS.get(model.name)
     if table is None:
         raise KeyError("no label table for model %s" % model.name)
-    dims = page1.dims()
+    dims = model.page1().dims()
     rows = []
     ok = set(dims) == set(table)
     for key in sorted(table):
@@ -119,8 +114,8 @@ def cross_check_dims(model: GeometryModel) -> DimReport:
         rows.append((key, got, table[key], want))
         if got != want:
             ok = False
-    ladder = page1.ladder()
-    pal = palindromic_check(ladder)
+    ladder = model.page1().ladder()
+    pal = ladder == ladder[::-1]
     return DimReport(model=model.name, rows=rows, palindrome_ok=pal,
                      ok=ok and pal)
 

@@ -4,10 +4,8 @@ import pytest
 
 from coframes import builtin_model, builtin_names
 from coframes import ratpoly as rp
-from coframes.pages import Page1
 
 _MODELS = {}
-_PAGES = {}
 
 
 def model(name):
@@ -17,9 +15,7 @@ def model(name):
 
 
 def page1(name):
-    if name not in _PAGES:
-        _PAGES[name] = Page1(model(name))
-    return _PAGES[name]
+    return model(name).page1()
 
 
 @pytest.fixture(params=builtin_names())

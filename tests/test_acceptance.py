@@ -92,8 +92,7 @@ def test_criterion_03_rank_order_ladders():
 def test_criterion_04_operator_orders():
     rumin_mid = resolution("contact5", "bgg").operators[2]
     assert rumin_mid.order == 2
-    engel_p = derive_operator(model("engel4"), (1, 0), (2, 1),
-                              page1=page1("engel4"))
+    engel_p = derive_operator(model("engel4"), (1, 0), (2, 1))
     assert engel_p.order == 2
     five_var_e = resolution("g2_5", "bgg").operators[1]
     assert five_var_e.order == 3

@@ -443,6 +443,31 @@ def test_engel4_alias_builds_one_page(monkeypatch, name):
     assert built == ["engel4"]
 
 
+@pytest.mark.parametrize("argv", [("verify", "g2_5", "--degree", "1"),
+                                  ("verify", "dist3in6", "--degree", "1"),
+                                  ("report", "dist3in6")])
+def test_one_request_loads_one_model_and_derives_each_cell_once(
+        monkeypatch, capsys, argv):
+    """The line checks and every complex of a request read the one page of
+    the request's one model."""
+    from coframes import pages
+    loaded, derived = [], []
+    load, derive = cli.builtin_model, pages.Page1._derive
+
+    def counted_load(name):
+        loaded.append(name)
+        return load(name)
+
+    def counted_derive(page, key):
+        derived.append(key)
+        return derive(page, key)
+    monkeypatch.setattr(cli, "builtin_model", counted_load)
+    monkeypatch.setattr(pages.Page1, "_derive", counted_derive)
+    assert run(capsys, *argv)[0] == 0
+    assert loaded == [argv[1]]
+    assert derived and len(derived) == len(set(derived))
+
+
 def test_classify7_builtins(capsys):
     code, out, err = run(capsys, "classify7", "--model", "elliptic7",
                          "--format", "json")

@@ -9,13 +9,13 @@ import pytest
 
 from coframes import linalg, ratpoly as rp
 from coframes.forms import form_zero, one_form, wedge
-from coframes.models import symplectic_data
+from coframes.models import builtin_model, symplectic_data
 from coframes.operators import (GradedSection, Node, RsMiddle, SpanSolver,
                                 _LcpRun, build_rs_complex, derive_operator,
                                 named_complex, random_section, realize)
 from coframes.verify import _SliceCache
 
-from conftest import model, page1
+from conftest import model
 
 _COMPLEXES = {}
 
@@ -140,13 +140,13 @@ def test_rumin_middle_operator_order_two():
 
 
 def test_engel_p_order_two():
-    P = derive_operator(model("engel4"), (1, 0), (2, 1), page1=page1("engel4"))
+    P = derive_operator(model("engel4"), (1, 0), (2, 1))
     assert P.order == 2
 
 
 def test_engel_s_order_three():
     m = model("engel4")
-    S = derive_operator(m, (2, 1), (3, 3), page1=page1("engel4"))
+    S = derive_operator(m, (2, 1), (3, 3))
     assert S.order == 3
 
 
@@ -211,8 +211,7 @@ def test_correction_leaves_no_image_component(name):
         for slot in range(h.source.rank):
             coeffs = [{} for _ in range(h.source.rank)]
             coeffs[slot] = jets.unknown
-            run = _LcpRun(h.model, h.page1, realize(h.source, coeffs),
-                          degree, jets)
+            run = _LcpRun(h.model, realize(h.source, coeffs), degree, jets)
             for w in range(min(h.source.weights) + 1, h.max_weight + 1):
                 key = (degree, w - degree)
                 if key not in h.page1.page0.cells:
@@ -306,13 +305,19 @@ def test_graded_section_json_roundtrip():
 
 def test_derive_operator_between_named_cells():
     m = model("engel4")
-    T = derive_operator(m, (2, 2), (3, 3), page1=page1("engel4"))
+    T = derive_operator(m, (2, 2), (3, 3))
     # x4^2 goes to the constant 2: T differentiates twice along x4
     assert T.apply([{(0, 0, 0, 2): Fraction(1)}]) == [{}, {(0,) * 4: 2}]
     assert T.order == 2
 
 
+def test_complexes_of_one_model_read_its_page():
+    m = builtin_model("g2_5")
+    for variant in ("bgg", "ambient", "basic"):
+        assert named_complex(m, variant).operators[0].page1 is m.page1()
+    assert derive_operator(m, (0, 0), (1, 0)).page1 is m.page1()
+
+
 def test_derive_operator_rejects_a_target_of_another_degree():
     with pytest.raises(ValueError, match="is not of degree 2"):
-        derive_operator(model("engel4"), (1, 0), (3, 3),
-                        page1=page1("engel4"))
+        derive_operator(model("engel4"), (1, 0), (3, 3))

@@ -7,7 +7,7 @@ import pytest
 
 from coframes import ratpoly as rp
 from coframes.forms import exterior_d, form_zero
-from coframes.models import change_rows
+from coframes.models import builtin_model, change_rows
 from coframes.pages import (Page0, Page1, check_function_linear, e0_apply,
                             e0_columns, e0_table)
 from coframes.verify import cross_check_dims, schur_dim
@@ -150,6 +150,22 @@ def test_e0_columns_match_e0_apply(each_model):
                 _reference_columns(m, page0, key), (m.name, key)
 
 
+def test_a_model_and_its_page_form_no_cycle():
+    """The model keeps its page and the page keeps no reference back, so
+    the last reference to a model frees both without the cycle collector."""
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        m = builtin_model("engel4")
+        m.page1().ladder()
+        refs = [weakref.ref(m), weakref.ref(m.page1())]
+        del m
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_page1_rejects_a_model_that_is_not_weight_homogeneous():
     from coframes.models import GeometryModel
     n = 3
@@ -163,7 +179,7 @@ def test_page1_rejects_a_model_that_is_not_weight_homogeneous():
         Page1(m)
 
 
-def _reference_cell(pg, key):
+def _reference_cell(m, pg, key):
     """A cell's page-1 data derived the slow, independent way: page-0
     columns from e0_apply, an echelon of the whole incoming image, greedy
     reps kept when a rank test puts them outside the span found so far,
@@ -171,7 +187,7 @@ def _reference_cell(pg, key):
     test-local _dense_rref."""
     from fractions import Fraction
     from coframes import linalg
-    m, page0 = pg.model, pg.page0
+    page0 = pg.page0
     cell = page0.cells[key]
     dim = cell.dim
     p, q = key
@@ -216,7 +232,7 @@ def test_page1_matches_reference(each_model):
     for key in pg.page0.cells:
         data = pg.cell_data(key)
         dim = data.cell.dim
-        ref = _reference_cell(pg, key)
+        ref = _reference_cell(each_model, pg, key)
         assert data.rank_in == ref["rank_in"], key
         assert data.rank_out == ref["rank_out"], key
         assert data.dim1 == ref["dim1"], key

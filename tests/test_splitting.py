@@ -135,7 +135,7 @@ def test_normalize_reports_iterations_bounded():
     m = model("elliptic7")
     rng = random.Random(47)
     shifted, _ = perturb(m, rng, max_degree=3, npairs=4)
-    rep = normalize_splitting(shifted, max_iter=6)
+    rep = normalize_splitting(shifted)
     assert rep.obstruction_zero
     assert rep.iterations <= 6
     # counted off the pass's own elimination of [action | right sides]
