@@ -20,6 +20,11 @@ other labels kept):
   every named complex, each built and checked in a fresh process importing
   PATH/src, so each figure includes the compile of the normal forms, with
   every field of the check's report but its elapsed time;
+- columns_deg3: for elliptic7 and hyperbolic7, the seconds of
+  _SliceCache.columns over every slice exactness_check(res, 3) reads,
+  COLUMN_PASSES passes in one fresh process, each in a fresh cache, with
+  the normal forms compiled and the slice bases built before the clock
+  starts: the column assembly layer apart from rank;
 - the seconds of builtin_model(m) and of Page1(model).ladder() on that
   model for every builtin m, which derives every cell whether a checkout
   derives cells in Page1 or on first read: the medians of LAYER_BUILDS
@@ -36,7 +41,9 @@ other labels kept):
 - outputs, sha256 digests of what the program computes, so two sides
   can be compared for byte identity: the stdout of the apply-oneshot
   workload's requests for SEEDS; every NormalForm (targets, slots) of
-  every named complex; `coframes verify G --degree 1 --format json` for
+  every named complex; the columns, as sorted items, and denominators of
+  every slice exactness_check(res, 1) reads, for every named complex;
+  `coframes verify G --degree 1 --format json` for
   every geometry; `list` and `report G` for every geometry in each
   format; engel4's P and S on three random sections each; the normalize
   workload's NormalizeReports for SEEDS, as values (Fractions and ints
@@ -69,7 +76,7 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 SECONDS = 5.0
 PAIR_SECONDS = 15.0
-PAIRS = {"apply-oneshot": 10, "verify-small": 10, "certify7": 5,
+PAIRS = {"certify7": 10, "verify-small": 10, "apply-oneshot": 5,
          "normalize": 5}
 WORKLOADS = ("certify7", "verify-small", "normalize", "apply-oneshot")
 METRICS = ("wall_s", "latency_p50_ms", "latency_p95_ms", "peak_rss_mb",
@@ -109,6 +116,52 @@ report = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
           if f.name != "elapsed"}
 print(json.dumps([seconds, rep.ok, report],
                  default=lambda x: dataclasses.asdict(x)))
+"""
+
+
+# Python source of slice_pairs(res, degree, cache): the (operator, slice)
+# pairs whose columns exactness_check(res, degree) reads, in its order.
+_SLICE_PAIRS = r"""
+def slice_pairs(res, degree, cache):
+    top = max(cache.weights) * degree + 1
+    pairs = []
+    for k, node in enumerate(res.nodes):
+        for s in range(min(node.weights), max(node.weights) + top + 1):
+            if cache.basis(k, s):
+                pairs += [(k - 1, s)] * (k > 0)
+                pairs += [(k, s)] * (k < len(res.nodes) - 1)
+    return list(dict.fromkeys(pairs))
+"""
+
+COLUMN_MODELS = ("elliptic7", "hyperbolic7")
+COLUMN_PASSES = 3
+
+# python3 -c _COLUMNS_WORKER PASSES MODEL..., with PYTHONPATH=PATH/src:
+# prints {model: [seconds of each pass]} as JSON, a pass being
+# _SliceCache.columns on every slice exactness_check(res, 3) reads, in a
+# fresh cache, with the normal forms compiled and the slice bases built
+# beforehand (the column assembly layer alone, apart from rank).
+_COLUMNS_WORKER = _SLICE_PAIRS + r"""
+import json, sys, time
+from coframes import models, operators, verify
+
+out = {}
+for name in sys.argv[2:]:
+    res = operators.named_complex(models.builtin_model(name), "bgg")
+    for h in res.operators:
+        h.normal_form()
+    pairs = slice_pairs(res, 3, verify._SliceCache(res))
+    out[name] = []
+    for _ in range(int(sys.argv[1])):
+        cache = verify._SliceCache(res)
+        for op, s in pairs:
+            cache.basis(op, s)
+            cache.basis(op + 1, s)
+        t0 = time.perf_counter()
+        for op, s in pairs:
+            cache.columns(op, s)
+        out[name].append(time.perf_counter() - t0)
+print(json.dumps(out))
 """
 
 
@@ -171,10 +224,10 @@ print(json.dumps(out))
 
 # python3 -c _OUTPUTS_WORKER, with PYTHONPATH=PATH/src:PATH/perfbench and a
 # scratch directory as cwd: prints {name: sha256} of the outputs as JSON.
-_OUTPUTS_WORKER = r"""
+_OUTPUTS_WORKER = _SLICE_PAIRS + r"""
 import contextlib, dataclasses, hashlib, io, json, random, sys
 from fractions import Fraction
-from coframes import builtin_names, cli, models, operators, splitting
+from coframes import builtin_names, cli, models, operators, splitting, verify
 import workloads
 
 SEEDS, COMPLEXES = json.loads(sys.argv[1])
@@ -224,6 +277,11 @@ for geometry, variant in COMPLEXES:
     out["normal_forms/%s/%s" % (geometry, variant)] = sha(
         [canon([h.normal_form().targets, h.normal_form().slots])
          for h in res.operators])
+    cache = verify._SliceCache(res)
+    out["slice_columns_deg1/%s/%s" % (geometry, variant)] = sha(
+        [[op, s, [sorted(col.items()) for col in cols], dens]
+         for op, s in slice_pairs(res, 1, cache)
+         for cols, dens in [cache.columns(op, s)]])
 for geometry in builtin_names() + ["symplectic4"]:
     out["verify_deg1/" + geometry] = sha(
         cli_out(["verify", geometry, "--degree", "1", "--format", "json"]))
@@ -332,6 +390,18 @@ def src_lines(src: Path) -> int:
                for p in (src / "src" / "coframes").glob("*.py"))
 
 
+def column_seconds(src: Path) -> dict:
+    env = _env(src, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLUMNS_WORKER, str(COLUMN_PASSES),
+         *COLUMN_MODELS], env=env, capture_output=True, text=True,
+        check=True)
+    passes = json.loads(proc.stdout.splitlines()[-1])
+    return {m: {"passes": [round(t, 4) for t in ts],
+                "median": round(statistics.median(ts), 4)}
+            for m, ts in passes.items()}
+
+
 def layer_seconds(src: Path) -> dict:
     env = _env(src, "src")
     proc = subprocess.run(
@@ -374,6 +444,7 @@ def record_side(src: Path) -> dict:
             "src_lines": src_lines(src),
             "exactness_deg3": check_seconds(src, "exactness"),
             "composition_deg3": check_seconds(src, "composition"),
+            "columns_deg3": column_seconds(src),
             **layer_seconds(src),
             "traffic": request_traffic(src),
             "perfbench": {w: perfbench_medians(src, w) for w in WORKLOADS}}

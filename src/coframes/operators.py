@@ -29,12 +29,15 @@ on a symbolic jet u (ratpoly.Jets), with d acting as the total derivative,
 yields the operator's normal form sum_alpha c_alpha(x) d^alpha, one per
 pair of source and target slots.  OperatorHandle.normal_form compiles it
 on first use; its order is exact, the largest |alpha| with a nonzero
-coefficient.  NormalForm.image is its closed form on one monomial,
-d^alpha x^e = e!/(e - alpha)! x^(e - alpha), in integer numerators.
-NormalForm.apply sums it over a concrete section, and equals the cascade
-there exactly; verify's composition sample runs on it and its slice
-columns are images of monomials, so a handle compiles once and the
-exactness certificate reuses the form.
+coefficient.  Arithmetic on a normal form reads its PackedKernel
+(NormalForm.kernel), which packs every exponent into one integer in a base
+above every component it can meet, so a term's target is one integer add
+and no tuple is built.  PackedKernel.image is the closed form on one
+monomial, d^alpha x^e = e!/(e - alpha)! x^(e - alpha), in integer
+numerators; NormalForm.apply sums it over a concrete section, and equals
+the cascade there exactly.  verify's composition sample runs on apply and
+its slice columns read the same kernel alpha first, so a handle compiles
+once and the exactness certificate reuses the form.
 OperatorHandle.apply stays on the cascade, which is cheaper than a compile
 when one section is all there is: on one random section for each of the 54
 operators of the named complexes, compiling and evaluating took about
@@ -49,7 +52,6 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import comb, lcm, perm
-from operator import add, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
@@ -217,6 +219,84 @@ class _LcpRun:
 NormalTerm = Tuple[int, rp.Exponent, int]
 
 
+class PackedKernel:
+    """A NormalForm's terms with every exponent packed into one integer.
+
+    For the base B = 2**bits, pack(e) = sum_i e_i * B**(n - 1 - i) and
+    key(t, e) = t * B**n + pack(e), n the number of variables.  A kernel
+    serves monomials whose components are at most reach = B - 1 - max b_i,
+    so no component of an exponent it meets, source or target, reaches B:
+    no digit carries into its neighbour, and a key names one (t, e).  A
+    term (t, b, num) of alpha then sends x^(alpha + r) to the key
+    key(t, r + b) = pack(r) + key(t, b), one integer add.  The kernel for
+    top takes the smallest B with B > top + max b_i, so its reach is at
+    least top.
+
+    slots[s] lists, for each alpha of source slot s in the NormalForm's
+    order, (pack(alpha), support, offs): support the nonzero (i, alpha_i),
+    offs the (key(t, b), num) of its terms in order.
+    """
+
+    def __init__(self, slots, top: int):
+        max_b = max((x for _, groups in slots for _, terms in groups
+                     for _, b, _ in terms for x in b), default=0)
+        self.bits = (top + max_b).bit_length()
+        self.reach = (1 << self.bits) - 1 - max_b
+        self.nvars = next((len(alpha) for _, groups in slots
+                           for alpha, _ in groups), 0)
+        self.shift = self.nvars * self.bits
+        shared: Dict[tuple, tuple] = {}     # interned, as in _normal_slot
+
+        def intern(x: tuple) -> tuple:
+            return shared.setdefault(x, x)
+        self.slots = [[(self.pack(alpha),
+                        intern(tuple((i, a) for i, a in enumerate(alpha)
+                                     if a)),
+                        [intern((self.key(t, b), num))
+                         for t, b, num in terms])
+                       for alpha, terms in groups] for _, groups in slots]
+
+    def pack(self, e: rp.Exponent) -> int:
+        p = 0
+        for x in e:
+            p = (p << self.bits) + x
+        return p
+
+    def key(self, t: int, e: rp.Exponent) -> int:
+        return (t << self.shift) + self.pack(e)
+
+    def unpack(self, key: int) -> Tuple[int, rp.Exponent]:
+        mask = (1 << self.bits) - 1
+        return key >> self.shift, tuple(
+            (key >> (self.shift - (i + 1) * self.bits)) & mask
+            for i in range(self.nvars))
+
+    def image(self, slot: int, e: rp.Exponent) -> Dict[int, int]:
+        """The image of x^e in source slot `slot`, as integer numerators
+        over the slot's den, keyed key(t, x), zeros dropped; no component
+        of e may exceed reach.
+
+        This is the closed form d^alpha x^e = e!/(e - alpha)! x^(e - alpha):
+        a term (t, b, num) of alpha adds num * e!/(e - alpha)! at
+        key(t, e - alpha + b) = pack(e) - pack(alpha) + key(t, b).  An alpha
+        is dropped at its first factor that is zero, some e_i < alpha_i.
+        """
+        pe = self.pack(e)
+        out: Dict[int, int] = {}
+        for palpha, support, offs in self.slots[slot]:
+            f = 1
+            for i, a in support:
+                if e[i] < a:
+                    break
+                f *= perm(e[i], a)
+            else:
+                rest = pe - palpha
+                for off, num in offs:
+                    k = rest + off
+                    out[k] = out.get(k, 0) + f * num
+        return {k: v for k, v in out.items() if v}
+
+
 class NormalForm:
     """A linear differential operator as sum_alpha c_alpha(x) d^alpha.
 
@@ -225,7 +305,8 @@ class NormalForm:
     one entry per derivative multi-index alpha with a nonzero coefficient:
     u in slot s goes to the sum of num/den x^b d^alpha u over the terms
     (t, b, num), each into target slot t.  targets is the number of target
-    slots.
+    slots.  The arithmetic reads a PackedKernel of these slots (kernel),
+    derived when first asked for and again for a larger base.
     """
 
     def __init__(self, targets: int,
@@ -233,10 +314,7 @@ class NormalForm:
                                                    List[NormalTerm]]]]]):
         self.targets = targets
         self.slots = slots
-        # per slot: (alpha, its nonzero (i, alpha_i), terms)
-        self._groups = [[(alpha, [(i, a) for i, a in enumerate(alpha) if a],
-                          terms) for alpha, terms in groups]
-                        for _, groups in slots]
+        self._kernel: Optional[PackedKernel] = None
 
     @property
     def order(self) -> int:
@@ -244,42 +322,34 @@ class NormalForm:
         return max((sum(alpha) for _, groups in self.slots
                     for alpha, _ in groups), default=0)
 
-    def image(self, slot: int, e: rp.Exponent
-              ) -> Dict[Tuple[int, rp.Exponent], int]:
-        """The image of x^e in source slot `slot`, as integer numerators
-        over the slot's den, keyed (target slot, exponent), zeros dropped.
-
-        This is the closed form d^alpha x^e = e!/(e - alpha)! x^(e - alpha):
-        a term (t, b, num) of alpha adds num * e!/(e - alpha)! at
-        (t, e - alpha + b).
-        """
-        out: Dict[Tuple[int, rp.Exponent], int] = {}
-        for alpha, support, terms in self._groups[slot]:
-            f = 1
-            for i, a in support:
-                f *= perm(e[i], a)
-            if not f:
-                continue
-            rest = tuple(map(sub, e, alpha))
-            for t, b, num in terms:
-                key = (t, tuple(map(add, rest, b)))
-                out[key] = out.get(key, 0) + f * num
-        return {key: v for key, v in out.items() if v}
+    def kernel(self, top: int) -> PackedKernel:
+        """A packed kernel for monomials with no component above top: the
+        last one derived if its reach covers top, else one derived afresh
+        for top."""
+        if self._kernel is None or self._kernel.reach < top:
+            self._kernel = PackedKernel(self.slots, top)
+        return self._kernel
 
     def apply(self, coeffs: Sequence[rp.Poly]) -> PolyVec:
         """The image of a section, equal to the cascade's, summed from the
-        images of its monomials."""
+        kernel's images of its monomials."""
         if len(coeffs) != len(self.slots):
             raise ValueError("expected %d coefficients, got %d"
                              % (len(self.slots), len(coeffs)))
-        out: List[Dict[rp.Exponent, Fraction]] = [
-            {} for _ in range(self.targets)]
+        kern = self.kernel(max((x for u in coeffs for e in u for x in e),
+                               default=0))
+        acc: Dict[int, Fraction] = {}
         for slot, (u, (den, _)) in enumerate(zip(coeffs, self.slots)):
             for e, c in u.items():
                 c /= den
-                for (t, x), num in self.image(slot, e).items():
-                    out[t][x] = out[t].get(x, 0) + c * num
-        return [{e: c for e, c in p.items() if c} for p in out]
+                for key, num in kern.image(slot, e).items():
+                    acc[key] = acc.get(key, 0) + c * num
+        out: PolyVec = [{} for _ in range(self.targets)]
+        for key, c in acc.items():
+            if c:
+                t, x = kern.unpack(key)
+                out[t][x] = c
+        return out
 
 
 def _normal_slot(jets: rp.Jets, image: PolyVec, shared: Dict[tuple, tuple]):

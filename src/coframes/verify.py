@@ -8,10 +8,20 @@ incoming and outgoing maps on each slice, and verifies that image plus
 kernel dimensions account for the whole slice.
 
 A slice matrix is read off the operator's normal form (see operators.py):
-the column of x^b in source slot s is NormalForm.image(s, b), the closed
-form sum_alpha c_alpha * b!/(b - alpha)! * x^(b - alpha) as integer
-numerators over the one denominator d_s of slot s.  No form is built and no
-cascade runs per column.
+the column of x^e in source slot s is the closed form sum_alpha c_alpha *
+e!/(e - alpha)! * x^(e - alpha), as integer numerators over the one
+denominator d_s of slot s.  The columns are assembled alpha first
+(_SliceCache.columns): for each alpha of slot s and each monomial x^r of
+the weight the slice leaves, s's weight and wt(alpha) taken off, the pair
+adds its terms, times the factor prod_i perm(r_i + alpha_i, alpha_i), which
+is never zero, to the column of x^(alpha + r).  So the work goes as the
+nonzeros, and no pair whose alpha does not divide the monomial comes up.
+Rows and columns are keyed by exponents packed into integers
+(operators.PackedKernel), in a base above every exponent component the
+slice reaches plus the largest b_i: no digit carries, so no key aliases
+another, and a term whose key is not a row of the target slice is off
+weight and fails the certificate.  No form is built and no cascade runs
+per column.
 
 Each (operator, slice) is ranked once, by sparse elimination of its integer
 columns modulo one prime (linalg.rank_mod_p); a slice whose modular count
@@ -40,12 +50,12 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, perm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
 from .models import GeometryModel
-from .operators import Resolution, random_section
+from .operators import PackedKernel, Resolution, random_section
 from .pages import CellKey
 
 PRIME = 1000003
@@ -89,15 +99,6 @@ class DimReport:
     rows: List[Tuple[CellKey, int, Tuple[int, ...], int]]
     palindrome_ok: bool
     ok: bool
-
-    def summary(self) -> str:
-        lines = []
-        for key, dim, label, want in self.rows:
-            mark = "ok" if dim == want else "MISMATCH"
-            lines.append("cell %s dim %d label %s formula %d %s"
-                         % (key, dim, label, want, mark))
-        lines.append("palindrome %s" % ("ok" if self.palindrome_ok else "NO"))
-        return "\n".join(lines)
 
 
 def cross_check_dims(model: GeometryModel) -> DimReport:
@@ -163,6 +164,8 @@ class _SliceCache:
         self._cols: Dict[Tuple[int, int], Tuple[List[Dict[int, int]],
                                                 List[int]]] = {}
         self._ranks: Dict[Tuple[int, int, bool], Tuple[int, str]] = {}
+        self._packs: Dict[Tuple[int, int],
+                          List[Tuple[Tuple[int, ...], int]]] = {}
 
     def basis(self, node_idx: int, s: int) -> List[Tuple[int, Tuple[int, ...]]]:
         key = (node_idx, s)
@@ -176,11 +179,33 @@ class _SliceCache:
             self._basis[key] = hit
         return hit
 
+    def _packed(self, w: int, kern: PackedKernel
+                ) -> List[Tuple[Tuple[int, ...], int]]:
+        """weighted_monomials(weights, w), each with its kern.pack, kept
+        for each base."""
+        key = (w, kern.bits)
+        hit = self._packs.get(key)
+        if hit is None:
+            hit = [(r, kern.pack(r))
+                   for r in weighted_monomials(self.weights, w)]
+            self._packs[key] = hit
+        return hit
+
+    def _positions(self, node_idx: int, s: int, kern: PackedKernel
+                   ) -> Dict[int, int]:
+        """{key(slot, e): position of (slot, e) in basis(node_idx, s)}."""
+        pos: Dict[int, int] = {}
+        for slot, wslot in enumerate(self.res.nodes[node_idx].weights):
+            high = slot << kern.shift
+            for _, pe in self._packed(s - wslot, kern):
+                pos[high + pe] = len(pos)
+        return pos
+
     def columns(self, op_idx: int, s: int
                 ) -> Tuple[List[Dict[int, int]], List[int]]:
         """Matrix columns of operator op_idx on the total-weight-s slice:
-        the images of the basis monomials under its normal form
-        (NormalForm.image).
+        the images of the basis monomials under its normal form, assembled
+        alpha first from the pairs (alpha, r) that contribute.
 
         Returns (cols, dens): column j is cols[j] / dens[j], with cols[j]
         the integer numerators and dens[j] its source slot's denominator.
@@ -190,17 +215,33 @@ class _SliceCache:
         if hit is not None:
             return hit
         nf = self.res.operators[op_idx].normal_form()
-        out_pos = {bk: i for i, bk in enumerate(self.basis(op_idx + 1, s))}
-        cols: List[Dict[int, int]] = []
-        dens: List[int] = []
+        src = self.res.nodes[op_idx]
+        low = min(min(src.weights), min(self.res.nodes[op_idx + 1].weights))
+        # the largest exponent component either slice basis can hold
+        kern = nf.kernel(max(0, (s - low) // min(self.weights)))
+        out_pos = self._positions(op_idx + 1, s, kern)
+        col_pos = self._positions(op_idx, s, kern)
+        cols: List[Dict[int, int]] = [{} for _ in col_pos]
         try:
-            for slot, b in self.basis(op_idx, s):
-                cols.append({out_pos[key]: v
-                             for key, v in nf.image(slot, b).items()})
-                dens.append(nf.slots[slot][0])
+            for slot, wslot in enumerate(src.weights):
+                for palpha, support, offs in kern.slots[slot]:
+                    w = s - wslot - sum(self.weights[i] * a
+                                        for i, a in support)
+                    alpha_key = (slot << kern.shift) + palpha
+                    for r, pr in self._packed(w, kern):
+                        f = 1
+                        for i, a in support:
+                            f *= perm(r[i] + a, a)
+                        col = cols[col_pos[alpha_key + pr]]
+                        for off, num in offs:
+                            row = out_pos[pr + off]
+                            col[row] = col.get(row, 0) + f * num
         except KeyError:
             raise AssertionError(
                 "operator %d is not weight-homogeneous" % op_idx) from None
+        cols = [{row: v for row, v in col.items() if v}
+                if 0 in col.values() else col for col in cols]
+        dens = [nf.slots[slot][0] for slot, _ in self.basis(op_idx, s)]
         self._cols[key] = hit = (cols, dens)
         return hit
 

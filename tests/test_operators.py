@@ -10,9 +10,10 @@ import pytest
 from coframes import linalg, ratpoly as rp
 from coframes.forms import form_zero, one_form, wedge
 from coframes.models import builtin_model, symplectic_data
-from coframes.operators import (GradedSection, Node, RsMiddle, SpanSolver,
-                                _LcpRun, build_rs_complex, derive_operator,
-                                named_complex, random_section, realize)
+from coframes.operators import (GradedSection, Node, NormalForm, RsMiddle,
+                                SpanSolver, _LcpRun, build_rs_complex,
+                                derive_operator, named_complex,
+                                random_section, realize)
 from coframes.verify import _SliceCache
 
 from conftest import model
@@ -125,6 +126,60 @@ def test_slice_columns_match_apply(name):
             assert cols == _columns_by_apply(res, k, s, cache), (k, s)
             checked += sum(1 for c in cols if c)
     assert checked > 50
+
+
+def _columns_by_evaluate(nf, op_idx, s, cache):
+    """Slice columns from the normal form evaluated by repeated rp.diff
+    (_evaluate) on every basis monomial, and the slot denominators."""
+    pos = {bk: i for i, bk in enumerate(cache.basis(op_idx + 1, s))}
+    cols, dens = [], []
+    for slot, e in cache.basis(op_idx, s):
+        # the monomial's own slot alone: the others send 0 to 0
+        out = _evaluate(NormalForm(nf.targets, [nf.slots[slot]]),
+                        [{e: Fraction(1)}])
+        cols.append({pos[(t, x)]: c for t, p in enumerate(out)
+                     for x, c in p.items()})
+        dens.append(nf.slots[slot][0])
+    return cols, dens
+
+
+def _assert_columns_match_evaluate(res, op_idx, s, cache):
+    ints, dens = cache.columns(op_idx, s)
+    ref, ref_dens = _columns_by_evaluate(res.operators[op_idx].normal_form(),
+                                         op_idx, s, cache)
+    assert dens == ref_dens, (op_idx, s)
+    assert ints == [{r: c * d for r, c in col.items()}
+                    for col, d in zip(ref, dens)], (op_idx, s)
+    return sum(map(len, ints))
+
+
+# elliptic7's operator 3 has denominator 2 and weighted order 4, so it
+# reaches all its alphas at slice lo + 4; g2_5's slot denominators are 2, 4
+# and 8: the first five slices of every operator
+@pytest.mark.parametrize("name,variant", sorted(GOLDEN))
+def test_slice_columns_match_evaluate(name, variant):
+    res = complex_for(name, variant)
+    cache = _SliceCache(res)
+    entries = 0
+    for k in range(len(res.operators)):
+        lo = min(res.nodes[k].weights)
+        for s in range(lo, lo + 5):
+            entries += _assert_columns_match_evaluate(res, k, s, cache)
+    assert entries > 0
+
+
+def test_slice_columns_after_a_larger_base():
+    # a fresh complex reads a small slice, then one whose exponents need a
+    # larger packing base, then the small one again under that base
+    res = named_complex(model("contact5"), "bgg")
+    nf = res.operators[2].normal_form()
+    lo = min(res.nodes[2].weights)
+    first = _SliceCache(res).columns(2, lo)
+    small = nf.kernel(0)
+    assert _assert_columns_match_evaluate(res, 2, lo + 5,
+                                          _SliceCache(res)) > 0
+    assert nf.kernel(0).bits > small.bits
+    assert _SliceCache(res).columns(2, lo) == first
 
 
 def test_g2_basic_bundle_ranks():

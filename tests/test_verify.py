@@ -7,10 +7,11 @@ from math import lcm
 import pytest
 
 from coframes import linalg, verify
-from coframes.operators import (Resolution, SpanDOperator, build_rs_complex,
-                                named_complex)
-from coframes.verify import (_compose_is_zero, composition_check,
-                             cross_check_dims, exactness_check, rs_h1_witness)
+from coframes.operators import (NormalForm, Resolution, SpanDOperator,
+                                build_rs_complex, named_complex)
+from coframes.verify import (_SliceCache, _compose_is_zero,
+                             composition_check, cross_check_dims,
+                             exactness_check, rs_h1_witness)
 
 from conftest import model
 
@@ -168,6 +169,45 @@ def test_bumped_normal_form_breaks_composition():
     # the composition sample evaluates the same compiled forms; a
     # second-order term needs more than a few sections to show
     assert not composition_check(res, random.Random(7), sections=20).ok
+
+
+def _with_term(nf, slot, where, term):
+    """A copy of nf whose term at where = (alpha index, term index) of the
+    slot is replaced by term."""
+    slots = [(den, [(alpha, list(terms)) for alpha, terms in groups])
+             for den, groups in nf.slots]
+    g, j = where
+    slots[slot][1][g][1][j] = term
+    return NormalForm(nf.targets, slots)
+
+
+def test_off_weight_term_fails_the_slice_columns():
+    # a term moved off weight, b - x_i + B x_(i+1) for the packing base B
+    # of the slice, packs in base B exactly as b does; the kernel's base
+    # must grow with it so that the key does not alias a row of the slice
+    res = named_complex(model("contact5"), "bgg")
+    k = 2
+    nf = res.operators[k].normal_form()
+    nvars = len(res.coeff_weights)
+    slot, g, j, i = next(
+        (slot, g, j, i) for slot, (_, groups) in enumerate(nf.slots)
+        for g, (_, terms) in enumerate(groups)
+        for j, (_, b, _) in enumerate(terms)
+        for i in range(nvars - 1) if b[i])
+    alpha, terms = nf.slots[slot][1][g]
+    t, b, num = terms[j]
+    # the lowest slice holding the column of x^alpha in the slot
+    s = res.nodes[k].weights[slot] + sum(
+        a * w for a, w in zip(alpha, res.coeff_weights))
+    assert _SliceCache(res).columns(k, s)[0]
+    kern = nf.kernel(0)
+    big = 1 << kern.bits
+    moved = tuple(x - (m == i) + big * (m == i + 1) for m, x in enumerate(b))
+    assert kern.pack(moved) == kern.pack(b)
+    for term in ((t, moved, num), (nf.targets, b, num)):
+        res.operators[k]._normal_form = _with_term(nf, slot, (g, j), term)
+        with pytest.raises(AssertionError, match="not weight-homogeneous"):
+            _SliceCache(res).columns(k, s)
 
 
 def test_composition_check_reports_a_nonzero_pair():
