@@ -19,7 +19,8 @@ other labels kept):
   composition_check(res, random.Random(7), sections=20, max_degree=3) for
   every named complex, each built and checked in a fresh process importing
   PATH/src, so each figure includes the compile of the normal forms, with
-  every field of the check's report but its elapsed time;
+  the process's peak RSS (ru_maxrss, in MB) and every field of the check's
+  report but its elapsed time;
 - columns_deg3: for elliptic7 and hyperbolic7, the seconds of
   _SliceCache.columns over every slice exactness_check(res, 3) reads,
   COLUMN_PASSES passes in one fresh process, each in a fresh cache, with
@@ -89,11 +90,12 @@ COMPLEXES = (("contact5", "bgg"), ("engel4", "bgg"), ("g2_5", "bgg"),
 GEOMETRIES = tuple(dict.fromkeys(g for g, _ in COMPLEXES))
 
 # python3 -c _WORKER GEOMETRY VARIANT CHECK, with PYTHONPATH=PATH/src:
-# prints [seconds, ok] of one check on one freshly built complex as JSON.
+# prints [seconds, ok, report, peak RSS in MB] of one check on one freshly
+# built complex as JSON.
 # A checkout whose exactness_check still takes the expected homology is
 # given the symplectic complex's, as `coframes verify` passes it there.
 _WORKER = r"""
-import dataclasses, inspect, json, random, sys, time
+import dataclasses, inspect, json, random, resource, sys, time
 from coframes import models, operators, verify
 
 geometry, variant, check = sys.argv[1:]
@@ -114,13 +116,15 @@ else:
 seconds = time.perf_counter() - t0
 report = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
           if f.name != "elapsed"}
-print(json.dumps([seconds, rep.ok, report],
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps([seconds, rep.ok, report, rss_mb],
                  default=lambda x: dataclasses.asdict(x)))
 """
 
 
 # Python source of slice_pairs(res, degree, cache): the (operator, slice)
-# pairs whose columns exactness_check(res, degree) reads, in its order.
+# pairs whose columns exactness_check(res, degree) reads, each once, in a
+# fixed order of their own: node by node, slice by slice within a node.
 _SLICE_PAIRS = r"""
 def slice_pairs(res, degree, cache):
     top = max(cache.weights) * degree + 1
@@ -349,9 +353,10 @@ def check_seconds(src: Path, check: str) -> dict:
         proc = subprocess.run(
             [sys.executable, "-c", _WORKER, geometry, variant, check],
             env=env, capture_output=True, text=True, check=True)
-        t, ok, report = json.loads(proc.stdout.splitlines()[-1])
-        out["%s/%s" % (geometry, variant)] = {"seconds": round(t, 3),
-                                              "ok": ok, "report": report}
+        t, ok, report, rss = json.loads(proc.stdout.splitlines()[-1])
+        out["%s/%s" % (geometry, variant)] = {
+            "seconds": round(t, 3), "peak_rss_mb": round(rss, 1), "ok": ok,
+            "report": report}
     return out
 
 

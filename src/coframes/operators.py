@@ -223,7 +223,8 @@ class PackedKernel:
     """A NormalForm's terms with every exponent packed into one integer.
 
     For the base B = 2**bits, pack(e) = sum_i e_i * B**(n - 1 - i) and
-    key(t, e) = t * B**n + pack(e), n the number of variables.  A kernel
+    key(t, e) = t * B**n + pack(e), n the number of variables, which the
+    NormalForm passes in so that slots stay apart with no term.  A kernel
     serves monomials whose components are at most reach = B - 1 - max b_i,
     so no component of an exponent it meets, source or target, reaches B:
     no digit carries into its neighbour, and a key names one (t, e).  A
@@ -237,13 +238,12 @@ class PackedKernel:
     offs the (key(t, b), num) of its terms in order.
     """
 
-    def __init__(self, slots, top: int):
+    def __init__(self, slots, top: int, nvars: int):
         max_b = max((x for _, groups in slots for _, terms in groups
                      for _, b, _ in terms for x in b), default=0)
         self.bits = (top + max_b).bit_length()
         self.reach = (1 << self.bits) - 1 - max_b
-        self.nvars = next((len(alpha) for _, groups in slots
-                           for alpha, _ in groups), 0)
+        self.nvars = nvars
         self.shift = self.nvars * self.bits
         shared: Dict[tuple, tuple] = {}     # interned, as in _normal_slot
 
@@ -305,15 +305,18 @@ class NormalForm:
     one entry per derivative multi-index alpha with a nonzero coefficient:
     u in slot s goes to the sum of num/den x^b d^alpha u over the terms
     (t, b, num), each into target slot t.  targets is the number of target
-    slots.  The arithmetic reads a PackedKernel of these slots (kernel),
-    derived when first asked for and again for a larger base.
+    slots, nvars that of the variables.  The arithmetic reads a PackedKernel
+    of these slots (kernel), derived when first asked for and again for a
+    larger base.
     """
 
     def __init__(self, targets: int,
                  slots: List[Tuple[int, List[Tuple[rp.Exponent,
-                                                   List[NormalTerm]]]]]):
+                                                   List[NormalTerm]]]]],
+                 nvars: int):
         self.targets = targets
         self.slots = slots
+        self.nvars = nvars
         self._kernel: Optional[PackedKernel] = None
 
     @property
@@ -327,7 +330,7 @@ class NormalForm:
         last one derived if its reach covers top, else one derived afresh
         for top."""
         if self._kernel is None or self._kernel.reach < top:
-            self._kernel = PackedKernel(self.slots, top)
+            self._kernel = PackedKernel(self.slots, top, self.nvars)
         return self._kernel
 
     def apply(self, coeffs: Sequence[rp.Poly]) -> PolyVec:
@@ -396,7 +399,8 @@ class OperatorHandle:
                 coeffs[slot] = jets.unknown
                 slots.append(_normal_slot(jets, self.apply(coeffs, jets=jets),
                                           shared))
-            self._normal_form = NormalForm(self.target.rank, slots)
+            self._normal_form = NormalForm(self.target.rank, slots,
+                                           jets.nvars)
         return self._normal_form
 
     @property

@@ -72,12 +72,6 @@ class Page0:
     def dims(self) -> Dict[CellKey, int]:
         return {k: c.dim for k, c in sorted(self.cells.items())}
 
-    def degree_dims(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for (p, _), c in self.cells.items():
-            out[p] = out.get(p, 0) + c.dim
-        return out
-
 
 def e0_apply(model: GeometryModel, a: Form) -> Form:
     """Weight-preserving part of d: each graded piece keeps its index weight."""

@@ -23,21 +23,27 @@ another, and a term whose key is not a row of the target slice is off
 weight and fails the certificate.  No form is built and no cascade runs
 per column.
 
-Each (operator, slice) is ranked once, by sparse elimination of its integer
-columns modulo one prime (linalg.rank_mod_p); a slice whose modular count
-leaves homology falls back to exact rational elimination.  Scaling a column
-by a nonzero rational is an invertible column operation, so the integer
-columns have the rank over Q of the true ones.  A minor that is nonzero mod
-p is nonzero over Q, so for every prime the modular rank of an integer
-matrix is at most its rank over Q; no denominator is reduced mod p, so no
-prime needs excluding.  Image inside kernel is verified by an exact product
-in integers: with input column i standing for a_i / e_i and output column j
-for b_j / d_j, the product column times e_i * L, for L = lcm(d_j), is
-sum_j a_ij (L / d_j) b_j, which vanishes exactly when the product does.
-Together these are a certificate, not a heuristic: rank_in + rank_out over
-Q is at least the modular sum, and the zero product caps it at the slice
-dimension, so a modular sum equal to the dimension proves the slice exact
-over Q.
+The certificate walks the total weights.  Each weight s cuts the nodes and
+operators into one finite complex of vector spaces, and the walk climbs it
+from node 0 up: operator k's map on s is built only if node k or node k + 1
+checks s, and only the map below the current node is held (_SliceMap).  So
+each (operator, slice) map is built once, and ranked at most once by sparse
+elimination of its integer columns modulo one prime (linalg.rank_mod_p)
+and at most once exactly: a slice whose modular count leaves homology
+falls back to exact rational elimination, and the node above still starts
+from the map's modular rank.  Scaling a column by a nonzero rational is an
+invertible column operation, so the integer columns have the rank over Q
+of the true ones.  A minor that is nonzero mod p is nonzero over Q, so for
+every prime the modular rank of an integer matrix is at most its rank over
+Q; no denominator is reduced mod p, so no prime needs excluding.  Image
+inside kernel is verified once per adjacent pair and slice, by an exact
+product in integers: with input column i standing for a_i / e_i and output
+column j for b_j / d_j, the product column times e_i * L, for L =
+lcm(d_j), is sum_j a_ij (L / d_j) b_j, which vanishes exactly when the
+product does.  Together these are a certificate, not a heuristic: rank_in +
+rank_out over Q is at least the modular sum, and the zero product caps it
+at the slice dimension, so a modular sum equal to the dimension proves the
+slice exact over Q.
 
 A slice whose matrices hold more than GUARD entries in all is skipped and
 sets guard_hit, which fails the certificate.  The homology a complex must
@@ -50,6 +56,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, perm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -152,8 +159,8 @@ def weighted_monomials(weights: Tuple[int, ...], w: int) -> List[Tuple[int, ...]
 
 
 class _SliceCache:
-    """Slice bases, integer operator columns and their ranks for one
-    resolution, memoized for the length of one certificate."""
+    """Slice bases and packed monomials of one resolution, memoized for
+    the length of one certificate; columns are built on every call."""
 
     def __init__(self, res: Resolution):
         if not res.coeff_weights or min(res.coeff_weights) < 1:
@@ -161,9 +168,6 @@ class _SliceCache:
         self.res = res
         self.weights = tuple(res.coeff_weights)
         self._basis: Dict[Tuple[int, int], List[Tuple[int, Tuple[int, ...]]]] = {}
-        self._cols: Dict[Tuple[int, int], Tuple[List[Dict[int, int]],
-                                                List[int]]] = {}
-        self._ranks: Dict[Tuple[int, int, bool], Tuple[int, str]] = {}
         self._packs: Dict[Tuple[int, int],
                           List[Tuple[Tuple[int, ...], int]]] = {}
 
@@ -210,10 +214,6 @@ class _SliceCache:
         Returns (cols, dens): column j is cols[j] / dens[j], with cols[j]
         the integer numerators and dens[j] its source slot's denominator.
         """
-        key = (op_idx, s)
-        hit = self._cols.get(key)
-        if hit is not None:
-            return hit
         nf = self.res.operators[op_idx].normal_form()
         src = self.res.nodes[op_idx]
         low = min(min(src.weights), min(self.res.nodes[op_idx + 1].weights))
@@ -242,29 +242,33 @@ class _SliceCache:
         cols = [{row: v for row, v in col.items() if v}
                 if 0 in col.values() else col for col in cols]
         dens = [nf.slots[slot][0] for slot, _ in self.basis(op_idx, s)]
-        self._cols[key] = hit = (cols, dens)
-        return hit
+        return cols, dens
 
-    def rank(self, op_idx: int, s: int, exact: bool = False
-             ) -> Tuple[int, str]:
-        """(rank, method) of operator op_idx on slice s: mod PRIME, or over
-        Q when exact.  The integer columns serve both, since column scaling
-        is rank-neutral."""
-        key = (op_idx, s, exact)
-        hit = self._ranks.get(key)
-        if hit is None:
-            cols, _ = self.columns(op_idx, s)
-            live = [c for c in cols if c]
-            if exact:
-                hit = (linalg.sparse_rank_exact(
-                    [{r: Fraction(v) for r, v in c.items()} for c in live]),
-                    "exact")
-            elif not live:
-                hit = (0, "empty")
-            else:
-                hit = (linalg.rank_mod_p(live, PRIME), "modp")
-            self._ranks[key] = hit
-        return hit
+
+class _SliceMap:
+    """One operator's integer columns on one slice, ranked on first read
+    mod PRIME (modp) and over Q (exact), each at most once; the integer
+    columns serve both, since column scaling is rank-neutral.  A map with
+    no columns, into node 0 or out of the last node, ranks (0, "none")."""
+
+    def __init__(self, cols: List[Dict[int, int]], dens: List[int]):
+        self.cols, self.dens = cols, dens
+        self.entries = sum(map(len, cols))
+
+    @cached_property
+    def modp(self) -> Tuple[int, str]:
+        live = [c for c in self.cols if c]
+        if not live:
+            return 0, "empty" if self.cols else "none"
+        return linalg.rank_mod_p(live, PRIME), "modp"
+
+    @cached_property
+    def exact(self) -> Tuple[int, str]:
+        if not self.cols:
+            return 0, "none"
+        return linalg.sparse_rank_exact(
+            [{r: Fraction(v) for r, v in c.items()} for c in self.cols
+             if c]), "exact"
 
 
 def _compose_is_zero(cols_in: List[Dict[int, int]],
@@ -340,67 +344,63 @@ def exactness_check(res: Resolution, max_degree: int = 3,
                     buffer: int = 1) -> ExactnessReport:
     """Certify slicewise exactness for coefficients up to max_degree.
 
-    Every slice whose total weight can be reached by a section with
-    polynomial coefficients of degree max_degree (plus a safety buffer)
-    is checked.  A slice passes when incoming rank plus outgoing rank
-    equals the slice dimension and the exact composition product is zero.
-    A nonzero product clears composition_ok; the slice's homology count
-    dim - rank_in - rank_out is then kept as computed, negative when the
-    incoming image leaves the outgoing kernel.  The totals must equal
-    res.homology(); a slice over GUARD entries is skipped and fails it.
+    Node k checks every nonempty slice whose total weight a section of it
+    with polynomial coefficients of degree max_degree (plus a safety
+    buffer) can reach.  At each total weight s the walk climbs nodes 0, 1,
+    ..., building operator k's map on s only when node k or node k + 1
+    checks s, and holding only the map below the current node.  A slice
+    passes when incoming rank plus outgoing rank equals its dimension and
+    the exact composition product is zero.  A nonzero product clears
+    composition_ok; the slice's homology count dim - rank_in - rank_out is
+    then kept as computed, negative when the incoming image leaves the
+    outgoing kernel.  The totals must equal res.homology(); a slice over
+    GUARD entries is skipped and fails it.
     """
     t0 = time.perf_counter()
     cache = _SliceCache(res)
-    maxw = max(cache.weights)
-    nnodes = len(res.nodes)
-    nodes: List[NodeExactness] = []
+    top = max(cache.weights) * max_degree + buffer
+    spans = [range(min(node.weights), max(node.weights) + top + 1)
+             for node in res.nodes]
+    nodes = [NodeExactness(node=k, dim_total=0, slices_checked=[],
+                           homology_slices={}, homology_total=0)
+             for k in range(len(spans))]
     composition_ok = True
     guard_hit = False
-    for k, node in enumerate(res.nodes):
-        smin = min(node.weights)
-        smax = max(node.weights) + maxw * max_degree + buffer
-        checked: List[int] = []
-        hom: Dict[int, int] = {}
-        dim_total = 0
-        methods: Dict[str, int] = {}
-        for s in range(smin, smax + 1):
-            dim = len(cache.basis(k, s))
-            if dim == 0:
-                continue
-            cols_in, _ = cache.columns(k - 1, s) if k > 0 else ([], [])
-            cols_out, dens_out = (cache.columns(k, s)
-                                  if k < nnodes - 1 else ([], []))
-            load = (dim + sum(len(c) for c in cols_in)
-                    + sum(len(c) for c in cols_out))
-            if load > GUARD:
+    for s in range(min(r.start for r in spans), max(r.stop for r in spans)):
+        # dims[k]: node k's slice dimension if it checks s, else 0
+        dims = [len(cache.basis(k, s)) if s in span else 0
+                for k, span in enumerate(spans)]
+        below = _SliceMap([], [])
+        for k, rec in enumerate(nodes):
+            above = (_SliceMap(*cache.columns(k, s))
+                     if k < len(res.operators) and (dims[k] or dims[k + 1])
+                     else _SliceMap([], []))
+            dim = dims[k]
+            if dim and dim + below.entries + above.entries > GUARD:
                 guard_hit = True
-                continue
-            rank_in, m_in = cache.rank(k - 1, s) if cols_in else (0, "none")
-            rank_out, m_out = cache.rank(k, s) if cols_out else (0, "none")
-            h = dim - rank_in - rank_out
-            if h != 0 and (m_in == "modp" or m_out == "modp"):
-                if cols_in:
-                    rank_in, m_in = cache.rank(k - 1, s, exact=True)
-                if cols_out:
-                    rank_out, m_out = cache.rank(k, s, exact=True)
+            elif dim:
+                (rank_in, m_in), (rank_out, m_out) = below.modp, above.modp
                 h = dim - rank_in - rank_out
-            if cols_in and cols_out \
-                    and not _compose_is_zero(cols_in, cols_out, dens_out):
-                composition_ok = False
-            elif h < 0:
-                raise AssertionError(
-                    "slice %d at node %d: ranks exceed the dimension though "
-                    "the product is zero" % (s, k))
-            checked.append(s)
-            dim_total += dim
-            if h:
-                hom[s] = h
-            for m in (m_in, m_out):
-                methods[m] = methods.get(m, 0) + 1
-        nodes.append(NodeExactness(
-            node=k, dim_total=dim_total, slices_checked=checked,
-            homology_slices=hom, homology_total=sum(hom.values()),
-            methods=methods))
+                if h and "modp" in (m_in, m_out):
+                    (rank_in, m_in), (rank_out, m_out) = (below.exact,
+                                                          above.exact)
+                    h = dim - rank_in - rank_out
+                if below.cols and above.cols and not _compose_is_zero(
+                        below.cols, above.cols, above.dens):
+                    composition_ok = False
+                elif h < 0:
+                    raise AssertionError(
+                        "slice %d at node %d: ranks exceed the dimension "
+                        "though the product is zero" % (s, k))
+                rec.slices_checked.append(s)
+                rec.dim_total += dim
+                if h:
+                    rec.homology_slices[s] = h
+                for m in (m_in, m_out):
+                    rec.methods[m] = rec.methods.get(m, 0) + 1
+            below = above
+    for rec in nodes:
+        rec.homology_total = sum(rec.homology_slices.values())
     return ExactnessReport(
         name=res.name, variant=res.variant, max_degree=max_degree,
         nodes=nodes, expected=res.homology(),

@@ -135,7 +135,7 @@ def _columns_by_evaluate(nf, op_idx, s, cache):
     cols, dens = [], []
     for slot, e in cache.basis(op_idx, s):
         # the monomial's own slot alone: the others send 0 to 0
-        out = _evaluate(NormalForm(nf.targets, [nf.slots[slot]]),
+        out = _evaluate(NormalForm(nf.targets, [nf.slots[slot]], nf.nvars),
                         [{e: Fraction(1)}])
         cols.append({pos[(t, x)]: c for t, p in enumerate(out)
                      for x, c in p.items()})

@@ -7,8 +7,9 @@ from math import lcm
 import pytest
 
 from coframes import linalg, verify
-from coframes.operators import (NormalForm, Resolution, SpanDOperator,
-                                build_rs_complex, named_complex)
+from coframes.operators import (NormalForm, OperatorHandle, Resolution,
+                                SpanDOperator, build_rs_complex,
+                                named_complex)
 from coframes.verify import (_SliceCache, _compose_is_zero,
                              composition_check, cross_check_dims,
                              exactness_check, rs_h1_witness)
@@ -72,6 +73,65 @@ def test_guard_skips_large_slices_and_fails(monkeypatch):
                           max_degree=2)
     assert rep.guard_hit
     assert not rep.ok
+
+
+def _needed_pairs(res, degree):
+    """The (operator, slice) maps exactness_check(res, degree) reads: at
+    every nonempty slice s node k checks, the maps into and out of it."""
+    cache = _SliceCache(res)
+    top = max(res.coeff_weights) * degree + 1
+    pairs = set()
+    for k, node in enumerate(res.nodes):
+        for s in range(min(node.weights), max(node.weights) + top + 1):
+            if cache.basis(k, s):
+                pairs |= {(op, s) for op in (k - 1, k)
+                          if 0 <= op < len(res.operators)}
+    return pairs
+
+
+@pytest.mark.parametrize("name,variant", [("g2_5", "ambient"),
+                                          ("symplectic4", "rs")])
+def test_certificate_builds_each_slice_map_once(monkeypatch, name, variant):
+    res = (build_rs_complex(2) if variant == "rs"
+           else named_complex(model(name), variant))
+    built = []
+    columns = _SliceCache.columns
+
+    def counted(cache, op_idx, s):
+        built.append((op_idx, s))
+        return columns(cache, op_idx, s)
+    monkeypatch.setattr(_SliceCache, "columns", counted)
+    assert exactness_check(res, max_degree=1).ok
+    assert len(built) == len(set(built))
+    assert set(built) == _needed_pairs(res, 1)
+
+
+class _ZeroOperator(OperatorHandle):
+    def apply(self, coeffs, jets=None):
+        return [{} for _ in range(self.target.rank)]
+
+
+def test_zero_operator_keeps_its_slots_apart():
+    # a normal form with no terms still packs each source slot apart, so
+    # every basis monomial of a multi-slot source keeps its own column
+    rs = build_rs_complex(2)
+    n1, n2 = rs.nodes[1], rs.nodes[2]
+    assert n1.rank > 1
+    res = Resolution(name=rs.name, variant="zero", nodes=[n1, n2],
+                     operators=[_ZeroOperator(n1, n2)], nvars=rs.nvars,
+                     coeff_weights=rs.coeff_weights)
+    cache = _SliceCache(res)
+    for s in range(min(n1.weights), min(n1.weights) + 4):
+        cols, dens = cache.columns(0, s)
+        assert len(cols) == len(dens) == len(cache.basis(0, s)), s
+        assert not any(cols)
+    rep = exactness_check(res, max_degree=1)
+    assert rep.composition_ok and not rep.guard_hit
+    for k, node in enumerate(rep.nodes):
+        assert node.slices_checked
+        assert node.homology_slices == {s: len(cache.basis(k, s))
+                                        for s in node.slices_checked}
+        assert node.homology_total == node.dim_total
 
 
 def test_homology_comes_from_the_resolution():
@@ -178,7 +238,7 @@ def _with_term(nf, slot, where, term):
              for den, groups in nf.slots]
     g, j = where
     slots[slot][1][g][1][j] = term
-    return NormalForm(nf.targets, slots)
+    return NormalForm(nf.targets, slots, nf.nvars)
 
 
 def test_off_weight_term_fails_the_slice_columns():
