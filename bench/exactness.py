@@ -21,11 +21,6 @@ other labels kept):
   PATH/src, so each figure includes the compile of the normal forms, with
   the process's peak RSS (ru_maxrss, in MB) and every field of the check's
   report but its elapsed time;
-- columns_deg3: for elliptic7 and hyperbolic7, the seconds of
-  _SliceCache.columns over every slice exactness_check(res, 3) reads,
-  COLUMN_PASSES passes in one fresh process, each in a fresh cache, with
-  the normal forms compiled and the slice bases built before the clock
-  starts: the column assembly layer apart from rank;
 - the seconds of builtin_model(m) and of Page1(model).ladder() on that
   model for every builtin m, which derives every cell whether a checkout
   derives cells in Page1 or on first read: the medians of LAYER_BUILDS
@@ -77,7 +72,7 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 SECONDS = 5.0
 PAIR_SECONDS = 15.0
-PAIRS = {"certify7": 10, "verify-small": 10, "apply-oneshot": 5,
+PAIRS = {"certify7": 10, "verify-small": 10, "apply-oneshot": 10,
          "normalize": 5}
 WORKLOADS = ("certify7", "verify-small", "normalize", "apply-oneshot")
 METRICS = ("wall_s", "latency_p50_ms", "latency_p95_ms", "peak_rss_mb",
@@ -92,10 +87,8 @@ GEOMETRIES = tuple(dict.fromkeys(g for g, _ in COMPLEXES))
 # python3 -c _WORKER GEOMETRY VARIANT CHECK, with PYTHONPATH=PATH/src:
 # prints [seconds, ok, report, peak RSS in MB] of one check on one freshly
 # built complex as JSON.
-# A checkout whose exactness_check still takes the expected homology is
-# given the symplectic complex's, as `coframes verify` passes it there.
 _WORKER = r"""
-import dataclasses, inspect, json, random, resource, sys, time
+import dataclasses, json, random, resource, sys, time
 from coframes import models, operators, verify
 
 geometry, variant, check = sys.argv[1:]
@@ -103,13 +96,9 @@ if variant == "rs":
     res = operators.build_rs_complex(2)
 else:
     res = operators.named_complex(models.builtin_model(geometry), variant)
-kwargs = {}
-if "expected" in inspect.signature(verify.exactness_check).parameters \
-        and variant == "rs":
-    kwargs["expected"] = [1, 1] + [0] * (len(res.nodes) - 2)
 t0 = time.perf_counter()
 if check == "exactness":
-    rep = verify.exactness_check(res, max_degree=3, **kwargs)
+    rep = verify.exactness_check(res, max_degree=3)
 else:
     rep = verify.composition_check(res, random.Random(7), sections=20,
                                    max_degree=3)
@@ -136,38 +125,6 @@ def slice_pairs(res, degree, cache):
                 pairs += [(k, s)] * (k < len(res.nodes) - 1)
     return list(dict.fromkeys(pairs))
 """
-
-COLUMN_MODELS = ("elliptic7", "hyperbolic7")
-COLUMN_PASSES = 3
-
-# python3 -c _COLUMNS_WORKER PASSES MODEL..., with PYTHONPATH=PATH/src:
-# prints {model: [seconds of each pass]} as JSON, a pass being
-# _SliceCache.columns on every slice exactness_check(res, 3) reads, in a
-# fresh cache, with the normal forms compiled and the slice bases built
-# beforehand (the column assembly layer alone, apart from rank).
-_COLUMNS_WORKER = _SLICE_PAIRS + r"""
-import json, sys, time
-from coframes import models, operators, verify
-
-out = {}
-for name in sys.argv[2:]:
-    res = operators.named_complex(models.builtin_model(name), "bgg")
-    for h in res.operators:
-        h.normal_form()
-    pairs = slice_pairs(res, 3, verify._SliceCache(res))
-    out[name] = []
-    for _ in range(int(sys.argv[1])):
-        cache = verify._SliceCache(res)
-        for op, s in pairs:
-            cache.basis(op, s)
-            cache.basis(op + 1, s)
-        t0 = time.perf_counter()
-        for op, s in pairs:
-            cache.columns(op, s)
-        out[name].append(time.perf_counter() - t0)
-print(json.dumps(out))
-"""
-
 
 LAYER_BUILDS = 15
 
@@ -395,18 +352,6 @@ def src_lines(src: Path) -> int:
                for p in (src / "src" / "coframes").glob("*.py"))
 
 
-def column_seconds(src: Path) -> dict:
-    env = _env(src, "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLUMNS_WORKER, str(COLUMN_PASSES),
-         *COLUMN_MODELS], env=env, capture_output=True, text=True,
-        check=True)
-    passes = json.loads(proc.stdout.splitlines()[-1])
-    return {m: {"passes": [round(t, 4) for t in ts],
-                "median": round(statistics.median(ts), 4)}
-            for m, ts in passes.items()}
-
-
 def layer_seconds(src: Path) -> dict:
     env = _env(src, "src")
     proc = subprocess.run(
@@ -449,7 +394,6 @@ def record_side(src: Path) -> dict:
             "src_lines": src_lines(src),
             "exactness_deg3": check_seconds(src, "exactness"),
             "composition_deg3": check_seconds(src, "composition"),
-            "columns_deg3": column_seconds(src),
             **layer_seconds(src),
             "traffic": request_traffic(src),
             "perfbench": {w: perfbench_medians(src, w) for w in WORKLOADS}}

@@ -8,10 +8,11 @@ timings) so identical seed and config give byte-identical bytes, and
 section, and only verify, whose composition check samples random sections,
 takes --seed.
 
-A call builds the argument parser of the command it names and no other.
-A request loads one model, whose one page (GeometryModel.page1) all its
-checks and complexes read; a one-shot apply derives only the page-1 cells
-and complex members its operator reads (operators.OnDemand).
+A process builds one argument parser, on its first call, and every later
+call reuses it.  A request loads one model, whose one page
+(GeometryModel.page1) all its checks and complexes read; a one-shot apply
+derives only the page-1 cells and complex members its operator reads
+(operators.OnDemand).
 
 Exit codes: 0 all checks pass, 1 at least one verification failure,
 2 usage or data error.
@@ -25,7 +26,7 @@ import json
 import os
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Dict, List, Optional, Sequence
 
 from . import operators as ops
@@ -453,13 +454,11 @@ def _report_args(p: argparse.ArgumentParser) -> None:
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("geometry")
-    p.add_argument("--degree", type=int,
-                   default=os.environ.get("COFRAMES_DEGREE", "3"))
+    p.add_argument("--degree", type=int, default=3)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--skip", action="append", default=[],
                    help="check id to skip (repeatable)")
-    p.add_argument("--seed", type=int,
-                   default=os.environ.get("COFRAMES_SEED", "7"))
+    p.add_argument("--seed", type=int, default=7)
 
 
 def _apply_args(p: argparse.ArgumentParser) -> None:
@@ -490,26 +489,16 @@ COMMANDS = {
 }
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with command's sub-parser alone, or with all of them
-    when command names none.  The metavar keeps a lone sub-parser's usage
-    line that of all six; it is not passed with all six built, since the
-    errors that name the positional ("argument command: invalid choice")
-    would name the metavar instead.  Built on every call, as verify's
-    defaults read the environment."""
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: one per process, built on the first
+    call of main."""
     ap = argparse.ArgumentParser(
         prog="coframes",
         description="Exact calculus of filtered coframes: pages, derived "
                     "operators, verified resolutions.")
-    if command in COMMANDS:
-        names = [command]
-        sub = ap.add_subparsers(dest="command", required=True,
-                                metavar="{%s}" % ",".join(COMMANDS))
-    else:
-        names = list(COMMANDS)
-        sub = ap.add_subparsers(dest="command", required=True)
-    for name in names:
-        helptext, fn, add_args = COMMANDS[name]
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (helptext, fn, add_args) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         if add_args is not None:
             add_args(p)
@@ -521,8 +510,7 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    ap = _build_parser(argv[0] if argv else None)
+    ap = _build_parser()
     args = ap.parse_args(argv)
     if getattr(args, "degree", 1) < 1:
         ap.error("--degree must be at least 1")

@@ -159,29 +159,27 @@ def weighted_monomials(weights: Tuple[int, ...], w: int) -> List[Tuple[int, ...]
 
 
 class _SliceCache:
-    """Slice bases and packed monomials of one resolution, memoized for
-    the length of one certificate; columns are built on every call."""
+    """Packed monomials of one resolution's slices, memoized for the length
+    of one certificate; bases and columns are built on every call."""
 
     def __init__(self, res: Resolution):
         if not res.coeff_weights or min(res.coeff_weights) < 1:
             raise ValueError("resolution needs positive coefficient weights")
         self.res = res
         self.weights = tuple(res.coeff_weights)
-        self._basis: Dict[Tuple[int, int], List[Tuple[int, Tuple[int, ...]]]] = {}
         self._packs: Dict[Tuple[int, int],
                           List[Tuple[Tuple[int, ...], int]]] = {}
 
+    def dim(self, node_idx: int, s: int) -> int:
+        """len(basis(node_idx, s)), counted without building the basis."""
+        return sum(len(weighted_monomials(self.weights, s - w))
+                   for w in self.res.nodes[node_idx].weights)
+
     def basis(self, node_idx: int, s: int) -> List[Tuple[int, Tuple[int, ...]]]:
-        key = (node_idx, s)
-        hit = self._basis.get(key)
-        if hit is None:
-            node = self.res.nodes[node_idx]
-            hit = []
-            for slot, wslot in enumerate(node.weights):
-                for e in weighted_monomials(self.weights, s - wslot):
-                    hit.append((slot, e))
-            self._basis[key] = hit
-        return hit
+        """(slot, exponent) of each basis monomial, in column order."""
+        return [(slot, e)
+                for slot, w in enumerate(self.res.nodes[node_idx].weights)
+                for e in weighted_monomials(self.weights, s - w)]
 
     def _packed(self, w: int, kern: PackedKernel
                 ) -> List[Tuple[Tuple[int, ...], int]]:
@@ -241,7 +239,10 @@ class _SliceCache:
                 "operator %d is not weight-homogeneous" % op_idx) from None
         cols = [{row: v for row, v in col.items() if v}
                 if 0 in col.values() else col for col in cols]
-        dens = [nf.slots[slot][0] for slot, _ in self.basis(op_idx, s)]
+        dens: List[int] = []
+        for slot, wslot in enumerate(src.weights):
+            dens += [nf.slots[slot][0]] * len(
+                weighted_monomials(self.weights, s - wslot))
         return cols, dens
 
 
@@ -368,7 +369,7 @@ def exactness_check(res: Resolution, max_degree: int = 3,
     guard_hit = False
     for s in range(min(r.start for r in spans), max(r.stop for r in spans)):
         # dims[k]: node k's slice dimension if it checks s, else 0
-        dims = [len(cache.basis(k, s)) if s in span else 0
+        dims = [cache.dim(k, s) if s in span else 0
                 for k, span in enumerate(spans)]
         below = _SliceMap([], [])
         for k, rec in enumerate(nodes):

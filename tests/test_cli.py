@@ -132,24 +132,22 @@ def test_verify_unknown_skip_exits_2(capsys):
         assert cid in err
 
 
-@pytest.mark.parametrize("var,flag", [("COFRAMES_SEED", "--seed"),
-                                      ("COFRAMES_DEGREE", "--degree")])
-def test_bad_environment_default_exits_2(monkeypatch, capsys, var, flag):
+@pytest.mark.parametrize("var", ["COFRAMES_SEED", "COFRAMES_DEGREE"])
+def test_environment_leaves_the_defaults(monkeypatch, var):
     monkeypatch.setenv(var, "abc")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "engel4"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "argument %s: invalid int value: 'abc'" % flag in err
-
-
-def test_environment_defaults(monkeypatch, capsys):
-    monkeypatch.delenv("COFRAMES_SEED", raising=False)
-    monkeypatch.delenv("COFRAMES_DEGREE", raising=False)
     args = cli._build_parser().parse_args(["verify", "engel4"])
     assert (args.seed, args.degree) == (7, 3)
-    monkeypatch.setenv("COFRAMES_SEED", "11")
-    assert cli._build_parser().parse_args(["verify", "engel4"]).seed == 11
+
+
+def test_one_parser_serves_every_call(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    base = ("verify", "engel4", "--degree", "1", "--format", "json")
+    code, out, _ = run(capsys, *base, "--skip", "exactness", "--seed", "3")
+    assert code == 0 and json.loads(out)["seed"] == 3
+    code, out, _ = run(capsys, *base)
+    payload = json.loads(out)
+    assert code == 0 and payload["seed"] == 7
+    assert "exactness[bgg]" in [c["id"] for c in payload["checks"]]
 
 
 @pytest.mark.parametrize("argv", [

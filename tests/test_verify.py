@@ -106,6 +106,18 @@ def test_certificate_builds_each_slice_map_once(monkeypatch, name, variant):
     assert set(built) == _needed_pairs(res, 1)
 
 
+@pytest.mark.parametrize("name", ["engel4", "symplectic4"])
+def test_certificate_counts_slices_without_building_bases(monkeypatch,
+                                                          name):
+    res = (build_rs_complex(2) if name == "symplectic4"
+           else named_complex(model(name), "bgg"))
+
+    def refused(cache, node_idx, s):
+        raise AssertionError("basis(%d, %d) built" % (node_idx, s))
+    monkeypatch.setattr(_SliceCache, "basis", refused)
+    assert exactness_check(res, max_degree=2).ok
+
+
 class _ZeroOperator(OperatorHandle):
     def apply(self, coeffs, jets=None):
         return [{} for _ in range(self.target.rank)]
