@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, List, Sequence, Tuple
+from typing import Collection, Dict, List, Sequence, Tuple
 
 from . import ratpoly as rp
 
@@ -241,8 +241,11 @@ def poly_adjugate(m: List[List[rp.Poly]]) -> List[List[rp.Poly]]:
     return out
 
 
-def rank_mod_p(rows: List[Dict[int, int]], p: int) -> int:
-    """Rank of a sparse integer matrix modulo a prime.
+def rank_mod_p(rows: List[Dict[int, int]], p: int,
+               skip: Collection[int] = ()) -> List[int]:
+    """Pivot rows of a sparse integer matrix modulo a prime, with the
+    columns in skip left out: the indices of rows that are independent
+    mod p, as many as the rank, in the order they were chosen.
 
     rows map column index to an integer, reduced mod p here.  Pivoting
     prefers short rows to keep fill-in down: the next pivot row is the
@@ -250,20 +253,28 @@ def rank_mod_p(rows: List[Dict[int, int]], p: int) -> int:
     (length, row index) entries serves that choice; an entry is pushed
     whenever a row changes length, and entries whose length no longer
     matches their row are skipped when popped, so each choice costs a
-    logarithmic heap operation instead of a scan of all live rows.  Input
+    logarithmic heap operation instead of a scan of all live rows.  Each
+    popped row, reduced by the pivots before it, is nonzero and is zero
+    at their pivot columns, so the chosen rows are independent.  Input
     rows are left unchanged.
     """
     live: Dict[int, Dict[int, int]] = {}
     col_index: Dict[int, set] = {}
     for ri, row in enumerate(rows):
-        clean = {c: v % p for c, v in row.items() if v % p}
+        clean = {}
+        for c, v in row.items():
+            v %= p
+            if v and c not in skip:
+                clean[c] = v
+                if c in col_index:
+                    col_index[c].add(ri)
+                else:
+                    col_index[c] = {ri}
         if clean:
             live[ri] = clean
-            for c in clean:
-                col_index.setdefault(c, set()).add(ri)
     queue = [(len(row), ri) for ri, row in live.items()]
     heapq.heapify(queue)
-    rank_count = 0
+    pivots: List[int] = []
     while live:
         n, ri = heapq.heappop(queue)
         row = live.get(ri)
@@ -272,22 +283,21 @@ def rank_mod_p(rows: List[Dict[int, int]], p: int) -> int:
         del live[ri]
         for c in row:
             col_index[c].discard(ri)
-        # pivot on the column with fewest other occupants
-        pc = min(row, key=lambda c: len(col_index.get(c, ())))
-        inv = pow(row[pc], p - 2, p)
-        row = {c: (v * inv) % p for c, v in row.items()}
-        rank_count += 1
-        for rj in list(col_index.get(pc, ())):
+        # pivot on the column with fewest other occupants; every one of
+        # them loses it, and no row gains it again
+        pc = min(row, key=lambda c: len(col_index[c]))
+        inv = pow(row.pop(pc), p - 2, p)
+        row = [(c, v * inv % p) for c, v in row.items()]
+        pivots.append(ri)
+        for rj in col_index.pop(pc):
             other = live[rj]
-            f = other.get(pc, 0)
-            if not f:
-                continue
             before = len(other)
-            for c, v in row.items():
+            f = other.pop(pc)
+            for c, v in row:
                 nv = (other.get(c, 0) - f * v) % p
                 if nv:
                     if c not in other:
-                        col_index.setdefault(c, set()).add(rj)
+                        col_index[c].add(rj)
                     other[c] = nv
                 elif c in other:
                     del other[c]
@@ -296,7 +306,7 @@ def rank_mod_p(rows: List[Dict[int, int]], p: int) -> int:
                 del live[rj]
             elif len(other) != before:
                 heapq.heappush(queue, (len(other), rj))
-    return rank_count
+    return pivots
 
 
 def sparse_rank_exact(rows: List[Dict[int, Fraction]]) -> int:

@@ -37,7 +37,9 @@ monomial, d^alpha x^e = e!/(e - alpha)! x^(e - alpha), in integer
 numerators; NormalForm.apply sums it over a concrete section, and equals
 the cascade there exactly.  verify's composition sample runs on apply and
 its slice columns read the same kernel alpha first, so a handle compiles
-once and the exactness certificate reuses the form.
+once and the exactness certificate reuses the form; the certificate proves
+composition zero on the forms themselves, by the Leibniz rule
+(NormalForm.composes_to_zero).
 OperatorHandle.apply stays on the cascade, which is cheaper than a compile
 when one section is all there is: on one random section for each of the 54
 operators of the named complexes, compiling and evaluating took about
@@ -318,6 +320,7 @@ class NormalForm:
         self.slots = slots
         self.nvars = nvars
         self._kernel: Optional[PackedKernel] = None
+        self._composed: Dict[NormalForm, bool] = {}
 
     @property
     def order(self) -> int:
@@ -353,6 +356,79 @@ class NormalForm:
                 t, x = kern.unpack(key)
                 out[t][x] = c
         return out
+
+    def composes_to_zero(self, after: NormalForm) -> bool:
+        """Whether after o self is the zero operator, on every section.
+
+        after's slot t reads num2/den_t x^c d^beta; a term num/den x^b
+        d^alpha of self into slot t composes with it by Leibniz,
+        d^beta(x^b d^alpha u) = sum over gamma <= beta, b of C(beta, gamma)
+        b!/(b - gamma)! x^(b - gamma) d^(beta - gamma + alpha) u.  For each
+        source slot, the coefficients of x^(c + b - gamma) d^(alpha + beta -
+        gamma) u in each target slot, times self's slot denominator and L =
+        lcm(den_t), are integers, keyed by their two exponents packed side
+        by side in one base above every component; after o self is zero
+        exactly when each vanishes.  The answer is kept for after, so a
+        pair of compiled forms pays for it once.
+        """
+        hit = self._composed.get(after)
+        if hit is None:
+            hit = self._composed[after] = self._compose_zero(after)
+        return hit
+
+    def _compose_zero(self, after: NormalForm) -> bool:
+        top = max((x for nf in (self, after) for _, groups in nf.slots
+                   for alpha, terms in groups
+                   for e in [alpha] + [b for _, b, _ in terms] for x in e),
+                  default=0)
+        bits = (2 * top).bit_length()
+        half = self.nvars * bits
+
+        def pack(e: rp.Exponent) -> int:
+            p = 0
+            for x in e:
+                p = (p << bits) + x
+            return p
+        big = lcm(*(den for den, _ in after.slots))
+        # per slot t of after: (beta, pack(beta), [(key of t2 and
+        # x^c, num2 * L / den_t)])
+        seconds = [[(beta, pack(beta),
+                     [(((t2 << half) + pack(c)) << half,
+                       num * (big // den)) for t2, c, num in terms])
+                    for beta, terms in groups] for den, groups in after.slots]
+        leibniz: Dict[Tuple[rp.Exponent, rp.Exponent],
+                      List[Tuple[int, int]]] = {}
+
+        def gammas(b: rp.Exponent, beta: rp.Exponent, pbeta: int
+                   ) -> List[Tuple[int, int]]:
+            """(pack(beta) - pack(gamma) (B**n + 1), C(beta, gamma)
+            b!/(b - gamma)!) over every gamma <= beta, b."""
+            out = leibniz.get((b, beta))
+            if out is None:
+                out = [(pbeta, 1)]
+                for i, (bi, ai) in enumerate(zip(b, beta)):
+                    step = ((1 << half) + 1) << (bits * (self.nvars - 1 - i))
+                    out = [(d - g * step, f * comb(ai, g) * perm(bi, g))
+                           for d, f in out for g in range(min(bi, ai) + 1)]
+                leibniz[(b, beta)] = out
+            return out
+
+        for _, groups in self.slots:
+            acc: Dict[int, int] = {}
+            for alpha, terms in groups:
+                palpha = pack(alpha)
+                for t, b, num in terms:
+                    pb = (pack(b) << half) + palpha
+                    for beta, pbeta, offs in seconds[t]:
+                        for delta, f in gammas(b, beta, pbeta):
+                            k0 = pb + delta
+                            f *= num
+                            for key, num2 in offs:
+                                k = k0 + key
+                                acc[k] = acc.get(k, 0) + f * num2
+            if any(acc.values()):
+                return False
+        return True
 
 
 def _normal_slot(jets: rp.Jets, image: PolyVec, shared: Dict[tuple, tuple]):

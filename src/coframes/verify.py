@@ -25,25 +25,35 @@ per column.
 
 The certificate walks the total weights.  Each weight s cuts the nodes and
 operators into one finite complex of vector spaces, and the walk climbs it
-from node 0 up: operator k's map on s is built only if node k or node k + 1
-checks s, and only the map below the current node is held (_SliceMap).  So
-each (operator, slice) map is built once, and ranked at most once by sparse
-elimination of its integer columns modulo one prime (linalg.rank_mod_p)
-and at most once exactly: a slice whose modular count leaves homology
-falls back to exact rational elimination, and the node above still starts
-from the map's modular rank.  Scaling a column by a nonzero rational is an
-invertible column operation, so the integer columns have the rank over Q
-of the true ones.  A minor that is nonzero mod p is nonzero over Q, so for
-every prime the modular rank of an integer matrix is at most its rank over
-Q; no denominator is reduced mod p, so no prime needs excluding.  Image
-inside kernel is verified once per adjacent pair and slice, by an exact
-product in integers: with input column i standing for a_i / e_i and output
-column j for b_j / d_j, the product column times e_i * L, for L =
-lcm(d_j), is sum_j a_ij (L / d_j) b_j, which vanishes exactly when the
-product does.  Together these are a certificate, not a heuristic: rank_in +
-rank_out over Q is at least the modular sum, and the zero product caps it
-at the slice dimension, so a modular sum equal to the dimension proves the
-slice exact over Q.
+from the top node down: operator k's map on s is built only if node k or
+node k + 1 checks s, and only the maps into and out of the current node are
+held (_SliceMap).  So each (operator, slice) map is built once, and ranked
+at most once by sparse elimination of its integer columns modulo one prime
+(linalg.rank_mod_p) and at most once exactly: a slice whose modular count
+leaves homology falls back to exact rational elimination of full columns.
+Scaling a column by a nonzero rational is an invertible column operation,
+so the integer columns have the rank over Q of the true ones.  A minor that
+is nonzero mod p is nonzero over Q, so for every prime the modular rank of
+an integer matrix, or of any set of its rows, is at most its rank over Q;
+no denominator is reduced mod p, so no prime needs excluding.
+
+Going down, the outgoing map D_k of node k is ranked before the incoming
+map D_(k-1), and its pivots Q, the node-k coordinates of independent
+columns, are handed down: D_k is injective on their span, so an image of
+D_(k-1), which lies in ker D_k, vanishes if it vanishes off Q, and D_(k-1)
+ranked on the rows outside Q has its full rank.  Mod p this needs the
+integer product, with output column j scaled by lcm(d) / d_j, to vanish
+mod p and no scale to vanish mod p; where it does not hold, the rank only
+comes up short, and the exact fallback restores it.  The restricted matrix
+has at most dim_k - |Q| live rows, the rank sought when the slice is exact.
+
+Image inside kernel is proved once per adjacent pair of operators, on the
+normal forms the columns are read off (NormalForm.composes_to_zero): the
+composite's coefficients, by Leibniz, all vanish, so it kills every
+polynomial section.  Together these are a certificate, not a heuristic:
+rank_in + rank_out over Q is at least the modular sum, and the zero
+composite caps it at the slice dimension, so a modular sum equal to the
+dimension proves the slice exact over Q.
 
 A slice whose matrices hold more than GUARD entries in all is skipped and
 sets guard_hit, which fails the certificate.  The homology a complex must
@@ -57,8 +67,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, perm
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import perm
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
 from .models import GeometryModel
@@ -249,19 +259,24 @@ class _SliceCache:
 class _SliceMap:
     """One operator's integer columns on one slice, ranked on first read
     mod PRIME (modp) and over Q (exact), each at most once; the integer
-    columns serve both, since column scaling is rank-neutral.  A map with
-    no columns, into node 0 or out of the last node, ranks (0, "none")."""
+    columns serve both, since column scaling is rank-neutral.  The modular
+    rank leaves out the target rows in skip, and keeps its pivots: source
+    columns on which the map is injective.  A map with no columns, into
+    node 0 or out of the last node, ranks (0, "none")."""
 
-    def __init__(self, cols: List[Dict[int, int]], dens: List[int]):
-        self.cols, self.dens = cols, dens
+    def __init__(self, cols: List[Dict[int, int]]):
+        self.cols = cols
         self.entries = sum(map(len, cols))
+        self.skip: Collection[int] = ()
+        self.pivots: Optional[List[int]] = None
 
     @cached_property
     def modp(self) -> Tuple[int, str]:
-        live = [c for c in self.cols if c]
-        if not live:
+        if not any(self.cols):
+            self.pivots = []
             return 0, "empty" if self.cols else "none"
-        return linalg.rank_mod_p(live, PRIME), "modp"
+        self.pivots = linalg.rank_mod_p(self.cols, PRIME, self.skip)
+        return len(self.pivots), "modp"
 
     @cached_property
     def exact(self) -> Tuple[int, str]:
@@ -270,28 +285,6 @@ class _SliceMap:
         return linalg.sparse_rank_exact(
             [{r: Fraction(v) for r, v in c.items()} for c in self.cols
              if c]), "exact"
-
-
-def _compose_is_zero(cols_in: List[Dict[int, int]],
-                     cols_out: List[Dict[int, int]],
-                     dens_out: Sequence[int]) -> bool:
-    """Exact check that every image column of the first map is killed.
-
-    Output column j stands for cols_out[j] / dens_out[j] and is scaled by
-    lcm(dens_out) // dens_out[j]; input denominators play no part.
-    """
-    big = lcm(*dens_out)
-    scaled = [(big // d, col) for d, col in zip(dens_out, cols_out)]
-    for col in cols_in:
-        acc: Dict[int, int] = {}
-        for j, a in col.items():
-            f, vec = scaled[j]
-            f *= a
-            for r, v in vec.items():
-                acc[r] = acc.get(r, 0) + f * v
-        if any(acc.values()):
-            return False
-    return True
 
 
 @dataclass
@@ -347,15 +340,17 @@ def exactness_check(res: Resolution, max_degree: int = 3,
 
     Node k checks every nonempty slice whose total weight a section of it
     with polynomial coefficients of degree max_degree (plus a safety
-    buffer) can reach.  At each total weight s the walk climbs nodes 0, 1,
-    ..., building operator k's map on s only when node k or node k + 1
-    checks s, and holding only the map below the current node.  A slice
-    passes when incoming rank plus outgoing rank equals its dimension and
-    the exact composition product is zero.  A nonzero product clears
-    composition_ok; the slice's homology count dim - rank_in - rank_out is
-    then kept as computed, negative when the incoming image leaves the
-    outgoing kernel.  The totals must equal res.homology(); a slice over
-    GUARD entries is skipped and fails it.
+    buffer) can reach.  composition_ok says that every adjacent pair of
+    normal forms composes to zero (NormalForm.composes_to_zero).  At each
+    total weight s the walk climbs down from the top node, building
+    operator k's map on s only when node k or node k + 1 checks s, and
+    holding only the maps into and out of the current node; the incoming
+    map is ranked mod p on the rows the outgoing map's pivots leave free.
+    A slice passes when incoming rank plus outgoing rank equals its
+    dimension.  Where a pair does not compose to zero, the slice's homology
+    count dim - rank_in - rank_out is kept as computed, negative when the
+    incoming image leaves the outgoing kernel.  The totals must equal
+    res.homology(); a slice over GUARD entries is skipped and fails it.
     """
     t0 = time.perf_counter()
     cache = _SliceCache(res)
@@ -365,48 +360,52 @@ def exactness_check(res: Resolution, max_degree: int = 3,
     nodes = [NodeExactness(node=k, dim_total=0, slices_checked=[],
                            homology_slices={}, homology_total=0)
              for k in range(len(spans))]
-    composition_ok = True
+    forms = [op.normal_form() for op in res.operators]
+    # zero[k]: the maps into and out of node k compose to zero
+    zero = [True] + [a.composes_to_zero(b)
+                     for a, b in zip(forms, forms[1:])] + [True]
     guard_hit = False
     for s in range(min(r.start for r in spans), max(r.stop for r in spans)):
         # dims[k]: node k's slice dimension if it checks s, else 0
         dims = [cache.dim(k, s) if s in span else 0
                 for k, span in enumerate(spans)]
-        below = _SliceMap([], [])
-        for k, rec in enumerate(nodes):
-            above = (_SliceMap(*cache.columns(k, s))
-                     if k < len(res.operators) and (dims[k] or dims[k + 1])
-                     else _SliceMap([], []))
+        above = _SliceMap([])
+        for k in reversed(range(len(nodes))):
+            below = _SliceMap(cache.columns(k - 1, s)[0]
+                              if k and (dims[k - 1] or dims[k]) else [])
             dim = dims[k]
             if dim and dim + below.entries + above.entries > GUARD:
-                guard_hit = True
-            elif dim:
-                (rank_in, m_in), (rank_out, m_out) = below.modp, above.modp
+                guard_hit, dim = True, 0
+            if dim:
+                rank_out, m_out = above.modp
+            # the outgoing map's pivots, if it was ranked: it is injective
+            # on them, so an incoming image that vanishes off them is 0
+            below.skip = set(above.pivots or ())
+            if dim:
+                rank_in, m_in = below.modp
                 h = dim - rank_in - rank_out
                 if h and "modp" in (m_in, m_out):
                     (rank_in, m_in), (rank_out, m_out) = (below.exact,
                                                           above.exact)
                     h = dim - rank_in - rank_out
-                if below.cols and above.cols and not _compose_is_zero(
-                        below.cols, above.cols, above.dens):
-                    composition_ok = False
-                elif h < 0:
+                if h < 0 and zero[k]:
                     raise AssertionError(
                         "slice %d at node %d: ranks exceed the dimension "
-                        "though the product is zero" % (s, k))
+                        "though the maps compose to zero" % (s, k))
+                rec = nodes[k]
                 rec.slices_checked.append(s)
                 rec.dim_total += dim
                 if h:
                     rec.homology_slices[s] = h
                 for m in (m_in, m_out):
                     rec.methods[m] = rec.methods.get(m, 0) + 1
-            below = above
+            above = below
     for rec in nodes:
         rec.homology_total = sum(rec.homology_slices.values())
     return ExactnessReport(
         name=res.name, variant=res.variant, max_degree=max_degree,
-        nodes=nodes, expected=res.homology(),
-        composition_ok=composition_ok, guard_hit=guard_hit,
-        elapsed=time.perf_counter() - t0)
+        nodes=nodes, expected=res.homology(), composition_ok=all(zero),
+        guard_hit=guard_hit, elapsed=time.perf_counter() - t0)
 
 
 # #### composition on random sections ######################################
@@ -440,7 +439,8 @@ def composition_check(res: Resolution, rng: Optional[random.Random] = None,
 
     The sample is evaluated on the compiled normal forms, which equal the
     cascade exactly; each operator compiles once here, and exactness_check
-    on the same resolution reuses the compiled forms.
+    on the same resolution reuses the compiled forms and proves, on them,
+    what this samples (NormalForm.composes_to_zero).
     """
     rng = rng or random.Random(0)
     t0 = time.perf_counter()

@@ -1,20 +1,24 @@
 """Complex verification: exactness certificates, composition, witnesses."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 from math import lcm
 
 import pytest
 
-from coframes import linalg, verify
+from coframes import builtin_names, linalg, verify
 from coframes.operators import (NormalForm, OperatorHandle, Resolution,
                                 SpanDOperator, build_rs_complex,
                                 named_complex)
-from coframes.verify import (_SliceCache, _compose_is_zero,
-                             composition_check, cross_check_dims,
-                             exactness_check, rs_h1_witness)
+from coframes.verify import (_SliceCache, composition_check,
+                             cross_check_dims, exactness_check,
+                             rs_h1_witness)
 
 from conftest import model
+
+NAMED = ([(name, "bgg") for name in builtin_names()]
+         + [("g2_5", "ambient"), ("g2_5", "basic"), ("symplectic4", "rs")])
 
 
 @pytest.mark.parametrize("name", ["contact5", "engel4", "g2_5", "dl_5"])
@@ -56,15 +60,29 @@ def test_rs_cohomology_dims():
 
 @pytest.mark.parametrize("name", ["contact5", "engel4"])
 def test_small_prime_falls_back_to_exact_ranks(monkeypatch, name):
-    # mod 2 many slices come up short; the exact fallback must restore the
-    # certificate the real prime gives
-    res = named_complex(model(name), "bgg")
-    want = exactness_check(res, max_degree=2)
+    # mod 2 many slices come up short, the restricted ranks among them;
+    # the exact ranks on full columns must restore the certificate
     monkeypatch.setattr(verify, "PRIME", 2)
-    rep = exactness_check(named_complex(model(name), "bgg"), max_degree=2)
+    res = named_complex(model(name), "bgg")
+    rep = exactness_check(res, max_degree=2)
     assert rep.ok, rep.summary()
-    assert rep.totals == want.totals
-    assert sum(n.methods.get("exact", 0) for n in rep.nodes) > 0
+    assert rep.totals == [1] + [0] * (len(res.nodes) - 1)
+    fallbacks = sum(n.methods.get("exact", 0) for n in rep.nodes)
+    assert fallbacks == {"contact5": 20, "engel4": 26}[name]
+
+
+@pytest.mark.parametrize("name,variant", NAMED)
+def test_prime_keeps_every_slot_scale(name, variant):
+    # the incoming map ranked on the rows the outgoing map's pivots leave
+    # free has its full rank mod p when the integer columns' product,
+    # scaled by lcm(d) / d_j on output column j, is zero mod p and no
+    # scale vanishes mod p, so the modular tallies match full ranks
+    res = (build_rs_complex(2) if variant == "rs"
+           else named_complex(model(name), variant))
+    for op in res.operators:
+        dens = [den for den, _ in op.normal_form().slots]
+        big = lcm(*dens)
+        assert all(big // d % verify.PRIME for d in dens), (name, dens)
 
 
 def test_guard_skips_large_slices_and_fails(monkeypatch):
@@ -173,63 +191,47 @@ def test_cross_check_dims_reports_rows():
         assert dim == want
 
 
-def _integer_columns(cols):
-    """Fraction columns as (integer numerators, one denominator each)."""
-    dens = [lcm(*(c.denominator for c in col.values())) for col in cols]
-    ints = [{r: int(c * d) for r, c in col.items()}
-            for col, d in zip(cols, dens)]
-    return ints, dens
+def _one_variable(targets, slots):
+    """A NormalForm in x = x_0 from (den, {alpha: [(t, b, num)]}) slots."""
+    return NormalForm(targets, [
+        (den, [((a,), [(t, (b,), num) for t, b, num in terms])
+               for a, terms in sorted(groups.items())])
+        for den, groups in slots], 1)
 
 
-def _compose(cols_in, cols_out):
-    ints_out, dens_out = _integer_columns(cols_out)
-    return _compose_is_zero(_integer_columns(cols_in)[0], ints_out, dens_out)
+def _d1():
+    """D1 u = (du, x du)."""
+    return _one_variable(2, [(1, {1: [(0, 0, 1), (1, 1, 1)]})])
 
 
-def test_compose_is_zero_scales_each_column():
-    # col1 is col0 / 2; the two columns clear to the same integer vector
-    # with different denominators (6 and 12)
-    cols_out = [{0: F(1, 2), 1: F(1, 3)}, {0: F(1, 4), 1: F(1, 6)}, {}]
-    ints_out, dens_out = _integer_columns(cols_out)
-    assert ints_out == [{0: 3, 1: 2}, {0: 3, 1: 2}, {}]
-    assert dens_out == [6, 12, 1]
-    assert _compose([{0: F(1), 1: F(-2)}], cols_out)
-    assert _compose([{0: F(1, 5), 1: F(-2, 5), 2: F(7)}], cols_out)
-    assert _compose([{0: F(1, 2), 1: F(-1)}, {}], cols_out)
-    # zero only if both columns were scaled by one common factor
-    assert not _compose([{0: F(1), 1: F(-1)}], cols_out)
-    assert not _compose([{0: F(1), 1: F(-2)},
-                         {0: F(1, 3), 1: F(-1, 3)}], cols_out)
-    # the input's own denominators play no part
-    assert _compose_is_zero([{0: 1, 1: -2}], ints_out, dens_out)
-    assert not _compose_is_zero([{0: 1, 1: -1}], ints_out, dens_out)
+@pytest.mark.parametrize("den1", [1, 2])
+def test_composition_identity_needs_the_leibniz_term(den1):
+    # D2 (v0, v1) = x dv0 + v0 - dv1, with v1's slot over den1: the
+    # composite x d^2 u + du - d(x du) vanishes only through the
+    # gamma = 1 term of d(x du) = du + x d^2 u
+    d1 = _d1()
+    d2 = _one_variable(1, [(1, {0: [(0, 0, 1)], 1: [(0, 1, 1)]}),
+                           (den1, {1: [(0, 0, -den1)]})])
+    assert d1.composes_to_zero(d2)
+    assert d1._composed == {d2: True}
+    # the same numerators over a wrong slot denominator: -dv1 / 2
+    if den1 > 1:
+        half = _one_variable(1, [(1, {0: [(0, 0, 1)], 1: [(0, 1, 1)]}),
+                                 (den1, {1: [(0, 0, -1)]})])
+        assert not d1.composes_to_zero(half)
 
 
-def test_compose_is_zero_matches_fraction_product():
-    rng = random.Random(11)
-    for _ in range(200):
-        nmid, nout = rng.randint(1, 5), rng.randint(1, 5)
-
-        def entry():
-            return F(rng.randint(-4, 4), rng.randint(1, 6))
-        cols_out = [{r: entry() for r in range(nout) if rng.random() < 0.6}
-                    for _ in range(nmid)]
-        cols_in = [{j: entry() for j in range(nmid) if rng.random() < 0.5}
-                   for _ in range(rng.randint(1, 3))]
-        if rng.random() < 0.5:
-            # make the product vanish: move a kernel combination into cols_in
-            cols_out.append({r: -c for r, c in cols_out[0].items()})
-            cols_in.append({0: F(3, 7), nmid: F(3, 7)})
-        want = all(not any(sum((c * cols_out[j].get(r, F(0))
-                                for j, c in col.items()), F(0))
-                           for r in range(nout))
-                   for col in cols_in)
-        assert _compose(cols_in, cols_out) == want
+def test_composition_identity_fails_without_the_zeroth_term():
+    # D2 (v0, v1) = x dv0 - dv1 leaves the composite -du
+    d2 = _one_variable(1, [(1, {1: [(0, 1, 1)]}), (1, {1: [(0, 0, -1)]})])
+    d1 = _d1()
+    assert not d1.composes_to_zero(d2)
+    assert d2.apply(d1.apply([{(2,): F(1)}])) == [{(1,): F(-2)}]
 
 
 def test_bumped_normal_form_breaks_composition():
-    # one integer coefficient of operator 2 off by one: the slice products
-    # with operators 1 and 3 stop vanishing
+    # one integer coefficient of operator 2 off by one: its compositions
+    # with operators 1 and 3 stop vanishing, and only those
     res = named_complex(model("contact5"), "bgg")
     _, groups = res.operators[2].normal_form().slots[0]
     _, terms = groups[0]
@@ -237,6 +239,9 @@ def test_bumped_normal_form_breaks_composition():
     terms[0] = (t, b, num + 1)
     rep = exactness_check(res, max_degree=1)
     assert not rep.composition_ok
+    forms = [op.normal_form() for op in res.operators]
+    assert [a.composes_to_zero(b) for a, b in zip(forms, forms[1:])] == [
+        True, False, False, True]
     assert not rep.ok
     # the composition sample evaluates the same compiled forms; a
     # second-order term needs more than a few sections to show
@@ -282,18 +287,49 @@ def test_off_weight_term_fails_the_slice_columns():
             _SliceCache(res).columns(k, s)
 
 
-def test_composition_check_reports_a_nonzero_pair():
-    # d after the trace-free projection of d is not zero, d(da - cJ/2) =
-    # -dc ^ J/2, so the sample must fail at pair 1 and only there
+def _broken_rs():
+    """symplectic4 with the flat d after the trace-free projection of d:
+    d(da - cJ/2) = -dc ^ J/2, so pair 1 does not compose to zero.  The
+    3-form node is given weight 3, so that d is weight-homogeneous."""
     res = build_rs_complex(2)
     n0, n1, n2, _, n4, _ = res.nodes
+    n4 = dataclasses.replace(n4, weights=[3] * n4.rank)
     ops = [res.operators[0], res.operators[1], SpanDOperator(None, n2, n4)]
-    bad = Resolution(name=res.name, variant="broken",
-                     nodes=[n0, n1, n2, n4], operators=ops, nvars=res.nvars,
-                     coeff_weights=res.coeff_weights)
-    rep = composition_check(bad, random.Random(3), sections=6)
+    return Resolution(name=res.name, variant="broken",
+                      nodes=[n0, n1, n2, n4], operators=ops, nvars=res.nvars,
+                      coeff_weights=res.coeff_weights)
+
+
+def test_composition_check_reports_a_nonzero_pair():
+    # the sample must fail at pair 1 and only there
+    rep = composition_check(_broken_rs(), random.Random(3), sections=6)
     assert not rep.ok
     assert {k for k, _ in rep.failures} == {1}
+
+
+def test_exactness_reports_a_nonzero_pair():
+    rep = exactness_check(_broken_rs(), max_degree=2)
+    assert not rep.composition_ok
+    assert not rep.ok
+
+
+def _kernel_columns(cols, nmid, rng):
+    """Integer combinations of a kernel basis of the map whose column j
+    is cols[j], j < nmid: columns of a map that cols composes to zero."""
+    nout = 1 + max((r for c in cols for r in c), default=0)
+    dense = [[F(cols[j].get(r, 0)) for j in range(nmid)]
+             for r in range(nout)]
+    red, piv = linalg.rref(dense)
+    basis = linalg.nullspace(red, piv, nmid)
+    out = []
+    for _ in range(rng.randint(1, len(basis) + 2)):
+        v = [F(0)] * nmid
+        for b in basis:
+            k = rng.randint(-2, 2)
+            v = [x + k * y for x, y in zip(v, b)]
+        den = lcm(*(x.denominator for x in v))
+        out.append({j: int(x * den) for j, x in enumerate(v) if x})
+    return out
 
 
 def test_rank_mod_p_matches_exact_rank():
@@ -319,4 +355,22 @@ def test_rank_mod_p_matches_exact_rank():
         rng.shuffle(rows)
         exact = linalg.sparse_rank_exact([{c: F(v) for c, v in r.items()}
                                           for r in rows])
-        assert linalg.rank_mod_p([dict(r) for r in rows], p) == exact
+        pivots = linalg.rank_mod_p([dict(r) for r in rows], p)
+        assert len(pivots) == exact
+        assert linalg.sparse_rank_exact(
+            [{c: F(v) for c, v in rows[i].items()} for i in pivots]) == exact
+    # D_k's pivots Q are middle coordinates on which D_k is injective; an
+    # image of D_(k-1) lies in ker D_k, so it meets them only in zero and
+    # D_(k-1) keeps its rank on the rows outside Q
+    for _ in range(60):
+        nmid = rng.randint(1, 10)
+        out = [{r: rng.randint(-3, 3) for r in range(rng.randint(1, 8))
+                if rng.random() < 0.4} for _ in range(nmid)]
+        out = [{r: v for r, v in c.items() if v} for c in out]
+        into = _kernel_columns(out, nmid, rng)
+        assert not any(sum(v * out[j].get(r, 0) for j, v in c.items())
+                       for c in into for r in range(8))
+        full = linalg.sparse_rank_exact([{j: F(v) for j, v in c.items()}
+                                         for c in into])
+        assert len(linalg.rank_mod_p(into, p,
+                                     set(linalg.rank_mod_p(out, p)))) == full
