@@ -32,14 +32,14 @@ on first use; its order is exact, the largest |alpha| with a nonzero
 coefficient.  Arithmetic on a normal form reads its PackedKernel
 (NormalForm.kernel), which packs every exponent into one integer in a base
 above every component it can meet, so a term's target is one integer add
-and no tuple is built.  PackedKernel.image is the closed form on one
-monomial, d^alpha x^e = e!/(e - alpha)! x^(e - alpha), in integer
-numerators; NormalForm.apply sums it over a concrete section, and equals
-the cascade there exactly.  verify's composition sample runs on apply and
-its slice columns read the same kernel alpha first, so a handle compiles
-once and the exactness certificate reuses the form; the certificate proves
-composition zero on the forms themselves, by the Leibniz rule
-(NormalForm.composes_to_zero).
+and no tuple is built.  NormalForm.apply evaluates the closed form
+d^alpha x^e = e!/(e - alpha)! x^(e - alpha) on each monomial of a concrete
+section, in integers over one common denominator, and divides once per
+output term; it equals the cascade there exactly.  verify's composition
+sample runs on apply and its slice columns read the same kernel alpha
+first, so a handle compiles once and the exactness certificate reuses the
+form; the certificate proves composition zero on the forms themselves, by
+the Leibniz rule (NormalForm.composes_to_zero).
 OperatorHandle.apply stays on the cascade, which is cheaper than a compile
 when one section is all there is: on one random section for each of the 54
 operators of the named complexes, compiling and evaluating took about
@@ -273,31 +273,6 @@ class PackedKernel:
             (key >> (self.shift - (i + 1) * self.bits)) & mask
             for i in range(self.nvars))
 
-    def image(self, slot: int, e: rp.Exponent) -> Dict[int, int]:
-        """The image of x^e in source slot `slot`, as integer numerators
-        over the slot's den, keyed key(t, x), zeros dropped; no component
-        of e may exceed reach.
-
-        This is the closed form d^alpha x^e = e!/(e - alpha)! x^(e - alpha):
-        a term (t, b, num) of alpha adds num * e!/(e - alpha)! at
-        key(t, e - alpha + b) = pack(e) - pack(alpha) + key(t, b).  An alpha
-        is dropped at its first factor that is zero, some e_i < alpha_i.
-        """
-        pe = self.pack(e)
-        out: Dict[int, int] = {}
-        for palpha, support, offs in self.slots[slot]:
-            f = 1
-            for i, a in support:
-                if e[i] < a:
-                    break
-                f *= perm(e[i], a)
-            else:
-                rest = pe - palpha
-                for off, num in offs:
-                    k = rest + off
-                    out[k] = out.get(k, 0) + f * num
-        return {k: v for k, v in out.items() if v}
-
 
 class NormalForm:
     """A linear differential operator as sum_alpha c_alpha(x) d^alpha.
@@ -337,24 +312,47 @@ class NormalForm:
         return self._kernel
 
     def apply(self, coeffs: Sequence[rp.Poly]) -> PolyVec:
-        """The image of a section, equal to the cascade's, summed from the
-        kernel's images of its monomials."""
+        """The image of a section, equal to the cascade's, in integers.
+
+        With D the lcm of the section's coefficient denominators and L that
+        of the slot denominators, a coefficient c of slot s is the integer
+        c D L / den_s over D L.  Each monomial x^e of the slot adds, by the
+        closed form d^alpha x^e = e!/(e - alpha)! x^(e - alpha), its
+        numerator times num * e!/(e - alpha)! for each term (t, b, num) of
+        each alpha at key(t, e - alpha + b) = pack(e) - pack(alpha) +
+        key(t, b); an alpha is dropped at its first zero factor, some e_i <
+        alpha_i.  One Fraction is built per nonzero output term.
+        """
         if len(coeffs) != len(self.slots):
             raise ValueError("expected %d coefficients, got %d"
                              % (len(self.slots), len(coeffs)))
         kern = self.kernel(max((x for u in coeffs for e in u for x in e),
                                default=0))
-        acc: Dict[int, Fraction] = {}
-        for slot, (u, (den, _)) in enumerate(zip(coeffs, self.slots)):
+        big = lcm(*(den for den, _ in self.slots))
+        sden = lcm(*(c.denominator for u in coeffs for c in u.values()))
+        acc: Dict[int, int] = {}
+        for u, (den, _), groups in zip(coeffs, self.slots, kern.slots):
+            scale = sden * (big // den)
             for e, c in u.items():
-                c /= den
-                for key, num in kern.image(slot, e).items():
-                    acc[key] = acc.get(key, 0) + c * num
+                n = c.numerator * (scale // c.denominator)
+                pe = kern.pack(e)
+                for palpha, support, offs in groups:
+                    f = n
+                    for i, a in support:
+                        if e[i] < a:
+                            break
+                        f *= perm(e[i], a)
+                    else:
+                        rest = pe - palpha
+                        for off, num in offs:
+                            k = rest + off
+                            acc[k] = acc.get(k, 0) + f * num
         out: PolyVec = [{} for _ in range(self.targets)]
+        whole = sden * big
         for key, c in acc.items():
             if c:
                 t, x = kern.unpack(key)
-                out[t][x] = c
+                out[t][x] = Fraction(c, whole)
         return out
 
     def composes_to_zero(self, after: NormalForm) -> bool:
@@ -407,6 +405,8 @@ class NormalForm:
             if out is None:
                 out = [(pbeta, 1)]
                 for i, (bi, ai) in enumerate(zip(b, beta)):
+                    if not bi or not ai:
+                        continue    # the only gamma_i is 0
                     step = ((1 << half) + 1) << (bits * (self.nvars - 1 - i))
                     out = [(d - g * step, f * comb(ai, g) * perm(bi, g))
                            for d, f in out for g in range(min(bi, ai) + 1)]

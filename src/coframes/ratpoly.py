@@ -300,8 +300,12 @@ class Jets:
 
 def random_poly(rng: random.Random, nvars: int, max_degree: int,
                 terms: int) -> Poly:
-    """Seeded random polynomial with small rational coefficients."""
-    out: Poly = {}
+    """Seeded random polynomial with small rational coefficients.
+
+    Each term draws num/den with den in 1..3, so the sum is kept in
+    integer sixths and one Fraction is built per surviving monomial.
+    """
+    sixths: Dict[Exponent, int] = {}
     for _ in range(terms):
         d = rng.randint(0, max_degree)
         e = [0] * nvars
@@ -309,13 +313,12 @@ def random_poly(rng: random.Random, nvars: int, max_degree: int,
             e[rng.randrange(nvars)] += 1
         num = rng.randint(-5, 5)
         den = rng.randint(1, 3)
-        c = Fraction(num, den)
-        if not c:
+        if not num:
             continue
         t = tuple(e)
-        s = out.get(t, Fraction(0)) + c
+        s = sixths.get(t, 0) + num * (6 // den)
         if s:
-            out[t] = s
+            sixths[t] = s
         else:
-            out.pop(t, None)
-    return out
+            sixths.pop(t, None)
+    return {e: Fraction(n, 6) for e, n in sixths.items()}

@@ -317,22 +317,6 @@ class ExactnessReport:
         return (self.totals == self.expected and self.composition_ok
                 and not self.guard_hit)
 
-    def summary(self) -> str:
-        lines = ["%s/%s exactness to coefficient degree %d"
-                 % (self.name, self.variant, self.max_degree)]
-        for n in self.nodes:
-            extra = ""
-            if n.homology_slices:
-                extra = " at " + ", ".join(
-                    "weight %d: %d" % (s, h)
-                    for s, h in sorted(n.homology_slices.items()))
-            lines.append("  node %d: %d slice dims, homology %d%s"
-                         % (n.node, n.dim_total, n.homology_total, extra))
-        lines.append("  composition %s, expected homology %s, %s"
-                     % ("ok" if self.composition_ok else "NONZERO",
-                        self.expected, "ok" if self.ok else "FAILED"))
-        return "\n".join(lines)
-
 
 def exactness_check(res: Resolution, max_degree: int = 3,
                     buffer: int = 1) -> ExactnessReport:
@@ -423,13 +407,6 @@ class CompositionReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def summary(self) -> str:
-        state = ("ok" if self.ok
-                 else "failed at %s" % (self.failures,))
-        return ("%s/%s composition: %d pairs x %d sections %s"
-                % (self.name, self.variant, self.pairs,
-                   self.sections_per_pair, state))
-
 
 def composition_check(res: Resolution, rng: Optional[random.Random] = None,
                       sections: int = 20,
@@ -437,7 +414,8 @@ def composition_check(res: Resolution, rng: Optional[random.Random] = None,
     """Apply consecutive operators to a sample of random sections; demand
     exact zero.
 
-    The sample is evaluated on the compiled normal forms, which equal the
+    The sample is evaluated on the compiled normal forms (NormalForm.apply,
+    in integers with one division per output term), which equal the
     cascade exactly; each operator compiles once here, and exactness_check
     on the same resolution reuses the compiled forms and proves, on them,
     what this samples (NormalForm.composes_to_zero).

@@ -115,7 +115,7 @@ def test_criterion_06_polynomial_exactness():
     for name, variant in ALL_COMPLEXES:
         res = resolution(name, variant)
         rep = exactness_check(res, max_degree=3)
-        assert rep.ok, "%s/%s: %s" % (name, variant, rep.summary())
+        assert rep.ok, "%s/%s: %s" % (name, variant, rep)
         assert not rep.guard_hit
         assert rep.totals[0] == 1, "%s/%s node 0" % (name, variant)
         assert rep.elapsed < 300.0, ("%s/%s exactness took %.1fs"

@@ -95,6 +95,31 @@ def test_normal_form_matches_apply(name, variant):
         assert got == h.apply(sec), (name, variant)
 
 
+@pytest.mark.parametrize("name,variant", [("contact5", "bgg"),
+                                          ("g2_5", "bgg"),
+                                          ("symplectic4", "rs")])
+def test_normal_form_apply_over_other_denominators(name, variant):
+    # coefficients over 4 and 7, which neither the slot denominators nor
+    # random sections hold, with every other slot empty (all of them for a
+    # one-slot source on the even pass): apply's one common denominator
+    # must cover both the section and the slots
+    res = complex_for(name, variant)
+    rng = random.Random(43)
+    nonzero = 0
+    for h in res.operators:
+        nf = h.normal_form()
+        for parity in (0, 1):
+            sec = [{} if j % 2 == parity else
+                   {e: c * Fraction(rng.randint(1, 5), rng.choice((4, 7)))
+                    for e, c in _dense_poly(rng, res.nvars, 2).items()}
+                   for j in range(h.source.rank)]
+            got = nf.apply(sec)
+            assert got == _evaluate(nf, sec), (name, variant, parity)
+            assert got == h.apply(sec), (name, variant, parity)
+            nonzero += any(got)
+    assert nonzero > len(res.operators)
+
+
 def _columns_by_apply(res, op_idx, s, cache):
     """Slice columns the slow way: the cascade on every basis monomial."""
     src = res.nodes[op_idx]

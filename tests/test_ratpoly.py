@@ -123,3 +123,49 @@ def test_json_preserves_big_fractions():
 
 def test_public_names_resolve():
     assert [n for n in coframes.__all__ if not hasattr(coframes, n)] == []
+
+
+def _random_poly_by_fractions(rng, nvars, max_degree, terms):
+    """random_poly as a plain sum of Fractions, drawing the same numbers."""
+    out = {}
+    for _ in range(terms):
+        d = rng.randint(0, max_degree)
+        e = [0] * nvars
+        for _ in range(d):
+            e[rng.randrange(nvars)] += 1
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        if not c:
+            continue
+        t = tuple(e)
+        s = out.get(t, Fraction(0)) + c
+        if s:
+            out[t] = s
+        else:
+            out.pop(t, None)
+    return out
+
+
+def test_random_poly_matches_fraction_sum():
+    for seed in range(200):
+        nvars = 1 + seed % 10
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        for max_degree in range(4):
+            for terms in range(1, 7):
+                got = rp.random_poly(got_rng, nvars, max_degree, terms)
+                ref = _random_poly_by_fractions(ref_rng, nvars, max_degree,
+                                                terms)
+                assert got == ref, (seed, nvars, max_degree, terms)
+                assert list(got) == list(ref)
+                assert all(6 % c.denominator == 0 for c in got.values())
+        assert got_rng.getstate() == ref_rng.getstate()
+
+
+def test_random_poly_drops_a_cancelled_term():
+    # seed 71 draws the constants 3/3 and -1/1, which cancel
+    rng = random.Random(71)
+    draws = [(rng.randint(0, 0), Fraction(rng.randint(-5, 5),
+                                          rng.randint(1, 3)))
+             for _ in range(2)]
+    assert draws == [(0, Fraction(1)), (0, Fraction(-1))]
+    assert rp.random_poly(random.Random(71), 1, 0, 2) == {}
+    assert _random_poly_by_fractions(random.Random(71), 1, 0, 2) == {}
