@@ -17,10 +17,12 @@ other labels kept):
 - src_lines, the line count of src/coframes/*.py as `wc -l` gives it;
 - the seconds of exactness_check(res, max_degree=3) and of
   composition_check(res, random.Random(7), sections=20, max_degree=3) for
-  every named complex, each built and checked in a fresh process importing
-  PATH/src, so each figure includes the compile of the normal forms, with
-  the process's peak RSS (ru_maxrss, in MB) and every field of the check's
-  report but its elapsed time;
+  every named complex, each built and checked in CHECK_RUNS fresh
+  processes importing PATH/src, so each figure includes the compile of the
+  normal forms, with the processes' peak RSS (ru_maxrss, in MB): every
+  run's value and their median.  The runs go round the complexes in turn,
+  and every field of the check's report but its elapsed time is recorded
+  once; the script fails if the runs' reports differ;
 - the seconds of builtin_model(m) and of Page1(model).ladder() on that
   model for every builtin m, which derives every cell whether a checkout
   derives cells in Page1 or on first read: the medians of LAYER_BUILDS
@@ -33,7 +35,8 @@ other labels kept):
   derived;
 - the medians, over SEEDS, of the end-to-end metrics of PATH's own
   perfbench/run.py on the WORKLOADS (SECONDS each), with every run's
-  values beside them;
+  values beside them, each run with its median seconds per operation
+  (op_median_s), which shows a workload's cases apart;
 - outputs, sha256 digests of what the program computes, so two sides
   can be compared for byte identity: the stdout of the apply-oneshot
   workload's requests for SEEDS; every NormalForm (targets, slots) of
@@ -73,7 +76,8 @@ SEEDS = (1, 2, 3)
 SECONDS = 5.0
 PAIR_SECONDS = 15.0
 PAIRS = {"certify7": 10, "verify-small": 10, "apply-oneshot": 10,
-         "normalize": 5}
+         "normalize": 10}
+CHECK_RUNS = 3
 WORKLOADS = ("certify7", "verify-small", "normalize", "apply-oneshot")
 METRICS = ("wall_s", "latency_p50_ms", "latency_p95_ms", "peak_rss_mb",
            "setup_s")
@@ -305,15 +309,25 @@ def _no_bytecode(src: Path) -> Path:
 
 def check_seconds(src: Path, check: str) -> dict:
     env = _env(src, "src")
+    runs: dict = {}
+    for _ in range(CHECK_RUNS):
+        for geometry, variant in COMPLEXES:
+            proc = subprocess.run(
+                [sys.executable, "-c", _WORKER, geometry, variant, check],
+                env=env, capture_output=True, text=True, check=True)
+            runs.setdefault("%s/%s" % (geometry, variant), []).append(
+                json.loads(proc.stdout.splitlines()[-1]))
     out = {}
-    for geometry, variant in COMPLEXES:
-        proc = subprocess.run(
-            [sys.executable, "-c", _WORKER, geometry, variant, check],
-            env=env, capture_output=True, text=True, check=True)
-        t, ok, report, rss = json.loads(proc.stdout.splitlines()[-1])
-        out["%s/%s" % (geometry, variant)] = {
-            "seconds": round(t, 3), "peak_rss_mb": round(rss, 1), "ok": ok,
-            "report": report}
+    for key, recs in runs.items():
+        seconds, oks, reports, rss = zip(*recs)
+        if any([o, r] != [oks[0], reports[0]] for o, r in zip(oks, reports)):
+            raise SystemExit("bench: %s %s reports differ between runs in %s"
+                             % (check, key, src))
+        out[key] = {"seconds": round(statistics.median(seconds), 3),
+                    "seconds_runs": [round(t, 3) for t in seconds],
+                    "peak_rss_mb": round(statistics.median(rss), 1),
+                    "peak_rss_mb_runs": [round(m, 1) for m in rss],
+                    "ok": oks[0], "report": reports[0]}
     return out
 
 
@@ -365,18 +379,20 @@ def layer_seconds(src: Path) -> dict:
 
 def perfbench_run(src: Path, workload: str, seed: int,
                   seconds: float) -> dict:
-    """The end-to-end metrics of one run of src's perfbench/run.py."""
+    """The end-to-end metrics of one run of src's perfbench/run.py, with
+    the run's median seconds per operation from its report line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=str(src), env=_env(src), capture_output=True, text=True,
         check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
+    report, result = map(json.loads, proc.stdout.splitlines()[-2:])
     if not result["correct"]:
         raise SystemExit("bench: %s seed %d failed its gate in %s"
                          % (workload, seed, src))
     return {"attempted": result["attempted"], "failed": result["failed"],
-            **{m: result["metrics"][m]["value"] for m in METRICS}}
+            **{m: result["metrics"][m]["value"] for m in METRICS},
+            "op_median_s": report["op_median_s"]}
 
 
 def perfbench_medians(src: Path, workload: str) -> dict:

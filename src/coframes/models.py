@@ -248,16 +248,6 @@ def coframe_d(model: GeometryModel, a: Form, partials=None) -> Form:
     return out
 
 
-def structure_d(a: Form, dforms: Sequence[Form]) -> Form:
-    """The part of d(a) that does not differentiate coefficients, taking
-    d(omega_i) = dforms[i]: all of d(a) when a has constant coefficients.
-    It is linear in dforms."""
-    out = Form(a.nvars, a.degree + 1, a.basis)
-    for idx, p in a.terms.items():
-        _add_structure_d(out, idx, p, dforms)
-    return out
-
-
 def _add_structure_d(out: Form, idx: Tuple[int, ...], p: rp.Poly,
                      dforms: Sequence[Form]) -> None:
     """Add p * d(omega_idx) by Leibniz, with d(omega_i) = dforms[i]."""

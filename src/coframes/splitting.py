@@ -16,12 +16,15 @@ forms C_i = d(omega_i), with no shifted model built:
 
 - The obstruction is linear in the structure forms.  Its inputs have
   constant coefficients, and for p omega_I with p constant, d(p omega_I) is
-  p d(omega_I): coframe_d reads only the structure forms (structure_d).
-  The weight-4 part, the Levi projection through the inverse pairing and
-  the trace removal through the metric are linear maps once the inputs,
-  the pairing and the metric are fixed.  The inputs are built from
-  covector indices, omega_pairs and the congruence right sides, and a
-  shift carries all of these over unchanged.
+  p d(omega_I), a Leibniz sum whose k-th term puts C_{I_k} in place of
+  omega_{I_k}.  The weight-4 part, the Levi projection through the inverse
+  pairing and the trace removal through the metric are linear maps once
+  the inputs, the pairing and the metric are fixed.  The obstruction is
+  the Levi component of the weight-4 part and reads no other weight, so
+  only that part is built: the k-th term keeps the pieces of C_{I_k} of
+  pair weight 4 - wt(I) + wt(I_k).  The inputs are built from covector
+  indices, omega_pairs and the congruence right sides, and a shift
+  carries all of these over unchanged.
 - A unit shift is a constant substitution.  omega'_j = omega_j + omega_a
   is a constant row change, so d(omega'_j) = C_j + C_a with no term from a
   differentiated coefficient, and every other row keeps its C_k.  Written
@@ -48,7 +51,7 @@ from . import linalg, ratpoly as rp
 from .forms import (Bivector, Form, contract, form_add, form_monomial,
                     form_scale, form_sub, form_zero, wedge)
 from .models import (GeometryModel, coframe_d, orbit_invariant,
-                     split_by_cell_weight, splitting_shift, structure_d)
+                     split_by_cell_weight, splitting_shift)
 from .operators import SpanSolver
 
 PolyMat = List[List[rp.Poly]]
@@ -68,10 +71,20 @@ def _dual_bivector(a: Form) -> Bivector:
     return Bivector(a.nvars, dict(a.terms))
 
 
+def _pair(sigma: Form, b: Bivector) -> rp.Poly:
+    """Full contraction of a 2-form with a bivector: the sum over k < l of
+    sigma[(k, l)] b[(k, l)], as both key a pair by its sorted indices."""
+    acc: rp.Poly = {}
+    for kl, q in b.terms.items():
+        p = sigma.terms.get(kl)
+        if p:
+            acc = rp.add(acc, rp.mul(p, q))
+    return acc
+
+
 def _pairing_matrix(levis: List[Form],
                     duals: List[Bivector]) -> linalg.Matrix:
-    return [[rp.constant_value(contract(f, b).terms.get((), {}))
-             for b in duals] for f in levis]
+    return [[rp.constant_value(_pair(f, b)) for b in duals] for f in levis]
 
 
 def _vertical_sigma(model: GeometryModel, part: Form) -> List[Form]:
@@ -169,7 +182,8 @@ class _Obstruction:
     k^2 x k^2 matrix on the flattened symmetric matrix.  A splitting shift
     carries all of these over unchanged (see the module docstring), so one
     instance serves the model and every shift of it.  report(dforms, name)
-    is the obstruction with d(omega_i) = dforms[i].
+    is the obstruction with d(omega_i) = dforms[i]; it builds d of each
+    input in weight 4 only, the one weight the Levi projection reads.
     """
 
     def __init__(self, model: GeometryModel):
@@ -198,27 +212,51 @@ class _Obstruction:
                 [int(ab == cd) - Fraction(1, 3) * gmat[ab[0]][ab[1]]
                  * ginv[cd[1]][cd[0]] for cd in pairs] for ab in pairs]
 
-    def project(self, d3: Form) -> PolyMat:
-        """Symmetric Levi component of the weight-4 part of a 3-form, made
-        trace-free by the metric for seven variables."""
+    def _project4(self, part: Form) -> PolyMat:
+        """Symmetric Levi component of a weight-4 3-form, made trace-free
+        by the metric for seven variables."""
         k = len(self.levis)
-        dpart = split_by_cell_weight(self.model, d3).get(
-            4, form_zero(self.model.nvars, 3, self.model.basis_tag))
         sym = _sym([linalg.poly_matvec(self.pinv_t,
-                                       [contract(sigma, b).terms.get((), {})
-                                        for b in self.duals])
-                    for sigma in _vertical_sigma(self.model, dpart)])
+                                       [_pair(sigma, b) for b in self.duals])
+                    for sigma in _vertical_sigma(self.model, part)])
         if self.trace_free is None:
             return sym
         flat = linalg.poly_matvec(self.trace_free,
                                   [p for row in sym for p in row])
         return [flat[a * k:(a + 1) * k] for a in range(k)]
 
+    def project(self, d3: Form) -> PolyMat:
+        """The projection of the weight-4 part of any 3-form."""
+        return self._project4(split_by_cell_weight(self.model, d3).get(
+            4, form_zero(self.model.nvars, 3, self.model.basis_tag)))
+
     def report(self, dforms: Sequence[Form], name: str) -> ObstructionReport:
-        return ObstructionReport(
-            model=name, kind=self.kind,
-            matrices=[self.project(structure_d(beta, dforms))
-                      for beta in self.inputs])
+        """The obstruction with d(omega_i) = dforms[i], d of each input
+        built in weight 4 alone.  Put in place of omega_{I_k} in omega_I, a
+        term (u, v) of C_{I_k} lands in weight wt(I) - wt(I_k) + wt(u) +
+        wt(v), so each dforms[i] is bucketed by pair weight once and
+        position k reads only the bucket of weight 4 - wt(I) + wt(I_k)."""
+        weights = self.model.weights
+        buckets: Dict[Tuple[int, int], list] = {}
+        for i, c in enumerate(dforms):
+            for uv, q in c.terms.items():
+                buckets.setdefault((i, weights[uv[0]] + weights[uv[1]]),
+                                   []).append((uv, q))
+        matrices = []
+        for beta in self.inputs:
+            part = Form(beta.nvars, 3, beta.basis)
+            for idx, p in beta.terms.items():
+                c = rp.constant_value(p)
+                rest = 4 - self.model.weight_of(idx)
+                for k, ik in enumerate(idx):
+                    sign = -c if k % 2 else c
+                    bucket = buckets.get((ik, rest + weights[ik]), ())
+                    for (u, v), q in bucket:
+                        part.add_term(idx[:k] + (u, v) + idx[k + 1:],
+                                      rp.scale(q, sign))
+            matrices.append(self._project4(part))
+        return ObstructionReport(model=name, kind=self.kind,
+                                 matrices=matrices)
 
 
 def obstruction(model: GeometryModel) -> ObstructionReport:
@@ -292,7 +330,8 @@ def _action_matrix(ob: _Obstruction, model: GeometryModel) -> linalg.Matrix:
     splitting shift of.
 
     The column of omega_j += omega_a is O(dC), with no shifted model built
-    (the module docstring gives each argument in full):
+    and, as in every report, d of each input built in weight 4 alone (the
+    module docstring gives each argument in full):
 
     - the obstruction O is linear in the structure forms C once its
       constant-coefficient inputs, pairing and metric are fixed, as d of a

@@ -6,14 +6,17 @@ from fractions import Fraction
 import pytest
 
 from coframes import linalg, ratpoly as rp
-from coframes.forms import form_add, form_pmul, form_sub, form_zero, wedge
+from coframes.forms import (Bivector, Form, contract, form_add, form_pmul,
+                            form_sub, form_zero, wedge)
 from coframes.models import (coframe_d, split_by_cell_weight, splitting_shift,
                              verify_structure)
 from coframes.pages import check_function_linear
-from coframes.splitting import (_action_matrix, _Obstruction, _seven_metric,
-                                _shift_pairs, _six_input, certify_two_adapted,
-                                normalize_splitting, obstruction,
-                                obstruction_hom, perturb, shift_action_rank)
+from coframes.splitting import (_action_matrix, _Obstruction, _pair,
+                                _seven_metric, _shift_pairs, _six_input,
+                                _sym, _unit_shift_delta, _vertical_sigma,
+                                certify_two_adapted, normalize_splitting,
+                                obstruction, obstruction_hom, perturb,
+                                shift_action_rank)
 
 from conftest import model
 
@@ -142,11 +145,12 @@ def test_normalize_reports_iterations_bounded():
     assert rep.action_rank == ACTION_RANKS["elliptic7"]
 
 
-def _with_perturbed(names, seed):
-    """Each named builtin, then one perturbed copy of each."""
+def _with_perturbed(names, seed, copies=1):
+    """Each named builtin, then copies perturbed copies of each."""
     out = [model(name) for name in names]
     rng = random.Random(seed)
-    return out + [perturb(m, rng, max_degree=2, npairs=3)[0] for m in out]
+    return out + [perturb(m, rng, max_degree=2, npairs=3)[0]
+                  for m in out for _ in range(copies)]
 
 
 def _reference_action_matrix(m):
@@ -199,3 +203,77 @@ def test_obstruction_constants_are_shift_invariant(m):
     for pair in _shift_pairs(m):
         shifted = _Obstruction(splitting_shift(m, {pair: one}))
         assert _obstruction_constants(shifted) == base
+
+
+def _reference_report(ob, dforms):
+    """ob.report(dforms, ...).matrices the long way: d of each input by
+    Leibniz in every weight, its weight-4 part split off, and each Levi
+    coefficient read by a general double contraction."""
+    m = ob.model
+    k = len(ob.levis)
+    out = []
+    for beta in ob.inputs:
+        d3 = Form(m.nvars, 3, beta.basis)
+        for idx, p in beta.terms.items():
+            for pos, i in enumerate(idx):
+                for (u, v), c in dforms[i].terms.items():
+                    coeff = rp.mul(p, c)
+                    if pos % 2:
+                        coeff = rp.neg(coeff)
+                    d3.add_term(idx[:pos] + (u, v) + idx[pos + 1:], coeff)
+        part = split_by_cell_weight(m, d3).get(4, Form(m.nvars, 3, d3.basis))
+        sym = _sym([linalg.poly_matvec(ob.pinv_t,
+                                       [contract(sigma, b).terms.get((), {})
+                                        for b in ob.duals])
+                    for sigma in _vertical_sigma(m, part)])
+        if ob.trace_free is not None:
+            flat = linalg.poly_matvec(ob.trace_free,
+                                      [p for row in sym for p in row])
+            sym = [flat[a * k:(a + 1) * k] for a in range(k)]
+        out.append(sym)
+    return out
+
+
+@pytest.mark.parametrize("m", _with_perturbed(SPLIT_MODELS, 61, copies=2),
+                         ids=lambda m: m.name)
+def test_weight4_report_matches_full_leibniz(m):
+    """The report builds d of each input in weight 4 only; it equals the
+    projection of the whole of d, on the model's structure forms and on
+    the change of them under every unit shift."""
+    ob = _Obstruction(m)
+    dforms = m.structure_forms()
+    ref = _reference_report(ob, dforms)
+    assert ob.report(dforms, m.name).matrices == ref
+    # zero on the flat builtins only
+    assert any(p for mat in ref for row in mat for p in row) == (
+        m.name not in SPLIT_MODELS)
+    for j, a in _shift_pairs(m):
+        delta = _unit_shift_delta(dforms, j, a)
+        ref = _reference_report(ob, delta)
+        assert any(p for mat in ref for row in mat for p in row)
+        assert ob.report(delta, m.name).matrices == ref
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pairing_is_the_double_contraction(seed):
+    """_pair(sigma, b) is contract(sigma, b)'s degree-0 coefficient.  The
+    bivector's entries come keyed (k, l) with k > l, with k == l, and in
+    both orders of one pair, so its normalization is read as well."""
+    rng = random.Random(seed)
+    n = 4 + seed % 4
+    sigma = Form(n, 2)
+    entries = {}
+    for _ in range(rng.randint(1, 6)):
+        lo, hi = sorted(rng.sample(range(n), 2))
+        entries[(hi, lo)] = rp.random_poly(rng, n, 2, terms=3)
+        if rng.random() < 0.5:
+            entries[(lo, hi)] = rp.random_poly(rng, n, 2, terms=3)
+        entries[(lo, lo)] = rp.random_poly(rng, n, 2, terms=3)
+        if rng.random() < 0.8:
+            sigma.add_term(rng.choice([(lo, hi), (hi, lo)]),
+                           rp.random_poly(rng, n, 2, terms=3))
+    for _ in range(rng.randint(0, 4)):
+        sigma.add_term(tuple(rng.sample(range(n), 2)),
+                       rp.random_poly(rng, n, 2, terms=3))
+    b = Bivector(n, entries)
+    assert _pair(sigma, b) == contract(sigma, b).terms.get((), {})
