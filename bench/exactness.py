@@ -53,7 +53,11 @@ other labels kept):
 With --pairs PARENT CHANGE the script instead records, under "pairs_15s",
 alternating runs of each checkout's own perfbench/run.py at the benchmark's
 run length: PAIRS[W] pairs per workload W, the side that runs first
-switching each pair, seed 101 upward.
+switching each pair, seed 101 upward.  Beside them ("checks") it records
+CHECK_PAIRS[C] alternating pairs of exactness_check(res, max_degree=3) of
+each complex C, one fresh process per run as above: every run's seconds,
+peak RSS, ok and report digest.  Seconds of two sides compare only within
+such pairs, as the box drifts over the minutes between separate records.
 
 Runs are one at a time, in subprocesses, so the two sides can be recorded
 on one machine by calls of this script.
@@ -78,6 +82,7 @@ PAIR_SECONDS = 15.0
 PAIRS = {"certify7": 10, "verify-small": 10, "apply-oneshot": 10,
          "normalize": 10}
 CHECK_RUNS = 3
+CHECK_PAIRS = {("elliptic7", "bgg"): 5, ("hyperbolic7", "bgg"): 5}
 WORKLOADS = ("certify7", "verify-small", "normalize", "apply-oneshot")
 METRICS = ("wall_s", "latency_p50_ms", "latency_p95_ms", "peak_rss_mb",
            "setup_s")
@@ -307,16 +312,21 @@ def _no_bytecode(src: Path) -> Path:
     return src
 
 
+def check_run(src: Path, geometry: str, variant: str, check: str) -> list:
+    """[seconds, ok, report, peak RSS in MB] of one check in a fresh
+    process importing src/src."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER, geometry, variant, check],
+        env=_env(src, "src"), capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def check_seconds(src: Path, check: str) -> dict:
-    env = _env(src, "src")
     runs: dict = {}
     for _ in range(CHECK_RUNS):
         for geometry, variant in COMPLEXES:
-            proc = subprocess.run(
-                [sys.executable, "-c", _WORKER, geometry, variant, check],
-                env=env, capture_output=True, text=True, check=True)
             runs.setdefault("%s/%s" % (geometry, variant), []).append(
-                json.loads(proc.stdout.splitlines()[-1]))
+                check_run(src, geometry, variant, check))
     out = {}
     for key, recs in runs.items():
         seconds, oks, reports, rss = zip(*recs)
@@ -418,9 +428,22 @@ def record_side(src: Path) -> dict:
 
 
 def perfbench_pairs(parent: Path, change: Path) -> dict:
-    """PAIRS[w] alternating parent/change runs of each workload w."""
-    runs = []
+    """PAIRS[w] alternating parent/change runs of each workload w, and
+    CHECK_PAIRS[c] of the degree-3 exactness check of each complex c."""
     sides = [("parent", parent), ("change", change)]
+    checks = []
+    for (geometry, variant), npairs in CHECK_PAIRS.items():
+        for pair in range(npairs):
+            for label, src in sides[::-1] if pair % 2 else sides:
+                seconds, ok, report, rss = check_run(src, geometry, variant,
+                                                     "exactness")
+                checks.append({
+                    "complex": "%s/%s" % (geometry, variant), "pair": pair,
+                    "side": label, "seconds": round(seconds, 3),
+                    "peak_rss_mb": round(rss, 1), "ok": ok,
+                    "report_sha256": hashlib.sha256(json.dumps(
+                        report, sort_keys=True).encode()).hexdigest()})
+    runs = []
     for workload, npairs in PAIRS.items():
         for seed in range(101, 101 + npairs):
             for label, src in sides[::-1] if seed % 2 == 0 else sides:
@@ -434,7 +457,8 @@ def perfbench_pairs(parent: Path, change: Path) -> dict:
                    "=1 and no src/coframes/__pycache__ on either side"
                    % PAIR_SECONDS,
             "parent_sha": _git(parent, "rev-parse", "HEAD"),
-            "change_src_tree": src_tree(change), "runs": runs}
+            "change_src_tree": src_tree(change), "runs": runs,
+            "checks": checks}
 
 
 def main(argv=None) -> int:

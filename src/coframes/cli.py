@@ -37,7 +37,7 @@ from .forms import form_monomial
 from .models import (GeometryModel, builtin_model, builtin_names,
                      levi_apply, model_from_json, orbit_invariant,
                      symplectic_data, verify_structure)
-from .pages import Page0, check_function_linear, e0_apply
+from .pages import check_function_linear, e0_apply
 
 GEOMETRIES = builtin_names() + ["symplectic4"]
 
@@ -133,7 +133,8 @@ def cmd_page(args) -> int:
     model = _load_model(args.geometry)
     if model is None:
         raise UsageError("symplectic4 has no coframe model to page")
-    dims = Page0(model).dims() if args.level == 0 else model.page1().dims()
+    page = model.page1()
+    dims = page.page0.dims() if args.level == 0 else page.dims()
     labels = ver.SCHUR_LABELS.get(model.name, {}) if args.level == 1 else {}
     cells = [{"p": p, "q": q, "dim": d,
               "label": ",".join(str(c) for c in labels[(p, q)])
@@ -239,7 +240,7 @@ def _check_lines(model: GeometryModel, skip: Sequence[str]) -> List[dict]:
         return okflag, "%d sections" % len(secs)
     add("e0_linear", e0_linear)
 
-    vert = model.selectors.get("vertical", ())
+    vert = model.vertical
     if vert:
         def levi_linear():
             secs = [mono((a,)) for a in vert]
@@ -248,8 +249,7 @@ def _check_lines(model: GeometryModel, skip: Sequence[str]) -> List[dict]:
             return okflag, "%d vertical covectors" % len(secs)
         add("levi_linear", levi_linear)
 
-    shape = (len(model.selectors.get("vertical", ())),
-             len(model.selectors.get("horizontal", ())))
+    shape = (len(vert), len(model.horizontal))
     if shape in ((3, 3), (3, 4)):
         def obstruction_linear():
             fn, inputs = sp.obstruction_hom(model)
@@ -421,16 +421,18 @@ def cmd_classify7(args) -> int:
     else:
         raise UsageError("model must be elliptic7, hyperbolic7, or a "
                          "JSON model file")
-    shape = (len(model.selectors["depth2"]),
-             len(model.selectors["horizontal"]))
+    shape = (len(model.depth2), len(model.horizontal))
     if shape != (3, 4):
         raise UsageError("model %s has %d depth-2 and %d horizontal "
                          "covectors; classify7 needs 3 and 4"
                          % ((model.name,) + shape))
-    rep = orbit_invariant(model)
+    try:
+        rep = orbit_invariant(model)
+    except ValueError as exc:
+        raise UsageError("cannot classify %s: %s" % (model.name, exc))
+    # the Levi bracket, and so the Gram matrix, is constant or refused
     payload = {"model": model.name, "kind": rep.kind,
-               "inertia": list(rep.inertia),
-               "gram_constant": rep.gram_constant,
+               "inertia": list(rep.inertia), "gram_constant": True,
                "levi_injective": rep.levi_injective}
     text = ["%s: %s (inertia %s)" % (model.name, rep.kind, rep.inertia)]
     csv_rows = [("model", "kind", "inertia"),

@@ -8,9 +8,13 @@ changes, splitting shifts) need not be.  One function inverts every det-1
 polynomial matrix (_pmat_inverse_unimodular): by substitution when the
 matrix is unit triangular in some order of the covectors, which proves
 det 1 by its shape, and by the adjugate otherwise.
-Each covector has a positive integer weight; declared congruences record the
-structure equations d(omega_i) = rhs modulo a set of coframe covectors, and
-verify_structure checks all of them exactly.
+Each covector has a positive integer weight, and the weights alone select
+the horizontal (weight 1), vertical (weight 2 or more) and depth-2 (weight
+2) covectors.  Declared congruences record the structure equations
+d(omega_i) = rhs modulo a set of coframe covectors, and verify_structure
+checks all of them exactly.  Nothing else reads them: the Levi bracket is
+derived from the coframe (levi_form), so the declarations stay an
+independent check of it.
 """
 
 from __future__ import annotations
@@ -137,16 +141,13 @@ class GeometryModel:
     """
 
     def __init__(self, name: str, nvars: int, weights: Sequence[int],
-                 coframe: PolyMatrix,
-                 congruences: Sequence[Congruence] = (),
-                 selectors: Optional[Dict[str, Tuple[int, ...]]] = None,
-                 extra: Optional[dict] = None, *,
+                 coframe: PolyMatrix, extra: Optional[dict] = None, *,
                  coframe_inv: Optional[PolyMatrix] = None):
         self.name = name
         self.nvars = nvars
         self.weights = tuple(int(w) for w in weights)
         self.coframe = coframe
-        self.congruences = list(congruences)
+        self.congruences: List[Congruence] = []
         self.extra = dict(extra or {})
         if len(self.weights) != nvars or len(coframe) != nvars:
             raise ValueError("weights and coframe must both have length nvars")
@@ -155,19 +156,27 @@ class GeometryModel:
         else:
             _det_one_order(coframe, nvars)
         self.coframe_inv = coframe_inv
-        self.selectors: Dict[str, Tuple[int, ...]] = {
-            "horizontal": tuple(i for i, w in enumerate(self.weights) if w == 1),
-            "vertical": tuple(i for i, w in enumerate(self.weights) if w >= 2),
-            "depth2": tuple(i for i, w in enumerate(self.weights) if w == 2),
-        }
-        if selectors:
-            self.selectors.update(selectors)
         self._structure_forms: Optional[List[Form]] = None
         self._page1: Optional[Page1] = None
 
     @property
     def basis_tag(self) -> str:
         return "coframe:%s" % self.name
+
+    @property
+    def horizontal(self) -> Tuple[int, ...]:
+        """The covectors of weight 1."""
+        return tuple(i for i, w in enumerate(self.weights) if w == 1)
+
+    @property
+    def vertical(self) -> Tuple[int, ...]:
+        """The covectors of weight 2 or more."""
+        return tuple(i for i, w in enumerate(self.weights) if w >= 2)
+
+    @property
+    def depth2(self) -> Tuple[int, ...]:
+        """The covectors of weight 2."""
+        return tuple(i for i, w in enumerate(self.weights) if w == 2)
 
     def coframe_form(self, i: int) -> Form:
         """omega_i as a coordinate-basis 1-form."""
@@ -304,15 +313,19 @@ def verify_structure(model: GeometryModel) -> StructureReport:
         congruences=congs, elapsed=time.monotonic() - t0)
 
 
-# #### Levi pairing ########################################################
+# #### Levi bracket ########################################################
 
 @dataclass
 class LeviReport:
+    """The Levi bracket of a model, for each depth-2 covector a (in the
+    order of vertical): the weight-2 part of d(omega_a), a constant 2-form
+    on the horizontal covectors (forms), and the same as a skew matrix
+    over horizontal (matrices[a])."""
     model: str
     vertical: Tuple[int, ...]
     horizontal: Tuple[int, ...]
-    matrices: Dict[int, List[List[rp.Poly]]]
-    constant: bool
+    forms: List[Form]
+    matrices: Dict[int, linalg.Matrix]
     injective: bool
 
 
@@ -330,47 +343,35 @@ def levi_apply(model: GeometryModel, a: Form) -> Form:
 
 
 def levi_form(model: GeometryModel) -> LeviReport:
-    vert = model.selectors["depth2"]
-    horiz = model.selectors["horizontal"]
+    """The one derivation of the Levi bracket, from the structure forms.
+
+    A term of weight 2 pairs two horizontal covectors.  ValueError when an
+    entry is not constant, as on a curved model; injective when the
+    brackets of the depth-2 covectors are independent, by exact rank.
+    """
+    vert, horiz = model.depth2, model.horizontal
     hpos = {h: k for k, h in enumerate(horiz)}
-    mats: Dict[int, List[List[rp.Poly]]] = {}
-    constant = True
+    forms: List[Form] = []
+    mats: Dict[int, linalg.Matrix] = {}
     for a in vert:
-        m: List[List[rp.Poly]] = [[{} for _ in horiz] for _ in horiz]
-        w2 = split_by_cell_weight(model, model.structure_forms()[a]).get(2)
-        if w2 is not None:
-            for (u, v), p in w2.terms.items():
-                if u in hpos and v in hpos:
-                    m[hpos[u]][hpos[v]] = p
-                    m[hpos[v]][hpos[u]] = rp.neg(p)
-                    if not rp.is_constant(p):
-                        constant = False
+        parts = split_by_cell_weight(model, model.structure_forms()[a])
+        f = parts[2] if 2 in parts else form_zero(model.nvars, 2,
+                                                  model.basis_tag)
+        m = [[Fraction(0)] * len(horiz) for _ in horiz]
+        for (u, v), p in f.terms.items():
+            if not rp.is_constant(p):
+                raise ValueError(
+                    "the Levi bracket of %s is not constant: d(omega_%d) "
+                    "has a nonconstant omega_%d ^ omega_%d coefficient"
+                    % (model.name, a + 1, u + 1, v + 1))
+            c = rp.constant_value(p)
+            m[hpos[u]][hpos[v]], m[hpos[v]][hpos[u]] = c, -c
+        forms.append(f)
         mats[a] = m
-    if constant:
-        rows = [[rp.constant_value(e) for row in mats[a] for e in row]
-                for a in vert]
-        injective = linalg.rank(rows) == len(vert) if vert else True
-    else:
-        # evaluate at a handful of fixed rational points
-        pts = _sample_points(model.nvars)
-        injective = False
-        for pt in pts:
-            rows = [[rp.evaluate(e, pt) for row in mats[a] for e in row]
-                    for a in vert]
-            if linalg.rank(rows) == len(vert):
-                injective = True
-                break
+    rows = [[c for row in mats[a] for c in row] for a in vert]
     return LeviReport(model=model.name, vertical=vert, horizontal=horiz,
-                      matrices=mats, constant=constant, injective=injective)
-
-
-def _sample_points(nvars: int) -> List[List[Fraction]]:
-    base = [Fraction(1, 2), Fraction(-1, 3), Fraction(2), Fraction(-3, 5),
-            Fraction(1, 7), Fraction(5, 4), Fraction(-2, 7)]
-    pts = []
-    for shift in range(3):
-        pts.append([base[(i + shift) % len(base)] for i in range(nvars)])
-    return pts
+                      forms=forms, matrices=mats,
+                      injective=not vert or linalg.rank(rows) == len(vert))
 
 
 # #### Orbit classification ################################################
@@ -379,58 +380,38 @@ def _sample_points(nvars: int) -> List[List[Fraction]]:
 class OrbitReport:
     model: str
     kind: str
-    gram: List[List[rp.Poly]]
-    gram_constant: bool
+    gram: linalg.Matrix
     inertia: Tuple[int, int, int]
     levi_injective: bool
 
 
-def _pfaffian4_poly(b: List[List[rp.Poly]]) -> rp.Poly:
-    return rp.add(rp.sub(rp.mul(b[0][1], b[2][3]),
-                         rp.mul(b[0][2], b[1][3])),
-                  rp.mul(b[0][3], b[1][2]))
+def _pfaffian_pairing(x: linalg.Matrix, y: linalg.Matrix) -> Fraction:
+    """The polarized Pfaffian of two 4 x 4 skew matrices: Pf(x) at y = x."""
+    return (x[0][1] * y[2][3] + y[0][1] * x[2][3]
+            - x[0][2] * y[1][3] - y[0][2] * x[1][3]
+            + x[0][3] * y[1][2] + y[0][3] * x[1][2]) / 2
 
 
-def orbit_invariant(model: GeometryModel) -> OrbitReport:
-    """Classify a 3-in-7 structure by the inertia of its Pfaffian form."""
-    levi = levi_form(model)
+def pfaffian_gram(levi: LeviReport) -> linalg.Matrix:
+    """The Pfaffian form on the brackets of a 3-in-7 structure: its
+    polarization on the three depth-2 matrices."""
     vert, horiz = levi.vertical, levi.horizontal
     if len(vert) != 3 or len(horiz) != 4:
         raise ValueError(
             "orbit classification needs 3 depth-2 covectors over a 4-dim "
             "horizontal space; got %d and %d" % (len(vert), len(horiz)))
     mats = [levi.matrices[a] for a in vert]
+    return [[_pfaffian_pairing(x, y) for y in mats] for x in mats]
 
-    def madd(x, y):
-        return [[rp.add(a, b) for a, b in zip(rx, ry)]
-                for rx, ry in zip(x, y)]
 
-    gram: List[List[rp.Poly]] = [[{} for _ in range(3)] for _ in range(3)]
-    pf_single = [_pfaffian4_poly(m) for m in mats]
-    for a in range(3):
-        gram[a][a] = pf_single[a]
-    for a in range(3):
-        for b in range(a + 1, 3):
-            cross = rp.sub(rp.sub(_pfaffian4_poly(madd(mats[a], mats[b])),
-                                  pf_single[a]), pf_single[b])
-            half = rp.scale(cross, Fraction(1, 2))
-            gram[a][b] = half
-            gram[b][a] = half
-    gram_constant = all(rp.is_constant(e) for row in gram for e in row)
-    if gram_constant:
-        g = [[rp.constant_value(e) for e in row] for row in gram]
-        inert = linalg.inertia(g)
-        kinds = {_classify_inertia(inert)}
-    else:
-        kinds = set()
-        inert = (0, 0, 0)
-        for pt in _sample_points(model.nvars):
-            g = [[rp.evaluate(e, pt) for e in row] for row in gram]
-            inert = linalg.inertia(g)
-            kinds.add(_classify_inertia(inert))
-    kind = kinds.pop() if len(kinds) == 1 else "degenerate"
-    return OrbitReport(model=model.name, kind=kind, gram=gram,
-                       gram_constant=gram_constant, inertia=inert,
+def orbit_invariant(model: GeometryModel) -> OrbitReport:
+    """Classify a 3-in-7 structure by the inertia of its Pfaffian form.
+    ValueError on any other shape and on a nonconstant Levi bracket."""
+    levi = levi_form(model)
+    gram = pfaffian_gram(levi)
+    inert = linalg.inertia(gram)
+    return OrbitReport(model=model.name, kind=_classify_inertia(inert),
+                       gram=gram, inertia=inert,
                        levi_injective=levi.injective)
 
 
@@ -458,7 +439,6 @@ def change_rows(model: GeometryModel, emat: PolyMatrix,
     new_inv = _pmat_mul(model.coframe_inv,
                         _pmat_inverse_unimodular(emat, model.nvars))
     return GeometryModel(name, model.nvars, model.weights, new_a,
-                         selectors=dict(model.selectors),
                          extra=dict(model.extra), coframe_inv=new_inv)
 
 
@@ -480,7 +460,7 @@ def splitting_shift(model: GeometryModel, shifts: Dict[Tuple[int, int], rp.Poly]
             raise ValueError("shift must add a vertical row to a horizontal")
         emat[j][a] = t
     out = change_rows(model, emat, name or (model.name + "_shifted"))
-    vert = model.selectors["vertical"]
+    vert = model.vertical
     out.congruences = []
     for cg in model.congruences:
         rhs = cg.rhs.copy()
@@ -538,8 +518,7 @@ def builtin_model(name: str) -> GeometryModel:
                            Fraction(-1, 2))
         mat = _rowset(n, {(0, 3): x(2), (0, 4): half_sq,
                           (1, 4): x(2), (2, 4): x(3)})
-        m = GeometryModel(name, n, (3, 3, 2, 1, 1), mat,
-                          selectors={"top": (0, 1)})
+        m = GeometryModel(name, n, (3, 3, 2, 1, 1), mat)
         m.congruences = [_cong(n, m.basis_tag, 0, {(2, 3): 1}),
                          _cong(n, m.basis_tag, 1, {(2, 4): 1}),
                          _cong(n, m.basis_tag, 2, {(3, 4): 1})]
@@ -571,8 +550,7 @@ def builtin_model(name: str) -> GeometryModel:
             (1, 5): x(3), (1, 6): rp.scale(x(4), Fraction(-eps)),
             (2, 6): x(3), (2, 5): x(4),
         })
-        m = GeometryModel(name, n, (2, 2, 2, 1, 1, 1, 1), mat,
-                          extra={"epsilon": eps})
+        m = GeometryModel(name, n, (2, 2, 2, 1, 1, 1, 1), mat)
         m.congruences = [
             _cong(n, m.basis_tag, 0, {(3, 4): 1, (5, 6): eps}),
             _cong(n, m.basis_tag, 1, {(3, 5): 1, (4, 6): -eps}),
@@ -613,8 +591,6 @@ def model_to_json(model: GeometryModel) -> dict:
             "rhs": form_to_json(cg.rhs),
             "mod": [i + 1 for i in cg.mod],
         } for cg in model.congruences],
-        "selectors": {k: [i + 1 for i in v]
-                      for k, v in sorted(model.selectors.items())},
         "extra": _extra_to_json(model.extra),
     }
 
@@ -630,17 +606,14 @@ def model_from_json(obj: dict) -> GeometryModel:
             and all(isinstance(r, list) and len(r) == n for r in rows)):
         raise ValueError("coframe must be %d rows of %d polynomials" % (n, n))
     mat = [[rp.poly_from_json(e, n) for e in row] for row in rows]
-    for key in ("selectors", "extra"):
-        if not isinstance(obj.get(key, {}), dict):
-            raise ValueError("%s must be a JSON object" % key)
+    if not isinstance(obj.get("extra", {}), dict):
+        raise ValueError("extra must be a JSON object")
     if not isinstance(obj["name"], str):
         raise ValueError("name must be a string, got %.40r" % (obj["name"],))
-    selectors = {k: _json_indices(v, n, "selector index")
-                 for k, v in obj.get("selectors", {}).items()}
     weights = _json_ints(obj["weights"], "weight")
     if not all(w >= 1 for w in weights):
         raise ValueError("weights must be positive, got %.40r" % (weights,))
-    model = GeometryModel(obj["name"], n, weights, mat, selectors=selectors,
+    model = GeometryModel(obj["name"], n, weights, mat,
                           extra=_extra_from_json(obj.get("extra", {}), n))
     for cg in obj.get("congruences", []):
         rhs = form_from_json(cg["rhs"])

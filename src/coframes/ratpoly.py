@@ -142,18 +142,6 @@ def is_weighted_homogeneous(p: Poly, weights: Sequence[int]) -> bool:
     return len(degs) <= 1
 
 
-def evaluate(p: Poly, point: Sequence[Fraction]) -> Fraction:
-    """Exact value at a rational point."""
-    total = Fraction(0)
-    for e, c in p.items():
-        v = c
-        for x, k in zip(point, e):
-            if k:
-                v = v * x ** k
-        total += v
-    return total
-
-
 def pdiv_exact(p: Poly, q: Poly) -> Poly:
     """Exact division p / q; raises if q does not divide p.
 

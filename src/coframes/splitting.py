@@ -1,6 +1,6 @@
 """Splitting normalization for the six and seven variable geometries.
 
-A coframe realizing the structure congruences still leaves a choice: how the
+A coframe with a given Levi bracket still leaves a choice: how the
 horizontal covectors sit inside all 1-forms.  Changing that choice adds
 vertical covectors into horizontal ones.  Part of an associated component of
 d, computed here as an explicit obstruction, is moved affinely by such
@@ -23,8 +23,9 @@ forms C_i = d(omega_i), with no shifted model built:
   the Levi component of the weight-4 part and reads no other weight, so
   only that part is built: the k-th term keeps the pieces of C_{I_k} of
   pair weight 4 - wt(I) + wt(I_k).  The inputs are built from covector
-  indices, omega_pairs and the congruence right sides, and a shift
-  carries all of these over unchanged.
+  indices, omega_pairs and the Levi bracket (models.levi_form, the
+  weight-2 part of C_a for the depth-2 rows a), and a shift carries all
+  of these over unchanged: see the third fact.
 - A unit shift is a constant substitution.  omega'_j = omega_j + omega_a
   is a constant row change, so d(omega'_j) = C_j + C_a with no term from a
   differentiated coefficient, and every other row keeps its C_k.  Written
@@ -32,11 +33,12 @@ forms C_i = d(omega_i), with no shifted model built:
   p omega_I with j in I gains -p omega_I', I' being I with j replaced by a.
   The difference dC of the shifted and the original structure forms is
   row j's C_a plus those terms, and the obstruction moves by O(dC).
-- The metric does not move.  It is built from the horizontal-horizontal
-  (weight 2) part of C_a for the depth-2 rows a.  A shift, even with a
-  polynomial coefficient t, leaves those rows alone, and rewriting their
-  C_a through omega_j = omega'_j - t omega'_a turns a horizontal-horizontal
-  term into itself plus terms with a vertical leg, of weight at least 3.
+- The Levi bracket, and with it the metric, does not move.  Both are
+  built from the horizontal-horizontal (weight 2) part of C_a for the
+  depth-2 rows a.  A shift, even with a polynomial coefficient t, leaves
+  those rows alone, and rewriting their C_a through omega_j = omega'_j -
+  t omega'_a turns a horizontal-horizontal term into itself plus terms
+  with a vertical leg, of weight at least 3.
 """
 
 from __future__ import annotations
@@ -50,25 +52,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg, ratpoly as rp
 from .forms import (Bivector, Form, contract, form_add, form_monomial,
                     form_scale, form_sub, form_zero, wedge)
-from .models import (GeometryModel, coframe_d, orbit_invariant,
+from .models import (GeometryModel, coframe_d, levi_form, pfaffian_gram,
                      split_by_cell_weight, splitting_shift)
 from .operators import SpanSolver
 
 PolyMat = List[List[rp.Poly]]
-
-
-def _levi_forms(model: GeometryModel) -> List[Form]:
-    """Congruence right-hand sides, one constant 2-form per vertical row."""
-    vert = model.selectors["vertical"]
-    by_index = {c.index: c.rhs for c in model.congruences}
-    return [by_index[a] for a in vert]
-
-
-def _dual_bivector(a: Form) -> Bivector:
-    for p in a.terms.values():
-        if not rp.is_constant(p):
-            raise ValueError("congruence right side is not constant")
-    return Bivector(a.nvars, dict(a.terms))
 
 
 def _pair(sigma: Form, b: Bivector) -> rp.Poly:
@@ -93,7 +81,7 @@ def _vertical_sigma(model: GeometryModel, part: Form) -> List[Form]:
     Relies on vertical indices sorting before horizontal ones, which holds
     for every builtin model.
     """
-    vert = model.selectors["vertical"]
+    vert = model.vertical
     pos = {a: i for i, a in enumerate(vert)}
     out = [Form(model.nvars, part.degree - 1, model.basis_tag)
            for _ in vert]
@@ -145,8 +133,7 @@ def _seven_inputs(model: GeometryModel,
     """Basis of the distinguished rank-4 piece inside vertical wedge
     horizontal 2-forms: contract each Levi dual into a horizontal 3-form
     and reattach the matching vertical covector."""
-    horiz = model.selectors["horizontal"]
-    vert = model.selectors["vertical"]
+    horiz, vert = model.horizontal, model.vertical
     out = []
     for trip in combinations(horiz, 3):
         xi = form_monomial(model.nvars, trip, 1, model.basis_tag)
@@ -165,21 +152,16 @@ def _seven_inputs(model: GeometryModel,
     return out
 
 
-def _seven_metric(model: GeometryModel) -> Tuple[linalg.Matrix, linalg.Matrix]:
-    orb = orbit_invariant(model)
-    if not orb.gram_constant:
-        raise ValueError("orbit invariant is not constant")
-    gmat = [[rp.constant_value(p) for p in row] for row in orb.gram]
-    return gmat, linalg.inverse(gmat)
-
-
 class _Obstruction:
     """The obstruction of one model as a linear map of structure forms.
 
     Holds what does not depend on them: the constant-coefficient inputs,
-    the Levi forms and duals, the transposed inverse of their pairing and,
-    for seven variables, the trace removal by the metric, a constant
-    k^2 x k^2 matrix on the flattened symmetric matrix.  A splitting shift
+    the Levi bracket (one models.levi_form report: its 2-forms, and their
+    duals as bivectors), the transposed inverse of their pairing and, for
+    seven variables, the trace removal by the metric, the Pfaffian form of
+    the same report: a constant k^2 x k^2 matrix on the flattened
+    symmetric matrix.  The bracket is defined on the depth-2 covectors, so
+    the model's vertical covectors must be exactly those.  A splitting shift
     carries all of these over unchanged (see the module docstring), so one
     instance serves the model and every shift of it.  report(dforms, name)
     is the obstruction with d(omega_i) = dforms[i]; it builds d of each
@@ -187,15 +169,15 @@ class _Obstruction:
     """
 
     def __init__(self, model: GeometryModel):
-        shape = (len(model.selectors["vertical"]),
-                 len(model.selectors["horizontal"]))
-        if shape not in ((3, 3), (3, 4)):
+        shape = (len(model.vertical), len(model.horizontal))
+        if shape not in ((3, 3), (3, 4)) or model.vertical != model.depth2:
             raise KeyError("no splitting obstruction for model %s"
                            % model.name)
         self.model = model
         self.kind = "six" if shape == (3, 3) else "seven"
-        self.levis = _levi_forms(model)
-        self.duals = [_dual_bivector(f) for f in self.levis]
+        levi = levi_form(model)
+        self.levis = levi.forms
+        self.duals = [Bivector(f.nvars, dict(f.terms)) for f in self.levis]
         self.pinv_t = linalg.transpose(linalg.inverse(
             _pairing_matrix(self.levis, self.duals)))
         self.trace_free: Optional[linalg.Matrix] = None
@@ -205,7 +187,8 @@ class _Obstruction:
             self.inputs = _seven_inputs(model, self.duals)
             # I - (1/3) gmat (x) ginv^T: subtracts a third of the trace
             # sum_ab ginv[a][b] sym[b][a] times gmat
-            gmat, ginv = _seven_metric(model)
+            gmat = pfaffian_gram(levi)
+            ginv = linalg.inverse(gmat)
             k = len(gmat)
             pairs = [(a, b) for a in range(k) for b in range(k)]
             self.trace_free = [
@@ -271,7 +254,7 @@ def obstruction_hom(model: GeometryModel):
     map embeds the symmetric matrices back into weight-4 3-forms.
     """
     ob = _Obstruction(model)
-    vert = model.selectors["vertical"]
+    vert = model.vertical
 
     def map_fn(a: Form) -> Form:
         sym = ob.project(coframe_d(model, a))
@@ -302,8 +285,7 @@ class NormalizeReport:
 
 
 def _shift_pairs(model: GeometryModel) -> List[Tuple[int, int]]:
-    return [(j, a) for j in model.selectors["horizontal"]
-            for a in model.selectors["vertical"]]
+    return [(j, a) for j in model.horizontal for a in model.vertical]
 
 
 def _unit_shift_delta(dforms: Sequence[Form], j: int, a: int) -> List[Form]:
@@ -445,7 +427,7 @@ def certify_two_adapted(model: GeometryModel) -> TwoAdaptedReport:
     vertical legs.  Exact arithmetic throughout; the 1-form is solved for,
     not assumed.
     """
-    horiz = model.selectors["horizontal"]
+    horiz = model.horizontal
     omega = _six_input(model)
     dom = coframe_d(model, omega)
     parts = split_by_cell_weight(model, dom)
@@ -463,7 +445,7 @@ def certify_two_adapted(model: GeometryModel) -> TwoAdaptedReport:
     except ValueError:
         nu, resid_zero = [{} for _ in horiz], False
     higher_ok = True
-    vert = set(model.selectors["vertical"])
+    vert = set(model.vertical)
     for w, piece in parts.items():
         if w <= 4:
             continue

@@ -171,14 +171,13 @@ def test_criterion_09_function_linearity():
         ok, _ = check_function_linear(lambda a: e0_apply(m, a), secs, mults)
         assert ok, "%s e0" % name
         checked += 1
-        vert = m.selectors.get("vertical", ())
+        vert = m.vertical
         if vert:
             ok, _ = check_function_linear(
                 lambda a: levi_apply(m, a), [mono((a,)) for a in vert], mults)
             assert ok, "%s levi" % name
             checked += 1
-        if (len(vert), len(m.selectors.get("horizontal", ()))) in (
-                (3, 3), (3, 4)):
+        if (len(vert), len(m.horizontal)) in ((3, 3), (3, 4)):
             fn, inputs = sp.obstruction_hom(m)
             ok, _ = check_function_linear(fn, inputs, mults)
             assert ok, "%s obstruction" % name

@@ -48,6 +48,29 @@ def test_page_level1_engel(capsys):
                      (2, 2): 1, (3, 3): 2, (4, 3): 1}
 
 
+@pytest.mark.parametrize("geometry", ["engel4", "g2_5", "elliptic7"])
+def test_page_level0_reads_the_models_one_page(capsys, monkeypatch,
+                                               geometry):
+    from coframes import models, pages
+    want = pages.Page0(models.builtin_model(geometry)).dims()
+    built = []
+    for cls in (pages.Page0, pages.Page1):
+        def counted(self, model, init=cls.__init__, name=cls.__name__):
+            built.append(name)
+            init(self, model)
+        monkeypatch.setattr(cls, "__init__", counted)
+    code, out, err = run(capsys, "page", geometry, "--level", "0",
+                         "--format", "json")
+    assert code == 0
+    # one page-0 table, the one inside the model's page
+    assert built == ["Page1", "Page0"]
+    payload = json.loads(out)
+    assert payload["level"] == 0
+    assert [(c["p"], c["q"], c["dim"], c["label"])
+            for c in payload["cells"]] == [
+                (p, q, d, "") for (p, q), d in sorted(want.items())]
+
+
 def test_page_csv_has_header(capsys):
     code, out, err = run(capsys, "page", "contact5", "--format", "csv")
     assert code == 0
@@ -500,12 +523,6 @@ def _drop_rows(blob):
     del blob["coframe"][3:]
 
 
-def _selector_index(i):
-    def mutate(blob):
-        blob["selectors"]["depth2"][0] = i
-    return mutate
-
-
 def _congruence_index(blob):
     blob["congruences"][0]["index"] = 99
 
@@ -532,18 +549,16 @@ def _rhs_index(blob):
     blob["congruences"][0]["rhs"]["terms"][0]["indices"] = [4, 9]
 
 
-# every 1-based index is range-checked where the file is read: unchecked,
-# selector index 0 would become -1 and classify as degenerate
+# every 1-based index is range-checked where the file is read
 @pytest.mark.parametrize("mutate", [_break_first_entry, _zero_denominator,
-                                    _drop_rows, _selector_index(99),
-                                    _selector_index(0), _congruence_index,
+                                    _drop_rows, _congruence_index,
                                     _congruence_mod, _numeric_name,
                                     _zero_weight, _rhs_field("nvars", 5),
                                     _rhs_field("degree", 3), _rhs_index],
                          ids=["string-entry", "zero-den", "three-rows",
-                              "selector-99", "selector-0", "congruence-99",
-                              "mod-99", "numeric-name", "zero-weight",
-                              "rhs-nvars-5", "rhs-degree-3", "rhs-index-9"])
+                              "congruence-99", "mod-99", "numeric-name",
+                              "zero-weight", "rhs-nvars-5", "rhs-degree-3",
+                              "rhs-index-9"])
 def test_classify7_malformed_model_exits_2(tmp_path, capsys, mutate):
     from coframes.models import builtin_model, model_to_json
     blob = model_to_json(builtin_model("elliptic7"))
@@ -553,6 +568,38 @@ def test_classify7_malformed_model_exits_2(tmp_path, capsys, mutate):
     code, out, err = run(capsys, "classify7", "--model", str(path))
     assert code == 2
     assert "cannot read model file" in err
+
+
+def test_classify7_curved_model_exits_2(tmp_path, capsys):
+    """x_3^2 added to coframe[0][4], the dx_4 coefficient of omega_0
+    (0-based), puts 2 x_3 omega_3 ^ omega_4 into d(omega_0): the Levi
+    bracket is not constant, so the model has no orbit class."""
+    from coframes.models import builtin_model, model_to_json
+    blob = model_to_json(builtin_model("elliptic7"))
+    blob["coframe"][0][4]["terms"].append(
+        {"exps": [0, 0, 0, 2, 0, 0, 0], "num": "1", "den": "1"})
+    path = tmp_path / "curved.json"
+    path.write_text(json.dumps(blob))
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, "classify7", "--model", str(path),
+                             "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot classify elliptic7: ")
+        assert "not constant" in err and "Traceback" not in err
+
+
+def test_classify7_ignores_a_selectors_key(tmp_path, capsys):
+    """Selectors come from the weights; a "selectors" key is not read."""
+    from coframes.models import builtin_model, model_to_json
+    blob = model_to_json(builtin_model("elliptic7"))
+    blob["selectors"] = {"depth2": [99], "horizontal": [0]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "classify7", "--model", str(path),
+                         "--format", "json")
+    assert code == 0
+    assert json.loads(out)["inertia"] == [3, 0, 0]
 
 
 def test_classify7_non_seven_variable_model_exits_2(tmp_path, capsys):

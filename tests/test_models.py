@@ -2,12 +2,13 @@
 
 import json
 import random
+import re
 import time
 
 import pytest
 
 from coframes import cli, linalg, ratpoly as rp
-from coframes.models import (_det_one_order, _pmat_identity,
+from coframes.models import (GeometryModel, _det_one_order, _pmat_identity,
                              _pmat_inverse_unimodular, _pmat_mul,
                              builtin_model, builtin_names,
                              change_rows, coframe_d, levi_apply, levi_form,
@@ -74,18 +75,51 @@ def test_split_by_cell_weight_partitions(each_model):
 
 
 def test_levi_form_constant_on_builtins(each_model):
-    rep = levi_form(each_model)
-    if not rep.vertical:
-        pytest.skip("no vertical covectors")
-    assert rep.constant
+    """levi_form derives a constant bracket on every builtin (it raises
+    otherwise), injective, and its matrices are its forms."""
+    m = each_model
+    rep = levi_form(m)
+    assert rep.vertical == m.depth2 and rep.horizontal == m.horizontal
+    assert rep.injective
+    for a, f in zip(rep.vertical, rep.forms):
+        assert all(rp.is_constant(p) for p in f.terms.values())
+        mat = rep.matrices[a]
+        assert {(m.horizontal[i], m.horizontal[j]): c
+                for i, row in enumerate(mat) for j, c in enumerate(row)
+                if c and i < j} == {
+                    uv: rp.constant_value(p) for uv, p in f.terms.items()}
+        assert all(mat[i][j] == -mat[j][i] for i in range(len(mat))
+                   for j in range(len(mat)))
+
+
+def test_levi_form_refuses_a_nonconstant_bracket():
+    # x_3^2 added to the dx_4 coefficient of omega_0 (0-based, as in
+    # coframe[0][4]) adds 2 x_3 omega_3 ^ omega_4 to d(omega_0)
+    m = builtin_model("elliptic7")
+    coframe = [row[:] for row in m.coframe]
+    x3 = rp.var(3, 7)
+    coframe[0][4] = rp.add(coframe[0][4], rp.mul(x3, x3))
+    m = GeometryModel("curved7", 7, m.weights, coframe)
+    with pytest.raises(ValueError, match=re.escape(
+            "the Levi bracket of curved7 is not constant: d(omega_1) has a "
+            "nonconstant omega_4 ^ omega_5 coefficient")):
+        levi_form(m)
+    with pytest.raises(ValueError, match="not constant"):
+        orbit_invariant(m)
+
+
+def test_selectors_come_from_the_weights():
+    m = model("g2_5")
+    assert (m.horizontal, m.vertical, m.depth2) == ((3, 4), (0, 1, 2), (2,))
+    assert "selectors" not in model_to_json(m)
 
 
 def test_levi_apply_matches_depth2_congruences(each_model):
     m = each_model
-    horiz = set(m.selectors.get("horizontal", ()))
+    horiz = set(m.horizontal)
     by_index = {c.index: c for c in m.congruences}
     checked = 0
-    for a in m.selectors.get("depth2", ()):
+    for a in m.depth2:
         cong = by_index.get(a)
         if cong is None:
             continue
@@ -140,8 +174,7 @@ def _assert_carried_inverse(m):
 def test_row_changes_carry_exact_inverse(name):
     m = model(name)
     rng = random.Random(17)
-    horiz = m.selectors["horizontal"]
-    vert = m.selectors["vertical"]
+    horiz, vert = m.horizontal, m.vertical
     shifts = {(horiz[0], vert[0]): rp.random_poly(rng, m.nvars, 2, terms=3),
               (horiz[-1], vert[-1]): rp.var(horiz[1], m.nvars)}
     _assert_carried_inverse(splitting_shift(m, shifts))

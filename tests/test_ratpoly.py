@@ -71,25 +71,6 @@ def test_degrees_and_weighted_parts():
     assert not rp.is_weighted_homogeneous(p, w)
 
 
-def test_evaluate_matches_substitution():
-    rng = random.Random(11)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        p = rand_poly(rng, n, terms=5, deg=3)
-        pt = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-              for _ in range(n)]
-        direct = sum((c * prod(pt, e) for e, c in p.items()),
-                     Fraction(0))
-        assert rp.evaluate(p, pt) == direct
-
-
-def prod(pt, exps):
-    out = Fraction(1)
-    for v, e in zip(pt, exps):
-        out *= v ** e
-    return out
-
-
 def test_pdiv_exact_roundtrip():
     rng = random.Random(13)
     for _ in range(30):

@@ -8,11 +8,13 @@ import pytest
 from coframes import linalg, ratpoly as rp
 from coframes.forms import (Bivector, Form, contract, form_add, form_pmul,
                             form_sub, form_zero, wedge)
-from coframes.models import (coframe_d, split_by_cell_weight, splitting_shift,
+from coframes.models import (builtin_model, coframe_d, levi_form,
+                             model_from_json, model_to_json, pfaffian_gram,
+                             split_by_cell_weight, splitting_shift,
                              verify_structure)
 from coframes.pages import check_function_linear
 from coframes.splitting import (_action_matrix, _Obstruction, _pair,
-                                _seven_metric, _shift_pairs, _six_input,
+                                _shift_pairs, _six_input,
                                 _sym, _unit_shift_delta, _vertical_sigma,
                                 certify_two_adapted, normalize_splitting,
                                 obstruction, obstruction_hom, perturb,
@@ -41,6 +43,17 @@ def test_shift_action_rank_frozen(name):
 def test_obstruction_rejects_other_shapes():
     with pytest.raises(KeyError):
         obstruction(model("engel4"))
+
+
+def test_obstruction_rejects_vertical_rows_beyond_depth_2():
+    # dist3in6's shape, with one vertical row of weight 3: the Levi
+    # bracket covers the depth-2 rows only
+    blob = model_to_json(builtin_model("dist3in6"))
+    blob["weights"][0] = 3
+    m = model_from_json(blob)
+    assert (len(m.vertical), len(m.horizontal)) == (3, 3)
+    with pytest.raises(KeyError, match="no splitting obstruction"):
+        obstruction(m)
 
 
 @pytest.mark.parametrize("name", SPLIT_MODELS)
@@ -92,7 +105,7 @@ def test_two_adapted_correction_solves_the_congruence():
     assert cert.ok and any(nu)
     omega = _six_input(m)
     lhs = form_zero(m.nvars, 3, m.basis_tag)
-    for j, p in zip(m.selectors["horizontal"], nu):
+    for j, p in zip(m.horizontal, nu):
         wj = form_zero(m.nvars, 1, m.basis_tag)
         wj.add_term((j,), rp.const(1, m.nvars))
         piece = split_by_cell_weight(m, wedge(wj, omega)).get(4)
@@ -129,7 +142,7 @@ def test_shifted_model_keeps_congruences_mod_vertical():
     shifted = splitting_shift(m, {(3, 0): rp.var(4, m.nvars)})
     rep = verify_structure(shifted)
     assert all(c["holds"] for c in rep.congruences)
-    vert = set(m.selectors["vertical"])
+    vert = set(m.vertical)
     for cg in shifted.congruences:
         assert vert <= set(cg.mod)
 
@@ -151,6 +164,27 @@ def _with_perturbed(names, seed, copies=1):
     rng = random.Random(seed)
     return out + [perturb(m, rng, max_degree=2, npairs=3)[0]
                   for m in out for _ in range(copies)]
+
+
+def _perturbed_by_seed(names, seeds):
+    return [pytest.param(perturb(model(name), random.Random(seed))[0],
+                         id="%s-perturbed-%d" % (name, seed))
+            for name in names for seed in seeds]
+
+
+@pytest.mark.parametrize("m", [pytest.param(model(n), id=n)
+                               for n in SPLIT_MODELS]
+                         + _perturbed_by_seed(SPLIT_MODELS, range(3)))
+def test_levi_bracket_is_the_declared_congruences(m):
+    """Splitting reads the derived bracket (levi_form), never a
+    congruence.  The depth-2 congruence right sides, which a shift carries
+    over unchanged, stay an independent check of it: on a shifted model
+    d(omega_a) also has terms with a vertical leg, which the bracket's
+    weight-2 filter drops."""
+    rhs = {c.index: c.rhs for c in m.congruences}
+    rep = levi_form(m)
+    assert rep.vertical == m.depth2 == m.vertical
+    assert rep.forms == [rhs[a] for a in rep.vertical]
 
 
 def _reference_action_matrix(m):
@@ -180,10 +214,11 @@ def test_action_matrix_matches_shifted_models(m):
 @pytest.mark.parametrize("m", _with_perturbed(("elliptic7", "hyperbolic7"),
                                               59), ids=lambda m: m.name)
 def test_seven_metric_is_shift_invariant(m):
-    metric = _seven_metric(m)
+    metric = pfaffian_gram(levi_form(m))
     one = rp.const(1, m.nvars)
     for pair in _shift_pairs(m):
-        assert _seven_metric(splitting_shift(m, {pair: one})) == metric
+        shifted = splitting_shift(m, {pair: one})
+        assert pfaffian_gram(levi_form(shifted)) == metric
 
 
 def _obstruction_constants(ob):
