@@ -46,9 +46,11 @@ other labels kept):
   every geometry; `list` and `report G` for every geometry in each
   format; engel4's P and S on three random sections each; the normalize
   workload's NormalizeReports for SEEDS, as values (Fractions and ints
-  alike), with the normalized coframe and its inverse; shift_action_rank
-  of the split models; and the degree-3 exactness and composition reports
-  above.
+  alike), with the normalized coframe and its inverse, and
+  certify_two_adapted of its dist3in6 reports' normalized models;
+  shift_action_rank of the split models, and obstruction(m).matrices of
+  each and of its splitting.perturb copies under random.Random(seed) for
+  SEEDS; and the degree-3 exactness and composition reports above.
 
 With --pairs PARENT CHANGE the script instead records, under "pairs_15s",
 alternating runs of each checkout's own perfbench/run.py at the benchmark's
@@ -238,7 +240,11 @@ for seed in SEEDS:
     ops = workloads.setup_apply_oneshot(seed, ".")
     out["apply_oneshot/%d" % seed] = sha([[op.name, *op.run()] for op in ops])
     ops = workloads.setup_normalize(seed, ".")
-    out["normalize/%d" % seed] = sha([canon(op.run()) for op in ops])
+    reps = [(op.name, op.run()) for op in ops]
+    out["normalize/%d" % seed] = sha([canon(rep) for _, rep in reps])
+    out["two_adapted/%d" % seed] = sha(
+        [canon(splitting.certify_two_adapted(rep.normalized))
+         for name, rep in reps if name.endswith(":dist3in6")])
 for geometry, variant in COMPLEXES:
     if variant == "rs":
         res = operators.build_rs_complex(2)
@@ -261,8 +267,12 @@ for fmt in ("text", "json", "csv"):
         out["report/%s/%s/%s" % (geometry, variant, fmt)] = sha(cli_out(
             ["report", geometry, "--complex", variant, "--format", fmt]))
 for name in ("dist3in6", "elliptic7", "hyperbolic7"):
-    out["shift_action_rank/" + name] = sha(
-        splitting.shift_action_rank(models.builtin_model(name)))
+    base = models.builtin_model(name)
+    out["shift_action_rank/" + name] = sha(splitting.shift_action_rank(base))
+    out["obstruction/" + name] = sha(
+        [canon(splitting.obstruction(m).matrices) for m in [base] + [
+            splitting.perturb(base, random.Random(seed))[0]
+            for seed in SEEDS]])
 engel4 = models.builtin_model("engel4")
 for name, cells in cli._ENGEL4_ALIASES.items():
     node = operators.derive_operator(engel4, *cells).source

@@ -240,16 +240,15 @@ def _check_lines(model: GeometryModel, skip: Sequence[str]) -> List[dict]:
         return okflag, "%d sections" % len(secs)
     add("e0_linear", e0_linear)
 
-    vert = model.vertical
-    if vert:
+    if model.depth2:
         def levi_linear():
-            secs = [mono((a,)) for a in vert]
+            secs = [mono((a,)) for a in model.depth2]
             okflag, _ = check_function_linear(
                 lambda a: levi_apply(model, a), secs, mults)
             return okflag, "%d vertical covectors" % len(secs)
         add("levi_linear", levi_linear)
 
-    shape = (len(vert), len(model.horizontal))
+    shape = (len(model.vertical), len(model.horizontal))
     if shape in ((3, 3), (3, 4)):
         def obstruction_linear():
             fn, inputs = sp.obstruction_hom(model)
@@ -261,7 +260,7 @@ def _check_lines(model: GeometryModel, skip: Sequence[str]) -> List[dict]:
             rep = sp.normalize_splitting(model)
             okflag = rep.obstruction_zero
             detail = "iterations=%d" % rep.iterations
-            if model.name == "dist3in6":
+            if shape == (3, 3):
                 cert = sp.certify_two_adapted(rep.normalized)
                 okflag = okflag and cert.ok
                 detail += " two_adapted=%s" % cert.ok

@@ -14,7 +14,8 @@ the horizontal (weight 1), vertical (weight 2 or more) and depth-2 (weight
 d(omega_i) = rhs modulo a set of coframe covectors, and verify_structure
 checks all of them exactly.  Nothing else reads them: the Levi bracket is
 derived from the coframe (levi_form), so the declarations stay an
-independent check of it.
+independent check of it.  A model holds only its name, weights, coframe
+and congruences; splitting derives the rest from weights and Levi bracket.
 """
 
 from __future__ import annotations
@@ -141,14 +142,13 @@ class GeometryModel:
     """
 
     def __init__(self, name: str, nvars: int, weights: Sequence[int],
-                 coframe: PolyMatrix, extra: Optional[dict] = None, *,
+                 coframe: PolyMatrix, *,
                  coframe_inv: Optional[PolyMatrix] = None):
         self.name = name
         self.nvars = nvars
         self.weights = tuple(int(w) for w in weights)
         self.coframe = coframe
         self.congruences: List[Congruence] = []
-        self.extra = dict(extra or {})
         if len(self.weights) != nvars or len(coframe) != nvars:
             raise ValueError("weights and coframe must both have length nvars")
         if coframe_inv is None:
@@ -439,7 +439,7 @@ def change_rows(model: GeometryModel, emat: PolyMatrix,
     new_inv = _pmat_mul(model.coframe_inv,
                         _pmat_inverse_unimodular(emat, model.nvars))
     return GeometryModel(name, model.nvars, model.weights, new_a,
-                         extra=dict(model.extra), coframe_inv=new_inv)
+                         coframe_inv=new_inv)
 
 
 def splitting_shift(model: GeometryModel, shifts: Dict[Tuple[int, int], rp.Poly],
@@ -527,8 +527,7 @@ def builtin_model(name: str) -> GeometryModel:
         n = 6
         x = lambda i: rp.var(i, n)
         mat = _rowset(n, {(0, 5): x(4), (1, 3): x(5), (2, 4): x(3)})
-        m = GeometryModel(name, n, (2, 2, 2, 1, 1, 1), mat,
-                          extra={"omega_pairs": ((0, 3), (1, 4), (2, 5))})
+        m = GeometryModel(name, n, (2, 2, 2, 1, 1, 1), mat)
         m.congruences = [_cong(n, m.basis_tag, 0, {(4, 5): 1}),
                          _cong(n, m.basis_tag, 1, {(3, 5): -1}),
                          _cong(n, m.basis_tag, 2, {(3, 4): 1})]
@@ -591,13 +590,13 @@ def model_to_json(model: GeometryModel) -> dict:
             "rhs": form_to_json(cg.rhs),
             "mod": [i + 1 for i in cg.mod],
         } for cg in model.congruences],
-        "extra": _extra_to_json(model.extra),
     }
 
 
 def model_from_json(obj: dict) -> GeometryModel:
     """Parse a model; malformed fields or shapes raise ValueError, and so
-    do nvars and term counts past the caps of ratpoly."""
+    do nvars and term counts past the caps of ratpoly.  Other keys, such
+    as the "selectors" and "extra" of older files, are not read."""
     if not isinstance(obj, dict):
         raise ValueError("a model must be a JSON object")
     n = rp.json_nvars(obj["nvars"])
@@ -606,15 +605,12 @@ def model_from_json(obj: dict) -> GeometryModel:
             and all(isinstance(r, list) and len(r) == n for r in rows)):
         raise ValueError("coframe must be %d rows of %d polynomials" % (n, n))
     mat = [[rp.poly_from_json(e, n) for e in row] for row in rows]
-    if not isinstance(obj.get("extra", {}), dict):
-        raise ValueError("extra must be a JSON object")
     if not isinstance(obj["name"], str):
         raise ValueError("name must be a string, got %.40r" % (obj["name"],))
     weights = _json_ints(obj["weights"], "weight")
     if not all(w >= 1 for w in weights):
         raise ValueError("weights must be positive, got %.40r" % (weights,))
-    model = GeometryModel(obj["name"], n, weights, mat,
-                          extra=_extra_from_json(obj.get("extra", {}), n))
+    model = GeometryModel(obj["name"], n, weights, mat)
     for cg in obj.get("congruences", []):
         rhs = form_from_json(cg["rhs"])
         if (rhs.nvars, rhs.degree) != (n, 2):
@@ -643,26 +639,3 @@ def _json_index(x: object, n: int, what: str) -> int:
 
 def _json_indices(v: object, n: int, what: str) -> Tuple[int, ...]:
     return tuple(_json_index(x, n, what) for x in _json_ints(v, what))
-
-
-def _extra_to_json(extra: dict) -> dict:
-    out = {}
-    for k, v in extra.items():
-        if k == "omega_pairs":
-            out[k] = [[a + 1, b + 1] for a, b in v]
-        else:
-            out[k] = v
-    return out
-
-
-def _extra_from_json(extra: dict, n: int) -> dict:
-    out = {}
-    for k, v in extra.items():
-        if k == "omega_pairs":
-            out[k] = tuple(_json_indices(pair, n, "omega_pairs index")
-                           for pair in v)
-            if any(len(pair) != 2 for pair in out[k]):
-                raise ValueError("omega_pairs index pairs expected")
-        else:
-            out[k] = v
-    return out

@@ -22,10 +22,12 @@ forms C_i = d(omega_i), with no shifted model built:
   the inputs, the pairing and the metric are fixed.  The obstruction is
   the Levi component of the weight-4 part and reads no other weight, so
   only that part is built: the k-th term keeps the pieces of C_{I_k} of
-  pair weight 4 - wt(I) + wt(I_k).  The inputs are built from covector
-  indices, omega_pairs and the Levi bracket (models.levi_form, the
-  weight-2 part of C_a for the depth-2 rows a), and a shift carries all
-  of these over unchanged: see the third fact.
+  pair weight 4 - wt(I) + wt(I_k).  The inputs are built from the
+  weights and the Levi bracket alone (models.levi_form, the weight-2 part
+  of C_a for the depth-2 rows a): each horizontal 3-form, with each Levi
+  dual contracted into it, gives one, so six variables have one input, the
+  distinguished 2-form, and seven have four.  A shift carries both over
+  unchanged: see the third fact.
 - A unit shift is a constant substitution.  omega'_j = omega_j + omega_a
   is a constant row change, so d(omega'_j) = C_j + C_a with no term from a
   differentiated coefficient, and every other row keeps its C_k.  Written
@@ -76,20 +78,20 @@ def _pairing_matrix(levis: List[Form],
 
 
 def _vertical_sigma(model: GeometryModel, part: Form) -> List[Form]:
-    """Split a pure-weight piece as sum over vertical a of omega^a ^ sigma_a.
+    """Split a piece as sum over vertical a of omega^a ^ sigma_a.
 
-    Relies on vertical indices sorting before horizontal ones, which holds
-    for every builtin model.
+    Each term must have exactly one leg in model.vertical, found by weight;
+    moving it to the front past k legs gives the sign (-1)^k.
     """
-    vert = model.vertical
-    pos = {a: i for i, a in enumerate(vert)}
-    out = [Form(model.nvars, part.degree - 1, model.basis_tag)
-           for _ in vert]
+    pos = {a: i for i, a in enumerate(model.vertical)}
+    out = [Form(model.nvars, part.degree - 1, model.basis_tag) for _ in pos]
     for idx, p in part.terms.items():
-        a = idx[0]
-        if a not in pos or any(i in pos for i in idx[1:]):
+        legs = [k for k, i in enumerate(idx) if i in pos]
+        if len(legs) != 1:
             raise ValueError("piece is not vertical wedge horizontal")
-        out[pos[a]].add_term(idx[1:], p)
+        k = legs[0]
+        out[pos[idx[k]]].add_term(idx[:k] + idx[k + 1:],
+                                  rp.neg(p) if k % 2 else p)
     return out
 
 
@@ -120,32 +122,21 @@ def _sym(mat: PolyMat) -> PolyMat:
              for b in range(k)] for a in range(k)]
 
 
-def _six_input(model: GeometryModel) -> Form:
-    """The distinguished 2-form sum of omega^a ^ omega^j over omega_pairs."""
-    omega = form_zero(model.nvars, 2, model.basis_tag)
-    for a, j in model.extra["omega_pairs"]:
-        omega.add_term((a, j), rp.const(1, model.nvars))
-    return omega
-
-
-def _seven_inputs(model: GeometryModel,
-                  duals: List[Bivector]) -> List[Form]:
-    """Basis of the distinguished rank-4 piece inside vertical wedge
-    horizontal 2-forms: contract each Levi dual into a horizontal 3-form
-    and reattach the matching vertical covector."""
-    horiz, vert = model.horizontal, model.vertical
+def _inputs(model: GeometryModel, duals: List[Bivector]) -> List[Form]:
+    """Basis of the distinguished piece inside vertical wedge horizontal
+    2-forms, read off the weights and the Levi bracket alone: each
+    horizontal 3-form xi gives the sum over depth-2 a of omega^a ^ (b_a
+    contracted into xi), b_a the dual of the bracket of omega_a.  Six
+    variables have one horizontal 3-form, the horizontal volume, and so one
+    input, the distinguished 2-form (on dist3in6 omega^1 ^ omega^4 +
+    omega^2 ^ omega^5 + omega^3 ^ omega^6); seven variables have four."""
     out = []
-    for trip in combinations(horiz, 3):
+    for trip in combinations(model.horizontal, 3):
         xi = form_monomial(model.nvars, trip, 1, model.basis_tag)
         beta = form_zero(model.nvars, 2, model.basis_tag)
-        for a, b in zip(vert, duals):
-            eta = contract(xi, b)
-            if eta.is_zero():
-                continue
-            piece = wedge(form_monomial(model.nvars, (a,), 1,
-                                        model.basis_tag), eta)
-            for idx, p in piece.terms.items():
-                beta.add_term(idx, p)
+        for a, b in zip(model.depth2, duals):
+            beta = form_add(beta, wedge(form_monomial(
+                model.nvars, (a,), 1, model.basis_tag), contract(xi, b)))
         if beta.is_zero():
             raise AssertionError("distinguished 2-form basis degenerated")
         out.append(beta)
@@ -155,17 +146,20 @@ def _seven_inputs(model: GeometryModel,
 class _Obstruction:
     """The obstruction of one model as a linear map of structure forms.
 
-    Holds what does not depend on them: the constant-coefficient inputs,
-    the Levi bracket (one models.levi_form report: its 2-forms, and their
-    duals as bivectors), the transposed inverse of their pairing and, for
-    seven variables, the trace removal by the metric, the Pfaffian form of
-    the same report: a constant k^2 x k^2 matrix on the flattened
-    symmetric matrix.  The bracket is defined on the depth-2 covectors, so
-    the model's vertical covectors must be exactly those.  A splitting shift
-    carries all of these over unchanged (see the module docstring), so one
-    instance serves the model and every shift of it.  report(dforms, name)
-    is the obstruction with d(omega_i) = dforms[i]; it builds d of each
-    input in weight 4 only, the one weight the Levi projection reads.
+    Holds what does not depend on them, all read off the weights and the
+    Levi bracket (one models.levi_form report: its 2-forms, and their duals
+    as bivectors): the constant-coefficient inputs (_inputs: the one
+    horizontal 3-form of six variables gives the distinguished 2-form, the
+    four of seven a basis), the transposed inverse of the bracket's pairing
+    and, for seven variables, the trace removal by the metric, the Pfaffian
+    form of the same report: a constant k^2 x k^2 matrix on the flattened
+    symmetric matrix.  kind decides only that trace removal.  The bracket
+    is defined on the depth-2 covectors, so the model's vertical covectors
+    must be exactly those.  A splitting shift carries all of these over
+    unchanged (see the module docstring), so one instance serves the model
+    and every shift of it.  report(dforms, name) is the obstruction with
+    d(omega_i) = dforms[i]; it builds d of each input in weight 4 only, the
+    one weight the Levi projection reads.
     """
 
     def __init__(self, model: GeometryModel):
@@ -180,11 +174,9 @@ class _Obstruction:
         self.duals = [Bivector(f.nvars, dict(f.terms)) for f in self.levis]
         self.pinv_t = linalg.transpose(linalg.inverse(
             _pairing_matrix(self.levis, self.duals)))
+        self.inputs = _inputs(model, self.duals)
         self.trace_free: Optional[linalg.Matrix] = None
-        if self.kind == "six":
-            self.inputs = [_six_input(model)]
-        else:
-            self.inputs = _seven_inputs(model, self.duals)
+        if self.kind == "seven":
             # I - (1/3) gmat (x) ginv^T: subtracts a third of the trace
             # sum_ab ginv[a][b] sym[b][a] times gmat
             gmat = pfaffian_gram(levi)
@@ -420,15 +412,19 @@ class TwoAdaptedReport:
 
 
 def certify_two_adapted(model: GeometryModel) -> TwoAdaptedReport:
-    """Check the refined congruence on the distinguished 2-form.
+    """Check the refined congruence on the distinguished 2-form, the one
+    input of the six-variable obstruction (_inputs).
 
     Its differential must be three times the horizontal volume plus a
     1-form wedged into the distinguished 2-form, modulo terms with two
     vertical legs.  Exact arithmetic throughout; the 1-form is solved for,
     not assumed.
     """
+    ob = _Obstruction(model)
+    if ob.kind != "six":
+        raise KeyError("no two-adapted certificate for model %s" % model.name)
+    (omega,) = ob.inputs
     horiz = model.horizontal
-    omega = _six_input(model)
     dom = coframe_d(model, omega)
     parts = split_by_cell_weight(model, dom)
     vol = form_monomial(model.nvars, sorted(horiz), 1, model.basis_tag)

@@ -155,6 +155,26 @@ def test_verify_unknown_skip_exits_2(capsys):
         assert cid in err
 
 
+@pytest.mark.parametrize("name", cli.builtin_names())
+def test_levi_linear_feeds_only_sections_with_a_bracket(monkeypatch, name):
+    """verify's levi_linear check runs on the depth-2 covectors, where the
+    Levi bracket lives: every section it feeds levi_apply has a nonzero
+    image, so none of them passes the check vacuously."""
+    from coframes.models import builtin_model, levi_apply
+    m = builtin_model(name)
+    images = []
+
+    def recorded(model, a):
+        images.append(levi_apply(model, a))
+        return images[-1]
+    monkeypatch.setattr(cli, "levi_apply", recorded)
+    skip = [cid for cid in cli.CHECK_IDS if cid != "levi_linear"]
+    (line,) = cli._check_lines(m, skip)
+    assert images and all(not f.is_zero() for f in images)
+    assert line == {"id": "levi_linear", "ok": True,
+                    "detail": "%d vertical covectors" % len(m.depth2)}
+
+
 @pytest.mark.parametrize("var", ["COFRAMES_SEED", "COFRAMES_DEGREE"])
 def test_environment_leaves_the_defaults(monkeypatch, var):
     monkeypatch.setenv(var, "abc")

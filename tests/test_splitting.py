@@ -8,15 +8,16 @@ import pytest
 from coframes import linalg, ratpoly as rp
 from coframes.forms import (Bivector, Form, contract, form_add, form_pmul,
                             form_sub, form_zero, wedge)
-from coframes.models import (builtin_model, coframe_d, levi_form,
-                             model_from_json, model_to_json, pfaffian_gram,
+from coframes.models import (Congruence, GeometryModel, builtin_model,
+                             coframe_d, levi_form, model_from_json,
+                             model_to_json, pfaffian_gram,
                              split_by_cell_weight, splitting_shift,
                              verify_structure)
 from coframes.pages import check_function_linear
 from coframes.splitting import (_action_matrix, _Obstruction, _pair,
-                                _shift_pairs, _six_input,
-                                _sym, _unit_shift_delta, _vertical_sigma,
-                                certify_two_adapted, normalize_splitting,
+                                _shift_pairs, _sym, _unit_shift_delta,
+                                _vertical_sigma, certify_two_adapted,
+                                normalize_splitting,
                                 obstruction, obstruction_hom, perturb,
                                 shift_action_rank)
 
@@ -84,6 +85,11 @@ def test_two_adapted_certificate_dist3in6():
     assert cert.ok
 
 
+def test_two_adapted_certificate_is_six_variable_only():
+    with pytest.raises(KeyError, match="no two-adapted certificate"):
+        certify_two_adapted(model("elliptic7"))
+
+
 def test_two_adapted_survives_normalized_perturbation():
     m = model("dist3in6")
     rng = random.Random(43)
@@ -103,7 +109,7 @@ def test_two_adapted_correction_solves_the_congruence():
     cert = certify_two_adapted(m)
     nu = cert.correction_1form
     assert cert.ok and any(nu)
-    omega = _six_input(m)
+    (omega,) = _Obstruction(m).inputs
     lhs = form_zero(m.nvars, 3, m.basis_tag)
     for j, p in zip(m.horizontal, nu):
         wj = form_zero(m.nvars, 1, m.basis_tag)
@@ -112,6 +118,93 @@ def test_two_adapted_correction_solves_the_congruence():
         lhs = form_add(lhs, form_pmul(piece, p))
     rhs = split_by_cell_weight(m, coframe_d(m, omega))[4]
     assert form_sub(lhs, rhs).is_zero()
+
+
+# dist3in6's distinguished 2-form as once hand-listed with the model:
+# sum of omega^a ^ omega^j over these (a, j)
+OMEGA_PAIRS = ((0, 3), (1, 4), (2, 5))
+
+
+def _hand_listed_omega(m, pairs=OMEGA_PAIRS):
+    omega = form_zero(m.nvars, 2, m.basis_tag)
+    for a, j in pairs:
+        omega.add_term((a, j), rp.const(1, m.nvars))
+    return omega
+
+
+def _dist3in6_and_normalized():
+    out = [pytest.param(model("dist3in6"), id="dist3in6")]
+    for seed in range(3):
+        shifted = perturb(model("dist3in6"), random.Random(seed))[0]
+        out.append(pytest.param(shifted, id="perturbed-%d" % seed))
+        out.append(pytest.param(normalize_splitting(shifted).normalized,
+                                id="normalized-%d" % seed))
+    return out
+
+
+@pytest.mark.parametrize("m", _dist3in6_and_normalized())
+def test_six_variable_input_is_the_hand_listed_two_form(m):
+    """The one six-variable input, read off the weights and the Levi
+    bracket, is the distinguished 2-form the model used to list by hand."""
+    assert _Obstruction(m).inputs == [_hand_listed_omega(m)]
+
+
+def _permuted(m, sigma):
+    """m with covector i and variable i of the copy being covector and
+    variable sigma[i] of m: rows and columns permuted, the variables
+    renamed to match, and the congruences re-indexed."""
+    n = m.nvars
+    inv = {s: i for i, s in enumerate(sigma)}
+
+    def rename(p):
+        return {tuple(e[sigma[k]] for k in range(n)): c for e, c in p.items()}
+    mat = [[rename(m.coframe[sigma[i]][sigma[j]]) for j in range(n)]
+           for i in range(n)]
+    out = GeometryModel(m.name + "_permuted", n,
+                        [m.weights[s] for s in sigma], mat)
+    for cg in m.congruences:
+        rhs = Form(n, 2, out.basis_tag)
+        for idx, p in cg.rhs.terms.items():
+            rhs.add_term(tuple(inv[i] for i in idx), p)
+        out.congruences.append(Congruence(
+            index=inv[cg.index], rhs=rhs,
+            mod=tuple(sorted(inv[i] for i in cg.mod))))
+    return out
+
+
+PERMUTED = [("dist3in6", (3, 4, 5, 0, 1, 2)), ("dist3in6", (3, 0, 4, 1, 5, 2)),
+            ("elliptic7", (3, 4, 5, 6, 0, 1, 2))]
+
+
+@pytest.mark.parametrize("name, sigma", PERMUTED)
+def test_splitting_reads_covectors_in_any_order(name, sigma):
+    """Splitting finds the vertical covectors by weight, so a model that
+    only lists its covectors in another order splits as the builtin."""
+    pm = _permuted(model(name), sigma)
+    assert pm.weights != model(name).weights
+    assert verify_structure(pm).ok
+    assert obstruction(pm).is_zero
+    assert shift_action_rank(pm) == ACTION_RANKS[name]
+    normalized = []
+    for seed in range(3):
+        rep = normalize_splitting(perturb(pm, random.Random(seed))[0])
+        assert rep.obstruction_zero
+        assert obstruction(rep.normalized).is_zero
+        normalized.append(rep.normalized)
+    if name == "dist3in6":
+        pairs = [(sigma.index(a), sigma.index(j)) for a, j in OMEGA_PAIRS]
+        assert _Obstruction(pm).inputs == [_hand_listed_omega(pm, pairs)]
+        for m in [pm] + normalized:
+            assert certify_two_adapted(m).ok
+
+
+def test_vertical_sigma_refuses_a_term_without_one_vertical_leg():
+    m = model("dist3in6")
+    for idx in ((0, 1, 3), (3, 4, 5)):
+        part = Form(m.nvars, 3, m.basis_tag)
+        part.add_term(idx, rp.const(1, m.nvars))
+        with pytest.raises(ValueError, match="not vertical wedge horizontal"):
+            _vertical_sigma(m, part)
 
 
 @pytest.mark.parametrize("name", SPLIT_MODELS)
