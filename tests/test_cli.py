@@ -198,7 +198,7 @@ def test_one_parser_serves_every_call(capsys):
     ("apply", "engel4", "--operator", "d0", "--input", "s.json",
      "--format", "csv")], ids=["list-seed", "apply-format"])
 def test_option_no_command_reads_exits_2(capsys, argv):
-    # only verify samples random sections; apply always writes JSON
+    # only verify takes --seed; apply always writes JSON
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
@@ -507,6 +507,75 @@ def test_one_request_loads_one_model_and_derives_each_cell_once(
     assert run(capsys, *argv)[0] == 0
     assert loaded == [argv[1]]
     assert derived and len(derived) == len(set(derived))
+
+
+def test_verify_unknown_geometry_offers_symplectic4(capsys):
+    code, out, err = run(capsys, "verify", "nosuch")
+    assert code == 2 and not out
+    assert "unknown geometry 'nosuch'" in err
+    for g in cli.GEOMETRIES:
+        assert g in err
+
+
+def test_composition_line_is_a_proof():
+    """verify's composition line is the Leibniz identity on the normal
+    forms: it fails on a pair that does not compose to zero and passes on
+    every named complex."""
+    from test_verify import _broken_rs
+    (line,) = cli._complex_checks(_broken_rs(), 1, ["exactness"])
+    assert line == {"id": "composition[broken]", "ok": False,
+                    "detail": "pairs not zero: 1"}
+    for g in cli.GEOMETRIES:
+        model = cli._load_model(g)
+        for variant in cli._complex_names(g):
+            res = cli._resolution(model, g, variant)
+            (line,) = cli._complex_checks(res, 1, ["exactness"])
+            assert line == {"id": "composition[%s]" % variant, "ok": True,
+                            "detail": "%d pairs proved zero"
+                            % (len(res.operators) - 1)}
+
+
+def test_verify_exits_1_on_a_pair_that_does_not_compose(monkeypatch,
+                                                        capsys):
+    from test_verify import _broken_rs
+    monkeypatch.setattr(cli, "_resolution", lambda *a: _broken_rs())
+    code, out, err = run(capsys, "verify", "symplectic4", "--degree", "1",
+                         "--skip", "exactness", "--format", "json")
+    assert code == 1 and not err
+    assert json.loads(out)["checks"] == [
+        {"id": "composition[broken]", "ok": False,
+         "detail": "pairs not zero: 1"}]
+
+
+def test_verify_checks_do_not_read_seed_or_samples(capsys):
+    base = ("verify", "engel4", "--degree", "1", "--format", "json")
+    outs = [json.loads(run(capsys, *base, *extra)[1]) for extra in
+            ((), ("--seed", "11"), ("--samples", "3"))]
+    assert outs[0]["checks"] == outs[1]["checks"] == outs[2]["checks"]
+    assert [(p["seed"], p["samples"]) for p in outs] == [
+        (7, 20), (11, 20), (7, 3)]
+
+
+def test_verify_proves_each_pair_once_and_applies_no_form(monkeypatch,
+                                                          capsys):
+    """One request computes each pair's Leibniz identity once: the
+    exactness line reads the composition line's memo.  No section is
+    pushed through a normal form."""
+    from coframes.operators import NormalForm
+    calls = {"compose": 0, "apply": 0}
+    compose, apply = NormalForm._compose_zero, NormalForm.apply
+
+    def counted_compose(nf, after):
+        calls["compose"] += 1
+        return compose(nf, after)
+
+    def counted_apply(nf, *a, **k):
+        calls["apply"] += 1
+        return apply(nf, *a, **k)
+    monkeypatch.setattr(NormalForm, "_compose_zero", counted_compose)
+    monkeypatch.setattr(NormalForm, "apply", counted_apply)
+    assert run(capsys, "verify", "g2_5", "--degree", "1")[0] == 0
+    assert calls == {"compose": 4 + 4 + 4, "apply": 0}
 
 
 def test_classify7_builtins(capsys):
