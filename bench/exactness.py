@@ -18,8 +18,9 @@ other labels kept):
 - the seconds of exactness_check(res, max_degree=3) and of
   composition_check(res, random.Random(7), sections=20, max_degree=3) for
   every named complex, each built and checked in CHECK_RUNS fresh
-  processes importing PATH/src, so each figure includes the compile of the
-  normal forms, with the processes' peak RSS (ru_maxrss, in MB): every
+  processes importing PATH/src, so each exactness figure includes the
+  compile of the normal forms (the composition sample runs the cascade
+  and compiles none), with the processes' peak RSS (ru_maxrss, in MB): every
   run's value and their median.  The runs go round the complexes in turn,
   and every field of the check's report but its elapsed time is recorded
   once; the script fails if the runs' reports differ;

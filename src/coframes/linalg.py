@@ -153,53 +153,28 @@ def unit_vector(j: int, n: int) -> Vector:
 def inertia(sym: Matrix) -> Tuple[int, int, int]:
     """Signature (positive, negative, zero) of a symmetric matrix.
 
-    Congruence diagonalization over the rationals; exact.
+    Exact, from the coefficients of det(x I - sym), which Faddeev-LeVerrier
+    gives in Fractions: sym's eigenvalues are real, so Descartes' rule of
+    signs counts them exactly.  The positive ones are the sign changes of
+    p(x), the negative ones those of p(-x), and zero's multiplicity is the
+    number of trailing zero coefficients.
     """
-    a = [list(r) for r in sym]
-    n = len(a)
-    pos = neg = zero = 0
-    for step in range(n):
-        k = None
-        for i in range(step, n):
-            if a[i][i]:
-                k = i
-                break
-        if k is None:
-            # look for an off-diagonal entry and fold it onto the diagonal
-            found = None
-            for i in range(step, n):
-                for j in range(i + 1, n):
-                    if a[i][j]:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                zero += n - step
-                break
-            i, j = found
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for r in range(n):
-                a[r][i] += a[r][j]
-            k = i
-        if k != step:
-            a[step], a[k] = a[k], a[step]
-            for r in range(n):
-                a[r][step], a[r][k] = a[r][k], a[r][step]
-        d = a[step][step]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(step + 1, n):
-            f = a[i][step] / d
-            if f:
-                for c in range(n):
-                    a[i][c] -= f * a[step][c]
-                for r in range(n):
-                    a[r][i] -= f * a[r][step]
-    return pos, neg, zero
+    n = len(sym)
+    coeffs = [ONE]      # c_0, ..., c_n of x^n, ..., x^0
+    prod = [[ZERO] * n for _ in range(n)]     # sym M_(k-1), M_0 = 0
+    for k in range(1, n + 1):
+        m = [[v + coeffs[-1] * (i == j) for j, v in enumerate(row)]
+             for i, row in enumerate(prod)]
+        prod = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)]
+                for row in sym]
+        coeffs.append(Fraction(-sum(prod[i][i] for i in range(n)), k))
+
+    def changes(cs) -> int:
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    zero = n - max(k for k, c in enumerate(coeffs) if c)
+    return (changes(coeffs),
+            changes(c * (-1) ** k for k, c in enumerate(coeffs)), zero)
 
 
 def poly_det_bareiss(m: List[List[rp.Poly]]) -> rp.Poly:

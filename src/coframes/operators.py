@@ -29,21 +29,16 @@ on a symbolic jet u (ratpoly.Jets), with d acting as the total derivative,
 yields the operator's normal form sum_alpha c_alpha(x) d^alpha, one per
 pair of source and target slots.  OperatorHandle.normal_form compiles it
 on first use; its order is exact, the largest |alpha| with a nonzero
-coefficient.  Arithmetic on a normal form reads its PackedKernel
-(NormalForm.kernel), which packs every exponent into one integer in a base
-above every component it can meet, so a term's target is one integer add
-and no tuple is built.  NormalForm.apply evaluates the closed form
-d^alpha x^e = e!/(e - alpha)! x^(e - alpha) on each monomial of a concrete
-section, in integers over one common denominator, and divides once per
-output term; it equals the cascade there exactly.  verify's composition
-sample runs on apply and its slice columns read the same kernel alpha
-first, so a handle compiles once and the exactness certificate reuses the
-form; the certificate proves composition zero on the forms themselves, by
-the Leibniz rule (NormalForm.composes_to_zero).
-OperatorHandle.apply stays on the cascade, which is cheaper than a compile
-when one section is all there is: on one random section for each of the 54
-operators of the named complexes, compiling and evaluating took about
-0.45 s against 0.1 s for the cascade (one core of a 2-core Xeon).
+coefficient.  A normal form is data with two readers, both in the
+exactness certificate: the slice columns, which read its PackedKernel
+(NormalForm.kernel) alpha first, every exponent packed into one integer in
+a base above every component it can meet, so a term's target is one
+integer add and no tuple is built; and the proof that two forms compose to
+zero on every section, by the Leibniz rule (NormalForm.composes_to_zero).
+A concrete section has one evaluator, the cascade: OperatorHandle.apply
+runs it with plain derivatives (no jets), for `coframes apply`, verify's
+composition sample and the witnesses, so the sample tests the path the
+proof on the compiled forms does not reach.
 """
 
 from __future__ import annotations
@@ -245,8 +240,7 @@ class PackedKernel:
                      for _, b, _ in terms for x in b), default=0)
         self.bits = (top + max_b).bit_length()
         self.reach = (1 << self.bits) - 1 - max_b
-        self.nvars = nvars
-        self.shift = self.nvars * self.bits
+        self.shift = nvars * self.bits
         shared: Dict[tuple, tuple] = {}     # interned, as in _normal_slot
 
         def intern(x: tuple) -> tuple:
@@ -267,12 +261,6 @@ class PackedKernel:
     def key(self, t: int, e: rp.Exponent) -> int:
         return (t << self.shift) + self.pack(e)
 
-    def unpack(self, key: int) -> Tuple[int, rp.Exponent]:
-        mask = (1 << self.bits) - 1
-        return key >> self.shift, tuple(
-            (key >> (self.shift - (i + 1) * self.bits)) & mask
-            for i in range(self.nvars))
-
 
 class NormalForm:
     """A linear differential operator as sum_alpha c_alpha(x) d^alpha.
@@ -282,9 +270,9 @@ class NormalForm:
     one entry per derivative multi-index alpha with a nonzero coefficient:
     u in slot s goes to the sum of num/den x^b d^alpha u over the terms
     (t, b, num), each into target slot t.  targets is the number of target
-    slots, nvars that of the variables.  The arithmetic reads a PackedKernel
-    of these slots (kernel), derived when first asked for and again for a
-    larger base.
+    slots, nvars that of the variables.  The slice columns read a
+    PackedKernel of these slots (kernel), derived when first asked for and
+    again for a larger base.
     """
 
     def __init__(self, targets: int,
@@ -310,50 +298,6 @@ class NormalForm:
         if self._kernel is None or self._kernel.reach < top:
             self._kernel = PackedKernel(self.slots, top, self.nvars)
         return self._kernel
-
-    def apply(self, coeffs: Sequence[rp.Poly]) -> PolyVec:
-        """The image of a section, equal to the cascade's, in integers.
-
-        With D the lcm of the section's coefficient denominators and L that
-        of the slot denominators, a coefficient c of slot s is the integer
-        c D L / den_s over D L.  Each monomial x^e of the slot adds, by the
-        closed form d^alpha x^e = e!/(e - alpha)! x^(e - alpha), its
-        numerator times num * e!/(e - alpha)! for each term (t, b, num) of
-        each alpha at key(t, e - alpha + b) = pack(e) - pack(alpha) +
-        key(t, b); an alpha is dropped at its first zero factor, some e_i <
-        alpha_i.  One Fraction is built per nonzero output term.
-        """
-        if len(coeffs) != len(self.slots):
-            raise ValueError("expected %d coefficients, got %d"
-                             % (len(self.slots), len(coeffs)))
-        kern = self.kernel(max((x for u in coeffs for e in u for x in e),
-                               default=0))
-        big = lcm(*(den for den, _ in self.slots))
-        sden = lcm(*(c.denominator for u in coeffs for c in u.values()))
-        acc: Dict[int, int] = {}
-        for u, (den, _), groups in zip(coeffs, self.slots, kern.slots):
-            scale = sden * (big // den)
-            for e, c in u.items():
-                n = c.numerator * (scale // c.denominator)
-                pe = kern.pack(e)
-                for palpha, support, offs in groups:
-                    f = n
-                    for i, a in support:
-                        if e[i] < a:
-                            break
-                        f *= perm(e[i], a)
-                    else:
-                        rest = pe - palpha
-                        for off, num in offs:
-                            k = rest + off
-                            acc[k] = acc.get(k, 0) + f * num
-        out: PolyVec = [{} for _ in range(self.targets)]
-        whole = sden * big
-        for key, c in acc.items():
-            if c:
-                t, x = kern.unpack(key)
-                out[t][x] = Fraction(c, whole)
-        return out
 
     def composes_to_zero(self, after: NormalForm) -> bool:
         """Whether after o self is the zero operator, on every section.

@@ -181,7 +181,8 @@ def poly_to_json(p: Poly, nvars: int) -> dict:
 # 2^nvars monomials in all, so a model past MAX_NVARS could not be paged in
 # reasonable time (the builtins have at most 7 variables).  MAX_TERMS and
 # MAX_DEGREE bound the work one JSON polynomial or form can ask for; degree
-# 64 keeps exponents far below Jets.SHIFT and powers of sample points small.
+# 64 keeps exponents far below Jets.SHIFT, where a jet's derivative orders
+# begin, and keeps small the factors e_i that each derivative brings down.
 MAX_NVARS = 10
 MAX_TERMS = 1 << 16
 MAX_DEGREE = 64

@@ -67,6 +67,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import perm
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
@@ -83,18 +84,16 @@ GUARD = 10 ** 6
 # #### rank formulas #######################################################
 
 def schur_dim(label: Sequence[int]) -> int:
-    """Dimension of the irreducible with the given highest-weight label."""
-    if len(label) == 2:
-        a, b = label
-        if a > b:
-            raise ValueError("label must be nondecreasing")
-        return b - a + 1
-    if len(label) == 3:
-        a, b, c = label
-        if not (a <= b <= c):
-            raise ValueError("label must be nondecreasing")
-        return (b - a + 1) * (c - b + 1) * (c - a + 2) // 2
-    raise ValueError("only length-2 and length-3 labels are supported")
+    """Dimension of the gl(n) irreducible with the given nondecreasing
+    highest-weight label, n its length: Weyl's product over i < j of
+    (label_j - label_i + j - i) / (j - i)."""
+    if any(a > b for a, b in zip(label, label[1:])):
+        raise ValueError("label must be nondecreasing")
+    num = den = 1
+    for i, j in combinations(range(len(label)), 2):
+        num *= label[j] - label[i] + j - i
+        den *= j - i
+    return num // den
 
 
 SCHUR_LABELS: Dict[str, Dict[CellKey, Tuple[int, ...]]] = {
@@ -414,19 +413,18 @@ def composition_check(res: Resolution, rng: Optional[random.Random] = None,
     """Apply consecutive operators to a sample of random sections; demand
     exact zero.
 
-    The sample is evaluated on the compiled normal forms (NormalForm.apply,
-    in integers with one division per output term), which equal the
-    cascade exactly; each operator compiles once here, and exactness_check
-    on the same resolution reuses the compiled forms and proves, on them,
-    what this samples (NormalForm.composes_to_zero).
+    The sample runs the cascade (OperatorHandle.apply) on concrete
+    coefficients, the path `coframes apply` serves.  exactness_check
+    proves composition zero on the compiled normal forms
+    (NormalForm.composes_to_zero), the cascade run once on jets; this
+    sample tests the cascade where that proof does not reach it.
     """
     rng = rng or random.Random(0)
     t0 = time.perf_counter()
     failures: List[Tuple[int, int]] = []
     npairs = len(res.operators) - 1
     for k in range(npairs):
-        first = res.operators[k].normal_form()
-        second = res.operators[k + 1].normal_form()
+        first, second = res.operators[k], res.operators[k + 1]
         for t in range(sections):
             sec = random_section(res.nodes[k], rng, max_degree)
             out = second.apply(first.apply(sec))

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -137,6 +138,29 @@ def test_orbit_invariant_classifies_both_seven_var_models():
     assert e.kind == "elliptic" and e.inertia == (3, 0, 0)
     assert h.kind == "hyperbolic" and h.inertia == (1, 2, 0)
     assert e.levi_injective and h.levi_injective
+
+
+def test_inertia_follows_sylvesters_law():
+    # S = P^T D P, P an integer matrix of determinant 1 from random row
+    # additions and D diagonal with chosen signs and zeros, has D's inertia;
+    # D's few magnitudes often pair +a with -a, which zeroes coefficients
+    # of det(x I - S) between its first and its trailing ones
+    rng = random.Random(19)
+    for n in range(6):
+        for _ in range(25):
+            d = [rng.choice((-1, 0, 1)) * Fraction(rng.randint(1, 2),
+                                                   rng.randint(1, 2))
+                 for _ in range(n)]
+            p = linalg.identity(n)
+            for _ in range(3 * n * (n > 1)):
+                i, j = rng.sample(range(n), 2)
+                c = rng.randint(-3, 3)
+                p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+            s = [[sum(p[k][i] * d[k] * p[k][j] for k in range(n))
+                  for j in range(n)] for i in range(n)]
+            want = (sum(x > 0 for x in d), sum(x < 0 for x in d),
+                    d.count(0))
+            assert linalg.inertia(s) == want, (d, p)
 
 
 @pytest.mark.parametrize("name", ["elliptic7", "hyperbolic7"])

@@ -71,6 +71,8 @@ def test_schur_dim_formulas():
     assert schur_dim((0, 1, 2)) == 8
     assert schur_dim((1, 2, 3)) == 8
     assert schur_dim((1, 1, 3)) == 6
+    assert schur_dim((0, 0, 0, 1)) == 4
+    assert schur_dim((0, 0, 1, 1)) == 6
     with pytest.raises(ValueError):
         schur_dim((2, 1))
 

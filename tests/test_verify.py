@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from coframes import builtin_names, linalg, verify
+from coframes import builtin_names, linalg, ratpoly as rp, verify
 from coframes.operators import (NormalForm, OperatorHandle, Resolution,
                                 SpanDOperator, build_rs_complex,
                                 named_complex)
@@ -16,6 +16,7 @@ from coframes.verify import (_SliceCache, composition_check,
                              rs_h1_witness)
 
 from conftest import model
+from test_operators import _evaluate
 
 NAMED = ([(name, "bgg") for name in builtin_names()]
          + [("g2_5", "ambient"), ("g2_5", "basic"), ("symplectic4", "rs")])
@@ -226,7 +227,7 @@ def test_composition_identity_fails_without_the_zeroth_term():
     d2 = _one_variable(1, [(1, {1: [(0, 1, 1)]}), (1, {1: [(0, 0, -1)]})])
     d1 = _d1()
     assert not d1.composes_to_zero(d2)
-    assert d2.apply(d1.apply([{(2,): F(1)}])) == [{(1,): F(-2)}]
+    assert _evaluate(d2, _evaluate(d1, [{(2,): F(1)}])) == [{(1,): F(-2)}]
 
 
 def test_bumped_normal_form_breaks_composition():
@@ -243,10 +244,30 @@ def test_bumped_normal_form_breaks_composition():
     assert [a.composes_to_zero(b) for a, b in zip(forms, forms[1:])] == [
         True, False, False, True]
     assert not rep.ok
-    # the composition sample evaluates the same compiled forms; a
-    # second-order term needs more than a few sections to show
+    # the composition sample runs the cascade, which the bump leaves alone
     rep = composition_check(res, random.Random(7), sections=20)
-    assert rep.failures == [(1, 2), (1, 17), (2, 0), (2, 8)]
+    assert rep.failures == []
+
+
+def test_corrupted_cascade_fails_the_sample_not_the_proof(monkeypatch):
+    # operator 2's cascade also copies its input's slot 0 to its output's
+    # slot 0 after its normal form is compiled: the sample fails the pairs
+    # on either side of it (not on every section, since operator 3 kills
+    # some of them), while the compiled forms still compose to zero
+    res = named_complex(model("contact5"), "bgg")
+    forms = [op.normal_form() for op in res.operators]
+    handle = res.operators[2]
+    cascade = handle.apply
+
+    def corrupted(coeffs, jets=None):
+        out = cascade(coeffs, jets)
+        out[0] = rp.add(out[0], coeffs[0])
+        return out
+    monkeypatch.setattr(handle, "apply", corrupted)
+    rep = composition_check(res, random.Random(7), sections=4)
+    assert {k for k, _ in rep.failures} == {1, 2}
+    assert all(a.composes_to_zero(b) for a, b in zip(forms, forms[1:]))
+    assert exactness_check(res, max_degree=1).composition_ok
 
 
 def _with_term(nf, slot, where, term):
