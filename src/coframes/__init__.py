@@ -7,10 +7,10 @@ operator orders, composition-zero, and polynomial local exactness, all
 over exact rational arithmetic.
 """
 
-from .forms import (Bivector, Form, change_basis, contract, exterior_d,
-                    form_add, form_from_json, form_monomial, form_pmul,
-                    form_scale, form_sub, form_to_json, form_zero,
-                    interior, one_form, wedge)
+from .forms import (Form, change_basis, contract, exterior_d, form_add,
+                    form_from_json, form_monomial, form_pmul, form_scale,
+                    form_sub, form_to_json, form_zero, interior, one_form,
+                    wedge)
 from .models import (Congruence, GeometryModel, LeviReport, OrbitReport,
                      StructureReport, builtin_model, builtin_names,
                      change_rows, coframe_d, levi_apply, levi_form,
@@ -33,8 +33,8 @@ from .verify import (CompositionReport, ExactnessReport, composition_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bivector", "CompositionReport", "Congruence", "ExactnessReport",
-    "Form", "GeometryModel", "GradedSection", "LeviReport",
+    "CompositionReport", "Congruence", "ExactnessReport", "Form",
+    "GeometryModel", "GradedSection", "LeviReport",
     "NormalizeReport", "ObstructionReport", "OperatorHandle",
     "OrbitReport", "Page0", "Page1", "Poly", "Resolution",
     "StructureReport", "TwoAdaptedReport", "build_rs_complex",

@@ -179,30 +179,6 @@ def exterior_d(a: Form, partials=None) -> Form:
     return out
 
 
-class Bivector:
-    """Sum of e_k ^ e_l with Poly coefficients, keyed by k < l."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int,
-                 terms: Optional[Dict[Tuple[int, int], rp.Poly]] = None):
-        self.nvars = nvars
-        self.terms: Dict[Tuple[int, int], rp.Poly] = {}
-        if terms:
-            for (k, l), p in terms.items():
-                if not p:
-                    continue
-                if k == l:
-                    continue
-                if k > l:
-                    k, l, p = l, k, rp.neg(p)
-                cur = self.terms.get((k, l))
-                self.terms[(k, l)] = rp.add(cur, p) if cur else p
-
-    def __repr__(self) -> str:
-        return "Bivector(%d terms)" % len(self.terms)
-
-
 def interior(a: Form, k: int) -> Form:
     """Contraction with the frame vector dual to basis covector k."""
     out = Form(a.nvars, a.degree - 1, a.basis)
@@ -214,8 +190,14 @@ def interior(a: Form, k: int) -> Form:
     return out
 
 
-def contract(a: Form, b: Bivector) -> Form:
-    """Full double contraction; pairs e_k ^ e_l against dx_k ^ dx_l with +1."""
+def contract(a: Form, b: Form) -> Form:
+    """Full double contraction with the bivector whose coefficients are
+    those of the 2-form b: b's coefficient on e_k ^ e_l, k < l, pairs
+    e_k ^ e_l against dx_k ^ dx_l with +1.  ValueError for any other
+    degree of b."""
+    if b.degree != 2:
+        raise ValueError("contract reads a 2-form as the bivector; got a "
+                         "%d-form" % b.degree)
     if a.nvars != b.nvars:
         raise ValueError("variable count mismatch")
     out = Form(a.nvars, a.degree - 2, a.basis)

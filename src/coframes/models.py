@@ -23,10 +23,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
-from .forms import (COORD, Bivector, Form, change_basis, exterior_d,
+from .forms import (COORD, Form, change_basis, exterior_d,
                     form_from_json, form_to_json, form_zero)
 
 if TYPE_CHECKING:
@@ -319,14 +320,18 @@ def verify_structure(model: GeometryModel) -> StructureReport:
 class LeviReport:
     """The Levi bracket of a model, for each depth-2 covector a (in the
     order of vertical): the weight-2 part of d(omega_a), a constant 2-form
-    on the horizontal covectors (forms), and the same as a skew matrix
-    over horizontal (matrices[a])."""
+    on the horizontal covectors (forms), read as a bivector where paired."""
     model: str
     vertical: Tuple[int, ...]
     horizontal: Tuple[int, ...]
     forms: List[Form]
-    matrices: Dict[int, linalg.Matrix]
     injective: bool
+
+
+def _pair_coeffs(f: Form, horiz: Sequence[int]) -> List[Fraction]:
+    """The constant coefficients of f on the pairs u < v of horiz."""
+    return [rp.constant_value(f.terms.get(uv, {}))
+            for uv in combinations(horiz, 2)]
 
 
 def levi_apply(model: GeometryModel, a: Form) -> Form:
@@ -350,28 +355,21 @@ def levi_form(model: GeometryModel) -> LeviReport:
     brackets of the depth-2 covectors are independent, by exact rank.
     """
     vert, horiz = model.depth2, model.horizontal
-    hpos = {h: k for k, h in enumerate(horiz)}
     forms: List[Form] = []
-    mats: Dict[int, linalg.Matrix] = {}
     for a in vert:
         parts = split_by_cell_weight(model, model.structure_forms()[a])
         f = parts[2] if 2 in parts else form_zero(model.nvars, 2,
                                                   model.basis_tag)
-        m = [[Fraction(0)] * len(horiz) for _ in horiz]
         for (u, v), p in f.terms.items():
             if not rp.is_constant(p):
                 raise ValueError(
                     "the Levi bracket of %s is not constant: d(omega_%d) "
                     "has a nonconstant omega_%d ^ omega_%d coefficient"
                     % (model.name, a + 1, u + 1, v + 1))
-            c = rp.constant_value(p)
-            m[hpos[u]][hpos[v]], m[hpos[v]][hpos[u]] = c, -c
         forms.append(f)
-        mats[a] = m
-    rows = [[c for row in mats[a] for c in row] for a in vert]
+    rank = linalg.rank([_pair_coeffs(f, horiz) for f in forms]) if vert else 0
     return LeviReport(model=model.name, vertical=vert, horizontal=horiz,
-                      forms=forms, matrices=mats,
-                      injective=not vert or linalg.rank(rows) == len(vert))
+                      forms=forms, injective=rank == len(vert))
 
 
 # #### Orbit classification ################################################
@@ -385,23 +383,24 @@ class OrbitReport:
     levi_injective: bool
 
 
-def _pfaffian_pairing(x: linalg.Matrix, y: linalg.Matrix) -> Fraction:
-    """The polarized Pfaffian of two 4 x 4 skew matrices: Pf(x) at y = x."""
-    return (x[0][1] * y[2][3] + y[0][1] * x[2][3]
-            - x[0][2] * y[1][3] - y[0][2] * x[1][3]
-            + x[0][3] * y[1][2] + y[0][3] * x[1][2]) / 2
+def _pfaffian_pairing(x: List[Fraction], y: List[Fraction]) -> Fraction:
+    """The polarized Pfaffian of two 2-forms over four covectors, given by
+    their _pair_coeffs (x01, x02, x03, x12, x13, x23): Pf(x) = x01 x23 -
+    x02 x13 + x03 x12 at y = x."""
+    return (x[0] * y[5] + y[0] * x[5] - x[1] * y[4] - y[1] * x[4]
+            + x[2] * y[3] + y[2] * x[3]) / 2
 
 
 def pfaffian_gram(levi: LeviReport) -> linalg.Matrix:
     """The Pfaffian form on the brackets of a 3-in-7 structure: its
-    polarization on the three depth-2 matrices."""
+    polarization on the three depth-2 2-forms."""
     vert, horiz = levi.vertical, levi.horizontal
     if len(vert) != 3 or len(horiz) != 4:
         raise ValueError(
             "orbit classification needs 3 depth-2 covectors over a 4-dim "
             "horizontal space; got %d and %d" % (len(vert), len(horiz)))
-    mats = [levi.matrices[a] for a in vert]
-    return [[_pfaffian_pairing(x, y) for y in mats] for x in mats]
+    coeffs = [_pair_coeffs(f, horiz) for f in levi.forms]
+    return [[_pfaffian_pairing(x, y) for y in coeffs] for x in coeffs]
 
 
 def orbit_invariant(model: GeometryModel) -> OrbitReport:
@@ -560,19 +559,18 @@ def builtin_model(name: str) -> GeometryModel:
 
 
 def symplectic_data(half_dim: int) -> dict:
-    """Flat symplectic R^{2n}: model, symplectic form, dual bivector, primitive."""
+    """Flat symplectic R^{2n}: the model, the symplectic form J (contract
+    reads it as the bivector of the J-trace) and the Liouville form alpha,
+    sum of x_{2i} dx_{2i+1}, with d(alpha) = J."""
     n = 2 * half_dim
     model = GeometryModel("symplectic%d" % n, n, (1,) * n,
                           _pmat_identity(n, n))
     jf = Form(n, 2, COORD)
     alpha = Form(n, 1, COORD)
-    bt: Dict[Tuple[int, int], rp.Poly] = {}
     for i in range(half_dim):
         jf.add_term((2 * i, 2 * i + 1), rp.const(1, n))
         alpha.add_term((2 * i + 1,), rp.var(2 * i, n))
-        bt[(2 * i, 2 * i + 1)] = rp.const(1, n)
-    dual = Bivector(n, bt)
-    return {"model": model, "J": jf, "J_dual": dual, "alpha": alpha}
+    return {"model": model, "J": jf, "alpha": alpha}
 
 
 # #### JSON ################################################################

@@ -52,9 +52,8 @@ from math import comb, lcm, perm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
-from .forms import (COORD, Bivector, Form, contract, exterior_d,
-                    form_monomial, form_pmul, form_scale, form_sub, one_form,
-                    wedge)
+from .forms import (COORD, Form, contract, exterior_d, form_monomial,
+                    form_pmul, form_scale, form_sub, one_form, wedge)
 from .models import GeometryModel, coframe_d, symplectic_data
 from .pages import CellKey
 
@@ -526,16 +525,15 @@ class RsProjD(OperatorHandle):
     """d followed by the pointwise projection killing the J-trace."""
 
     def __init__(self, source: Node, target: Node, jform: Form,
-                 jdual: Bivector, half_dim: int):
+                 half_dim: int):
         super().__init__(source, target)
         self.span = SpanSolver(target.forms)
         self.jform = jform
-        self.jdual = jdual
         self.half_dim = half_dim
 
     def apply(self, coeffs, jets=None):
         beta = exterior_d(realize(self.source, coeffs), _partials(jets))
-        trace = contract(beta, self.jdual)
+        trace = contract(beta, self.jform)
         c = trace.terms.get((), {})
         corr = form_pmul(self.jform, rp.scale(c, Fraction(1, self.half_dim)))
         return self.span.express(form_sub(beta, corr))
@@ -702,13 +700,12 @@ def build_rs_complex(half_dim: int) -> Resolution:
     data = symplectic_data(half_dim)
     n = 2 * half_dim
     jform: Form = data["J"]
-    jdual: Bivector = data["J_dual"]
 
     def primitive2() -> List[Form]:
         perp: List[Form] = []
         for pair in sorted(combinations(range(n), 2)):
             f = form_monomial(n, pair, 1)
-            tr = contract(f, jdual).terms.get((), {})
+            tr = contract(f, jform).terms.get((), {})
             if not tr:
                 perp.append(f)
         perp.append(form_sub(form_monomial(n, (0, 1), 1),
@@ -729,7 +726,7 @@ def build_rs_complex(half_dim: int) -> Resolution:
                      6)])
     ops = OnDemand([
         lambda: SpanDOperator(None, nodes[0], nodes[1]),
-        lambda: RsProjD(nodes[1], nodes[2], jform, jdual, half_dim),
+        lambda: RsProjD(nodes[1], nodes[2], jform, half_dim),
         lambda: RsMiddle(nodes[2], nodes[3], jform, n),
         lambda: SpanDOperator(None, nodes[3], nodes[4]),
         lambda: SpanDOperator(None, nodes[4], nodes[5])])

@@ -25,8 +25,8 @@ forms C_i = d(omega_i), with no shifted model built:
   pair weight 4 - wt(I) + wt(I_k).  The inputs are built from the
   weights and the Levi bracket alone (models.levi_form, the weight-2 part
   of C_a for the depth-2 rows a): each horizontal 3-form, with each Levi
-  dual contracted into it, gives one, so six variables have one input, the
-  distinguished 2-form, and seven have four.  A shift carries both over
+  2-form contracted into it, gives one, so six variables have one input,
+  the distinguished 2-form, and seven have four.  A shift carries both over
   unchanged: see the third fact.
 - A unit shift is a constant substitution.  omega'_j = omega_j + omega_a
   is a constant row change, so d(omega'_j) = C_j + C_a with no term from a
@@ -52,8 +52,8 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
-from .forms import (Bivector, Form, contract, form_add, form_monomial,
-                    form_scale, form_sub, form_zero, wedge)
+from .forms import (Form, contract, form_add, form_monomial, form_scale,
+                    form_sub, form_zero, wedge)
 from .models import (GeometryModel, coframe_d, levi_form, pfaffian_gram,
                      split_by_cell_weight, splitting_shift)
 from .operators import SpanSolver
@@ -61,9 +61,9 @@ from .operators import SpanSolver
 PolyMat = List[List[rp.Poly]]
 
 
-def _pair(sigma: Form, b: Bivector) -> rp.Poly:
-    """Full contraction of a 2-form with a bivector: the sum over k < l of
-    sigma[(k, l)] b[(k, l)], as both key a pair by its sorted indices."""
+def _pair(sigma: Form, b: Form) -> rp.Poly:
+    """contract(sigma, b) for two 2-forms, as a dot product: the sum over
+    k < l of sigma[(k, l)] b[(k, l)], as both key pairs sorted."""
     acc: rp.Poly = {}
     for kl, q in b.terms.items():
         p = sigma.terms.get(kl)
@@ -72,9 +72,8 @@ def _pair(sigma: Form, b: Bivector) -> rp.Poly:
     return acc
 
 
-def _pairing_matrix(levis: List[Form],
-                    duals: List[Bivector]) -> linalg.Matrix:
-    return [[rp.constant_value(_pair(f, b)) for b in duals] for f in levis]
+def _pairing_matrix(levis: List[Form]) -> linalg.Matrix:
+    return [[rp.constant_value(_pair(f, g)) for g in levis] for f in levis]
 
 
 def _vertical_sigma(model: GeometryModel, part: Form) -> List[Form]:
@@ -122,11 +121,11 @@ def _sym(mat: PolyMat) -> PolyMat:
              for b in range(k)] for a in range(k)]
 
 
-def _inputs(model: GeometryModel, duals: List[Bivector]) -> List[Form]:
+def _inputs(model: GeometryModel, levis: List[Form]) -> List[Form]:
     """Basis of the distinguished piece inside vertical wedge horizontal
     2-forms, read off the weights and the Levi bracket alone: each
-    horizontal 3-form xi gives the sum over depth-2 a of omega^a ^ (b_a
-    contracted into xi), b_a the dual of the bracket of omega_a.  Six
+    horizontal 3-form xi gives the sum over depth-2 a of omega^a ^
+    contract(xi, L_a), L_a the bracket 2-form of omega_a.  Six
     variables have one horizontal 3-form, the horizontal volume, and so one
     input, the distinguished 2-form (on dist3in6 omega^1 ^ omega^4 +
     omega^2 ^ omega^5 + omega^3 ^ omega^6); seven variables have four."""
@@ -134,9 +133,9 @@ def _inputs(model: GeometryModel, duals: List[Bivector]) -> List[Form]:
     for trip in combinations(model.horizontal, 3):
         xi = form_monomial(model.nvars, trip, 1, model.basis_tag)
         beta = form_zero(model.nvars, 2, model.basis_tag)
-        for a, b in zip(model.depth2, duals):
+        for a, lf in zip(model.depth2, levis):
             beta = form_add(beta, wedge(form_monomial(
-                model.nvars, (a,), 1, model.basis_tag), contract(xi, b)))
+                model.nvars, (a,), 1, model.basis_tag), contract(xi, lf)))
         if beta.is_zero():
             raise AssertionError("distinguished 2-form basis degenerated")
         out.append(beta)
@@ -147,19 +146,19 @@ class _Obstruction:
     """The obstruction of one model as a linear map of structure forms.
 
     Holds what does not depend on them, all read off the weights and the
-    Levi bracket (one models.levi_form report: its 2-forms, and their duals
-    as bivectors): the constant-coefficient inputs (_inputs: the one
-    horizontal 3-form of six variables gives the distinguished 2-form, the
-    four of seven a basis), the transposed inverse of the bracket's pairing
-    and, for seven variables, the trace removal by the metric, the Pfaffian
-    form of the same report: a constant k^2 x k^2 matrix on the flattened
-    symmetric matrix.  kind decides only that trace removal.  The bracket
-    is defined on the depth-2 covectors, so the model's vertical covectors
-    must be exactly those.  A splitting shift carries all of these over
-    unchanged (see the module docstring), so one instance serves the model
-    and every shift of it.  report(dforms, name) is the obstruction with
-    d(omega_i) = dforms[i]; it builds d of each input in weight 4 only, the
-    one weight the Levi projection reads.
+    Levi bracket (the 2-forms of one models.levi_form report, which contract
+    and _pair read as bivectors): the constant-coefficient inputs (_inputs:
+    the one horizontal 3-form of six variables gives the distinguished
+    2-form, the four of seven a basis), the transposed inverse of the
+    bracket's pairing and, for seven variables, the trace removal by the
+    metric, the Pfaffian form of the same report: a constant k^2 x k^2
+    matrix on the flattened symmetric matrix.  kind decides only that trace
+    removal.  The bracket is defined on the depth-2 covectors, so the
+    model's vertical covectors must be exactly those.  A splitting shift
+    carries all of these over unchanged (see the module docstring), so one
+    instance serves the model and every shift of it.  report(dforms, name)
+    is the obstruction with d(omega_i) = dforms[i]; it builds d of each
+    input in weight 4 only, the one weight the Levi projection reads.
     """
 
     def __init__(self, model: GeometryModel):
@@ -171,10 +170,9 @@ class _Obstruction:
         self.kind = "six" if shape == (3, 3) else "seven"
         levi = levi_form(model)
         self.levis = levi.forms
-        self.duals = [Bivector(f.nvars, dict(f.terms)) for f in self.levis]
         self.pinv_t = linalg.transpose(linalg.inverse(
-            _pairing_matrix(self.levis, self.duals)))
-        self.inputs = _inputs(model, self.duals)
+            _pairing_matrix(self.levis)))
+        self.inputs = _inputs(model, self.levis)
         self.trace_free: Optional[linalg.Matrix] = None
         if self.kind == "seven":
             # I - (1/3) gmat (x) ginv^T: subtracts a third of the trace
@@ -192,7 +190,7 @@ class _Obstruction:
         by the metric for seven variables."""
         k = len(self.levis)
         sym = _sym([linalg.poly_matvec(self.pinv_t,
-                                       [_pair(sigma, b) for b in self.duals])
+                                       [_pair(sigma, f) for f in self.levis])
                     for sigma in _vertical_sigma(self.model, part)])
         if self.trace_free is None:
             return sym

@@ -72,7 +72,7 @@ from math import perm
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
-from .models import GeometryModel
+from .models import GeometryModel, symplectic_data
 from .operators import PackedKernel, Resolution, random_section
 from .pages import CellKey
 
@@ -438,17 +438,14 @@ def composition_check(res: Resolution, rng: Optional[random.Random] = None,
 
 def rs_h1_witness(res: Resolution) -> bool:
     """The degree-1 homology of the symplectic complex has the tautological
-    generator: the 1-form pairing each even coordinate with the next odd one
-    is closed for the projected differential and is not a differential."""
+    generator: the Liouville form alpha of models.symplectic_data is
+    closed for the projected differential and is not a differential."""
     if res.variant != "rs":
         raise ValueError("witness is specific to the symplectic complex")
-    n = res.nvars
-    node1 = res.nodes[1]
-    alpha: List[rp.Poly] = [{} for _ in range(node1.rank)]
-    for slot, f in enumerate(node1.forms):
-        (idx,) = list(f.terms)
-        if idx[0] % 2 == 1:
-            alpha[slot] = rp.var(idx[0] - 1, n)
+    liouville = symplectic_data(res.nvars // 2)["alpha"]
+    # node 1's slots are the unit coordinate covectors
+    alpha: List[rp.Poly] = [liouville.terms.get(idx, {})
+                            for f in res.nodes[1].forms for idx in f.terms]
     closed = not any(p for p in res.operators[1].apply(alpha))
     cache = _SliceCache(res)
     pos = {bk: i for i, bk in enumerate(cache.basis(1, 2))}

@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from coframes import ratpoly as rp
-from coframes.forms import (Bivector, change_basis, contract, exterior_d,
-                            form_add, form_from_json, form_monomial,
-                            form_pmul, form_scale, form_sub, form_to_json,
-                            form_zero, interior, one_form, sort_sign, wedge)
+from coframes.forms import (change_basis, contract, exterior_d, form_add,
+                            form_from_json, form_monomial, form_pmul,
+                            form_scale, form_sub, form_to_json, form_zero,
+                            interior, one_form, sort_sign, wedge)
 
 from conftest import model
 
@@ -89,11 +91,20 @@ def test_interior_antiderivation():
 def test_contract_pairs_matching_monomial():
     n = 4
     a = form_monomial(n, (1, 2), 1)
-    biv = Bivector(n, {(1, 2): rp.const(1, n)})
-    out = contract(a, biv)
+    out = contract(a, form_monomial(n, (1, 2), 1))
     assert out.terms == {(): {(0,) * n: Fraction(1)}}
-    off = Bivector(n, {(0, 3): rp.const(1, n)})
-    assert contract(a, off).is_zero()
+    # the 2-form keys its pair sorted, so (2, 1) reads as -(1, 2)
+    assert contract(a, form_monomial(n, (2, 1), 1)).terms == {
+        (): {(0,) * n: Fraction(-1)}}
+    assert contract(a, form_monomial(n, (0, 3), 1)).is_zero()
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_contract_refuses_a_b_not_of_degree_two(degree):
+    n = 4
+    a = form_monomial(n, (0, 1, 2), 1)
+    with pytest.raises(ValueError, match="2-form"):
+        contract(a, form_monomial(n, tuple(range(degree)), 1))
 
 
 def test_change_basis_roundtrip():

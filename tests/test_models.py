@@ -9,14 +9,16 @@ from fractions import Fraction
 import pytest
 
 from coframes import cli, linalg, ratpoly as rp
-from coframes.models import (GeometryModel, _det_one_order, _pmat_identity,
+from coframes.models import (GeometryModel, _det_one_order, _pair_coeffs,
+                             _pfaffian_pairing, _pmat_identity,
                              _pmat_inverse_unimodular, _pmat_mul,
                              builtin_model, builtin_names,
                              change_rows, coframe_d, levi_apply, levi_form,
                              model_from_json, model_to_json, orbit_invariant,
                              split_by_cell_weight, splitting_shift,
                              symplectic_data, verify_structure)
-from coframes.forms import exterior_d, form_sub, one_form, sort_sign
+from coframes.forms import (Form, exterior_d, form_add, form_sub, one_form,
+                            sort_sign)
 
 from conftest import model, random_unipotent
 
@@ -77,20 +79,44 @@ def test_split_by_cell_weight_partitions(each_model):
 
 def test_levi_form_constant_on_builtins(each_model):
     """levi_form derives a constant bracket on every builtin (it raises
-    otherwise), injective, and its matrices are its forms."""
+    otherwise), on the depth-2 and horizontal covectors, and injective."""
     m = each_model
     rep = levi_form(m)
     assert rep.vertical == m.depth2 and rep.horizontal == m.horizontal
     assert rep.injective
-    for a, f in zip(rep.vertical, rep.forms):
+    for f in rep.forms:
         assert all(rp.is_constant(p) for p in f.terms.values())
-        mat = rep.matrices[a]
-        assert {(m.horizontal[i], m.horizontal[j]): c
-                for i, row in enumerate(mat) for j, c in enumerate(row)
-                if c and i < j} == {
-                    uv: rp.constant_value(p) for uv, p in f.terms.items()}
-        assert all(mat[i][j] == -mat[j][i] for i in range(len(mat))
-                   for j in range(len(mat)))
+
+
+def _pf(f):
+    """The Pfaffian of a constant 2-form over four covectors, read off its
+    terms: x01 x23 - x02 x13 + x03 x12."""
+    c = lambda k, l: rp.constant_value(f.terms.get((k, l), {}))
+    return c(0, 1) * c(2, 3) - c(0, 2) * c(1, 3) + c(0, 3) * c(1, 2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pfaffian_pairing_polarizes_the_pfaffian(seed):
+    """_pfaffian_pairing on the pair coefficients of random constant
+    2-forms x, y over four covectors: pairing(x, x) is Pf(x), and
+    2 pairing(x, y) = Pf(x + y) - Pf(x) - Pf(y), which reads every
+    off-diagonal sign the diagonal Gram goldens do not."""
+    rng = random.Random(seed)
+    horiz = (0, 1, 2, 3)
+
+    def rand2():
+        f = Form(4, 2)
+        for _ in range(rng.randint(1, 8)):
+            f.add_term(tuple(rng.sample(horiz, 2)),
+                       rp.const(Fraction(rng.randint(-5, 5),
+                                         rng.randint(1, 3)), 4))
+        return f
+
+    x, y = rand2(), rand2()
+    cx, cy = _pair_coeffs(x, horiz), _pair_coeffs(y, horiz)
+    assert _pfaffian_pairing(cx, cx) == _pf(x)
+    assert (2 * _pfaffian_pairing(cx, cy)
+            == _pf(form_add(x, y)) - _pf(x) - _pf(y))
 
 
 def test_levi_form_refuses_a_nonconstant_bracket():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from coframes import linalg, ratpoly as rp
-from coframes.forms import (Bivector, Form, contract, form_add, form_pmul,
-                            form_sub, form_zero, wedge)
+from coframes.forms import (Form, contract, form_add, form_pmul, form_sub,
+                            form_zero, wedge)
 from coframes.models import (Congruence, GeometryModel, builtin_model,
                              coframe_d, levi_form, model_from_json,
                              model_to_json, pfaffian_gram,
@@ -352,7 +352,7 @@ def _reference_report(ob, dforms):
         part = split_by_cell_weight(m, d3).get(4, Form(m.nvars, 3, d3.basis))
         sym = _sym([linalg.poly_matvec(ob.pinv_t,
                                        [contract(sigma, b).terms.get((), {})
-                                        for b in ob.duals])
+                                        for b in ob.levis])
                     for sigma in _vertical_sigma(m, part)])
         if ob.trace_free is not None:
             flat = linalg.poly_matvec(ob.trace_free,
@@ -384,24 +384,24 @@ def test_weight4_report_matches_full_leibniz(m):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_pairing_is_the_double_contraction(seed):
-    """_pair(sigma, b) is contract(sigma, b)'s degree-0 coefficient.  The
-    bivector's entries come keyed (k, l) with k > l, with k == l, and in
-    both orders of one pair, so its normalization is read as well."""
+    """_pair(sigma, b) is contract(sigma, b)'s degree-0 coefficient for two
+    2-forms.  b's entries go through Form.add_term keyed (k, l) with
+    k > l, with k == l, and in both orders of one pair, so the sorting, the
+    sign flip and the dropped diagonal are read as well."""
     rng = random.Random(seed)
     n = 4 + seed % 4
     sigma = Form(n, 2)
-    entries = {}
+    b = Form(n, 2)
     for _ in range(rng.randint(1, 6)):
         lo, hi = sorted(rng.sample(range(n), 2))
-        entries[(hi, lo)] = rp.random_poly(rng, n, 2, terms=3)
+        b.add_term((hi, lo), rp.random_poly(rng, n, 2, terms=3))
         if rng.random() < 0.5:
-            entries[(lo, hi)] = rp.random_poly(rng, n, 2, terms=3)
-        entries[(lo, lo)] = rp.random_poly(rng, n, 2, terms=3)
+            b.add_term((lo, hi), rp.random_poly(rng, n, 2, terms=3))
+        b.add_term((lo, lo), rp.random_poly(rng, n, 2, terms=3))
         if rng.random() < 0.8:
             sigma.add_term(rng.choice([(lo, hi), (hi, lo)]),
                            rp.random_poly(rng, n, 2, terms=3))
     for _ in range(rng.randint(0, 4)):
         sigma.add_term(tuple(rng.sample(range(n), 2)),
                        rp.random_poly(rng, n, 2, terms=3))
-    b = Bivector(n, entries)
     assert _pair(sigma, b) == contract(sigma, b).terms.get((), {})
