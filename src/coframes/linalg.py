@@ -1,20 +1,22 @@
 """Exact linear algebra helpers.
 
-Dense matrices are lists of row lists, and rref is their one exact
-elimination: rank, nullspace and inverse read it, and so do the page
-decompositions and operators.SpanSolver.  rref takes int or Fraction
-entries, eliminates in ints while the pivots are +-1, and returns Fractions.
-poly_matvec applies a constant matrix to a vector of polynomials, the
-one such product of the operator layer.  Polynomial matrices (entries are
-Poly dicts) get fraction-free determinants and adjugates.  A sparse
-elimination over a prime field supports the rank certificates used by the
-exactness checker.
+Dense matrices are lists of row lists, and one exact elimination reduces
+them: it takes int or Fraction entries and eliminates in ints while the
+pivots are +-1.  rref returns its result over Fraction, for rank,
+nullspace and inverse; integer_rref returns it as integer numerators over
+one denominator, for the constant maps of the operator layer (the page
+decompositions and operators.SpanSolver).  poly_matvec applies a constant
+matrix to a vector of polynomials, the one such product of that layer.
+Polynomial matrices (entries are Poly dicts) get fraction-free
+determinants and adjugates.  A sparse elimination over a prime field
+supports the rank certificates used by the exactness checker.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from typing import Collection, Dict, List, Sequence, Tuple
 
@@ -42,7 +44,8 @@ def poly_matvec(m: Sequence[Sequence[Rational]],
                 vec: Sequence[rp.Poly]) -> List[rp.Poly]:
     """The product of a constant matrix and a vector of polynomials.
 
-    Entries of m may be ints or Fractions.  The product is taken one
+    Entries of m and coefficients of vec may be ints or Fractions; int
+    numerators times IntPolys give IntPolys.  The product is taken one
     x-monomial at a time, in sorted order, so each output polynomial has
     sorted monomials; a coefficient that sums to zero is not stored.
     """
@@ -50,8 +53,9 @@ def poly_matvec(m: Sequence[Sequence[Rational]],
     for e in sorted({e for p in vec for e in p}):
         col = [(j, p[e]) for j, p in enumerate(vec) if e in p]
         for row, p in zip(m, out):
-            # Fraction times entry, so an int entry takes Fraction's
-            # fast path; summing from the first product saves adding 0
+            # coefficient times entry, so a Fraction coefficient meets an
+            # int entry on its own fast path; summing from the first
+            # product saves adding 0
             terms = [x * row[j] for j, x in col if row[j]]
             if terms:
                 c = sum(terms[1:], terms[0])
@@ -60,15 +64,16 @@ def poly_matvec(m: Sequence[Sequence[Rational]],
     return out
 
 
-def rref(m: Sequence[Sequence[Rational]]) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form and its pivot columns.
+def _eliminate(m: Sequence[Sequence[Rational]]
+               ) -> Tuple[List[List[Rational]], List[int]]:
+    """Reduced row echelon form and its pivot columns, entries as they
+    come out: ints and Fractions.
 
-    Entries may be ints or Fractions.  Each elimination step touches only
-    the nonzero entries of the pivot row; the page-0 matrices this serves
-    are mostly zeros, with small integer entries and pivots +-1, so their
-    arithmetic stays in ints.  A pivot of any other value divides its row
-    into Fractions.  The reduced form is unique, so the result is the same
-    whatever the entry types; it is returned over Fraction.
+    Each elimination step touches only the nonzero entries of the pivot
+    row; the page-0 matrices this serves are mostly zeros, with small
+    integer entries and pivots +-1, so their arithmetic stays in ints.  A
+    pivot of any other value divides its row into Fractions.  The reduced
+    form is unique, so it is the same whatever the entry types.
     """
     rows = [list(r) for r in m]
     nrows = len(rows)
@@ -102,11 +107,29 @@ def rref(m: Sequence[Sequence[Rational]]) -> Tuple[Matrix, List[int]]:
         r += 1
         if r == nrows:
             break
+    return rows, pivots
+
+
+def rref(m: Sequence[Sequence[Rational]]) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form over Fraction and its pivot columns; the
+    entries of m may be ints or Fractions."""
+    rows, pivots = _eliminate(m)
     # each distinct int becomes one Fraction; most are 0 and +-1
     fracs: Dict[int, Fraction] = {0: ZERO, 1: ONE}
     return [[x if type(x) is Fraction else fracs[x] if x in fracs
              else fracs.setdefault(x, Fraction(x)) for x in row]
             for row in rows], pivots
+
+
+def integer_rref(m: Sequence[Sequence[Rational]]
+                 ) -> Tuple[int, List[List[int]], List[int]]:
+    """(den, rows, pivots): rref(m) is rows / den, rows holding ints and
+    den the lcm of the reduced form's denominators.  An elimination that
+    stayed in ints gives den 1 and its own entries."""
+    rows, pivots = _eliminate(m)
+    den = lcm(*{x.denominator for row in rows for x in row})
+    return den, [[x.numerator * (den // x.denominator) for x in row]
+                 for row in rows], pivots
 
 
 def rank(m: Matrix) -> int:

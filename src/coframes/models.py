@@ -133,6 +133,17 @@ class StructureReport:
                 and all(c["holds"] for c in self.congruences))
 
 
+@dataclass
+class Frame:
+    """The data coframe_d reads, scaled by den to integer numerators: inv
+    is den coframe_inv, and structure[i] lists (u, v, c) with den d(omega_i)
+    = sum c omega_u ^ omega_v.  den is the lcm of the denominators of both,
+    1 on every builtin but g2_5, whose coframe_inv holds halves."""
+    den: int
+    inv: List[List[rp.IntPoly]]
+    structure: List[List[Tuple[int, int, rp.IntPoly]]]
+
+
 class GeometryModel:
     """Global coframe on R^n with weights and declared structure equations.
 
@@ -158,6 +169,7 @@ class GeometryModel:
             _det_one_order(coframe, nvars)
         self.coframe_inv = coframe_inv
         self._structure_forms: Optional[List[Form]] = None
+        self._frame: Optional[Frame] = None
         self._page1: Optional[Page1] = None
 
     @property
@@ -197,6 +209,20 @@ class GeometryModel:
             self._structure_forms = out
         return self._structure_forms
 
+    def frame(self) -> Frame:
+        """coframe_inv and the structure forms over one denominator, for
+        coframe_d, derived on first call."""
+        if self._frame is None:
+            dforms = self.structure_forms()
+            den, nums = rp.clear_denominators(
+                [p for row in self.coframe_inv for p in row]
+                + [p for f in dforms for p in f.terms.values()])
+            it = iter(nums)
+            self._frame = Frame(
+                den, [[next(it) for _ in row] for row in self.coframe_inv],
+                [[(u, v, next(it)) for u, v in f.terms] for f in dforms])
+        return self._frame
+
     def page1(self) -> Page1:
         """The model's one graded first page, built on first call.  It keeps
         no reference back, so no cycle outlives the model."""
@@ -225,48 +251,46 @@ class GeometryModel:
         return "GeometryModel(%s, n=%d)" % (self.name, self.nvars)
 
 
-def frame_derivatives(model: GeometryModel, p: rp.Poly,
-                      partials=None) -> List[rp.Poly]:
-    """Components of df along the frame dual to the coframe; partials as
-    in forms.exterior_d."""
-    binv = model.coframe_inv
-    dp = (partials(p) if partials is not None
-          else [rp.diff(p, m) for m in range(model.nvars)])
-    out = []
-    for i in range(model.nvars):
-        acc: rp.Poly = {}
-        for m, dm in enumerate(dp):
-            if dm and binv[m][i]:
-                acc = rp.add(acc, rp.mul(binv[m][i], dm))
-        out.append(acc)
-    return out
-
-
 def coframe_d(model: GeometryModel, a: Form, partials=None) -> Form:
     """Exterior derivative of a coframe-basis form, staying in that basis;
-    partials as in forms.exterior_d."""
+    partials as in forms.exterior_d.
+
+    d(p omega_I) = sum_i (X_i p) omega_i ^ omega_I + p d(omega_I), X_i the
+    frame dual to the coframe, X_i p = sum_m coframe_inv[m][i] d_m p, and
+    d(omega_I) the Leibniz sum over the structure forms.  The loop reads
+    them as the model's Frame, integer numerators over one denominator,
+    and runs in the arithmetic of a's coefficients, dividing each output
+    coefficient by that denominator where it is not 1: a form with int
+    coefficients on a frame of denominator 1 gets an int d.
+    """
     if a.basis != model.basis_tag:
         raise ValueError("form is not in this model's coframe basis")
-    out = Form(model.nvars, a.degree + 1, a.basis)
-    dforms = model.structure_forms()
+    n = model.nvars
+    frame = model.frame()
+    out = Form(n, a.degree + 1, a.basis)
     for idx, p in a.terms.items():
-        xp = frame_derivatives(model, p, partials)
-        for i in range(model.nvars):
-            if xp[i]:
-                out.add_term((i,) + idx, xp[i])
-        _add_structure_d(out, idx, p, dforms)
+        dp = (partials(p) if partials is not None
+              else [rp.diff(p, m) for m in range(n)])
+        for i in range(n):
+            acc: rp.Poly = {}
+            for m, dm in enumerate(dp):
+                # a's coefficient first: a Fraction times an int numerator
+                # takes Fraction's fast path
+                if dm and frame.inv[m][i]:
+                    acc = rp.add(acc, rp.mul(dm, frame.inv[m][i]))
+            if acc:
+                out.add_term((i,) + idx, acc)
+        for k, ik in enumerate(idx):
+            for u, v, c in frame.structure[ik]:
+                coeff = rp.mul(p, c)
+                if k % 2:
+                    coeff = rp.neg(coeff)
+                out.add_term(idx[:k] + (u, v) + idx[k + 1:], coeff)
+    if frame.den != 1:
+        inv_den = Fraction(1, frame.den)
+        out.terms = {idx: rp.scale(p, inv_den)
+                     for idx, p in out.terms.items()}
     return out
-
-
-def _add_structure_d(out: Form, idx: Tuple[int, ...], p: rp.Poly,
-                     dforms: Sequence[Form]) -> None:
-    """Add p * d(omega_idx) by Leibniz, with d(omega_i) = dforms[i]."""
-    for k, ik in enumerate(idx):
-        for (u, v), c in dforms[ik].terms.items():
-            coeff = rp.mul(p, c)
-            if k % 2:
-                coeff = rp.neg(coeff)
-            out.add_term(idx[:k] + (u, v) + idx[k + 1:], coeff)
 
 
 def split_by_cell_weight(model: GeometryModel, a: Form) -> Dict[int, Form]:

@@ -24,7 +24,12 @@ that gamma was solved for, so no separate product by page-0 columns is due.
 Each step but d is Q-linear monomial by monomial: a constant matrix
 applied to a vector of polynomials (linalg.poly_matvec), whether it solves
 for span coordinates, for a correction's coefficients, or projects on the
-classes (CellData.extract, once per target cell).  So the same cascade run
+classes (CellData.extract, once per target cell).  Every such matrix, and
+the frame data d reads (models.Frame), is held as integer numerators over
+one denominator, so an operator runs in ints: apply clears the section's
+denominators once (_integral, on the realized lift), carries one running
+denominator that grows only where a frame or matrix denominator is not 1,
+and builds one Fraction per output coefficient.  So the same cascade run
 on a symbolic jet u (ratpoly.Jets), with d acting as the total derivative,
 yields the operator's normal form sum_alpha c_alpha(x) d^alpha, one per
 pair of source and target slots.  OperatorHandle.normal_form compiles it
@@ -53,7 +58,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
 from .forms import (COORD, Form, contract, exterior_d, form_monomial,
-                    form_pmul, form_scale, form_sub, one_form, wedge)
+                    form_sub, one_form, wedge)
 from .models import GeometryModel, coframe_d, symplectic_data
 from .pages import CellKey
 
@@ -106,14 +111,16 @@ class SpanSolver:
     One rref of [C | I], C holding the forms' coefficient columns, pivots
     on every C column first, so its I block R has R C = [I; 0]: the first
     rank entries of R v are v's coordinates in the forms, and v lies in
-    their span exactly when the other entries vanish.
+    their span exactly when the other entries vanish.  R is kept as
+    integer numerators over den, and express returns den times the
+    coordinates (den is 1 on every span of the named complexes).
     """
 
     def __init__(self, forms: Sequence[Form]):
         self.rank = len(forms)
         monos = sorted({idx for f in forms for idx in f.terms})
         self.pos = {m: i for i, m in enumerate(monos)}
-        red, pivots = linalg.rref(
+        self.den, red, pivots = linalg.integer_rref(
             [[rp.constant_value(f.terms.get(m, {})) for f in forms]
              + linalg.unit_vector(i, len(monos))
              for i, m in enumerate(monos)])
@@ -156,6 +163,26 @@ def _partials(jets: Optional[rp.Jets]):
     return jets.partials if jets is not None else None
 
 
+def _integral(form: Form) -> Tuple[int, Form]:
+    """(D, D form), D the lcm of the denominators of form's coefficients,
+    so D form has int coefficients."""
+    den, nums = rp.clear_denominators(list(form.terms.values()))
+    return den, Form(form.nvars, form.degree, form.basis,
+                     dict(zip(form.terms, nums)))
+
+
+def _frame_d(model: GeometryModel, form: Form, partials) -> Tuple[int, Form]:
+    """(f, f d(form)) for a form with int coefficients, f the denominator
+    of the model's frame: coframe_d divides by f, and its quotients are
+    read back as ints over f, with no Fraction arithmetic."""
+    d = coframe_d(model, form, partials)
+    f = model.frame().den
+    if f != 1:
+        d.terms = {idx: {e: c.numerator * (f // c.denominator)
+                         for e, c in p.items()} for idx, p in d.terms.items()}
+    return f, d
+
+
 class _LcpRun:
     """One lift-correct sweep of d over ascending weights.
 
@@ -167,8 +194,10 @@ class _LcpRun:
     weight-w part is E0 gamma, the Leibniz sum over the same structure
     forms that defines the page-0 columns (pages.e0_columns).
 
-    With jets, the lift has jet coefficients and d differentiates them
-    totally.
+    eta is kept as int coefficients over one running denominator, den: it
+    starts as the lift's and is multiplied by each cell's and the frame's
+    denominator that is not 1, as a correction meets it.  With jets, the
+    lift has jet coefficients and d differentiates them totally.
     """
 
     def __init__(self, model: GeometryModel, lift: Form, out_degree: int,
@@ -177,10 +206,12 @@ class _LcpRun:
         self.partials = _partials(jets)
         self.page1 = model.page1()
         self.degree = out_degree
-        self.eta = coframe_d(model, lift, self.partials)
+        den, lift = _integral(lift)
+        f, self.eta = _frame_d(model, lift, self.partials)
+        self.den = den * f
 
-    def vector(self, w: int) -> PolyVec:
-        """The weight-w part of eta in its cell's coordinates."""
+    def vector(self, w: int) -> List[rp.IntPoly]:
+        """The weight-w part of eta in its cell's coordinates, over den."""
         cell = self.page1.page0.cells[(self.degree, w - self.degree)]
         return [self.eta.terms.get(m, {}) for m in cell.basis]
 
@@ -189,7 +220,9 @@ class _LcpRun:
 
         The image block of the cell's sinv gives the coefficients in the
         source cell's pivot coordinates (see CellData), so the preimage
-        gamma lies in the complement of the source kernel.
+        gamma lies in the complement of the source kernel.  gamma comes
+        over den times the cell's denominator, and d(gamma) over that
+        times the frame's, which den then takes on.
         """
         data = self.page1.cell_data((self.degree, w - self.degree))
         acoeffs = linalg.poly_matvec(data.sinv[:data.rank_in], self.vector(w))
@@ -202,7 +235,12 @@ class _LcpRun:
         for i, p in enumerate(acoeffs):
             if p:
                 gamma.add_term(src_cell.basis[src_pivots[i]], p)
-        dg = coframe_d(self.model, gamma, self.partials)
+        f, dg = _frame_d(self.model, gamma, self.partials)
+        scale = data.den * f
+        if scale != 1:
+            self.den *= scale
+            self.eta.terms = {idx: rp.scale(p, scale)
+                              for idx, p in self.eta.terms.items()}
         for idx, p in dg.terms.items():
             if self.model.weight_of(idx) < w:
                 raise AssertionError("correction reached below its weight")
@@ -458,8 +496,9 @@ class GradedOperator(OperatorHandle):
             run.correct_at(w)
             if key in self.target_cells:
                 lo, hi = self.target_cells[key]
-                out[lo:hi] = self.page1.cell_data(key).extract(
-                    run.vector(w))
+                data = self.page1.cell_data(key)
+                out[lo:hi] = [rp.over(p, run.den * data.den)
+                              for p in data.extract(run.vector(w))]
         return out
 
 
@@ -497,7 +536,8 @@ class DeepCorrectedOperator(OperatorHandle):
             run.correct_at(w)
             if any(run.vector(w)):
                 raise ValueError("weight %d is not fully correctable" % w)
-        return self.span.express(run.eta)
+        return [rp.over(p, run.den * self.span.den)
+                for p in self.span.express(run.eta)]
 
 
 class SpanDOperator(OperatorHandle):
@@ -512,31 +552,44 @@ class SpanDOperator(OperatorHandle):
 
     def apply(self, coeffs: Sequence[rp.Poly],
               jets: Optional[rp.Jets] = None) -> PolyVec:
-        form = realize(self.source, coeffs)
+        den, form = _integral(realize(self.source, coeffs))
         partials = _partials(jets)
         if self.model is None:
-            return self.span.express(exterior_d(form, partials))
-        return self.span.express(coframe_d(self.model, form, partials))
+            f, d = 1, exterior_d(form, partials)
+        else:
+            f, d = _frame_d(self.model, form, partials)
+        return [rp.over(p, den * f * self.span.den)
+                for p in self.span.express(d)]
 
 
 # #### symplectic replacement complex ######################################
 
 class RsProjD(OperatorHandle):
-    """d followed by the pointwise projection killing the J-trace."""
+    """d followed by the pointwise projection killing the J-trace.
+
+    With J = Jn / jden, Jn integral, the projection is beta - tr(beta) J /
+    half_dim for tr(beta) = contract(beta, J), and scale = half_dim jden^2
+    times it is scale beta - contract(beta, Jn) Jn, integral on an
+    integral beta."""
 
     def __init__(self, source: Node, target: Node, jform: Form,
                  half_dim: int):
         super().__init__(source, target)
         self.span = SpanSolver(target.forms)
-        self.jform = jform
-        self.half_dim = half_dim
+        jden, self.jform = _integral(jform)
+        self.scale = half_dim * jden ** 2
 
     def apply(self, coeffs, jets=None):
-        beta = exterior_d(realize(self.source, coeffs), _partials(jets))
-        trace = contract(beta, self.jform)
-        c = trace.terms.get((), {})
-        corr = form_pmul(self.jform, rp.scale(c, Fraction(1, self.half_dim)))
-        return self.span.express(form_sub(beta, corr))
+        den, beta = _integral(realize(self.source, coeffs))
+        beta = exterior_d(beta, _partials(jets))
+        trace = contract(beta, self.jform).terms.get((), {})
+        out = Form(beta.nvars, beta.degree, beta.basis,
+                   {idx: rp.scale(p, self.scale)
+                    for idx, p in beta.terms.items()})
+        for idx, p in self.jform.terms.items():
+            out.add_term(idx, rp.neg(rp.mul(p, trace)))
+        return [rp.over(p, den * self.scale * self.span.den)
+                for p in self.span.express(out)]
 
 
 class RsMiddle(OperatorHandle):
@@ -550,14 +603,15 @@ class RsMiddle(OperatorHandle):
                                  for i in range(nvars)])
 
     def apply(self, coeffs, jets=None):
-        beta = realize(self.source, coeffs)
+        den, beta = _integral(realize(self.source, coeffs))
         x = self.jspan.express(exterior_d(beta, _partials(jets)))
-        gamma = Form(self.nvars, 1, COORD)
+        gamma = Form(self.nvars, 1, COORD)     # -gamma, over den jspan.den
         for i, p in enumerate(x):
             if p:
-                gamma.add_term((i,), p)
-        return self.span.express(form_scale(exterior_d(gamma, _partials(jets)),
-                                            Fraction(-1)))
+                gamma.add_term((i,), rp.neg(p))
+        return [rp.over(p, den * self.jspan.den * self.span.den)
+                for p in self.span.express(exterior_d(gamma,
+                                                      _partials(jets)))]
 
 
 # #### complexes ###########################################################

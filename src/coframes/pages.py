@@ -15,9 +15,9 @@ independent definition.
 Page 1 derives one exact decomposition per cell on the cell's first read
 (Page1.cell_data), R^dim = im(E0_in) + span(reps) + span(units at the
 outgoing pivots P), with basis matrix S = [bcols | reps | units], and
-keeps rows 0:rank_in + dim1 of S^-1.  One
-rref of [B_N | I_N], B_N the incoming columns on the free coordinates N,
-gives the reps and those rows together:
+keeps rows 0:rank_in + dim1 of S^-1, as integer numerators over one
+denominator.  One rref of [B_N | I_N], B_N the incoming columns on the
+free coordinates N, gives the reps and those rows together:
 - the outgoing kernel basis is the identity on N, so restricting to N is
   injective on the kernel;
 - e0 o e0 = 0 puts bcols in the kernel, so that rref picks the reps the
@@ -26,7 +26,10 @@ gives the reps and those rows together:
 - the rows of S^-1 at P are never read, and the kept ones are M^-1 on N and
   zero on P, since the units vanish off P.
 CellData keeps only that data, its ranks being lengths; CellData.extract
-applies the class rows of S^-1 to a polynomial vector, once per cell.
+applies the class rows of S^-1 to a polynomial vector, once per cell.  The
+rows come from linalg.integer_rref, so they are ints from the elimination
+itself: the denominator is 1 on every cell of the builtins but one cell of
+elliptic7 and hyperbolic7, where it is 2.
 """
 
 from __future__ import annotations
@@ -150,8 +153,9 @@ class CellData:
     representatives, and the unit vectors at the pivot columns of the
     outgoing map, which complement its kernel.  S = [bcols | reps | units]
     is the basis matrix of that splitting.  sinv holds rows
-    0:rank_in + dim1 of S^-1, the coordinates along bcols and reps, and
-    they vanish on the out_pivots coordinates.  One rref on the free
+    0:rank_in + dim1 of S^-1, the coordinates along bcols and reps, as
+    integer numerators over den: S^-1 = sinv / den on those rows.  They
+    vanish on the out_pivots coordinates.  One rref on the free
     coordinates gives them (see the module docstring): the outgoing kernel
     basis is the identity there, e0 o e0 = 0 puts bcols in that kernel,
     and the rows for the units are never read.
@@ -167,8 +171,10 @@ class CellData:
     weight-preserving part is the image it solved for (operators._LcpRun).
 
     extract applies rows rank_in:rank_in + dim1 of sinv: the projection
-    onto span(reps) along the other two summands.  It depends only on the
-    three subspaces, so any basis of the image gives the same classes.
+    onto span(reps) along the other two summands, times den.  It depends
+    only on the three subspaces, so any basis of the image gives the same
+    classes.  The sweep (operators._LcpRun) applies sinv to integer
+    numerators and folds den into its own denominator.
     """
     cell: Cell
     reps: List[linalg.Vector]           # class representatives, cell coords
@@ -176,7 +182,8 @@ class CellData:
     out_pivots: List[int]               # pivot columns of the outgoing map
     out_cols: List[Column]              # outgoing columns at out_pivots
     bcols: List[Column]                 # incoming columns at source pivots
-    sinv: linalg.Matrix                 # rows 0:rank_in + dim1 of S^-1
+    sinv: List[List[int]]               # den * rows 0:rank_in + dim1 of S^-1
+    den: int                            # sinv's denominator
 
     @property
     def rank_in(self) -> int:
@@ -192,7 +199,7 @@ class CellData:
 
     def extract(self, vec: Sequence[rp.Poly]) -> List[rp.Poly]:
         """The class coordinates of a vector of polynomials in cell
-        coordinates: its coefficients along the reps."""
+        coordinates, its coefficients along the reps, times den."""
         return linalg.poly_matvec(self.sinv[self.rank_in:], vec)
 
 
@@ -246,7 +253,7 @@ class Page1:
             row = [b[f] for b in bcols] + [0] * nfree
             row[rank_in + a] = 1
             rows.append(row)
-        ech, chosen = linalg.rref(rows)
+        den, ech, chosen = linalg.integer_rref(rows)
         if chosen[:rank_in] != list(range(rank_in)):
             raise AssertionError("incoming image is not independent "
                                  "on the free coordinates")
@@ -254,13 +261,13 @@ class Page1:
         reps = [kernel[j - rank_in] for j in chosen[rank_in:]]
         sinv = []
         for row in ech:
-            full = [linalg.ZERO] * dim
+            full = [0] * dim
             for a, f in enumerate(free):
                 full[f] = row[rank_in + a]
             sinv.append(full)
         return CellData(cell=cell, reps=reps, source_cell=src,
                         out_pivots=pivots, out_cols=[cols[j] for j in pivots],
-                        bcols=bcols, sinv=sinv)
+                        bcols=bcols, sinv=sinv, den=den)
 
     def dims(self) -> Dict[CellKey, int]:
         out = {k: self.cell_data(k).dim1 for k in sorted(self.page0.cells)}

@@ -3,7 +3,10 @@
 A Poly is a dict mapping exponent tuples (one slot per variable) to nonzero
 Fraction coefficients; the empty dict is zero.  All arithmetic is exact.  The
 kernel (add, sub, mul, scale, diff) returns canonical dicts, with no zero
-coefficient ever stored; everything else is defined here on top of it.
+coefficient ever stored; everything else is defined here on top of it.  The
+kernel runs in its coefficients' own arithmetic, so an IntPoly, the same
+dict with int coefficients, stays one under it: clear_denominators writes
+polynomials as IntPolys over one denominator, and over reads one back.
 
 JSON form of a Poly:
 
@@ -21,10 +24,12 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
+IntPoly = Dict[Exponent, int]
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -66,7 +71,7 @@ def mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
+            e = tuple(map(operator.add, e1, e2))
             c = c1 * c2
             s = out.get(e)
             if s is None:
@@ -111,6 +116,19 @@ def var(i: int, nvars: int) -> Poly:
     e = [0] * nvars
     e[i] = 1
     return {tuple(e): Fraction(1)}
+
+
+def clear_denominators(ps: Sequence[Poly]) -> Tuple[int, List[IntPoly]]:
+    """(D, nums) with ps[k] = nums[k] / D, D the lcm of the denominators of
+    every coefficient; coefficients may be ints already."""
+    den = lcm(*{c.denominator for p in ps for c in p.values()})
+    return den, [{e: c.numerator * (den // c.denominator)
+                  for e, c in p.items()} for p in ps]
+
+
+def over(p: IntPoly, den: int) -> Poly:
+    """The Poly p / den, one Fraction per coefficient."""
+    return {e: Fraction(c, den) for e, c in p.items()}
 
 
 def neg(p: Poly) -> Poly:
@@ -262,7 +280,9 @@ class Jets:
 
     def __init__(self, nvars: int):
         self.nvars = nvars
-        self.unknown: Poly = {(0,) * nvars: Fraction(1)}
+        # u itself, with an int coefficient: a jet's scale is 1, and the
+        # cascade runs on integer numerators (operators._LcpRun)
+        self.unknown: IntPoly = {(0,) * nvars: 1}
         self._units = [(m, tuple(int(i == m) for i in range(nvars)),
                         tuple(self.SHIFT * int(i == m) for i in range(nvars)))
                        for m in range(nvars)]

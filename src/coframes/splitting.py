@@ -434,7 +434,8 @@ def certify_two_adapted(model: GeometryModel) -> TwoAdaptedReport:
                      omega)).get(4, zero)
         for j in horiz])
     try:
-        nu = span.express(parts.get(4, zero))
+        nu = [rp.scale(p, Fraction(1, span.den))
+              for p in span.express(parts.get(4, zero))]
         resid_zero = True
     except ValueError:
         nu, resid_zero = [{} for _ in horiz], False

@@ -199,5 +199,5 @@ def test_criterion_10_property_suite():
         cwd=str(ROOT), capture_output=True, text=True)
     elapsed = time.monotonic() - t0
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert "5 passed" in proc.stdout
+    assert "6 passed" in proc.stdout
     assert elapsed < 120.0, "property suite took %.1fs" % elapsed

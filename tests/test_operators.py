@@ -2,18 +2,21 @@
 span solvers, named constructions."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from coframes import linalg, ratpoly as rp
-from coframes.forms import form_zero, one_form, wedge
+from coframes.forms import (contract, exterior_d, form_pmul, form_scale,
+                            form_sub, form_zero, one_form, wedge)
 from coframes.models import builtin_model, symplectic_data
-from coframes.operators import (GradedSection, Node, NormalForm, RsMiddle,
-                                SpanSolver, _LcpRun, build_rs_complex,
-                                derive_operator, named_complex,
-                                random_section, realize)
+from coframes.operators import (DeepCorrectedOperator, GradedOperator,
+                                GradedSection, Node, NormalForm, RsMiddle,
+                                RsProjD, SpanDOperator, SpanSolver, _LcpRun,
+                                build_rs_complex, derive_operator,
+                                named_complex, random_section, realize)
 from coframes.verify import _SliceCache
 
 from conftest import model
@@ -398,3 +401,164 @@ def test_complexes_of_one_model_read_its_page():
 def test_derive_operator_rejects_a_target_of_another_degree():
     with pytest.raises(ValueError, match="is not of degree 2"):
         derive_operator(model("engel4"), (1, 0), (3, 3))
+
+
+# #### Fraction reference cascade ###########################################
+# The operators as they ran before they moved to integer numerators over one
+# denominator: every step in Fraction arithmetic, reading the models'
+# Fraction coframe inverse and structure forms, the cells' S^-1 rows as
+# Fractions and each span's rref over Fraction.
+
+def _ref_coframe_d(m, a, partials):
+    out = form_zero(m.nvars, a.degree + 1, a.basis)
+    dforms = m.structure_forms()
+    for idx, p in a.terms.items():
+        dp = (partials(p) if partials is not None
+              else [rp.diff(p, j) for j in range(m.nvars)])
+        for i in range(m.nvars):
+            acc = {}
+            for j, dj in enumerate(dp):
+                if dj and m.coframe_inv[j][i]:
+                    acc = rp.add(acc, rp.mul(m.coframe_inv[j][i], dj))
+            out.add_term((i,) + idx, acc)
+        for k, ik in enumerate(idx):
+            for (u, v), c in dforms[ik].terms.items():
+                coeff = rp.mul(p, c)
+                out.add_term(idx[:k] + (u, v) + idx[k + 1:],
+                             rp.neg(coeff) if k % 2 else coeff)
+    return out
+
+
+def _ref_sinv(data):
+    return [[Fraction(x, data.den) for x in row] for row in data.sinv]
+
+
+def _ref_express(forms, a):
+    monos = sorted({idx for f in forms for idx in f.terms})
+    assert set(a.terms) <= set(monos)
+    red, _ = linalg.rref(
+        [[rp.constant_value(f.terms.get(mo, {})) for f in forms]
+         + linalg.unit_vector(i, len(monos)) for i, mo in enumerate(monos)])
+    out = linalg.poly_matvec([row[len(forms):] for row in red],
+                             [a.terms.get(mo, {}) for mo in monos])
+    assert not any(out[len(forms):])
+    return out[:len(forms)]
+
+
+def _ref_vector(m, eta, degree, w):
+    cell = m.page1().page0.cells[(degree, w - degree)]
+    return [eta.terms.get(mo, {}) for mo in cell.basis]
+
+
+def _ref_correct(m, eta, degree, w, partials):
+    page1 = m.page1()
+    data = page1.cell_data((degree, w - degree))
+    a = linalg.poly_matvec(_ref_sinv(data)[:data.rank_in],
+                           _ref_vector(m, eta, degree, w))
+    if not any(a):
+        return
+    src = page1.page0.cells[data.source_cell]
+    pivots = page1.cell_data(data.source_cell).out_pivots
+    gamma = form_zero(m.nvars, data.source_cell[0], m.basis_tag)
+    for i, p in enumerate(a):
+        gamma.add_term(src.basis[pivots[i]], p)
+    for idx, p in _ref_coframe_d(m, gamma, partials).terms.items():
+        eta.add_term(idx, rp.neg(p))
+
+
+def _ref_apply(h, coeffs, jets=None):
+    partials = jets.partials if jets is not None else None
+    lift = realize(h.source, coeffs)
+    degree = h.source.degree + 1
+    jform = symplectic_data(2)["J"]
+    if isinstance(h, GradedOperator):
+        m, out = h.model, [{} for _ in range(h.target.rank)]
+        eta = _ref_coframe_d(m, lift, partials)
+        for w in range(min(h.source.weights) + 1, h.max_weight + 1):
+            key = (degree, w - degree)
+            if key not in m.page1().page0.cells:
+                continue
+            _ref_correct(m, eta, degree, w, partials)
+            for target_key, lo, hi in h.target.cells:
+                if target_key == key:
+                    data = m.page1().cell_data(key)
+                    out[lo:hi] = linalg.poly_matvec(
+                        _ref_sinv(data)[data.rank_in:],
+                        _ref_vector(m, eta, degree, w))
+        return out
+    if isinstance(h, DeepCorrectedOperator):
+        eta = _ref_coframe_d(h.model, lift, partials)
+        for w in h.correct_weights:
+            _ref_correct(h.model, eta, degree, w, partials)
+            assert not any(_ref_vector(h.model, eta, degree, w))
+        return _ref_express(h.target.forms, eta)
+    if isinstance(h, SpanDOperator):
+        d = (exterior_d(lift, partials) if h.model is None
+             else _ref_coframe_d(h.model, lift, partials))
+        return _ref_express(h.target.forms, d)
+    beta = exterior_d(lift, partials)
+    if isinstance(h, RsProjD):
+        trace = contract(beta, jform).terms.get((), {})
+        return _ref_express(h.target.forms, form_sub(
+            beta, form_pmul(jform, rp.scale(trace, Fraction(1, 2)))))
+    assert isinstance(h, RsMiddle)
+    x = _ref_express([wedge(jform, one_form(4, i)) for i in range(4)], beta)
+    gamma = form_zero(4, 1)
+    for i, p in enumerate(x):
+        gamma.add_term((i,), p)
+    return _ref_express(h.target.forms,
+                        form_scale(exterior_d(gamma, partials), -1))
+
+
+def _ref_normal_slots(h):
+    jets = rp.Jets(h.source.forms[0].nvars)
+    slots = []
+    for slot in range(h.source.rank):
+        coeffs = [{} for _ in range(h.source.rank)]
+        coeffs[slot] = {(0,) * jets.nvars: Fraction(1)}
+        groups = {}
+        for t, p in enumerate(_ref_apply(h, coeffs, jets)):
+            for alpha, c_alpha in jets.split(p).items():
+                for b, c in c_alpha.items():
+                    groups.setdefault(alpha, []).append((t, b, c))
+        den = math.lcm(*(c.denominator for terms in groups.values()
+                         for _, _, c in terms))
+        slots.append((den, [(alpha, [(t, b, c.numerator
+                                      * (den // c.denominator))
+                                     for t, b, c in sorted(terms)])
+                            for alpha, terms in sorted(groups.items())]))
+    return slots
+
+
+def _coprime_section(rng, node):
+    """Coefficients over denominators 2, 3, 5, 7 and 11 mixed, so a
+    section's lcm is never 1 and rarely shares a factor with a frame or
+    cell denominator."""
+    nvars = node.forms[0].nvars
+    out = []
+    for _ in range(node.rank):
+        p = {}
+        for _ in range(4):
+            e = [0] * nvars
+            for _ in range(rng.randint(0, 3)):
+                e[rng.randrange(nvars)] += 1
+            p[tuple(e)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30),
+                                   rng.choice((2, 3, 5, 7, 11)))
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("name,variant", sorted(GOLDEN))
+def test_operators_match_fraction_reference(name, variant):
+    """apply and the normal form of every operator equal the Fraction
+    reference: on g2_5 the frame denominator is 2, and on elliptic7 and
+    hyperbolic7 one cell's S^-1 rows are over 2."""
+    res = complex_for(name, variant)
+    rng = random.Random(29)
+    for k, h in enumerate(res.operators):
+        for _ in range(2):
+            sec = _coprime_section(rng, h.source)
+            out = h.apply(sec)
+            assert out == _ref_apply(h, sec), (k, sec)
+            assert all(type(c) is Fraction for p in out for c in p.values())
+        assert h.normal_form().slots == _ref_normal_slots(h), k

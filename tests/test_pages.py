@@ -242,8 +242,17 @@ def test_page1_matches_reference(each_model):
         assert data.rank_out == ref["rank_out"], key
         assert data.dim1 == ref["dim1"], key
         assert data.reps == ref["reps"], key
-        assert all(type(x) is Fraction
-                   for v in data.sinv + data.reps for x in v), key
+        assert all(type(x) is Fraction for v in data.reps for x in v), key
+        # sinv is integer numerators over one denominator, of the rows
+        # of S^-1 that the cell keeps, S = [bcols | reps | out units]
+        assert type(data.den) is int and data.den >= 1, key
+        assert all(type(x) is int for v in data.sinv for x in v), key
+        s_cols = data.bcols + ref["reps"] + \
+            [linalg.unit_vector(c, dim) for c in data.out_pivots]
+        ref_sinv = linalg.inverse([[c[r] for c in s_cols]
+                                   for r in range(dim)])
+        assert [[Fraction(x, data.den) for x in row] for row in data.sinv] \
+            == ref_sinv[:data.rank_in + data.dim1], key
         assert data.source_cell == ref["source_cell"], key
         n = each_model.nvars
         units = [[rp.const(int(i == j), n) for i in range(dim)]
@@ -256,7 +265,8 @@ def test_page1_matches_reference(each_model):
             kept = data.rank_in + data.dim1
             assert len(data.sinv) == kept, key
             assert [_matvec(cols, row) for row in data.sinv] == \
-                linalg.identity(dim)[:kept], key
+                [[data.den * x for x in row]
+                 for row in linalg.identity(dim)[:kept]], key
         checked += 1
     assert checked == len(pg.page0.cells)
 

@@ -8,6 +8,7 @@ case in the millisecond range while still exercising every code path.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -15,7 +16,7 @@ import coframes.ratpoly as rp
 from coframes.forms import (change_basis, exterior_d, form_scale, form_sub,
                             form_zero, wedge)
 from coframes.models import builtin_model, change_rows
-from coframes.operators import named_complex, realize
+from coframes.operators import named_complex, random_section, realize
 from coframes.pages import Page0
 
 from conftest import model, random_unipotent
@@ -119,3 +120,38 @@ def test_lift_independence(seed):
     lift.add_term(cell.basis[rng.randrange(len(cell.basis))],
                   rp.random_poly(rng, m.nvars, 2, terms=2))
     assert h.cascade(lift) == h.apply(coeffs)
+
+
+LINEAR = [("contact5", "bgg"), ("g2_5", "bgg"), ("g2_5", "ambient"),
+          ("elliptic7", "bgg")]
+_LINEAR_COMPLEXES = {}
+
+
+def _linear_complex(which):
+    if which not in _LINEAR_COMPLEXES:
+        name, variant = LINEAR[which]
+        _LINEAR_COMPLEXES[which] = named_complex(model(name), variant)
+    return _LINEAR_COMPLEXES[which]
+
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@PROP
+@given(st.integers(0, len(LINEAR) - 1), st.integers(0, 10 ** 6),
+       RATIONALS, RATIONALS)
+def test_apply_is_linear(which, seed, a, b):
+    """apply(a s + b t) = a apply(s) + b apply(t), every output coefficient
+    a Fraction: each apply clears its own section's denominators, so the
+    three runs carry different running denominators."""
+    res = _linear_complex(which)
+    rng = random.Random(seed)
+    h = res.operators[rng.randrange(len(res.operators))]
+    s = random_section(h.source, rng, 2)
+    t = random_section(h.source, rng, 2)
+    outs = [h.apply([rp.add(rp.scale(p, a), rp.scale(q, b))
+                     for p, q in zip(s, t)]), h.apply(s), h.apply(t)]
+    assert outs[0] == [rp.add(rp.scale(p, a), rp.scale(q, b))
+                       for p, q in zip(outs[1], outs[2])]
+    assert all(type(c) is Fraction
+               for out in outs for p in out for c in p.values())
