@@ -131,6 +131,16 @@ def form_sub(a: Form, b: Form) -> Form:
     return out
 
 
+def clear_denominators(forms: Sequence[Form]) -> Tuple[int, List[Form]]:
+    """(D, [D f for f in forms]), D the lcm of the denominators of every
+    coefficient, so each D f has int coefficients (ratpoly.IntPoly)."""
+    den, nums = rp.clear_denominators([p for f in forms
+                                       for p in f.terms.values()])
+    it = iter(nums)
+    return den, [Form(f.nvars, f.degree, f.basis,
+                      {idx: next(it) for idx in f.terms}) for f in forms]
+
+
 def form_scale(a: Form, c) -> Form:
     c = Fraction(c)
     return Form(a.nvars, a.degree, a.basis,

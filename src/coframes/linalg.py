@@ -121,15 +121,19 @@ def rref(m: Sequence[Sequence[Rational]]) -> Tuple[Matrix, List[int]]:
             for row in rows], pivots
 
 
+def integral(m: Sequence[Sequence[Rational]]) -> Tuple[int, List[List[int]]]:
+    """(den, rows): m is rows / den, rows holding ints and den the lcm of
+    m's denominators; a matrix of ints gives den 1 and its own entries."""
+    den = lcm(*{x.denominator for row in m for x in row})
+    return den, [[x.numerator * (den // x.denominator) for x in row]
+                 for row in m]
+
+
 def integer_rref(m: Sequence[Sequence[Rational]]
                  ) -> Tuple[int, List[List[int]], List[int]]:
-    """(den, rows, pivots): rref(m) is rows / den, rows holding ints and
-    den the lcm of the reduced form's denominators.  An elimination that
-    stayed in ints gives den 1 and its own entries."""
+    """(den, rows, pivots): rref(m) is rows / den, as integral gives it."""
     rows, pivots = _eliminate(m)
-    den = lcm(*{x.denominator for row in rows for x in row})
-    return den, [[x.numerator * (den // x.denominator) for x in row]
-                 for row in rows], pivots
+    return integral(rows) + (pivots,)
 
 
 def rank(m: Matrix) -> int:

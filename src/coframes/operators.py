@@ -27,7 +27,7 @@ for span coordinates, for a correction's coefficients, or projects on the
 classes (CellData.extract, once per target cell).  Every such matrix, and
 the frame data d reads (models.Frame), is held as integer numerators over
 one denominator, so an operator runs in ints: apply clears the section's
-denominators once (_integral, on the realized lift), carries one running
+denominators once (clear_denominators, on the lift), carries one running
 denominator that grows only where a frame or matrix denominator is not 1,
 and builds one Fraction per output coefficient.  So the same cascade run
 on a symbolic jet u (ratpoly.Jets), with d acting as the total derivative,
@@ -57,8 +57,8 @@ from math import comb, lcm, perm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
-from .forms import (COORD, Form, contract, exterior_d, form_monomial,
-                    form_sub, one_form, wedge)
+from .forms import (COORD, Form, clear_denominators, contract, exterior_d,
+                    form_monomial, form_sub, one_form, wedge)
 from .models import GeometryModel, coframe_d, symplectic_data
 from .pages import CellKey
 
@@ -163,14 +163,6 @@ def _partials(jets: Optional[rp.Jets]):
     return jets.partials if jets is not None else None
 
 
-def _integral(form: Form) -> Tuple[int, Form]:
-    """(D, D form), D the lcm of the denominators of form's coefficients,
-    so D form has int coefficients."""
-    den, nums = rp.clear_denominators(list(form.terms.values()))
-    return den, Form(form.nvars, form.degree, form.basis,
-                     dict(zip(form.terms, nums)))
-
-
 def _frame_d(model: GeometryModel, form: Form, partials) -> Tuple[int, Form]:
     """(f, f d(form)) for a form with int coefficients, f the denominator
     of the model's frame: coframe_d divides by f, and its quotients are
@@ -206,7 +198,7 @@ class _LcpRun:
         self.partials = _partials(jets)
         self.page1 = model.page1()
         self.degree = out_degree
-        den, lift = _integral(lift)
+        den, (lift,) = clear_denominators([lift])
         f, self.eta = _frame_d(model, lift, self.partials)
         self.den = den * f
 
@@ -267,12 +259,14 @@ class PackedKernel:
     top takes the smallest B with B > top + max b_i, so its reach is at
     least top.
 
-    slots[s] lists, for each alpha of source slot s in the NormalForm's
-    order, (pack(alpha), support, offs): support the nonzero (i, alpha_i),
-    offs the (key(t, b), num) of its terms in order.
+    slots[s] lists, for each alpha of source slot s, (wt(alpha),
+    pack(alpha), support, offs): wt(alpha) its degree under the
+    coefficient weights, by which the list is stably sorted, support the
+    nonzero (i, alpha_i), offs the (key(t, b), num) of its terms in order.
     """
 
-    def __init__(self, slots, top: int, nvars: int):
+    def __init__(self, slots, top: int, nvars: int,
+                 weights: Tuple[int, ...]):
         max_b = max((x for _, groups in slots for _, terms in groups
                      for _, b, _ in terms for x in b), default=0)
         self.bits = (top + max_b).bit_length()
@@ -282,12 +276,16 @@ class PackedKernel:
 
         def intern(x: tuple) -> tuple:
             return shared.setdefault(x, x)
-        self.slots = [[(self.pack(alpha),
-                        intern(tuple((i, a) for i, a in enumerate(alpha)
-                                     if a)),
-                        [intern((self.key(t, b), num))
-                         for t, b, num in terms])
-                       for alpha, terms in groups] for _, groups in slots]
+        self.weights = weights
+        self.slots = [sorted([(sum(w * a for w, a in zip(weights, alpha)),
+                               self.pack(alpha),
+                               intern(tuple((i, a) for i, a
+                                            in enumerate(alpha) if a)),
+                               [intern((self.key(t, b), num))
+                                for t, b, num in terms])
+                              for alpha, terms in groups],
+                             key=lambda entry: entry[0])
+                      for _, groups in slots]
 
     def pack(self, e: rp.Exponent) -> int:
         p = 0
@@ -309,7 +307,7 @@ class NormalForm:
     (t, b, num), each into target slot t.  targets is the number of target
     slots, nvars that of the variables.  The slice columns read a
     PackedKernel of these slots (kernel), derived when first asked for and
-    again for a larger base.
+    again for a larger base or other weights.
     """
 
     def __init__(self, targets: int,
@@ -328,12 +326,14 @@ class NormalForm:
         return max((sum(alpha) for _, groups in self.slots
                     for alpha, _ in groups), default=0)
 
-    def kernel(self, top: int) -> PackedKernel:
-        """A packed kernel for monomials with no component above top: the
-        last one derived if its reach covers top, else one derived afresh
-        for top."""
-        if self._kernel is None or self._kernel.reach < top:
-            self._kernel = PackedKernel(self.slots, top, self.nvars)
+    def kernel(self, top: int, weights: Tuple[int, ...]) -> PackedKernel:
+        """A packed kernel for monomials with no component above top, its
+        alphas sorted under the coefficient weights: the last one derived
+        if its reach covers top under the same weights, else one derived
+        afresh."""
+        if (self._kernel is None or self._kernel.reach < top
+                or self._kernel.weights != weights):
+            self._kernel = PackedKernel(self.slots, top, self.nvars, weights)
         return self._kernel
 
     def composes_to_zero(self, after: NormalForm) -> bool:
@@ -552,7 +552,7 @@ class SpanDOperator(OperatorHandle):
 
     def apply(self, coeffs: Sequence[rp.Poly],
               jets: Optional[rp.Jets] = None) -> PolyVec:
-        den, form = _integral(realize(self.source, coeffs))
+        den, (form,) = clear_denominators([realize(self.source, coeffs)])
         partials = _partials(jets)
         if self.model is None:
             f, d = 1, exterior_d(form, partials)
@@ -576,11 +576,11 @@ class RsProjD(OperatorHandle):
                  half_dim: int):
         super().__init__(source, target)
         self.span = SpanSolver(target.forms)
-        jden, self.jform = _integral(jform)
+        jden, (self.jform,) = clear_denominators([jform])
         self.scale = half_dim * jden ** 2
 
     def apply(self, coeffs, jets=None):
-        den, beta = _integral(realize(self.source, coeffs))
+        den, (beta,) = clear_denominators([realize(self.source, coeffs)])
         beta = exterior_d(beta, _partials(jets))
         trace = contract(beta, self.jform).terms.get((), {})
         out = Form(beta.nvars, beta.degree, beta.basis,
@@ -603,7 +603,7 @@ class RsMiddle(OperatorHandle):
                                  for i in range(nvars)])
 
     def apply(self, coeffs, jets=None):
-        den, beta = _integral(realize(self.source, coeffs))
+        den, (beta,) = clear_denominators([realize(self.source, coeffs)])
         x = self.jspan.express(exterior_d(beta, _partials(jets)))
         gamma = Form(self.nvars, 1, COORD)     # -gamma, over den jspan.den
         for i, p in enumerate(x):

@@ -41,6 +41,12 @@ forms C_i = d(omega_i), with no shifted model built:
   those rows alone, and rewriting their C_a through omega_j = omega'_j -
   t omega'_a turns a horizontal-horizontal term into itself plus terms
   with a vertical leg, of weight at least 3.
+
+The map runs on integer numerators over one denominator, as the operator
+cascade does (_Obstruction lists the constants it holds as ints, and where
+the 1/2 and 1/3 go): a report clears the structure forms' denominators
+once and builds one Fraction per output coefficient, and the shift action
+clears the model's once for all its unit shifts.
 """
 
 from __future__ import annotations
@@ -52,8 +58,8 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
-from .forms import (Form, contract, form_add, form_monomial, form_scale,
-                    form_sub, form_zero, wedge)
+from .forms import (Form, clear_denominators, contract, form_add,
+                    form_monomial, form_scale, form_sub, form_zero, wedge)
 from .models import (GeometryModel, coframe_d, levi_form, pfaffian_gram,
                      split_by_cell_weight, splitting_shift)
 from .operators import SpanSolver
@@ -105,20 +111,13 @@ class ObstructionReport:
         return all(not p for mat in self.matrices for row in mat for p in row)
 
     def flatten(self) -> List[rp.Poly]:
-        out = []
-        for mat in self.matrices:
-            k = len(mat)
-            for a in range(k):
-                for b in range(a, k):
-                    out.append(mat[a][b])
-        return out
+        return _upper(self.matrices)
 
 
-def _sym(mat: PolyMat) -> PolyMat:
-    k = len(mat)
-    half = Fraction(1, 2)
-    return [[rp.scale(rp.add(mat[a][b], mat[b][a]), half)
-             for b in range(k)] for a in range(k)]
+def _upper(matrices: Sequence[PolyMat]) -> List[rp.Poly]:
+    """The entries on and above the diagonal of each matrix, row by row."""
+    return [mat[a][b] for mat in matrices for a in range(len(mat))
+            for b in range(a, len(mat))]
 
 
 def _inputs(model: GeometryModel, levis: List[Form]) -> List[Form]:
@@ -146,19 +145,29 @@ class _Obstruction:
     """The obstruction of one model as a linear map of structure forms.
 
     Holds what does not depend on them, all read off the weights and the
-    Levi bracket (the 2-forms of one models.levi_form report, which contract
-    and _pair read as bivectors): the constant-coefficient inputs (_inputs:
-    the one horizontal 3-form of six variables gives the distinguished
-    2-form, the four of seven a basis), the transposed inverse of the
-    bracket's pairing and, for seven variables, the trace removal by the
-    metric, the Pfaffian form of the same report: a constant k^2 x k^2
-    matrix on the flattened symmetric matrix.  kind decides only that trace
-    removal.  The bracket is defined on the depth-2 covectors, so the
-    model's vertical covectors must be exactly those.  A splitting shift
-    carries all of these over unchanged (see the module docstring), so one
-    instance serves the model and every shift of it.  report(dforms, name)
-    is the obstruction with d(omega_i) = dforms[i]; it builds d of each
-    input in weight 4 only, the one weight the Levi projection reads.
+    Levi bracket (the 2-forms L_b of one models.levi_form report): the
+    constant-coefficient inputs (_inputs: the one horizontal 3-form of six
+    variables gives the distinguished 2-form, the four of seven a basis)
+    and the map's constants, as integer numerators:
+
+    - terms: (index, 4 - its weight, numerator) per input term, over
+      den_in, the inputs' denominator;
+    - levi_proj: the Levi coefficients of a 2-form sigma, the inverse of
+      the bracket's pairing times (_pair(sigma, L_b))_b, as one matrix on
+      sigma's coefficients at keys;
+    - trace_free, seven variables only: the trace removal by the Pfaffian
+      metric, I - (1/3) gmat (x) ginv^T on the flattened matrix.
+
+    The projection's denominator, den, is the product of levi_proj's, of
+    trace_free's, which holds the 1/3, and of 2 for the symmetrization's
+    1/2, which is then a plain sum; a report is over den_in den.  kind
+    decides only the trace removal.  The bracket is defined on the
+    depth-2 covectors, so the model's vertical covectors must be exactly
+    those.  A splitting shift carries all of these over unchanged (see the
+    module docstring), so one instance serves the model and every shift of
+    it.  report(dforms, name) is the obstruction with d(omega_i) =
+    dforms[i]; _matrices builds d of each input in weight 4 only, the one
+    weight the Levi projection reads, and runs the map in ints.
     """
 
     def __init__(self, model: GeometryModel):
@@ -170,57 +179,64 @@ class _Obstruction:
         self.kind = "six" if shape == (3, 3) else "seven"
         levi = levi_form(model)
         self.levis = levi.forms
-        self.pinv_t = linalg.transpose(linalg.inverse(
-            _pairing_matrix(self.levis)))
         self.inputs = _inputs(model, self.levis)
-        self.trace_free: Optional[linalg.Matrix] = None
+        den_in, nums = clear_denominators(self.inputs)
+        self.terms = [[(idx, 4 - model.weight_of(idx), rp.constant_value(p))
+                       for idx, p in f.terms.items()] for f in nums]
+        # [pairing | bracket coefficients] reduces to [I | levi_proj / den]:
+        # the pairing is symmetric, so its inverse is pinv_t
+        k = len(self.levis)
+        self.keys = sorted({kl for f in self.levis for kl in f.terms})
+        den_levi, red, pivots = linalg.integer_rref(
+            [row + [rp.constant_value(f.terms.get(kl, {})) for kl in self.keys]
+             for row, f in zip(_pairing_matrix(self.levis), self.levis)])
+        if pivots != list(range(k)):
+            raise ValueError("the Levi bracket's pairing is singular")
+        self.levi_proj = [row[k:] for row in red]
+        den_trace, self.trace_free = 1, None
         if self.kind == "seven":
             # I - (1/3) gmat (x) ginv^T: subtracts a third of the trace
             # sum_ab ginv[a][b] sym[b][a] times gmat
             gmat = pfaffian_gram(levi)
             ginv = linalg.inverse(gmat)
-            k = len(gmat)
             pairs = [(a, b) for a in range(k) for b in range(k)]
-            self.trace_free = [
+            den_trace, self.trace_free = linalg.integral([
                 [int(ab == cd) - Fraction(1, 3) * gmat[ab[0]][ab[1]]
-                 * ginv[cd[1]][cd[0]] for cd in pairs] for ab in pairs]
+                 * ginv[cd[1]][cd[0]] for cd in pairs] for ab in pairs])
+        self.den_in, self.den = den_in, den_levi * 2 * den_trace
 
     def _project4(self, part: Form) -> PolyMat:
-        """Symmetric Levi component of a weight-4 3-form, made trace-free
-        by the metric for seven variables."""
+        """Symmetric Levi component of a weight-4 3-form with int
+        coefficients, made trace-free by the metric for seven variables:
+        int polys over den times part's denominator."""
         k = len(self.levis)
-        sym = _sym([linalg.poly_matvec(self.pinv_t,
-                                       [_pair(sigma, f) for f in self.levis])
-                    for sigma in _vertical_sigma(self.model, part)])
+        m = [linalg.poly_matvec(self.levi_proj,
+                                [sigma.terms.get(kl, {}) for kl in self.keys])
+             for sigma in _vertical_sigma(self.model, part)]
+        sym = [[rp.add(m[a][b], m[b][a]) for b in range(k)] for a in range(k)]
         if self.trace_free is None:
             return sym
         flat = linalg.poly_matvec(self.trace_free,
                                   [p for row in sym for p in row])
         return [flat[a * k:(a + 1) * k] for a in range(k)]
 
-    def project(self, d3: Form) -> PolyMat:
-        """The projection of the weight-4 part of any 3-form."""
-        return self._project4(split_by_cell_weight(self.model, d3).get(
-            4, form_zero(self.model.nvars, 3, self.model.basis_tag)))
-
-    def report(self, dforms: Sequence[Form], name: str) -> ObstructionReport:
-        """The obstruction with d(omega_i) = dforms[i], d of each input
-        built in weight 4 alone.  Put in place of omega_{I_k} in omega_I, a
-        term (u, v) of C_{I_k} lands in weight wt(I) - wt(I_k) + wt(u) +
-        wt(v), so each dforms[i] is bucketed by pair weight once and
-        position k reads only the bucket of weight 4 - wt(I) + wt(I_k)."""
+    def _matrices(self, nums: Sequence[Form]) -> List[PolyMat]:
+        """The obstruction with d(omega_i) = nums[i] / D, nums holding int
+        coefficients: int polys over den_in den D.  Put in place of
+        omega_{I_k} in omega_I, a term (u, v) of C_{I_k} lands in weight
+        wt(I) - wt(I_k) + wt(u) + wt(v), so each nums[i] is bucketed by
+        pair weight once and position k reads only the bucket of weight
+        4 - wt(I) + wt(I_k)."""
         weights = self.model.weights
         buckets: Dict[Tuple[int, int], list] = {}
-        for i, c in enumerate(dforms):
+        for i, c in enumerate(nums):
             for uv, q in c.terms.items():
                 buckets.setdefault((i, weights[uv[0]] + weights[uv[1]]),
                                    []).append((uv, q))
         matrices = []
-        for beta in self.inputs:
-            part = Form(beta.nvars, 3, beta.basis)
-            for idx, p in beta.terms.items():
-                c = rp.constant_value(p)
-                rest = 4 - self.model.weight_of(idx)
+        for terms in self.terms:
+            part = Form(self.model.nvars, 3, self.model.basis_tag)
+            for idx, rest, c in terms:
                 for k, ik in enumerate(idx):
                     sign = -c if k % 2 else c
                     bucket = buckets.get((ik, rest + weights[ik]), ())
@@ -228,8 +244,25 @@ class _Obstruction:
                         part.add_term(idx[:k] + (u, v) + idx[k + 1:],
                                       rp.scale(q, sign))
             matrices.append(self._project4(part))
-        return ObstructionReport(model=name, kind=self.kind,
-                                 matrices=matrices)
+        return matrices
+
+    def project(self, d3: Form) -> PolyMat:
+        """The projection of the weight-4 part of any 3-form."""
+        den, (part,) = clear_denominators([split_by_cell_weight(
+            self.model, d3).get(4, form_zero(self.model.nvars, 3,
+                                             self.model.basis_tag))])
+        big = den * self.den
+        return [[rp.over(p, big) for p in row]
+                for row in self._project4(part)]
+
+    def report(self, dforms: Sequence[Form], name: str) -> ObstructionReport:
+        """The obstruction with d(omega_i) = dforms[i]."""
+        den, nums = clear_denominators(dforms)
+        big = den * self.den_in * self.den
+        return ObstructionReport(
+            model=name, kind=self.kind,
+            matrices=[[[rp.over(p, big) for p in row] for row in mat]
+                      for mat in self._matrices(nums)])
 
 
 def obstruction(model: GeometryModel) -> ObstructionReport:
@@ -314,15 +347,16 @@ def _action_matrix(ob: _Obstruction, model: GeometryModel) -> linalg.Matrix:
       depth-2 rows alone, and rewriting their C adds only terms with a
       vertical leg, of weight 3 or more, so their weight-2 part stays.
     """
-    dforms = model.structure_forms()
+    den, nums = clear_denominators(model.structure_forms())
+    big = den * ob.den_in * ob.den
     cols = []
     for j, a in _shift_pairs(model):
         col = []
-        for p in ob.report(_unit_shift_delta(dforms, j, a),
-                           model.name).flatten():
+        for p in _upper(ob._matrices(_unit_shift_delta(nums, j, a))):
             if not rp.is_constant(p):
                 raise AssertionError("shift action is not constant")
-            col.append(rp.constant_value(p))
+            # p holds its constant term alone, if any
+            col.append(Fraction(sum(p.values()), big))
         cols.append(col)
     return linalg.transpose(cols)
 

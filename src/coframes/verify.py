@@ -14,8 +14,11 @@ denominator d_s of slot s.  The columns are assembled alpha first
 (_SliceCache.columns): for each alpha of slot s and each monomial x^r of
 the weight the slice leaves, s's weight and wt(alpha) taken off, the pair
 adds its terms, times the factor prod_i perm(r_i + alpha_i, alpha_i), which
-is never zero, to the column of x^(alpha + r).  So the work goes as the
-nonzeros, and no pair whose alpha does not divide the monomial comes up.
+is never zero, to the column of x^(alpha + r).  The kernel holds each
+slot's alphas sorted by weighted degree (operators.PackedKernel), and
+the walk stops at the first alpha heavier than the slice leaves the slot,
+as no monomial has negative weight.  So the work goes as the nonzeros,
+and no pair whose alpha does not divide the monomial comes up.
 Rows and columns are keyed by exponents packed into integers
 (operators.PackedKernel), in a base above every exponent component the
 slice reaches plus the largest b_i: no digit carries, so no key aliases
@@ -225,17 +228,18 @@ class _SliceCache:
         src = self.res.nodes[op_idx]
         low = min(min(src.weights), min(self.res.nodes[op_idx + 1].weights))
         # the largest exponent component either slice basis can hold
-        kern = nf.kernel(max(0, (s - low) // min(self.weights)))
+        kern = nf.kernel(max(0, (s - low) // min(self.weights)),
+                         self.weights)
         out_pos = self._positions(op_idx + 1, s, kern)
         col_pos = self._positions(op_idx, s, kern)
         cols: List[Dict[int, int]] = [{} for _ in col_pos]
         try:
             for slot, wslot in enumerate(src.weights):
-                for palpha, support, offs in kern.slots[slot]:
-                    w = s - wslot - sum(self.weights[i] * a
-                                        for i, a in support)
+                for walpha, palpha, support, offs in kern.slots[slot]:
+                    if walpha > s - wslot:
+                        break       # this alpha and all after it too heavy
                     alpha_key = (slot << kern.shift) + palpha
-                    for r, pr in self._packed(w, kern):
+                    for r, pr in self._packed(s - wslot - walpha, kern):
                         f = 1
                         for i, a in support:
                             f *= perm(r[i] + a, a)

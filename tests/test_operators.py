@@ -200,11 +200,32 @@ def test_slice_columns_after_a_larger_base():
     nf = res.operators[2].normal_form()
     lo = min(res.nodes[2].weights)
     first = _SliceCache(res).columns(2, lo)
-    small = nf.kernel(0)
+    weights = tuple(res.coeff_weights)
+    small = nf.kernel(0, weights)
     assert _assert_columns_match_evaluate(res, 2, lo + 5,
                                           _SliceCache(res)) > 0
-    assert nf.kernel(0).bits > small.bits
+    assert nf.kernel(0, weights).bits > small.bits
     assert _SliceCache(res).columns(2, lo) == first
+
+
+def test_kernel_sorts_alphas_under_its_weights():
+    # each slot's alphas stably sorted by weighted degree, and a kernel
+    # asked for under other weights derived afresh
+    res = named_complex(model("contact5"), "bgg")
+    nf = res.operators[2].normal_form()
+    orders = []
+    for weights in (tuple(res.coeff_weights), tuple(res.coeff_weights[::-1])):
+        kern = nf.kernel(0, weights)
+        assert kern.weights == weights
+        order = []
+        for (_, groups), entries in zip(nf.slots, kern.slots):
+            ref = sorted([(sum(w * a for w, a in zip(weights, alpha)),
+                           kern.pack(alpha)) for alpha, _ in groups],
+                         key=lambda pair: pair[0])
+            assert [entry[:2] for entry in entries] == ref
+            order.append([entry[1] for entry in entries])
+        orders.append(order)
+    assert orders[0] != orders[1]
 
 
 def test_g2_basic_bundle_ranks():

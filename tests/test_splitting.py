@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from coframes import linalg, ratpoly as rp
-from coframes.forms import (Form, contract, form_add, form_pmul, form_sub,
-                            form_zero, wedge)
+from coframes.forms import (Form, contract, form_add, form_pmul,
+                            form_scale, form_sub, form_zero, wedge)
 from coframes.models import (Congruence, GeometryModel, builtin_model,
                              coframe_d, levi_form, model_from_json,
                              model_to_json, pfaffian_gram,
@@ -15,9 +16,9 @@ from coframes.models import (Congruence, GeometryModel, builtin_model,
                              verify_structure)
 from coframes.pages import check_function_linear
 from coframes.splitting import (_action_matrix, _Obstruction, _pair,
-                                _shift_pairs, _sym, _unit_shift_delta,
-                                _vertical_sigma, certify_two_adapted,
-                                normalize_splitting,
+                                _pairing_matrix, _shift_pairs, _upper,
+                                _unit_shift_delta, _vertical_sigma,
+                                certify_two_adapted, normalize_splitting,
                                 obstruction, obstruction_hom, perturb,
                                 shift_action_rank)
 
@@ -259,6 +260,36 @@ def _with_perturbed(names, seed, copies=1):
                   for m in out for _ in range(copies)]
 
 
+def _fractional_shift(m, seed):
+    """m shifted on four pairs, with coefficients over 2, 3, 5 and 7."""
+    rng = random.Random(seed)
+    pairs = _shift_pairs(m)
+    rng.shuffle(pairs)
+    shifts = {}
+    for pair, den in zip(pairs, (2, 3, 5, 7)):
+        poly = {}
+        for _ in range(2):
+            e = [0] * m.nvars
+            for _ in range(rng.randint(0, 2)):
+                e[rng.randrange(m.nvars)] += 1
+            poly[tuple(e)] = Fraction(
+                rng.choice((-1, 1)) * (den * rng.randint(0, 2) + 1), den)
+        shifts[pair] = poly
+    return splitting_shift(m, shifts, m.name + "_fractional")
+
+
+def _fractional_copies(names):
+    """Two _fractional_shift copies of each named builtin."""
+    return [_fractional_shift(model(name), k) for name in names
+            for k in (0, 1)]
+
+
+def _same(x, y):
+    """Equal, every dict in the same order and every number of one type."""
+    assert x == y
+    assert repr(x) == repr(y)
+
+
 def _perturbed_by_seed(names, seeds):
     return [pytest.param(perturb(model(name), random.Random(seed))[0],
                          id="%s-perturbed-%d" % (name, seed))
@@ -293,14 +324,15 @@ def _reference_action_matrix(m):
     return [list(r) for r in zip(*cols)]
 
 
-@pytest.mark.parametrize("m", _with_perturbed(SPLIT_MODELS, 53),
+@pytest.mark.parametrize("m", _with_perturbed(SPLIT_MODELS, 53)
+                         + _fractional_copies(SPLIT_MODELS),
                          ids=lambda m: m.name)
 def test_action_matrix_matches_shifted_models(m):
     # the builtin's obstruction, as normalize_splitting uses it on shifts
     amat = _action_matrix(_Obstruction(model(m.name.split("_")[0])), m)
     ref = _reference_action_matrix(m)
     assert all(isinstance(x, Fraction) for row in amat for x in row)
-    assert amat == ref
+    _same(amat, ref)
     assert linalg.rank(amat) == ACTION_RANKS[m.name.split("_")[0]]
 
 
@@ -314,9 +346,33 @@ def test_seven_metric_is_shift_invariant(m):
         assert pfaffian_gram(levi_form(shifted)) == metric
 
 
+def _fraction_constants(m, levis):
+    """(pinv_t, trace_free) as Fraction matrices, rebuilt from the bracket:
+    the transposed inverse of its pairing and, for seven variables, the
+    trace removal I - (1/3) gmat (x) ginv^T by the Pfaffian metric."""
+    pinv_t = linalg.transpose(linalg.inverse(_pairing_matrix(levis)))
+    if len(m.horizontal) == 3:
+        return pinv_t, None
+    gmat = pfaffian_gram(levi_form(m))
+    ginv = linalg.inverse(gmat)
+    pairs = [(a, b) for a in range(3) for b in range(3)]
+    return pinv_t, [[int(ab == cd) - Fraction(1, 3) * gmat[ab[0]][ab[1]]
+                     * ginv[cd[1]][cd[0]] for cd in pairs] for ab in pairs]
+
+
+def _half_sym(mat):
+    """The symmetric part of a matrix of Fraction polynomials."""
+    k = len(mat)
+    return [[rp.scale(rp.add(mat[a][b], mat[b][a]), Fraction(1, 2))
+             for b in range(k)] for a in range(k)]
+
+
 def _obstruction_constants(ob):
+    """What ob holds, its integer constants with their denominator, and the
+    Fraction constants rebuilt from its model."""
     return ([f.terms for f in ob.inputs], [f.terms for f in ob.levis],
-            ob.pinv_t, ob.trace_free)
+            ob.terms, ob.keys, ob.levi_proj, ob.trace_free, ob.den,
+            _fraction_constants(ob.model, ob.levis))
 
 
 @pytest.mark.parametrize("m", _with_perturbed(SPLIT_MODELS, 59),
@@ -333,12 +389,26 @@ def test_obstruction_constants_are_shift_invariant(m):
         assert _obstruction_constants(shifted) == base
 
 
-def _reference_report(ob, dforms):
-    """ob.report(dforms, ...).matrices the long way: d of each input by
-    Leibniz in every weight, its weight-4 part split off, and each Levi
-    coefficient read by a general double contraction."""
+def _reference_project(ob, d3):
+    """ob.project(d3) the long way: d3's weight-4 part split off, each Levi
+    coefficient read by a general double contraction, in Fractions."""
     m = ob.model
     k = len(ob.levis)
+    pinv_t, trace_free = _fraction_constants(m, ob.levis)
+    part = split_by_cell_weight(m, d3).get(4, Form(m.nvars, 3, d3.basis))
+    sym = _half_sym([linalg.poly_matvec(
+        pinv_t, [contract(sigma, b).terms.get((), {}) for b in ob.levis])
+        for sigma in _vertical_sigma(m, part)])
+    if trace_free is None:
+        return sym
+    flat = linalg.poly_matvec(trace_free, [p for row in sym for p in row])
+    return [flat[a * k:(a + 1) * k] for a in range(k)]
+
+
+def _reference_report(ob, dforms):
+    """ob.report(dforms, ...).matrices the long way: d of each input by
+    Leibniz in every weight, then _reference_project."""
+    m = ob.model
     out = []
     for beta in ob.inputs:
         d3 = Form(m.nvars, 3, beta.basis)
@@ -349,20 +419,12 @@ def _reference_report(ob, dforms):
                     if pos % 2:
                         coeff = rp.neg(coeff)
                     d3.add_term(idx[:pos] + (u, v) + idx[pos + 1:], coeff)
-        part = split_by_cell_weight(m, d3).get(4, Form(m.nvars, 3, d3.basis))
-        sym = _sym([linalg.poly_matvec(ob.pinv_t,
-                                       [contract(sigma, b).terms.get((), {})
-                                        for b in ob.levis])
-                    for sigma in _vertical_sigma(m, part)])
-        if ob.trace_free is not None:
-            flat = linalg.poly_matvec(ob.trace_free,
-                                      [p for row in sym for p in row])
-            sym = [flat[a * k:(a + 1) * k] for a in range(k)]
-        out.append(sym)
+        out.append(_reference_project(ob, d3))
     return out
 
 
-@pytest.mark.parametrize("m", _with_perturbed(SPLIT_MODELS, 61, copies=2),
+@pytest.mark.parametrize("m", _with_perturbed(SPLIT_MODELS, 61, copies=2)
+                         + _fractional_copies(SPLIT_MODELS),
                          ids=lambda m: m.name)
 def test_weight4_report_matches_full_leibniz(m):
     """The report builds d of each input in weight 4 only; it equals the
@@ -371,7 +433,7 @@ def test_weight4_report_matches_full_leibniz(m):
     ob = _Obstruction(m)
     dforms = m.structure_forms()
     ref = _reference_report(ob, dforms)
-    assert ob.report(dforms, m.name).matrices == ref
+    _same(ob.report(dforms, m.name).matrices, ref)
     # zero on the flat builtins only
     assert any(p for mat in ref for row in mat for p in row) == (
         m.name not in SPLIT_MODELS)
@@ -379,7 +441,56 @@ def test_weight4_report_matches_full_leibniz(m):
         delta = _unit_shift_delta(dforms, j, a)
         ref = _reference_report(ob, delta)
         assert any(p for mat in ref for row in mat for p in row)
-        assert ob.report(delta, m.name).matrices == ref
+        _same(ob.report(delta, m.name).matrices, ref)
+
+
+def _halved_levi(name):
+    """A JSON copy of a builtin with the off-diagonal coefficients of the
+    first coframe row halved, and its congruence with them: d(omega_1) and
+    its Levi 2-form, and so the inputs, hold halves."""
+    blob = model_to_json(builtin_model(name))
+    coeffs = [t for j, e in enumerate(blob["coframe"][0]) if j
+              for t in e["terms"]]
+    coeffs += [t for cg in blob["congruences"] if cg["index"] == 1
+               for term in cg["rhs"]["terms"] for t in term["coeff"]["terms"]]
+    for t in coeffs:
+        t["den"] = str(2 * int(t["den"]))
+    blob["name"] = name + "_halved"
+    return model_from_json(blob)
+
+
+@pytest.mark.parametrize("m", [model(n) for n in SPLIT_MODELS]
+                         + [_halved_levi(n) for n in SPLIT_MODELS]
+                         + [_fractional_shift(model(n), 2)
+                            for n in SPLIT_MODELS], ids=lambda m: m.name)
+def test_obstruction_matches_fraction_reference(m):
+    """The integer report, action matrix and project equal the Fraction
+    reference, dict order included, also where the inputs' denominator is
+    not 1: on the structure forms, on every unit-shift delta, and on
+    random 3-forms."""
+    assert all(c["holds"] for c in verify_structure(m).congruences)
+    ob = _Obstruction(m)
+    assert ob.den_in == (2 if m.name.endswith("_halved") else 1)
+    dforms = m.structure_forms()
+    _same(ob.report(dforms, m.name).matrices, _reference_report(ob, dforms))
+    cols = []
+    for j, a in _shift_pairs(m):
+        delta = _unit_shift_delta(dforms, j, a)
+        ref = _reference_report(ob, delta)
+        _same(ob.report(delta, m.name).matrices, ref)
+        cols.append([rp.constant_value(p) for p in _upper(ref)])
+    _same(_action_matrix(ob, m), linalg.transpose(cols))
+    # d of a constant 2-form projects to zero, so project reads random
+    # 3-forms, and d of 2-forms with polynomial coefficients
+    rng = random.Random(m.nvars)
+    for deg in (2, 3, 2, 3):
+        f = Form(m.nvars, deg, m.basis_tag)
+        for idx in combinations(range(m.nvars), deg):
+            f.add_term(idx, rp.random_poly(rng, m.nvars, 1, terms=2))
+        d3 = f if deg == 3 else coframe_d(m, f)
+        sym = ob.project(d3)
+        _same(sym, _reference_project(ob, d3))
+        assert any(p for row in sym for p in row)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -405,3 +516,31 @@ def test_pairing_is_the_double_contraction(seed):
         sigma.add_term(tuple(rng.sample(range(n), 2)),
                        rp.random_poly(rng, n, 2, terms=3))
     assert _pair(sigma, b) == contract(sigma, b).terms.get((), {})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_report_is_linear(seed):
+    """report(a C + b C') == a report(C) + b report(C') for rational a and
+    b, C and C' the structure forms of two shifted copies of one model,
+    and every coefficient is a Fraction."""
+    rng = random.Random(seed)
+    m = model(SPLIT_MODELS[seed % 3])
+    ob = _Obstruction(m)
+    c1 = _fractional_shift(m, seed).structure_forms()
+    c2 = perturb(m, rng, max_degree=2, npairs=3)[0].structure_forms()
+    a, b = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                     rng.randint(1, 9)) for _ in range(2))
+    # both copies' forms read in one basis, m's coframe
+    c1, c2 = ([Form(f.nvars, f.degree, m.basis_tag, f.terms) for f in c]
+              for c in (c1, c2))
+    mixed = ob.report([form_add(form_scale(x, a), form_scale(y, b))
+                       for x, y in zip(c1, c2)], m.name).matrices
+    r1, r2 = (ob.report(c, m.name).matrices for c in (c1, c2))
+    assert mixed == [[[rp.add(rp.scale(p, a), rp.scale(q, b))
+                       for p, q in zip(row1, row2)]
+                      for row1, row2 in zip(mat1, mat2)]
+                     for mat1, mat2 in zip(r1, r2)]
+    assert any(p for mat in mixed for row in mat for p in row)
+    assert all(type(c) is Fraction for rep in (mixed, r1, r2)
+               for mat in rep for row in mat for p in row
+               for c in p.values())

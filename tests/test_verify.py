@@ -3,7 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import lcm, perm
 
 import pytest
 
@@ -135,6 +135,57 @@ def test_certificate_counts_slices_without_building_bases(monkeypatch,
         raise AssertionError("basis(%d, %d) built" % (node_idx, s))
     monkeypatch.setattr(_SliceCache, "basis", refused)
     assert exactness_check(res, max_degree=2).ok
+
+
+def _columns_every_alpha(cache, op_idx, s):
+    """cache.columns(op_idx, s) by a walk over every alpha of every slot,
+    in the normal form's order, none skipped: an alpha heavier than the
+    slice leaves a negative weight, which no monomial has."""
+    res = cache.res
+    nf = res.operators[op_idx].normal_form()
+    src = res.nodes[op_idx]
+    low = min(min(src.weights), min(res.nodes[op_idx + 1].weights))
+    kern = nf.kernel(max(0, (s - low) // min(cache.weights)), cache.weights)
+    out_pos = cache._positions(op_idx + 1, s, kern)
+    col_pos = cache._positions(op_idx, s, kern)
+    cols = [{} for _ in col_pos]
+    for slot, wslot in enumerate(src.weights):
+        for _, palpha, support, offs in kern.slots[slot]:
+            w = s - wslot - sum(cache.weights[i] * a for i, a in support)
+            for r, pr in cache._packed(w, kern):
+                f = 1
+                for i, a in support:
+                    f *= perm(r[i] + a, a)
+                col = cols[col_pos[(slot << kern.shift) + palpha + pr]]
+                for off, num in offs:
+                    row = out_pos[pr + off]
+                    col[row] = col.get(row, 0) + f * num
+    dens = [nf.slots[slot][0] for slot, _ in cache.basis(op_idx, s)]
+    return [{r: v for r, v in col.items() if v} for col in cols], dens
+
+
+@pytest.mark.parametrize("name,variant", NAMED)
+def test_slice_columns_stop_at_the_slice_weight(name, variant):
+    """The walk that stops at the first alpha heavier than the slice gives
+    the columns of the walk over every alpha, on every slice a degree-2
+    certificate reads, one cache serving each base the slices need."""
+    res = (build_rs_complex(2) if variant == "rs"
+           else named_complex(model(name), variant))
+    cache = _SliceCache(res)
+    for op_idx, s in sorted(_needed_pairs(res, 2), key=lambda p: p[::-1]):
+        assert cache.columns(op_idx, s) == _columns_every_alpha(
+            cache, op_idx, s), (op_idx, s)
+
+
+def test_slice_columns_of_all_zero_maps():
+    # elliptic7's operator 3 has no alpha light enough for these slices
+    res = named_complex(model("elliptic7"), "bgg")
+    cache = _SliceCache(res)
+    for s, width in ((4, 14), (5, 56)):
+        cols, dens = cache.columns(3, s)
+        assert (cols, dens) == _columns_every_alpha(cache, 3, s)
+        assert len(cols) == len(dens) == width
+        assert not any(cols)
 
 
 class _ZeroOperator(OperatorHandle):
@@ -299,7 +350,7 @@ def test_off_weight_term_fails_the_slice_columns():
     s = res.nodes[k].weights[slot] + sum(
         a * w for a, w in zip(alpha, res.coeff_weights))
     assert _SliceCache(res).columns(k, s)[0]
-    kern = nf.kernel(0)
+    kern = nf.kernel(0, tuple(res.coeff_weights))
     big = 1 << kern.bits
     moved = tuple(x - (m == i) + big * (m == i + 1) for m, x in enumerate(b))
     assert kern.pack(moved) == kern.pack(b)
