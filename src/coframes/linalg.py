@@ -2,14 +2,14 @@
 
 Dense matrices are lists of row lists, and one exact elimination reduces
 them: it takes int or Fraction entries and eliminates in ints while the
-pivots are +-1.  rref returns its result over Fraction, for rank,
-nullspace and inverse; integer_rref returns it as integer numerators over
-one denominator, for the constant maps of the operator layer (the page
-decompositions and operators.SpanSolver).  poly_matvec applies a constant
-matrix to a vector of polynomials, the one such product of that layer.
-Polynomial matrices (entries are Poly dicts) get fraction-free
-determinants and adjugates.  A sparse elimination over a prime field
-supports the rank certificates used by the exactness checker.
+pivots are +-1.  rank counts its pivots; rref returns its result over
+Fraction, for nullspace and inverse; integer_rref returns it as integer
+numerators over one denominator, for the constant maps of the operator
+layer (the page decompositions and operators.SpanSolver).  poly_matvec
+applies a constant matrix to a vector of polynomials, the one such
+product of that layer.  Polynomial matrices (entries are Poly dicts) get
+fraction-free determinants and adjugates.  A sparse elimination over a
+prime field supports the rank certificates used by the exactness checker.
 """
 
 from __future__ import annotations
@@ -136,10 +136,8 @@ def integer_rref(m: Sequence[Sequence[Rational]]
     return integral(rows) + (pivots,)
 
 
-def rank(m: Matrix) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
+def rank(m: Sequence[Sequence[Rational]]) -> int:
+    return len(_eliminate(m)[1])
 
 
 def nullspace(red: Matrix, pivots: Sequence[int],
@@ -311,15 +309,16 @@ def rank_mod_p(rows: List[Dict[int, int]], p: int,
     return pivots
 
 
-def sparse_rank_exact(rows: List[Dict[int, Fraction]]) -> int:
-    """Exact rank of a sparse Fraction matrix (row dicts)."""
+def sparse_rank_exact(rows: List[Dict[int, Rational]]) -> int:
+    """Exact rank of a sparse matrix (row dicts) of int or Fraction
+    entries: each pivot divides as a Fraction, never as a float."""
     live = [dict(r) for r in rows if r]
     rank_count = 0
     while live:
         live.sort(key=len)
         row = live.pop(0)
         pc = min(row, key=lambda c: abs(row[c].numerator) + row[c].denominator)
-        pv = row[pc]
+        pv = Fraction(row[pc])
         row = {c: v / pv for c, v in row.items()}
         rank_count += 1
         nxt = []
@@ -328,7 +327,7 @@ def sparse_rank_exact(rows: List[Dict[int, Fraction]]) -> int:
             if f:
                 newr = dict(other)
                 for c, v in row.items():
-                    nv = newr.get(c, Fraction(0)) - f * v
+                    nv = newr.get(c, 0) - f * v
                     if nv:
                         newr[c] = nv
                     else:

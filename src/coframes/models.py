@@ -135,7 +135,7 @@ class StructureReport:
 
 @dataclass
 class Frame:
-    """The data coframe_d reads, scaled by den to integer numerators: inv
+    """The data frame_d reads, scaled by den to integer numerators: inv
     is den coframe_inv, and structure[i] lists (u, v, c) with den d(omega_i)
     = sum c omega_u ^ omega_v.  den is the lcm of the denominators of both,
     1 on every builtin but g2_5, whose coframe_inv holds halves."""
@@ -211,7 +211,7 @@ class GeometryModel:
 
     def frame(self) -> Frame:
         """coframe_inv and the structure forms over one denominator, for
-        coframe_d, derived on first call."""
+        frame_d, derived on first call."""
         if self._frame is None:
             dforms = self.structure_forms()
             den, nums = rp.clear_denominators(
@@ -251,17 +251,16 @@ class GeometryModel:
         return "GeometryModel(%s, n=%d)" % (self.name, self.nvars)
 
 
-def coframe_d(model: GeometryModel, a: Form, partials=None) -> Form:
-    """Exterior derivative of a coframe-basis form, staying in that basis;
-    partials as in forms.exterior_d.
+def frame_d(model: GeometryModel, a: Form, partials=None) -> Tuple[int, Form]:
+    """(f, f d(a)) for a coframe-basis form a, f the denominator of the
+    model's Frame; partials as in forms.exterior_d.
 
     d(p omega_I) = sum_i (X_i p) omega_i ^ omega_I + p d(omega_I), X_i the
     frame dual to the coframe, X_i p = sum_m coframe_inv[m][i] d_m p, and
     d(omega_I) the Leibniz sum over the structure forms.  The loop reads
-    them as the model's Frame, integer numerators over one denominator,
-    and runs in the arithmetic of a's coefficients, dividing each output
-    coefficient by that denominator where it is not 1: a form with int
-    coefficients on a frame of denominator 1 gets an int d.
+    them as the model's Frame, integer numerators over f, and runs in the
+    arithmetic of a's coefficients: a form with int coefficients gets an
+    int f d(a).
     """
     if a.basis != model.basis_tag:
         raise ValueError("form is not in this model's coframe basis")
@@ -286,8 +285,15 @@ def coframe_d(model: GeometryModel, a: Form, partials=None) -> Form:
                 if k % 2:
                     coeff = rp.neg(coeff)
                 out.add_term(idx[:k] + (u, v) + idx[k + 1:], coeff)
-    if frame.den != 1:
-        inv_den = Fraction(1, frame.den)
+    return frame.den, out
+
+
+def coframe_d(model: GeometryModel, a: Form, partials=None) -> Form:
+    """Exterior derivative of a coframe-basis form, staying in that basis:
+    frame_d divided by its denominator where that is not 1."""
+    f, out = frame_d(model, a, partials)
+    if f != 1:
+        inv_den = Fraction(1, f)
         out.terms = {idx: rp.scale(p, inv_den)
                      for idx, p in out.terms.items()}
     return out

@@ -2,10 +2,11 @@
 
 A graded operator is produced by one mechanism: lift a class to a form,
 apply d, correct the graded pieces below the target weight by solving
-constant page-0 systems, and project at the target (GradedOperator.cascade).
+constant page-0 systems, and project at the target (GradedOperator.image).
 A whole complex derives each of its nodes and operators on first read
 (OnDemand) off its model's one page (GeometryModel.page1).  Every
-operator has the one entry point apply(coeffs, jets=None).
+operator supplies one integer map, image(lift, jets=None), and
+OperatorHandle writes its two readers, apply and normal_form, on it once.
 
 The operator classes:
 
@@ -26,40 +27,41 @@ applied to a vector of polynomials (linalg.poly_matvec), whether it solves
 for span coordinates, for a correction's coefficients, or projects on the
 classes (CellData.extract, once per target cell).  Every such matrix, and
 the frame data d reads (models.Frame), is held as integer numerators over
-one denominator, so an operator runs in ints: apply clears the section's
-denominators once (clear_denominators, on the lift), carries one running
-denominator that grows only where a frame or matrix denominator is not 1,
-and builds one Fraction per output coefficient.  So the same cascade run
-on a symbolic jet u (ratpoly.Jets), with d acting as the total derivative,
-yields the operator's normal form sum_alpha c_alpha(x) d^alpha, one per
-pair of source and target slots.  OperatorHandle.normal_form compiles it
-on first use; its order is exact, the largest |alpha| with a nonzero
-coefficient.  A normal form is data with two readers, both in the
-exactness certificate: the slice columns, which read its PackedKernel
-(NormalForm.kernel) alpha first, every exponent packed into one integer in
-a base above every component it can meet, so a term's target is one
-integer add and no tuple is built; and the proof that two forms compose to
-zero on every section, by the Leibniz rule (NormalForm.composes_to_zero).
-A concrete section has one evaluator, the cascade: OperatorHandle.apply
-runs it with plain derivatives (no jets), for `coframes apply`, verify's
-composition sample and the witnesses, so the sample tests the path the
-proof on the compiled forms does not reach.
+one denominator, so an operator's image runs in ints: OperatorHandle
+clears the section's denominators once (clear_denominators, on the lift),
+and the image carries one running denominator that grows only where a
+frame or matrix denominator is not 1.  apply, the one Fraction boundary,
+builds one Fraction per output coefficient.  The same image of a symbolic
+jet u (ratpoly.Jets), with d acting as the total derivative, is the
+operator's normal form sum_alpha c_alpha(x) d^alpha, one per pair of
+source and target slots: OperatorHandle.normal_form reads its numerators
+straight into slots on first use.  Its order is exact, the largest |alpha|
+with a nonzero coefficient.  A normal form is data with two readers, both
+in the exactness certificate: the slice columns, which read its
+PackedKernel (NormalForm.kernel) alpha first, every exponent packed into
+one integer in a base above every component it can meet, so a term's
+target is one integer add and no tuple is built; and the proof that two
+forms compose to zero on every section, by the Leibniz rule
+(NormalForm.composes_to_zero).  A concrete section has one evaluator, the
+cascade: OperatorHandle.apply runs the image with plain derivatives (no
+jets), for `coframes apply`, verify's composition sample and the
+witnesses, so the sample tests the path the proof on the compiled forms
+does not reach.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import comb, lcm, perm
+from math import comb, gcd, lcm, perm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
 from .forms import (COORD, Form, clear_denominators, contract, exterior_d,
                     form_monomial, form_sub, one_form, wedge)
-from .models import GeometryModel, coframe_d, symplectic_data
+from .models import GeometryModel, frame_d, symplectic_data
 from .pages import CellKey
 
 PolyVec = List[rp.Poly]
@@ -163,18 +165,6 @@ def _partials(jets: Optional[rp.Jets]):
     return jets.partials if jets is not None else None
 
 
-def _frame_d(model: GeometryModel, form: Form, partials) -> Tuple[int, Form]:
-    """(f, f d(form)) for a form with int coefficients, f the denominator
-    of the model's frame: coframe_d divides by f, and its quotients are
-    read back as ints over f, with no Fraction arithmetic."""
-    d = coframe_d(model, form, partials)
-    f = model.frame().den
-    if f != 1:
-        d.terms = {idx: {e: c.numerator * (f // c.denominator)
-                         for e, c in p.items()} for idx, p in d.terms.items()}
-    return f, d
-
-
 class _LcpRun:
     """One lift-correct sweep of d over ascending weights.
 
@@ -186,10 +176,12 @@ class _LcpRun:
     weight-w part is E0 gamma, the Leibniz sum over the same structure
     forms that defines the page-0 columns (pages.e0_columns).
 
-    eta is kept as int coefficients over one running denominator, den: it
-    starts as the lift's and is multiplied by each cell's and the frame's
-    denominator that is not 1, as a correction meets it.  With jets, the
-    lift has jet coefficients and d differentiates them totally.
+    The lift arrives with int coefficients (OperatorHandle clears the
+    section's denominators), so eta is kept as int coefficients over one
+    running denominator, den: it starts as the frame's (models.frame_d)
+    and is multiplied by each cell's and the frame's denominator that is
+    not 1, as a correction meets it.  With jets, the lift has jet
+    coefficients and d differentiates them totally.
     """
 
     def __init__(self, model: GeometryModel, lift: Form, out_degree: int,
@@ -198,9 +190,7 @@ class _LcpRun:
         self.partials = _partials(jets)
         self.page1 = model.page1()
         self.degree = out_degree
-        den, (lift,) = clear_denominators([lift])
-        f, self.eta = _frame_d(model, lift, self.partials)
-        self.den = den * f
+        self.den, self.eta = frame_d(model, lift, self.partials)
 
     def vector(self, w: int) -> List[rp.IntPoly]:
         """The weight-w part of eta in its cell's coordinates, over den."""
@@ -227,7 +217,7 @@ class _LcpRun:
         for i, p in enumerate(acoeffs):
             if p:
                 gamma.add_term(src_cell.basis[src_pivots[i]], p)
-        f, dg = _frame_d(self.model, gamma, self.partials)
+        f, dg = frame_d(self.model, gamma, self.partials)
         scale = data.den * f
         if scale != 1:
             self.den *= scale
@@ -243,6 +233,8 @@ class _LcpRun:
 
 # (target slot t, x exponent b, numerator): the term num/den x^b d^alpha
 NormalTerm = Tuple[int, rp.Exponent, int]
+# (den_t, n_t) for each target slot t: an operator's image n_t / den_t
+Image = List[Tuple[int, rp.IntPoly]]
 
 
 class PackedKernel:
@@ -412,41 +404,57 @@ class NormalForm:
         return True
 
 
-def _normal_slot(jets: rp.Jets, image: PolyVec, shared: Dict[tuple, tuple]):
-    """One source slot of a NormalForm from the jets image[t] in each
-    target slot t.  shared interns tuples: most terms of a compiled
-    operator repeat, and sharing them keeps it small."""
-    den = 1
-    groups: Dict[rp.Exponent, List[Tuple[int, rp.Exponent, Fraction]]] = {}
-    for t, p in enumerate(image):
+def _normal_slot(jets: rp.Jets, image: Image, shared: Dict[tuple, tuple]):
+    """One source slot of a NormalForm from the jet numerators n_t over
+    den_t in each target slot t, over the least common denominator: the
+    lcm over t of den_t / gcd(den_t, coefficients of n_t).  shared interns
+    tuples: most terms of a compiled operator repeat, and sharing them
+    keeps it small."""
+    den = lcm(*(d // gcd(d, *p.values()) for d, p in image))
+    groups: Dict[rp.Exponent, List[NormalTerm]] = {}
+    for t, (d, p) in enumerate(image):
         for alpha, c_alpha in jets.split(p).items():
             for b, c in c_alpha.items():
-                groups.setdefault(alpha, []).append((t, b, c))
-                den = lcm(den, c.denominator)
+                groups.setdefault(alpha, []).append((t, b, c * den // d))
 
     def intern(x: tuple) -> tuple:
         return shared.setdefault(x, x)
     return den, [(intern(alpha),
-                  [intern((t, intern(b), c.numerator * (den // c.denominator)))
-                   for t, b, c in sorted(terms)])
+                  [intern((t, intern(b), num)) for t, b, num in sorted(terms)])
                  for alpha, terms in sorted(groups.items())]
 
 
 class OperatorHandle:
-    """A derived operator between two nodes, with its normal form."""
+    """A derived operator between two nodes, with its normal form.
+
+    A subclass supplies one integer map, image(lift, jets): the image of a
+    form of the source degree with int coefficients, as (den_t, n_t),
+    integer numerators over a denominator, for each target slot t; with
+    jets, the lift's coefficients are jets in it and d is the total
+    derivative.  apply and normal_form are written once on it: each
+    realizes a section and clears its denominators once (_image), then
+    apply builds one Fraction per output coefficient and normal_form reads
+    the jet numerators straight into slots."""
 
     def __init__(self, source: Node, target: Node):
         self.source = source
         self.target = target
         self._normal_form: Optional[NormalForm] = None
 
-    def apply(self, coeffs: Sequence[rp.Poly],
-              jets: Optional[rp.Jets] = None) -> PolyVec:
-        """The image of a section; with jets, coeffs are jets in it."""
+    def image(self, lift: Form, jets: Optional[rp.Jets] = None) -> Image:
         raise NotImplementedError
 
+    def _image(self, coeffs: Sequence[rp.Poly],
+               jets: Optional[rp.Jets] = None) -> Image:
+        den, (lift,) = clear_denominators([realize(self.source, coeffs)])
+        return [(den * d, p) for d, p in self.image(lift, jets)]
+
+    def apply(self, coeffs: Sequence[rp.Poly]) -> PolyVec:
+        """The image of a section, one Fraction per coefficient."""
+        return [rp.over(p, d) for d, p in self._image(coeffs)]
+
     def normal_form(self) -> NormalForm:
-        """Compiled on first use: apply once per source slot on a jet."""
+        """Compiled on first use: the image of a jet in each source slot."""
         if self._normal_form is None:
             jets = rp.Jets(self.source.forms[0].nvars)
             shared: Dict[tuple, tuple] = {}
@@ -454,7 +462,7 @@ class OperatorHandle:
             for slot in range(self.source.rank):
                 coeffs: PolyVec = [{} for _ in range(self.source.rank)]
                 coeffs[slot] = jets.unknown
-                slots.append(_normal_slot(jets, self.apply(coeffs, jets=jets),
+                slots.append(_normal_slot(jets, self._image(coeffs, jets),
                                           shared))
             self._normal_form = NormalForm(self.target.rank, slots,
                                            jets.nvars)
@@ -478,16 +486,12 @@ class GradedOperator(OperatorHandle):
         self.max_weight = max(self.page1.page0.cells[k].weight
                               for k in self.target_cells)
 
-    def apply(self, coeffs: Sequence[rp.Poly],
-              jets: Optional[rp.Jets] = None) -> PolyVec:
-        return self.cascade(realize(self.source, coeffs), jets)
-
-    def cascade(self, lift: Form, jets: Optional[rp.Jets] = None) -> PolyVec:
+    def image(self, lift: Form, jets: Optional[rp.Jets] = None) -> Image:
         """Correct d(lift) weight by weight and project it on the target
         classes.  The lift is any form of the source degree; its components
         in cells above the source's top weight do not reach the output."""
         run = _LcpRun(self.model, lift, self.source.degree + 1, jets)
-        out: PolyVec = [{} for _ in range(self.target.rank)]
+        out: Image = [(1, {}) for _ in range(self.target.rank)]
         min_w = min(self.source.weights) + 1 if self.source.weights else 1
         for w in range(min_w, self.max_weight + 1):
             key = (self.source.degree + 1, w - self.source.degree - 1)
@@ -497,7 +501,7 @@ class GradedOperator(OperatorHandle):
             if key in self.target_cells:
                 lo, hi = self.target_cells[key]
                 data = self.page1.cell_data(key)
-                out[lo:hi] = [rp.over(p, run.den * data.den)
+                out[lo:hi] = [(run.den * data.den, p)
                               for p in data.extract(run.vector(w))]
         return out
 
@@ -528,15 +532,13 @@ class DeepCorrectedOperator(OperatorHandle):
         keep_min = min(w for w, flag in inside.items() if flag)
         self.correct_weights = sorted(w for w in inside if w < keep_min)
 
-    def apply(self, coeffs: Sequence[rp.Poly],
-              jets: Optional[rp.Jets] = None) -> PolyVec:
-        lift = realize(self.source, coeffs)
+    def image(self, lift: Form, jets: Optional[rp.Jets] = None) -> Image:
         run = _LcpRun(self.model, lift, self.source.degree + 1, jets)
         for w in self.correct_weights:
             run.correct_at(w)
             if any(run.vector(w)):
                 raise ValueError("weight %d is not fully correctable" % w)
-        return [rp.over(p, run.den * self.span.den)
+        return [(run.den * self.span.den, p)
                 for p in self.span.express(run.eta)]
 
 
@@ -550,16 +552,12 @@ class SpanDOperator(OperatorHandle):
         self.model = model
         self.span = SpanSolver(target.forms)
 
-    def apply(self, coeffs: Sequence[rp.Poly],
-              jets: Optional[rp.Jets] = None) -> PolyVec:
-        den, (form,) = clear_denominators([realize(self.source, coeffs)])
-        partials = _partials(jets)
+    def image(self, lift: Form, jets: Optional[rp.Jets] = None) -> Image:
         if self.model is None:
-            f, d = 1, exterior_d(form, partials)
+            f, d = 1, exterior_d(lift, _partials(jets))
         else:
-            f, d = _frame_d(self.model, form, partials)
-        return [rp.over(p, den * f * self.span.den)
-                for p in self.span.express(d)]
+            f, d = frame_d(self.model, lift, _partials(jets))
+        return [(f * self.span.den, p) for p in self.span.express(d)]
 
 
 # #### symplectic replacement complex ######################################
@@ -579,16 +577,15 @@ class RsProjD(OperatorHandle):
         jden, (self.jform,) = clear_denominators([jform])
         self.scale = half_dim * jden ** 2
 
-    def apply(self, coeffs, jets=None):
-        den, (beta,) = clear_denominators([realize(self.source, coeffs)])
-        beta = exterior_d(beta, _partials(jets))
+    def image(self, lift: Form, jets: Optional[rp.Jets] = None) -> Image:
+        beta = exterior_d(lift, _partials(jets))
         trace = contract(beta, self.jform).terms.get((), {})
         out = Form(beta.nvars, beta.degree, beta.basis,
                    {idx: rp.scale(p, self.scale)
                     for idx, p in beta.terms.items()})
         for idx, p in self.jform.terms.items():
             out.add_term(idx, rp.neg(rp.mul(p, trace)))
-        return [rp.over(p, den * self.scale * self.span.den)
+        return [(self.scale * self.span.den, p)
                 for p in self.span.express(out)]
 
 
@@ -602,14 +599,13 @@ class RsMiddle(OperatorHandle):
         self.jspan = SpanSolver([wedge(jform, one_form(nvars, i))
                                  for i in range(nvars)])
 
-    def apply(self, coeffs, jets=None):
-        den, (beta,) = clear_denominators([realize(self.source, coeffs)])
-        x = self.jspan.express(exterior_d(beta, _partials(jets)))
-        gamma = Form(self.nvars, 1, COORD)     # -gamma, over den jspan.den
+    def image(self, lift: Form, jets: Optional[rp.Jets] = None) -> Image:
+        x = self.jspan.express(exterior_d(lift, _partials(jets)))
+        gamma = Form(self.nvars, 1, COORD)     # -gamma, over jspan.den
         for i, p in enumerate(x):
             if p:
                 gamma.add_term((i,), rp.neg(p))
-        return [rp.over(p, den * self.jspan.den * self.span.den)
+        return [(self.jspan.den * self.span.den, p)
                 for p in self.span.express(exterior_d(gamma,
                                                       _partials(jets)))]
 

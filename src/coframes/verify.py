@@ -68,7 +68,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import perm
@@ -285,9 +284,7 @@ class _SliceMap:
     def exact(self) -> Tuple[int, str]:
         if not self.cols:
             return 0, "none"
-        return linalg.sparse_rank_exact(
-            [{r: Fraction(v) for r, v in c.items()} for c in self.cols
-             if c]), "exact"
+        return linalg.sparse_rank_exact(self.cols), "exact"
 
 
 @dataclass
@@ -454,8 +451,7 @@ def rs_h1_witness(res: Resolution) -> bool:
     cache = _SliceCache(res)
     pos = {bk: i for i, bk in enumerate(cache.basis(1, 2))}
     # a column's slot denominator does not change the rank
-    image = [{i: Fraction(v) for i, v in col.items()}
-             for col in cache.columns(0, 2)[0]]
+    image = cache.columns(0, 2)[0]
     witness = {pos[(slot, e)]: c for slot, p in enumerate(alpha)
                for e, c in p.items()}
     in_image = (linalg.sparse_rank_exact(image + [witness])

@@ -13,8 +13,9 @@ from coframes.forms import (contract, exterior_d, form_pmul, form_scale,
                             form_sub, form_zero, one_form, wedge)
 from coframes.models import builtin_model, symplectic_data
 from coframes.operators import (DeepCorrectedOperator, GradedOperator,
-                                GradedSection, Node, NormalForm, RsMiddle,
-                                RsProjD, SpanDOperator, SpanSolver, _LcpRun,
+                                GradedSection, Node, NormalForm,
+                                OperatorHandle, RsMiddle, RsProjD,
+                                SpanDOperator, SpanSolver, _LcpRun,
                                 build_rs_complex, derive_operator,
                                 named_complex, random_section, realize)
 from coframes.verify import _SliceCache
@@ -118,6 +119,45 @@ def test_normal_form_apply_over_other_denominators(name, variant):
             assert got == _evaluate(nf, sec), (name, variant, parity)
             nonzero += any(got)
     assert nonzero > len(res.operators)
+
+
+class _SixthOperator(OperatorHandle):
+    """u dx_0 + v dx_1 goes to (4 u / 6, 0): slot 0 reduces to 2/3, and
+    nothing reaches from slot 1."""
+
+    def image(self, lift, jets=None):
+        return [(6, rp.scale(lift.terms.get((0,), {}), 4)), (1, {})]
+
+
+def test_normal_form_slots_take_their_least_denominators():
+    dx = [one_form(2, i) for i in range(2)]
+    h = _SixthOperator(Node("s", 1, dx, [1, 1]),
+                       Node("t", 2, [wedge(*dx)] * 2, [2, 2]))
+    assert h.normal_form().slots == [(3, [((0, 0), [(0, (0, 0), 2)])]),
+                                     (1, [])]
+    assert h.apply([{(1, 0): Fraction(1, 2)}, {(0, 1): Fraction(1)}]) == [
+        {(1, 0): Fraction(1, 3)}, {}]
+
+
+@pytest.mark.parametrize("name,variant", sorted(GOLDEN))
+def test_normal_form_slots_are_in_lowest_terms(name, variant):
+    for h in complex_for(name, variant).operators:
+        for den, groups in h.normal_form().slots:
+            assert math.gcd(den, *(num for _, terms in groups
+                                   for _, _, num in terms)) == 1
+
+
+def test_normal_form_compiles_without_apply_or_over(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a normal form compiled through a Fraction")
+    monkeypatch.setattr(OperatorHandle, "apply", refuse)
+    monkeypatch.setattr(rp, "over", refuse)
+    # every operator class: graded, deep-corrected and span d on g2_5, whose
+    # frame is over 2, and the span d without a model and both symplectic
+    # maps on symplectic4
+    for res in (named_complex(model("g2_5"), "ambient"), build_rs_complex(2)):
+        assert [h.order for h in res.operators] == GOLDEN[
+            (res.name, res.variant)][1]
 
 
 def _columns_by_apply(res, op_idx, s, cache):
@@ -293,7 +333,7 @@ def test_lift_independence(name):
                 lift = form_zero(res.nvars, h.source.degree,
                                  res.model.basis_tag)
                 lift.add_term(mono, jets.unknown)
-                assert not any(h.cascade(lift, jets)), (k, mono)
+                assert not any(p for _, p in h.image(lift, jets)), (k, mono)
                 checked += 1
     assert checked
 

@@ -189,8 +189,8 @@ def test_slice_columns_of_all_zero_maps():
 
 
 class _ZeroOperator(OperatorHandle):
-    def apply(self, coeffs, jets=None):
-        return [{} for _ in range(self.target.rank)]
+    def image(self, lift, jets=None):
+        return [(1, {}) for _ in range(self.target.rank)]
 
 
 def test_zero_operator_keeps_its_slots_apart():
@@ -310,8 +310,8 @@ def test_corrupted_cascade_fails_the_sample_not_the_proof(monkeypatch):
     handle = res.operators[2]
     cascade = handle.apply
 
-    def corrupted(coeffs, jets=None):
-        out = cascade(coeffs, jets)
+    def corrupted(coeffs):
+        out = cascade(coeffs)
         out[0] = rp.add(out[0], coeffs[0])
         return out
     monkeypatch.setattr(handle, "apply", corrupted)
@@ -404,6 +404,18 @@ def _kernel_columns(cols, nmid, rng):
     return out
 
 
+def test_exact_rank_of_large_int_rows():
+    # [[N + 1, N], [N, N - 1]] has determinant -1; in floats (N + 1) / N
+    # rounds to 1 at N = 3**40, and the second row cancels to zero
+    n = 3 ** 40
+    for rows in ([{0: n + 1, 1: n}, {0: n, 1: n - 1}],
+                 [{0: n, 1: n - 1}, {0: n + 1, 1: n}, {1: 2 * n, 2: 1}]):
+        assert linalg.sparse_rank_exact(rows) == len(rows)
+        assert linalg.sparse_rank_exact(
+            [{c: F(v) for c, v in r.items()} for r in rows]) == len(rows)
+    assert linalg.rank([[n + 1, n], [n, n - 1]]) == 2
+
+
 def test_rank_mod_p_matches_exact_rank():
     rng = random.Random(5)
     p = 1000003
@@ -427,6 +439,7 @@ def test_rank_mod_p_matches_exact_rank():
         rng.shuffle(rows)
         exact = linalg.sparse_rank_exact([{c: F(v) for c, v in r.items()}
                                           for r in rows])
+        assert linalg.sparse_rank_exact(rows) == exact
         pivots = linalg.rank_mod_p([dict(r) for r in rows], p)
         assert len(pivots) == exact
         assert linalg.sparse_rank_exact(
@@ -444,5 +457,6 @@ def test_rank_mod_p_matches_exact_rank():
                        for c in into for r in range(8))
         full = linalg.sparse_rank_exact([{j: F(v) for j, v in c.items()}
                                          for c in into])
+        assert linalg.sparse_rank_exact(into) == full
         assert len(linalg.rank_mod_p(into, p,
                                      set(linalg.rank_mod_p(out, p)))) == full
