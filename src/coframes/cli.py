@@ -5,7 +5,9 @@ suites, operator application, and 7-variable orbit classification.  Output
 is text by default; --format json emits canonical JSON (sorted keys, no
 timings) so identical arguments give byte-identical bytes, and
 --format csv emits flat rows for spreadsheets.  apply always writes a JSON
-section.  verify still accepts --seed and --samples, but reads neither: its
+section.  JSON output has the bytes of json.dumps(payload, sort_keys=True,
+indent=2), from a writer (_dumps) that skips the stdlib's pure-Python
+encoder.  verify still accepts --seed and --samples, but reads neither: its
 composition line is a proof, not a sample.
 
 A process builds one argument parser, on its first call, and every later
@@ -89,10 +91,73 @@ def _read_json(path: str, what: str) -> object:
         raise UsageError("cannot read %s: %s" % (what, exc))
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value: object) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte.
+
+    Strings, ints, lists and string-keyed dicts are written here, into one
+    list of chunks, without the stdlib's pure-Python generators; anything
+    else (bool, None, float, other keys, tuples, subclasses) by the stdlib
+    encoder, re-indented to its depth: its strings escape their newlines."""
+    chunks: List[str] = []
+    put = chunks.append
+
+    def write(value: object, newline: str) -> None:
+        kind = type(value)
+        if kind is str:
+            put(_escape(value))
+        elif kind is int:
+            put(int.__repr__(value))
+        elif kind is list:
+            if not value:
+                put("[]")
+                return
+            inner = newline + "  "
+            sep, comma = "[" + inner, "," + inner
+            for v in value:
+                put(sep)
+                sep = comma
+                t = type(v)
+                if t is int:
+                    put(int.__repr__(v))
+                elif t is str:
+                    put(_escape(v))
+                else:
+                    write(v, inner)
+            put(newline + "]")
+        elif kind is dict and all(type(k) is str for k in value):
+            if not value:
+                put("{}")
+                return
+            inner = newline + "  "
+            sep, comma = "{" + inner, "," + inner
+            for k, v in sorted(value.items()):
+                put(sep)
+                put(_escape(k))
+                put(": ")
+                sep = comma
+                t = type(v)
+                if t is str:
+                    put(_escape(v))
+                elif t is int:
+                    put(int.__repr__(v))
+                else:
+                    write(v, inner)
+            put(newline + "}")
+        else:
+            put(json.dumps(value, sort_keys=True, indent=2)
+                .replace("\n", newline))
+
+    write(value, "\n")
+    return "".join(chunks)
+
+
 def _emit(args, payload: dict, text_lines: Sequence[str],
           csv_rows: Sequence[Sequence[object]]) -> None:
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2))
+        sys.stdout.write(_dumps(payload))
         sys.stdout.write("\n")
     elif args.format == "csv":
         w = csv.writer(sys.stdout)
@@ -397,8 +462,13 @@ def cmd_apply(args) -> int:
     out = handle.apply(section.coeffs)
     result = ops.GradedSection(resolution=args.geometry, variant=variant,
                                node=node + 1, coeffs=out)
-    payload = result.to_json(nvars)
-    data = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        payload = result.to_json(nvars)
+    except ValueError:  # str() of an int past Python's digit limit
+        raise UsageError("an output coefficient has more than %d digits, "
+                         "Python's limit for int to str conversion"
+                         % sys.get_int_max_str_digits())
+    data = _dumps(payload) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

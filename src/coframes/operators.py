@@ -821,8 +821,11 @@ class GradedSection:
         if not isinstance(raw, list) or len(raw) > MAX_SECTION_COMPONENTS:
             raise ValueError("coeffs must be a list of at most %d "
                              "polynomials" % MAX_SECTION_COMPONENTS)
-        coeffs = [rp.poly_from_json(t) for t in raw]
-        declared = {rp.json_nvars(t["nvars"]) for t in raw}
+        declared, coeffs = set(), []
+        for t in raw:
+            n, p = rp.nvars_poly_from_json(t)
+            declared.add(n)
+            coeffs.append(p)
         if len(declared) > 1:
             raise ValueError("coefficients disagree on nvars: %s"
                              % sorted(declared))

@@ -233,6 +233,12 @@ def json_term_count(terms: object, what: str) -> None:
 
 def poly_from_json(obj: dict, nvars: Optional[int] = None) -> Poly:
     """Parse a Poly, checking every field; nvars, if given, must match."""
+    return nvars_poly_from_json(obj, nvars)[1]
+
+
+def nvars_poly_from_json(obj: dict,
+                         nvars: Optional[int] = None) -> Tuple[int, Poly]:
+    """poly_from_json, with the variable count the polynomial declares."""
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ValueError("a polynomial must be an object with a terms list, "
                          "got %.40r" % (obj,))
@@ -245,8 +251,12 @@ def poly_from_json(obj: dict, nvars: Optional[int] = None) -> Poly:
     for t in obj["terms"]:
         if not isinstance(t, dict) or not isinstance(t.get("exps"), list):
             raise ValueError("a term must be an object with an exps list")
-        e = tuple(json_int(k, "exponent") for k in t["exps"])
-        if len(e) != n or any(k < 0 for k in e):
+        e = t["exps"]
+        if all(type(k) is int for k in e):
+            e = tuple(e)
+        else:
+            e = tuple(json_int(k, "exponent") for k in e)
+        if len(e) != n or (e and min(e) < 0):
             raise ValueError("exponents %r do not fit nvars %d" % (e, n))
         if sum(e) > MAX_DEGREE:
             raise ValueError("a term may have degree at most %d, got %d"
@@ -255,11 +265,14 @@ def poly_from_json(obj: dict, nvars: Optional[int] = None) -> Poly:
         if not den:
             raise ValueError("zero denominator")
         c = Fraction(json_int(t.get("num"), "numerator"), den)
+        s = out.get(e)
+        if s is not None:
+            c += s
         if c:
-            out[e] = out.get(e, Fraction(0)) + c
-            if not out[e]:
-                del out[e]
-    return out
+            out[e] = c
+        elif s is not None:
+            del out[e]
+    return n, out
 
 
 class Jets:

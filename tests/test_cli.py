@@ -356,11 +356,18 @@ def test_apply_wrong_nvars_exits_2(tmp_path, capsys, nvars, exps):
     assert "variables" in err
 
 
+def _engel0_term(exps, den="1"):
+    return {"model": "engel4", "cell": 0,
+            "coeffs": [{"nvars": 4, "terms": [{"exps": exps, "num": "1",
+                                                "den": den}]}]}
+
+
 @pytest.mark.parametrize("blob", [
     [],
-    {"model": "engel4", "cell": 0,
-     "coeffs": [{"nvars": 4, "terms": [{"exps": [0, 0, 1, 0],
-                                         "num": "1", "den": "0"}]}]}])
+    _engel0_term([0, 0, 1, 0], den="0"),
+    _engel0_term([0, True, 1, 0]),
+    _engel0_term([0, 0, 1.0, 0]),
+    _engel0_term([0, 0, -1, 2])])
 def test_apply_malformed_section_exits_2(tmp_path, capsys, blob):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(blob))
@@ -368,6 +375,28 @@ def test_apply_malformed_section_exits_2(tmp_path, capsys, blob):
                          "--input", str(path))
     assert code == 2
     assert "cannot read section" in err
+
+
+@pytest.mark.parametrize("geometry,operator", [("g2_5", "d0"),
+                                                ("contact5", "d1")])
+def test_apply_output_past_the_digit_limit_exits_2(tmp_path, capsys,
+                                                   geometry, operator):
+    # each coefficient reads as 9...9 (4,300 digits) times 8/7: a section
+    # the reader accepts, whose image has numerators str() refuses
+    handle, cell, _ = cli._named_operator(geometry, operator, None)
+    term = {"exps": [1, 0, 0, 0, 0], "num": "9" * 4300}
+    sec = {"model": geometry, "cell": cell,
+           "coeffs": [{"nvars": 5, "terms": [dict(term, den="1"),
+                                             dict(term, den="7")]}]
+           * handle.source.rank}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(sec))
+    code, out, err = run(capsys, "apply", geometry, "--operator", operator,
+                         "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: an output coefficient has more than "
+                          "%d digits" % sys.get_int_max_str_digits())
 
 
 def _engel_section(cell, ncoeffs, model="engel4"):
@@ -878,7 +907,7 @@ def test_apply_mutated_section_exits_2_or_answers(data):
     assert (section.resolution, section.node) == ("engel4", 1)
     handle = cli._named_operator("engel4", "d1", section.variant)[0]
     want = GradedSection("engel4", "bgg", 2, handle.apply(section.coeffs))
-    assert json.loads(out) == want.to_json(4)
+    assert out == json.dumps(want.to_json(4), sort_keys=True, indent=2) + "\n"
 
 
 @FUZZ
@@ -908,3 +937,51 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, err = run(capsys, "list")
     assert proc.returncode == code == 0
     assert proc.stdout == out
+
+
+# #### the JSON writer #####################################################
+
+_WRITER_VALUES = st.one_of(
+    _VALUES, st.just([]), st.just({}), st.just([[], {}, [{}]]),
+    st.recursive(
+        st.one_of(st.integers(), st.text(alphabet="aé\u2603\n\"\\"),
+                  st.floats(), st.booleans(), st.none()),
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=3), st.tuples(kids, kids),
+            st.dictionaries(st.text(max_size=3), kids, max_size=3),
+            st.dictionaries(st.integers(), kids, max_size=3)),
+        max_leaves=8))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_WRITER_VALUES)
+def test_writer_gives_the_stdlib_bytes(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("list",), ("page", "g2_5", "--level", "0"), ("report", "g2_5"),
+    ("verify", "engel4", "--degree", "1"),
+    ("classify7", "--model", "hyperbolic7")], ids=lambda a: a[0])
+def test_json_output_has_the_stdlib_bytes(monkeypatch, capsys, argv):
+    seen = []
+    dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda v: seen.append(v) or dumps(v))
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and len(seen) == 1
+    assert out == json.dumps(seen[0], sort_keys=True, indent=2) + "\n"
+
+
+def test_apply_writes_without_the_stdlib_encoder(tmp_path, capsys,
+                                                 monkeypatch):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_engel_section(1, 2)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stdlib encoder ran")
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+    code, out, err = run(capsys, "apply", "engel4", "--operator", "P",
+                         "--input", str(path))
+    monkeypatch.undo()
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

@@ -4,6 +4,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 import coframes
 from coframes import ratpoly as rp
 
@@ -90,9 +92,32 @@ def test_json_roundtrip_and_stability():
         p = rand_poly(rng, n)
         blob = rp.poly_to_json(p, n)
         assert rp.poly_from_json(blob) == p
+        spelled = [dict(t, exps=[str(k) for k in t["exps"]])
+                   for t in blob["terms"]]
+        assert rp.poly_from_json(dict(blob, terms=spelled)) == p
         again = rp.poly_to_json(rp.poly_from_json(blob), n)
         assert json.dumps(blob, sort_keys=True) == \
             json.dumps(again, sort_keys=True)
+
+
+@pytest.mark.parametrize("terms,want", [
+    ([{"exps": ["1", "0"], "num": "3", "den": "2"}],
+     {(1, 0): Fraction(3, 2)}),
+    ([{"exps": [1, 0], "num": "1", "den": "2"},
+      {"exps": ["1", 0], "num": "1", "den": "3"}],
+     {(1, 0): Fraction(5, 6)}),
+    ([{"exps": [1, 0], "num": "3", "den": "2"},
+      {"exps": [1, 0], "num": "-3", "den": "2"},
+      {"exps": [0, 2], "num": "1", "den": "1"}],
+     {(0, 2): Fraction(1)}),
+    ([{"exps": [1, 0], "num": "1", "den": "1"},
+      {"exps": [1, 0], "num": "-1", "den": "1"},
+      {"exps": [1, 0], "num": "0", "den": "5"},
+      {"exps": [1, 0], "num": "2", "den": "1"}],
+     {(1, 0): Fraction(2)})],
+    ids=["string-exps", "repeat-sums", "repeat-cancels", "cancel-then-add"])
+def test_json_reads_string_exponents_and_sums_repeats(terms, want):
+    assert rp.poly_from_json({"nvars": 2, "terms": terms}) == want
 
 
 def test_json_preserves_big_fractions():
