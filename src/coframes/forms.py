@@ -169,21 +169,15 @@ def wedge(a: Form, b: Form) -> Form:
     return out
 
 
-def exterior_d(a: Form, partials=None) -> Form:
-    """Exterior derivative; defined on the coordinate basis only.
-
-    partials maps a coefficient to its derivatives along the coordinates;
-    the default takes coordinate partials, and ratpoly.Jets.partials
-    differentiates jet coefficients totally.
-    """
+def exterior_d(a: Form) -> Form:
+    """Exterior derivative; defined on the coordinate basis only."""
     if a.basis != COORD:
         raise ValueError(
             "exterior_d works in the coordinate basis; change_basis first")
     out = Form(a.nvars, a.degree + 1, COORD)
     for idx, p in a.terms.items():
-        dps = (partials(p) if partials is not None
-               else [rp.diff(p, m) for m in range(a.nvars)])
-        for m, dp in enumerate(dps):
+        for m in range(a.nvars):
+            dp = rp.diff(p, m)
             if dp:
                 out.add_term((m,) + idx, dp)
     return out

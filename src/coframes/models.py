@@ -251,9 +251,11 @@ class GeometryModel:
         return "GeometryModel(%s, n=%d)" % (self.name, self.nvars)
 
 
-def frame_d(model: GeometryModel, a: Form, partials=None) -> Tuple[int, Form]:
+def frame_d(model: GeometryModel, a: Form,
+            jets: Optional[rp.Jets] = None) -> Tuple[int, Form]:
     """(f, f d(a)) for a coframe-basis form a, f the denominator of the
-    model's Frame; partials as in forms.exterior_d.
+    model's Frame; with jets, a's coefficients are jets in it and d
+    differentiates them totally (ratpoly.Jets.partials).
 
     d(p omega_I) = sum_i (X_i p) omega_i ^ omega_I + p d(omega_I), X_i the
     frame dual to the coframe, X_i p = sum_m coframe_inv[m][i] d_m p, and
@@ -268,7 +270,7 @@ def frame_d(model: GeometryModel, a: Form, partials=None) -> Tuple[int, Form]:
     frame = model.frame()
     out = Form(n, a.degree + 1, a.basis)
     for idx, p in a.terms.items():
-        dp = (partials(p) if partials is not None
+        dp = (jets.partials(p) if jets is not None
               else [rp.diff(p, m) for m in range(n)])
         for i in range(n):
             acc: rp.Poly = {}
@@ -288,10 +290,10 @@ def frame_d(model: GeometryModel, a: Form, partials=None) -> Tuple[int, Form]:
     return frame.den, out
 
 
-def coframe_d(model: GeometryModel, a: Form, partials=None) -> Form:
+def coframe_d(model: GeometryModel, a: Form) -> Form:
     """Exterior derivative of a coframe-basis form, staying in that basis:
     frame_d divided by its denominator where that is not 1."""
-    f, out = frame_d(model, a, partials)
+    f, out = frame_d(model, a)
     if f != 1:
         inv_den = Fraction(1, f)
         out.terms = {idx: rp.scale(p, inv_den)

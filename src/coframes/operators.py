@@ -1,22 +1,23 @@
 """Derived operators between page-1 nodes and their complexes.
 
 A graded operator is produced by one mechanism: lift a class to a form,
-apply d, correct the graded pieces below the target weight by solving
-constant page-0 systems, and project at the target (GradedOperator.image).
-A whole complex derives each of its nodes and operators on first read
-(OnDemand) off its model's one page (GeometryModel.page1).  Every
-operator supplies one integer map, image(lift, jets=None), and
-OperatorHandle writes its two readers, apply and normal_form, on it once.
+apply d, and correct the graded pieces below the target by solving
+constant page-0 systems (GradedOperator.image); the target node then reads
+the coordinates of what is left (Node.coordinates), projecting it on its
+classes or expressing it in its span.  A whole complex derives each of its
+nodes and operators on first read (OnDemand) off its model's one page
+(GeometryModel.page1).  Every operator supplies one integer map,
+image(lift, jets=None), the form it sends a lift to, and OperatorHandle
+writes its two readers, apply and normal_form, on it once.
 
 The operator classes:
 
-  GradedOperator         lift, correct, project between page-1 nodes
-  DeepCorrectedOperator  correct below a span node, express the rest in it
-  SpanDOperator          d, then express in the target span (the coframe d
-                         of a model, or the flat exterior d without one)
-  RsProjD, RsMiddle      the two symplectic maps that are not plain d: d
-                         then removal of the J-trace, and the second-order
-                         middle map -d gamma with J ^ gamma = d beta
+  GradedOperator    lift, correct at weights fixed at construction, and
+                    hand the form to the target node: with no weight to
+                    correct at, the coframe d (the flat d on symplectic4)
+  RsProjD, RsMiddle the two symplectic maps that are not plain d: d then
+                    removal of the J-trace, and the second-order middle
+                    map -d gamma with J ^ gamma = d beta
 
 The sweep (_LcpRun) keeps one form, d(lift) minus all of d(gamma) for
 each correction gamma: the weight-w part of d(gamma) is E0 gamma, the image
@@ -53,34 +54,61 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
 from math import comb, gcd, lcm, perm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, ratpoly as rp
-from .forms import (COORD, Form, clear_denominators, contract, exterior_d,
+from .forms import (Form, change_basis, clear_denominators, contract,
                     form_monomial, form_sub, one_form, wedge)
 from .models import GeometryModel, frame_d, symplectic_data
-from .pages import CellKey
+from .pages import CellKey, Page1
 
 PolyVec = List[rp.Poly]
+# (den_t, n_t) for each target slot t: an operator's image n_t / den_t
+Image = List[Tuple[int, rp.IntPoly]]
 
 
 # #### nodes ###############################################################
 
 @dataclass
 class Node:
-    """A term of a complex, realized by explicit constant-coefficient forms."""
+    """A term of a complex, realized by explicit constant-coefficient forms.
+
+    A graded node (graded_node) keeps the page its cells are on, and each
+    cell's slots, lo:hi; any other node reads forms in the span of its
+    own."""
     label: str
     degree: int
     forms: List[Form]
     weights: List[int]
     cells: List[Tuple[CellKey, int, int]] = field(default_factory=list)
+    page1: Optional[Page1] = field(default=None, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return len(self.forms)
+
+    @cached_property
+    def span(self) -> SpanSolver:
+        """The solver of the span of the node's forms, built on first read."""
+        return SpanSolver(self.forms)
+
+    def coordinates(self, form: Form) -> Image:
+        """A form of the node's degree with int coefficients, as (den_t,
+        n_t) for each slot t.  A graded node projects each of its cells on
+        the classes (CellData.extract) and reads no term outside them; any
+        other node expresses the form in its span, which refuses a form
+        outside it."""
+        if self.page1 is None:
+            return [(self.span.den, p) for p in self.span.express(form)]
+        out: Image = []
+        for key, _, _ in self.cells:
+            data = self.page1.cell_data(key)
+            out += [(data.den, p) for p in data.extract(
+                [form.terms.get(m, {}) for m in data.cell.basis])]
+        return out
 
 
 def graded_node(model: GeometryModel, degree: int,
@@ -104,7 +132,7 @@ def graded_node(model: GeometryModel, degree: int,
             weights.append(data.cell.weight)
         ranges.append((key, lo, len(forms)))
     return Node(label=label or ("node%d" % degree), degree=degree,
-                forms=forms, weights=weights, cells=ranges)
+                forms=forms, weights=weights, cells=ranges, page1=page1)
 
 
 class SpanSolver:
@@ -161,10 +189,6 @@ def realize(node: Node, coeffs: Sequence[rp.Poly]) -> Form:
 
 # #### correction machinery ################################################
 
-def _partials(jets: Optional[rp.Jets]):
-    return jets.partials if jets is not None else None
-
-
 class _LcpRun:
     """One lift-correct sweep of d over ascending weights.
 
@@ -187,10 +211,10 @@ class _LcpRun:
     def __init__(self, model: GeometryModel, lift: Form, out_degree: int,
                  jets: Optional[rp.Jets] = None):
         self.model = model
-        self.partials = _partials(jets)
+        self.jets = jets
         self.page1 = model.page1()
         self.degree = out_degree
-        self.den, self.eta = frame_d(model, lift, self.partials)
+        self.den, self.eta = frame_d(model, lift, jets)
 
     def vector(self, w: int) -> List[rp.IntPoly]:
         """The weight-w part of eta in its cell's coordinates, over den."""
@@ -217,7 +241,7 @@ class _LcpRun:
         for i, p in enumerate(acoeffs):
             if p:
                 gamma.add_term(src_cell.basis[src_pivots[i]], p)
-        f, dg = frame_d(self.model, gamma, self.partials)
+        f, dg = frame_d(self.model, gamma, self.jets)
         scale = data.den * f
         if scale != 1:
             self.den *= scale
@@ -233,8 +257,6 @@ class _LcpRun:
 
 # (target slot t, x exponent b, numerator): the term num/den x^b d^alpha
 NormalTerm = Tuple[int, rp.Exponent, int]
-# (den_t, n_t) for each target slot t: an operator's image n_t / den_t
-Image = List[Tuple[int, rp.IntPoly]]
 
 
 class PackedKernel:
@@ -428,26 +450,29 @@ class OperatorHandle:
     """A derived operator between two nodes, with its normal form.
 
     A subclass supplies one integer map, image(lift, jets): the image of a
-    form of the source degree with int coefficients, as (den_t, n_t),
-    integer numerators over a denominator, for each target slot t; with
-    jets, the lift's coefficients are jets in it and d is the total
-    derivative.  apply and normal_form are written once on it: each
-    realizes a section and clears its denominators once (_image), then
-    apply builds one Fraction per output coefficient and normal_form reads
-    the jet numerators straight into slots."""
+    form of the source degree with int coefficients, as (den, form), a
+    form of the target degree with int coefficients over den; with jets,
+    the lift's coefficients are jets in it and d is the total derivative.
+    apply and normal_form are written once on it: each realizes a section
+    and clears its denominators once, and the target node reads the
+    image's coordinates (_image); then apply builds one Fraction per output
+    coefficient and normal_form reads the jet numerators straight into
+    slots."""
 
     def __init__(self, source: Node, target: Node):
         self.source = source
         self.target = target
         self._normal_form: Optional[NormalForm] = None
 
-    def image(self, lift: Form, jets: Optional[rp.Jets] = None) -> Image:
+    def image(self, lift: Form,
+              jets: Optional[rp.Jets] = None) -> Tuple[int, Form]:
         raise NotImplementedError
 
     def _image(self, coeffs: Sequence[rp.Poly],
                jets: Optional[rp.Jets] = None) -> Image:
         den, (lift,) = clear_denominators([realize(self.source, coeffs)])
-        return [(den * d, p) for d, p in self.image(lift, jets)]
+        f, form = self.image(lift, jets)
+        return [(den * f * d, p) for d, p in self.target.coordinates(form)]
 
     def apply(self, coeffs: Sequence[rp.Poly]) -> PolyVec:
         """The image of a section, one Fraction per coefficient."""
@@ -474,90 +499,49 @@ class OperatorHandle:
 
 
 class GradedOperator(OperatorHandle):
-    """Class-to-class operator via lift, correction, and cell projection."""
+    """d of a lift, corrected at weights fixed at construction.
 
-    def __init__(self, model: GeometryModel, source: Node, target: Node):
-        super().__init__(source, target)
-        self.model = model
-        self.page1 = model.page1()
-        if not target.cells:
-            raise ValueError("graded operator needs a graded target node")
-        self.target_cells = {key: (lo, hi) for key, lo, hi in target.cells}
-        self.max_weight = max(self.page1.page0.cells[k].weight
-                              for k in self.target_cells)
-
-    def image(self, lift: Form, jets: Optional[rp.Jets] = None) -> Image:
-        """Correct d(lift) weight by weight and project it on the target
-        classes.  The lift is any form of the source degree; its components
-        in cells above the source's top weight do not reach the output."""
-        run = _LcpRun(self.model, lift, self.source.degree + 1, jets)
-        out: Image = [(1, {}) for _ in range(self.target.rank)]
-        min_w = min(self.source.weights) + 1 if self.source.weights else 1
-        for w in range(min_w, self.max_weight + 1):
-            key = (self.source.degree + 1, w - self.source.degree - 1)
-            if key not in self.page1.page0.cells:
-                continue
-            run.correct_at(w)
-            if key in self.target_cells:
-                lo, hi = self.target_cells[key]
-                data = self.page1.cell_data(key)
-                out[lo:hi] = [(run.den * data.den, p)
-                              for p in data.extract(run.vector(w))]
-        return out
-
-
-class DeepCorrectedOperator(OperatorHandle):
-    """Correct everything below the target span; keep the honest form.
-
-    Each cell of the target degree below the span's lowest weight lies
-    outside the span, so it is corrected and checked to vanish, and the
-    sweep's eta is what the span then expresses.
+    A graded target is corrected at every weight of its degree from one
+    above the source's lowest up to its top cell's.  A span target must
+    hold each cell of its degree whole or not at all, and is corrected at
+    the weights of that range below its lowest cell: those cells lie
+    outside the span, so express refuses whatever a correction leaves
+    there.  With no weight to correct at, the image is the coframe d.
     """
 
     def __init__(self, model: GeometryModel, source: Node, target: Node):
         super().__init__(source, target)
         self.model = model
-        self.page1 = model.page1()
-        self.span = SpanSolver(target.forms)
-        support = set(self.span.pos)
-        inside: Dict[int, bool] = {}    # cell weight: the cell is in the span
-        for key, cell in self.page1.page0.cells.items():
-            if key[0] == source.degree + 1:
+        degree = source.degree + 1
+        cells = {cell.weight: cell
+                 for key, cell in model.page1().page0.cells.items()
+                 if key[0] == degree}
+        if target.page1 is not None:
+            top = max(target.page1.page0.cells[key].weight
+                      for key, _, _ in target.cells)
+        else:
+            support = set(target.span.pos)
+            inside: Dict[int, bool] = {}    # cell weight: the cell is in it
+            for w, cell in cells.items():
                 flags = {m in support for m in cell.basis}
                 if len(flags) > 1:
                     raise ValueError("target span splits a cell")
-                inside[cell.weight] = flags.pop()
-        if not any(inside.values()):
-            raise ValueError("target span has no cells")
-        keep_min = min(w for w, flag in inside.items() if flag)
-        self.correct_weights = sorted(w for w in inside if w < keep_min)
+                inside[w] = flags.pop()
+            if not any(inside.values()):
+                raise ValueError("target span has no cells")
+            top = min(w for w, flag in inside.items() if flag) - 1
+        low = min(source.weights) + 1 if source.weights else 1
+        self.correct_weights = [w for w in range(low, top + 1) if w in cells]
 
-    def image(self, lift: Form, jets: Optional[rp.Jets] = None) -> Image:
+    def image(self, lift: Form,
+              jets: Optional[rp.Jets] = None) -> Tuple[int, Form]:
+        """d(lift) corrected weight by weight.  The lift is any form of the
+        source degree; its components in cells above the source's top
+        weight do not reach the target's coordinates."""
         run = _LcpRun(self.model, lift, self.source.degree + 1, jets)
         for w in self.correct_weights:
             run.correct_at(w)
-            if any(run.vector(w)):
-                raise ValueError("weight %d is not fully correctable" % w)
-        return [(run.den * self.span.den, p)
-                for p in self.span.express(run.eta)]
-
-
-class SpanDOperator(OperatorHandle):
-    """Plain d between span nodes: the model's coframe d, or the exterior d
-    of the flat coordinate forms when there is no model."""
-
-    def __init__(self, model: Optional[GeometryModel], source: Node,
-                 target: Node):
-        super().__init__(source, target)
-        self.model = model
-        self.span = SpanSolver(target.forms)
-
-    def image(self, lift: Form, jets: Optional[rp.Jets] = None) -> Image:
-        if self.model is None:
-            f, d = 1, exterior_d(lift, _partials(jets))
-        else:
-            f, d = frame_d(self.model, lift, _partials(jets))
-        return [(f * self.span.den, p) for p in self.span.express(d)]
+        return run.den, run.eta
 
 
 # #### symplectic replacement complex ######################################
@@ -565,49 +549,51 @@ class SpanDOperator(OperatorHandle):
 class RsProjD(OperatorHandle):
     """d followed by the pointwise projection killing the J-trace.
 
-    With J = Jn / jden, Jn integral, the projection is beta - tr(beta) J /
-    half_dim for tr(beta) = contract(beta, J), and scale = half_dim jden^2
-    times it is scale beta - contract(beta, Jn) Jn, integral on an
-    integral beta."""
+    With J = Jn / jden, Jn integral, and half_dim half the model's
+    dimension, the projection is beta - tr(beta) J / half_dim for
+    tr(beta) = contract(beta, J), and scale = half_dim jden^2 times it is
+    scale beta - contract(beta, Jn) Jn, integral on an integral beta."""
 
-    def __init__(self, source: Node, target: Node, jform: Form,
-                 half_dim: int):
+    def __init__(self, model: GeometryModel, source: Node, target: Node,
+                 jform: Form):
         super().__init__(source, target)
-        self.span = SpanSolver(target.forms)
+        self.model = model
         jden, (self.jform,) = clear_denominators([jform])
-        self.scale = half_dim * jden ** 2
+        self.scale = model.nvars // 2 * jden ** 2
 
-    def image(self, lift: Form, jets: Optional[rp.Jets] = None) -> Image:
-        beta = exterior_d(lift, _partials(jets))
+    def image(self, lift: Form,
+              jets: Optional[rp.Jets] = None) -> Tuple[int, Form]:
+        f, beta = frame_d(self.model, lift, jets)
         trace = contract(beta, self.jform).terms.get((), {})
         out = Form(beta.nvars, beta.degree, beta.basis,
                    {idx: rp.scale(p, self.scale)
                     for idx, p in beta.terms.items()})
         for idx, p in self.jform.terms.items():
             out.add_term(idx, rp.neg(rp.mul(p, trace)))
-        return [(self.scale * self.span.den, p)
-                for p in self.span.express(out)]
+        return f * self.scale, out
 
 
 class RsMiddle(OperatorHandle):
     """Second-order middle map: solve J ^ gamma = d beta, emit -d gamma."""
 
-    def __init__(self, source: Node, target: Node, jform: Form, nvars: int):
+    def __init__(self, model: GeometryModel, source: Node, target: Node,
+                 jform: Form):
         super().__init__(source, target)
-        self.span = SpanSolver(target.forms)
-        self.nvars = nvars
-        self.jspan = SpanSolver([wedge(jform, one_form(nvars, i))
-                                 for i in range(nvars)])
+        self.model = model
+        self.jspan = SpanSolver([wedge(jform, one_form(model.nvars, i,
+                                                       model.basis_tag))
+                                 for i in range(model.nvars)])
 
-    def image(self, lift: Form, jets: Optional[rp.Jets] = None) -> Image:
-        x = self.jspan.express(exterior_d(lift, _partials(jets)))
-        gamma = Form(self.nvars, 1, COORD)     # -gamma, over jspan.den
-        for i, p in enumerate(x):
+    def image(self, lift: Form,
+              jets: Optional[rp.Jets] = None) -> Tuple[int, Form]:
+        f, beta = frame_d(self.model, lift, jets)
+        # -gamma, over f jspan.den
+        gamma = Form(beta.nvars, 1, beta.basis)
+        for i, p in enumerate(self.jspan.express(beta)):
             if p:
                 gamma.add_term((i,), rp.neg(p))
-        return [(self.jspan.den * self.span.den, p)
-                for p in self.span.express(exterior_d(gamma,
-                                                      _partials(jets)))]
+        g, dgamma = frame_d(self.model, gamma, jets)
+        return f * self.jspan.den * g, dgamma
 
 
 # #### complexes ###########################################################
@@ -732,57 +718,52 @@ def _g2_complex(model: GeometryModel, variant: str) -> Resolution:
         node2, node3,
         lambda: monomials("all4forms", 4, list(combinations(range(n), 4))),
         lambda: monomials("volume", 5, [tuple(range(n))])])
-    ops = OnDemand([
-        lambda: GradedOperator(model, nodes[0], nodes[1]),
-        lambda: DeepCorrectedOperator(model, nodes[1], nodes[2])]
-        + [lambda k=k: SpanDOperator(model, nodes[k], nodes[k + 1])
-           for k in (2, 3, 4)])
+    ops = OnDemand([lambda k=k: GradedOperator(model, nodes[k], nodes[k + 1])
+                    for k in range(5)])
     return Resolution(name=model.name, variant=variant, nodes=nodes,
                       operators=ops, model=model, nvars=n,
                       coeff_weights=model.weights)
 
 
 def build_rs_complex(half_dim: int) -> Resolution:
-    """The symplectic replacement complex on R^{2 half_dim}; its nodes and
+    """The symplectic replacement complex on R^{2 half_dim}, its forms in
+    the basis of the flat coframe of models.symplectic_data; its nodes and
     operators are derived on first read."""
     if half_dim != 2:
         raise ValueError("only the 4-dimensional case is built in")
     data = symplectic_data(half_dim)
-    n = 2 * half_dim
-    jform: Form = data["J"]
+    model: GeometryModel = data["model"]
+    n, tag = model.nvars, model.basis_tag
+    jform = change_basis(data["J"], model, "coframe")
+
+    def monomial(idx: Tuple[int, ...]) -> Form:
+        return form_monomial(n, idx, 1, tag)
 
     def primitive2() -> List[Form]:
-        perp: List[Form] = []
-        for pair in sorted(combinations(range(n), 2)):
-            f = form_monomial(n, pair, 1)
-            tr = contract(f, jform).terms.get((), {})
-            if not tr:
-                perp.append(f)
-        perp.append(form_sub(form_monomial(n, (0, 1), 1),
-                             form_monomial(n, (2, 3), 1)))
-        return perp
+        perp = [monomial(pair) for pair in combinations(range(n), 2)
+                if not contract(monomial(pair), jform).terms]
+        return perp + [form_sub(monomial((0, 1)), monomial((2, 3)))]
 
     def node(label: str, degree: int, forms: List[Form], weight: int):
         return Node(label, degree, forms, [weight] * len(forms))
 
     nodes = OnDemand([
-        lambda: node("functions", 0, [form_monomial(n, (), 1)], 0),
-        lambda: node("one_forms", 1, [one_form(n, i) for i in range(n)], 1),
+        lambda: node("functions", 0, [monomial(())], 0),
+        lambda: node("one_forms", 1, [monomial((i,)) for i in range(n)], 1),
         lambda: node("primitive2", 2, primitive2(), 2),
         lambda: node("coeffective2", 2, primitive2(), 4),
-        lambda: node("three_forms", 3, [form_monomial(n, t, 1) for t in
+        lambda: node("three_forms", 3, [monomial(t) for t in
                                         combinations(range(n), 3)], 5),
-        lambda: node("volume", 4, [form_monomial(n, tuple(range(n)), 1)],
-                     6)])
+        lambda: node("volume", 4, [monomial(tuple(range(n)))], 6)])
     ops = OnDemand([
-        lambda: SpanDOperator(None, nodes[0], nodes[1]),
-        lambda: RsProjD(nodes[1], nodes[2], jform, half_dim),
-        lambda: RsMiddle(nodes[2], nodes[3], jform, n),
-        lambda: SpanDOperator(None, nodes[3], nodes[4]),
-        lambda: SpanDOperator(None, nodes[4], nodes[5])])
-    return Resolution(name="symplectic%d" % n, variant="rs", nodes=nodes,
-                      operators=ops, model=None, nvars=n,
-                      coeff_weights=(1,) * n)
+        lambda: GradedOperator(model, nodes[0], nodes[1]),
+        lambda: RsProjD(model, nodes[1], nodes[2], jform),
+        lambda: RsMiddle(model, nodes[2], nodes[3], jform),
+        lambda: GradedOperator(model, nodes[3], nodes[4]),
+        lambda: GradedOperator(model, nodes[4], nodes[5])])
+    return Resolution(name=model.name, variant="rs", nodes=nodes,
+                      operators=ops, model=model, nvars=n,
+                      coeff_weights=model.weights)
 
 
 # #### sections ############################################################

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import operator
 import random
+import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -206,13 +208,21 @@ MAX_TERMS = 1 << 16
 MAX_DEGREE = 64
 
 
+_DECIMAL = re.compile("-?[0-9]+")
+
+
 def json_int(x: object, what: str) -> int:
-    """An integer from JSON: an int or a decimal string, never a float."""
-    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+    """An integer from JSON: an int or an ASCII decimal string, -?[0-9]+,
+    never a float."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, str) and _DECIMAL.fullmatch(x):
         try:
             return int(x)
-        except ValueError:
-            pass
+        except ValueError:  # only past Python's digit limit
+            raise ValueError("%s has more than %d digits, Python's limit for "
+                             "str to int conversion"
+                             % (what, sys.get_int_max_str_digits()))
     raise ValueError("%s must be an integer, got %.40r" % (what, x))
 
 

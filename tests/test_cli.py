@@ -356,10 +356,10 @@ def test_apply_wrong_nvars_exits_2(tmp_path, capsys, nvars, exps):
     assert "variables" in err
 
 
-def _engel0_term(exps, den="1"):
+def _engel0_term(exps, den="1", num="1", nvars=4):
     return {"model": "engel4", "cell": 0,
-            "coeffs": [{"nvars": 4, "terms": [{"exps": exps, "num": "1",
-                                                "den": den}]}]}
+            "coeffs": [{"nvars": nvars, "terms": [{"exps": exps, "num": num,
+                                                    "den": den}]}]}
 
 
 @pytest.mark.parametrize("blob", [
@@ -367,7 +367,13 @@ def _engel0_term(exps, den="1"):
     _engel0_term([0, 0, 1, 0], den="0"),
     _engel0_term([0, True, 1, 0]),
     _engel0_term([0, 0, 1.0, 0]),
-    _engel0_term([0, 0, -1, 2])])
+    _engel0_term([0, 0, -1, 2]),
+    # only ASCII decimal strings are integers
+    _engel0_term([0, 0, " 1 ", 0]),
+    _engel0_term([0, 0, "\u0663", 0]),
+    _engel0_term([0, 0, 1, 0], num="1_000"),
+    _engel0_term([0, 0, 1, 0], den="+7"),
+    _engel0_term([0, 0, 1, 0], nvars="\uff14")])
 def test_apply_malformed_section_exits_2(tmp_path, capsys, blob):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(blob))
@@ -397,6 +403,20 @@ def test_apply_output_past_the_digit_limit_exits_2(tmp_path, capsys,
     assert out == ""
     assert err.startswith("error: an output coefficient has more than "
                           "%d digits" % sys.get_int_max_str_digits())
+
+
+def test_apply_numerator_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # an integer, which Python's str to int conversion refuses
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_engel0_term([0, 0, 1, 0],
+                                            num="9" * (limit + 1))))
+    code, out, err = run(capsys, "apply", "engel4", "--operator", "d0",
+                         "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read section: numerator has more "
+                          "than %d digits, Python's limit" % limit)
 
 
 def _engel_section(cell, ncoeffs, model="engel4"):
@@ -479,7 +499,7 @@ def test_one_request_derives_its_two_degrees_and_the_top(operator, degrees):
     from coframes.operators import random_section
     handle, _, _ = cli._named_operator("elliptic7", operator, None)
     handle.apply(random_section(handle.source, random.Random(1), 2))
-    page1 = handle.page1
+    page1 = handle.model.page1()
     assert set(page1.data) == {k for k in page1.page0.cells
                                if k[0] in degrees}
 

@@ -9,15 +9,14 @@ from fractions import Fraction
 import pytest
 
 from coframes import linalg, ratpoly as rp
-from coframes.forms import (contract, exterior_d, form_pmul, form_scale,
-                            form_sub, form_zero, one_form, wedge)
+from coframes.forms import (Form, change_basis, contract, form_pmul,
+                            form_scale, form_sub, form_zero, one_form, wedge)
 from coframes.models import builtin_model, symplectic_data
-from coframes.operators import (DeepCorrectedOperator, GradedOperator,
-                                GradedSection, Node, NormalForm,
-                                OperatorHandle, RsMiddle, RsProjD,
-                                SpanDOperator, SpanSolver, _LcpRun,
-                                build_rs_complex, derive_operator,
-                                named_complex, random_section, realize)
+from coframes.operators import (GradedOperator, GradedSection, Node,
+                                NormalForm, OperatorHandle, RsMiddle, RsProjD,
+                                SpanSolver, _LcpRun, build_rs_complex,
+                                derive_operator, named_complex,
+                                random_section, realize)
 from coframes.verify import _SliceCache
 
 from conftest import model
@@ -122,17 +121,17 @@ def test_normal_form_apply_over_other_denominators(name, variant):
 
 
 class _SixthOperator(OperatorHandle):
-    """u dx_0 + v dx_1 goes to (4 u / 6, 0): slot 0 reduces to 2/3, and
+    """u dx_0 + v dx_1 goes to 4 u / 6 dx_0: slot 0 reduces to 2/3, and
     nothing reaches from slot 1."""
 
     def image(self, lift, jets=None):
-        return [(6, rp.scale(lift.terms.get((0,), {}), 4)), (1, {})]
+        u = lift.terms.get((0,), {})
+        return 6, Form(2, 1, terms={(0,): rp.scale(u, 4)})
 
 
 def test_normal_form_slots_take_their_least_denominators():
     dx = [one_form(2, i) for i in range(2)]
-    h = _SixthOperator(Node("s", 1, dx, [1, 1]),
-                       Node("t", 2, [wedge(*dx)] * 2, [2, 2]))
+    h = _SixthOperator(Node("s", 1, dx, [1, 1]), Node("t", 1, dx, [2, 2]))
     assert h.normal_form().slots == [(3, [((0, 0), [(0, (0, 0), 2)])]),
                                      (1, [])]
     assert h.apply([{(1, 0): Fraction(1, 2)}, {(0, 1): Fraction(1)}]) == [
@@ -152,9 +151,9 @@ def test_normal_form_compiles_without_apply_or_over(monkeypatch):
         raise AssertionError("a normal form compiled through a Fraction")
     monkeypatch.setattr(OperatorHandle, "apply", refuse)
     monkeypatch.setattr(rp, "over", refuse)
-    # every operator class: graded, deep-corrected and span d on g2_5, whose
-    # frame is over 2, and the span d without a model and both symplectic
-    # maps on symplectic4
+    # every operator class and both kinds of target: graded and span
+    # targets on g2_5, whose frame is over 2, and the flat d and both
+    # symplectic maps on symplectic4
     for res in (named_complex(model("g2_5"), "ambient"), build_rs_complex(2)):
         assert [h.order for h in res.operators] == GOLDEN[
             (res.name, res.variant)][1]
@@ -326,14 +325,16 @@ def test_lift_independence(name):
     checked = 0
     for k, h in enumerate(res.operators):
         top = max(h.source.weights)
-        for key, cell in sorted(h.page1.page0.cells.items()):
+        for key, cell in sorted(res.model.page1().page0.cells.items()):
             if key[0] != h.source.degree or cell.weight <= top:
                 continue
             for mono in cell.basis:
                 lift = form_zero(res.nvars, h.source.degree,
                                  res.model.basis_tag)
                 lift.add_term(mono, jets.unknown)
-                assert not any(p for _, p in h.image(lift, jets)), (k, mono)
+                _, form = h.image(lift, jets)
+                assert not any(p for _, p in h.target.coordinates(form)), (
+                    k, mono)
                 checked += 1
     assert checked
 
@@ -346,6 +347,7 @@ def test_correction_leaves_no_image_component(name):
     each source slot of every operator, as the normal-form compile runs."""
     res = complex_for(name, "bgg")
     jets = rp.Jets(res.nvars)
+    page1 = res.model.page1()
     checked = 0
     for k, h in enumerate(res.operators):
         degree = h.source.degree + 1
@@ -353,11 +355,8 @@ def test_correction_leaves_no_image_component(name):
             coeffs = [{} for _ in range(h.source.rank)]
             coeffs[slot] = jets.unknown
             run = _LcpRun(h.model, realize(h.source, coeffs), degree, jets)
-            for w in range(min(h.source.weights) + 1, h.max_weight + 1):
-                key = (degree, w - degree)
-                if key not in h.page1.page0.cells:
-                    continue
-                data = h.page1.cell_data(key)
+            for w in h.correct_weights:
+                data = page1.cell_data((degree, w - degree))
                 run.correct_at(w)
                 image = linalg.poly_matvec(data.sinv[:data.rank_in],
                                            run.vector(w))
@@ -385,13 +384,13 @@ def test_rs_complex_shape():
 def _span_solvers():
     """Every span solver of the g2_5 ambient and basic complexes and of the
     symplectic complex, with the node of the forms it spans: each target
-    span, and RsMiddle's J ^ dx_i."""
+    node that is not graded, and RsMiddle's J ^ dx_i."""
     for name, variant in (("g2_5", "ambient"), ("g2_5", "basic"),
                           ("symplectic4", "rs")):
         res = complex_for(name, variant)
         for k, h in enumerate(res.operators):
-            if hasattr(h, "span"):
-                yield (name, variant, k), h.span, h.target
+            if h.target.page1 is None:
+                yield (name, variant, k), h.target.span, h.target
             if isinstance(h, RsMiddle):
                 jform = symplectic_data(2)["J"]
                 forms = [wedge(jform, one_form(4, i)) for i in range(4)]
@@ -414,7 +413,7 @@ def test_span_solver_expresses_its_span():
 
 def test_span_solver_rejects_forms_outside_the_span():
     res = complex_for("g2_5", "basic")
-    span, n, tag = res.operators[1].span, res.nvars, res.model.basis_tag
+    span, n, tag = res.nodes[2].span, res.nvars, res.model.basis_tag
     # B2 holds no (2, 3) term, and (0, 4) only together with (1, 3)
     outside = form_zero(n, 2, tag)
     outside.add_term((2, 3), rp.const(1, n))
@@ -430,6 +429,38 @@ def test_span_solver_rejects_dependent_forms():
     forms = complex_for("g2_5", "basic").nodes[2].forms
     with pytest.raises(ValueError, match="not independent"):
         SpanSolver(forms + [forms[1]])
+
+
+def test_span_target_must_hold_whole_cells():
+    # g2_5's weight-4 cell of 2-forms is (0, 3), (0, 4), (1, 3), (1, 4)
+    res = complex_for("g2_5", "basic")
+    m, n = res.model, res.nvars
+    half = Node("half", 2, [form_zero(n, 2, m.basis_tag)], [4])
+    half.forms[0].add_term((0, 3), rp.const(1, n))
+    with pytest.raises(ValueError, match="target span splits a cell"):
+        GradedOperator(m, res.nodes[1], half)
+
+
+def test_span_target_must_hold_a_cell():
+    # B3's 3-forms meet no cell of the 2-forms an operator from node 1 makes
+    res = complex_for("g2_5", "basic")
+    with pytest.raises(ValueError, match="target span has no cells"):
+        GradedOperator(res.model, res.nodes[1], res.nodes[3])
+
+
+def test_graded_coordinates_ignore_terms_outside_the_cells():
+    # g2_5's node 1 is the weight-1 cell, omega_3 and omega_4; a form's
+    # terms along omega_0, omega_1 and omega_2 lie in no cell of it
+    res = complex_for("g2_5", "bgg")
+    node, tag = res.nodes[1], res.model.basis_tag
+    assert [key for key, _, _ in node.cells] == [(1, 0)]
+    inside = Form(5, 1, tag, {(3,): {(0, 0, 1, 0, 0): 2}, (4,): {(0,) * 5: 3}})
+    both = inside.copy()
+    for i in range(3):
+        both.add_term((i,), {(1, 0, 0, 0, 0): 5})
+    want = node.coordinates(inside)
+    assert want == [(1, {(0, 0, 1, 0, 0): 2}), (1, {(0,) * 5: 3})]
+    assert node.coordinates(both) == want
 
 
 def test_graded_section_json_roundtrip():
@@ -455,8 +486,8 @@ def test_derive_operator_between_named_cells():
 def test_complexes_of_one_model_read_its_page():
     m = builtin_model("g2_5")
     for variant in ("bgg", "ambient", "basic"):
-        assert named_complex(m, variant).operators[0].page1 is m.page1()
-    assert derive_operator(m, (0, 0), (1, 0)).page1 is m.page1()
+        assert named_complex(m, variant).nodes[1].page1 is m.page1()
+    assert derive_operator(m, (0, 0), (1, 0)).target.page1 is m.page1()
 
 
 def test_derive_operator_rejects_a_target_of_another_degree():
@@ -531,11 +562,13 @@ def _ref_apply(h, coeffs, jets=None):
     partials = jets.partials if jets is not None else None
     lift = realize(h.source, coeffs)
     degree = h.source.degree + 1
-    jform = symplectic_data(2)["J"]
-    if isinstance(h, GradedOperator):
-        m, out = h.model, [{} for _ in range(h.target.rank)]
-        eta = _ref_coframe_d(m, lift, partials)
-        for w in range(min(h.source.weights) + 1, h.max_weight + 1):
+    m = h.model
+    eta = _ref_coframe_d(m, lift, partials)
+    if isinstance(h, GradedOperator) and h.target.page1 is not None:
+        out = [{} for _ in range(h.target.rank)]
+        top = max(m.page1().page0.cells[key].weight
+                  for key, _, _ in h.target.cells)
+        for w in range(min(h.source.weights) + 1, top + 1):
             key = (degree, w - degree)
             if key not in m.page1().page0.cells:
                 continue
@@ -547,28 +580,25 @@ def _ref_apply(h, coeffs, jets=None):
                         _ref_sinv(data)[data.rank_in:],
                         _ref_vector(m, eta, degree, w))
         return out
-    if isinstance(h, DeepCorrectedOperator):
-        eta = _ref_coframe_d(h.model, lift, partials)
+    if isinstance(h, GradedOperator):
         for w in h.correct_weights:
-            _ref_correct(h.model, eta, degree, w, partials)
-            assert not any(_ref_vector(h.model, eta, degree, w))
+            _ref_correct(m, eta, degree, w, partials)
+            assert not any(_ref_vector(m, eta, degree, w))
         return _ref_express(h.target.forms, eta)
-    if isinstance(h, SpanDOperator):
-        d = (exterior_d(lift, partials) if h.model is None
-             else _ref_coframe_d(h.model, lift, partials))
-        return _ref_express(h.target.forms, d)
-    beta = exterior_d(lift, partials)
+    # the symplectic maps, on the flat coframe: eta is d(lift)
+    jform = change_basis(symplectic_data(2)["J"], m, "coframe")
     if isinstance(h, RsProjD):
-        trace = contract(beta, jform).terms.get((), {})
+        trace = contract(eta, jform).terms.get((), {})
         return _ref_express(h.target.forms, form_sub(
-            beta, form_pmul(jform, rp.scale(trace, Fraction(1, 2)))))
+            eta, form_pmul(jform, rp.scale(trace, Fraction(1, 2)))))
     assert isinstance(h, RsMiddle)
-    x = _ref_express([wedge(jform, one_form(4, i)) for i in range(4)], beta)
-    gamma = form_zero(4, 1)
+    x = _ref_express([wedge(jform, one_form(4, i, m.basis_tag))
+                      for i in range(4)], eta)
+    gamma = form_zero(4, 1, m.basis_tag)
     for i, p in enumerate(x):
         gamma.add_term((i,), p)
     return _ref_express(h.target.forms,
-                        form_scale(exterior_d(gamma, partials), -1))
+                        form_scale(_ref_coframe_d(m, gamma, partials), -1))
 
 
 def _ref_normal_slots(h):

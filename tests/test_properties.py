@@ -97,7 +97,7 @@ class _LiftSetup:
         if cls.handle is None:
             res = named_complex(builtin_model("engel4"), "bgg")
             h = res.operators[1]
-            page0 = h.page1.page0
+            page0 = h.model.page1().page0
             cls.handle = h
             cls.deeper = [key for key, c in page0.cells.items()
                           if key[0] == h.source.degree
@@ -115,12 +115,14 @@ def test_lift_independence(seed):
     coeffs = [rp.random_poly(rng, m.nvars, 2, terms=2)
               for _ in range(h.source.rank)]
     key = deeper[rng.randrange(len(deeper))]
-    cell = h.page1.page0.cells[key]
+    cell = h.model.page1().page0.cells[key]
     lift = realize(h.source, coeffs)
     lift.add_term(cell.basis[rng.randrange(len(cell.basis))],
                   rp.random_poly(rng, m.nvars, 2, terms=2))
     den, (lift,) = clear_denominators([lift])
-    assert [rp.over(p, den * d) for d, p in h.image(lift)] == h.apply(coeffs)
+    f, form = h.image(lift)
+    assert [rp.over(p, den * f * d) for d, p in h.target.coordinates(form)
+            ] == h.apply(coeffs)
 
 
 LINEAR = [("contact5", "bgg"), ("g2_5", "bgg"), ("g2_5", "ambient"),

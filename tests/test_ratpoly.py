@@ -120,6 +120,20 @@ def test_json_reads_string_exponents_and_sums_repeats(terms, want):
     assert rp.poly_from_json({"nvars": 2, "terms": terms}) == want
 
 
+@pytest.mark.parametrize("terms,nvars", [
+    ([{"exps": [" 1 ", 0], "num": "1", "den": "1"}], 2),
+    ([{"exps": [1, "\u0663"], "num": "1", "den": "1"}], 2),
+    ([{"exps": [1, 0], "num": "1_000", "den": "1"}], 2),
+    ([{"exps": [1, 0], "num": "1", "den": "+7"}], 2),
+    ([{"exps": [1, 0], "num": "1", "den": "7\n"}], 2),
+    ([], "\uff12")],
+    ids=["spaces", "arabic-indic", "underscore", "plus", "newline",
+         "full-width-nvars"])
+def test_json_reads_only_ascii_decimal_strings(terms, nvars):
+    with pytest.raises(ValueError, match="must be an integer"):
+        rp.poly_from_json({"nvars": nvars, "terms": terms})
+
+
 def test_json_preserves_big_fractions():
     n = 2
     huge = Fraction(10 ** 40 + 1, 10 ** 39 + 7)

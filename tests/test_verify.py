@@ -8,9 +8,9 @@ from math import lcm, perm
 import pytest
 
 from coframes import builtin_names, linalg, ratpoly as rp, verify
-from coframes.operators import (NormalForm, OperatorHandle, Resolution,
-                                SpanDOperator, build_rs_complex,
-                                named_complex)
+from coframes.forms import form_zero
+from coframes.operators import (GradedOperator, NormalForm, OperatorHandle,
+                                Resolution, build_rs_complex, named_complex)
 from coframes.verify import (_SliceCache, composition_check,
                              cross_check_dims, exactness_check,
                              rs_h1_witness)
@@ -190,7 +190,7 @@ def test_slice_columns_of_all_zero_maps():
 
 class _ZeroOperator(OperatorHandle):
     def image(self, lift, jets=None):
-        return [(1, {}) for _ in range(self.target.rank)]
+        return 1, form_zero(lift.nvars, self.target.degree, lift.basis)
 
 
 def test_zero_operator_keeps_its_slots_apart():
@@ -367,10 +367,11 @@ def _broken_rs():
     res = build_rs_complex(2)
     n0, n1, n2, _, n4, _ = res.nodes
     n4 = dataclasses.replace(n4, weights=[3] * n4.rank)
-    ops = [res.operators[0], res.operators[1], SpanDOperator(None, n2, n4)]
+    ops = [res.operators[0], res.operators[1],
+           GradedOperator(res.model, n2, n4)]
     return Resolution(name=res.name, variant="broken",
-                      nodes=[n0, n1, n2, n4], operators=ops, nvars=res.nvars,
-                      coeff_weights=res.coeff_weights)
+                      nodes=[n0, n1, n2, n4], operators=ops, model=res.model,
+                      nvars=res.nvars, coeff_weights=res.coeff_weights)
 
 
 def test_composition_check_reports_a_nonzero_pair():
