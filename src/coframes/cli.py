@@ -198,7 +198,8 @@ def cmd_list(args) -> int:
 def cmd_page(args) -> int:
     model = _load_model(args.geometry, builtin_names())
     if model is None:
-        raise UsageError("symplectic4 has no coframe model to page")
+        raise UsageError("symplectic4's rs complex is not built from a page "
+                         "table, so it has none to show")
     page = model.page1()
     dims = page.page0.dims() if args.level == 0 else page.dims()
     labels = ver.SCHUR_LABELS.get(model.name, {}) if args.level == 1 else {}

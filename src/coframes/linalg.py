@@ -247,16 +247,15 @@ def rank_mod_p(rows: List[Dict[int, int]], p: int,
     columns in skip left out: the indices of rows that are independent
     mod p, as many as the rank, in the order they were chosen.
 
-    rows map column index to an integer, reduced mod p here.  Pivoting
-    prefers short rows to keep fill-in down: the next pivot row is the
-    shortest live row, ties going to the lowest row index.  A heap of
-    (length, row index) entries serves that choice; an entry is pushed
-    whenever a row changes length, and entries whose length no longer
-    matches their row are skipped when popped, so each choice costs a
-    logarithmic heap operation instead of a scan of all live rows.  Each
-    popped row, reduced by the pivots before it, is nonzero and is zero
-    at their pivot columns, so the chosen rows are independent.  Input
-    rows are left unchanged.
+    rows map column index to an integer, reduced mod p here.  The next
+    pivot row is the shortest live row, ties going to the lowest index, to
+    keep fill-in down: rows with one live entry wait in a heap of indices,
+    drained first, and longer rows in a heap of (length, index) entries,
+    pushed when a row's length changes and skipped when stale.  A singleton
+    pivots with no arithmetic: every other row holding its column drops
+    it.  Each popped row, reduced by the pivots before it, is nonzero and
+    zero at their pivot columns, so the chosen rows are independent.
+    Input rows are left unchanged.
     """
     live: Dict[int, Dict[int, int]] = {}
     col_index: Dict[int, set] = {}
@@ -273,9 +272,26 @@ def rank_mod_p(rows: List[Dict[int, int]], p: int,
         if clean:
             live[ri] = clean
     queue = [(len(row), ri) for ri, row in live.items()]
+    singles = [ri for n, ri in queue if n == 1]     # ascending: a heap
     heapq.heapify(queue)
     pivots: List[int] = []
     while live:
+        if singles:
+            ri = heapq.heappop(singles)
+            if ri not in live:
+                continue
+            (pc,) = live[ri]
+            pivots.append(ri)
+            for rj in col_index.pop(pc):    # ri among them
+                other = live[rj]
+                del other[pc]
+                if len(other) > 1:
+                    heapq.heappush(queue, (len(other), rj))
+                elif other:
+                    heapq.heappush(singles, rj)
+                else:
+                    del live[rj]
+            continue
         n, ri = heapq.heappop(queue)
         row = live.get(ri)
         if row is None or len(row) != n:
@@ -304,6 +320,8 @@ def rank_mod_p(rows: List[Dict[int, int]], p: int,
                     col_index[c].discard(rj)
             if not other:
                 del live[rj]
+            elif len(other) == 1:
+                heapq.heappush(singles, rj)
             elif len(other) != before:
                 heapq.heappush(queue, (len(other), rj))
     return pivots

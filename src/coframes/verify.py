@@ -31,9 +31,10 @@ operators into one finite complex of vector spaces, and the walk climbs it
 from the top node down: operator k's map on s is built only if node k or
 node k + 1 checks s, and only the maps into and out of the current node are
 held (_SliceMap).  So each (operator, slice) map is built once, and ranked
-at most once by sparse elimination of its integer columns modulo one prime
-(linalg.rank_mod_p) and at most once exactly: a slice whose modular count
-leaves homology falls back to exact rational elimination of full columns.
+at most once by sparse elimination of its integer columns mod one prime
+(linalg.rank_mod_p, where a column down to one entry pivots with no
+arithmetic) and at most once exactly: a modular count that leaves homology
+falls back to exact rational elimination of full columns.
 Scaling a column by a nonzero rational is an invertible column operation,
 so the integer columns have the rank over Q of the true ones.  A minor that
 is nonzero mod p is nonzero over Q, so for every prime the modular rank of

@@ -87,10 +87,12 @@ def test_page_unknown_geometry_exits_2(capsys):
 
 
 def test_page_symplectic4_exits_2_without_offering_it(capsys):
-    # symplectic4 has a complex but no coframe model, so no page table
+    # symplectic4's flat coframe carries its rs complex, which is not built
+    # from a page table
     code, out, err = run(capsys, "page", "symplectic4")
     assert code == 2 and not out
-    assert "no coframe model" in err
+    assert "rs complex is not built from a page table" in err
+    assert "no coframe model" not in err
     assert "choose from" not in err
 
 

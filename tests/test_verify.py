@@ -1,6 +1,7 @@
 """Complex verification: exactness certificates, composition, witnesses."""
 
 import dataclasses
+import heapq
 import random
 from fractions import Fraction as F
 from math import lcm, perm
@@ -461,3 +462,114 @@ def test_rank_mod_p_matches_exact_rank():
         assert linalg.sparse_rank_exact(into) == full
         assert len(linalg.rank_mod_p(into, p,
                                      set(linalg.rank_mod_p(out, p)))) == full
+
+
+def _one_heap_rank_mod_p(rows, p, skip=(), chosen=None):
+    """The reference for linalg.rank_mod_p: every live row in one heap of
+    (length, row index) entries, each pivot scaled by its inverse and
+    eliminated from the rows holding its column.  Each chosen row's
+    length, then and at the start, is appended to chosen, if given."""
+    live, col_index = {}, {}
+    for ri, row in enumerate(rows):
+        clean = {c: v % p for c, v in row.items() if v % p and c not in skip}
+        for c in clean:
+            col_index.setdefault(c, set()).add(ri)
+        if clean:
+            live[ri] = clean
+    queue = [(len(row), ri) for ri, row in live.items()]
+    start = dict((ri, n) for n, ri in queue)
+    heapq.heapify(queue)
+    pivots = []
+    while live:
+        n, ri = heapq.heappop(queue)
+        row = live.get(ri)
+        if row is None or len(row) != n:
+            continue
+        if chosen is not None:
+            chosen.append((n, start[ri]))
+        del live[ri]
+        for c in row:
+            col_index[c].discard(ri)
+        pc = min(row, key=lambda c: len(col_index[c]))
+        inv = pow(row.pop(pc), p - 2, p)
+        row = [(c, v * inv % p) for c, v in row.items()]
+        pivots.append(ri)
+        for rj in col_index.pop(pc):
+            other = live[rj]
+            before = len(other)
+            f = other.pop(pc)
+            for c, v in row:
+                nv = (other.get(c, 0) - f * v) % p
+                if nv:
+                    if c not in other:
+                        col_index[c].add(rj)
+                    other[c] = nv
+                elif c in other:
+                    del other[c]
+                    col_index[c].discard(rj)
+            if not other:
+                del live[rj]
+            elif len(other) != before:
+                heapq.heappush(queue, (len(other), rj))
+    return pivots
+
+
+def _cascade_rows(rng, p):
+    """Sparse integer rows with singletons that empty other rows down to
+    one entry, longer rows whose pivots fill in, entries that are
+    multiples of p, and duplicate rows, shuffled."""
+    ncols = rng.randint(1, 14)
+    rows = [{c: rng.randint(-4, 4)
+             for c in rng.sample(range(ncols), min(ncols, rng.randint(1, 4)))}
+            for _ in range(rng.randint(1, 16))]
+    # chains c, c + 1, ...: a singleton at one end clears them one by one
+    start = rng.randrange(ncols)
+    rows.append({start: rng.randint(1, 3)})
+    rows += [{c: rng.randint(1, 3), c + 1: rng.randint(-3, -1)}
+             for c in range(start, min(ncols - 1, start + rng.randint(0, 5)))]
+    for row in rng.sample(rows, min(len(rows), 3)):
+        row[rng.randrange(ncols)] = p * rng.randint(-2, 2)
+    rows += [dict(r) for r in rng.sample(rows, rng.randint(0, 2))]
+    rows = [{c: v for c, v in r.items() if v} for r in rows]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rank_mod_p_pivots_as_one_heap():
+    # the same pivots in the same order as the one-heap elimination: each
+    # map's pivots are the next map's skip set, so the order is an output
+    rng = random.Random(11)
+    chosen = []
+    for p in (2, 3, 7, 1000003):
+        for _ in range(150):
+            rows = _cascade_rows(rng, p)
+            cols = {c for r in rows for c in r}
+            skip = set(rng.sample(sorted(cols),
+                                  rng.randint(0, len(cols) // 3)))
+            for s in ((), skip):
+                expected = _one_heap_rank_mod_p(rows, p, s, chosen)
+                snapshot = [dict(r) for r in rows]
+                assert linalg.rank_mod_p(rows, p, s) == expected
+                assert rows == snapshot
+    # the inputs reach singletons cut down from longer rows, and pivots
+    # on rows that are still long when chosen
+    assert any(n == 1 < m for n, m in chosen)
+    assert any(n > 1 for n, m in chosen)
+
+
+@pytest.mark.parametrize("name,variant", [("contact5", "bgg"),
+                                          ("g2_5", "ambient")])
+def test_rank_mod_p_pivots_of_the_certificate(monkeypatch, name, variant):
+    calls = []
+    rank_mod_p = linalg.rank_mod_p
+
+    def record(rows, p, skip=()):
+        pivots = rank_mod_p(rows, p, skip)
+        calls.append((rows, p, set(skip), pivots))
+        return pivots
+    monkeypatch.setattr(linalg, "rank_mod_p", record)
+    assert exactness_check(named_complex(model(name), variant), 1).ok
+    monkeypatch.undo()
+    assert calls and any(skip for _, _, skip, _ in calls)
+    for rows, p, skip, pivots in calls:
+        assert pivots == _one_heap_rank_mod_p(rows, p, skip)
